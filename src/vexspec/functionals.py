@@ -24,6 +24,7 @@ from .mesh import (
 )
 from .spaces import (
     ExponentField,
+    _power_sum_root,
     conjugate,
     exponent_field,
     holder_constant,
@@ -435,53 +436,29 @@ def _mass_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     return m
 
 
-def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float, tol: float = 1e-12):
+def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
     """Solve sum(w * t**p) = alpha for t > 0 given a gradient profile w."""
     total = float(np.sum(w))
     if total == 0.0:
         raise ValueError("gradient energy vanished; function is not admissible")
     if pd.p.is_constant:
         return float((alpha / total) ** (1.0 / pd.p.lo))
-    pv = pd.p.values
-
-    def g_of(t):
-        return float(np.sum(w * t**pv))
-
-    t = 1.0
-    val = total
-    guard = 0
-    while val < alpha:
-        t *= 2.0
-        val = g_of(t)
-        guard += 1
-        if guard > 4096:
-            raise ValueError("sphere projection failed to bracket from above")
-    hi = t
-    lo = 0.0 if t == 1.0 else t / 2.0
-    while hi - lo > 1e-16 * hi:
-        mid = 0.5 * (lo + hi)
-        vm = g_of(mid)
-        if abs(vm - alpha) <= tol:
-            return mid
-        if vm < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _power_sum_root(w, pd.p.values, np.array([float(alpha)]), np.zeros(1))[0]
 
 
-def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float, tol: float = 1e-12):
-    """Scale factor t with G(t u) = alpha, by bracketing and bisection.
+def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
+    """Scale factor t with G(t u) = alpha, by the Newton power-sum kernel.
 
     The map t -> G(t u) separates into per-cell powers of t, so the cell
-    weights are computed once and the root-find runs on the scalar map;
-    constant p collapses it to the closed form t = (alpha / G(u))^(1/p).
+    weights are computed once and the kernel solves the scalar equation to
+    float resolution, relative to alpha at every scale of alpha; constant p
+    collapses it to the closed form t = (alpha / G(u))^(1/p).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not np.any(u):
         raise ValueError("cannot project the zero function onto a sphere")
-    return _profile_scale(_grad_profile(u, pd), pd, alpha, tol)
+    return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
 def _quotient_descent(u0, pd, alpha, value_grad, iters, step0=1.0, tol=1e-10):

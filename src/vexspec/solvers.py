@@ -36,7 +36,7 @@ from .functionals import (
     window_alpha,
 )
 from .mesh import gradient, gradient_magnitude
-from .spaces import luxemburg_norm
+from .spaces import _power_sum_root, luxemburg_norm
 
 __all__ = [
     "SolverConfig",
@@ -120,10 +120,17 @@ class SweepReport:
 
 
 def project_to_sphere(u, pd: ProblemData, alpha: float, tol: float = 1e-10):
-    """Return (t, t*u) with G(t*u) = alpha within tol."""
+    """Return (t, t*u) with |G(t*u)/alpha - 1| <= tol.
+
+    The scale is resolved to float resolution by the Newton power-sum
+    kernel; the relative defect is then checked and a miss raises.
+    """
     u = np.asarray(u, dtype=float)
-    t = _sphere_scale(u, pd, alpha, tol)
-    return t, t * u
+    t = _sphere_scale(u, pd, alpha)
+    v = t * u
+    if not abs(energies(v, pd).G / alpha - 1.0) <= tol:
+        raise ValueError(f"sphere projection missed the relative tolerance {tol:g}")
+    return t, v
 
 
 def mode_seed(pd: ProblemData, k=1) -> np.ndarray:
@@ -427,12 +434,12 @@ def solve_sphere_max(
 def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -> float:
     """Positive tau where the ray derivative of I_lambda changes sign.
 
-    Works on the per-cell scale profiles: tau * dI/dtau equals
-    sum(p*wg*tau^p) - lam*sum(q*wm*tau^q), which after division by
-    tau^{sup p} (superlinear) or tau^{sup q} (sublinear) is strictly
-    monotone, so the crossing is unique: the ray maximum in the first
-    regime, the ray minimum in the second. Constant exponents admit a
-    closed form.
+    Works on the per-cell scale profiles: tau * dI/dtau vanishes where
+    sum(p*wg*tau^p) = lam*sum(q*wm*tau^q).  With the exponents ordered on
+    every cell the log of the ratio of the two sums is strictly monotone in
+    log tau, so the crossing is unique (the ray maximum in the superlinear
+    regime, the ray minimum in the sublinear one) and the Newton power-sum
+    kernel finds it.  Constant exponents admit a closed form.
     """
     a = pd.p.values * wg
     b = lam * pd.q.values * wm
@@ -442,41 +449,9 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -
         raise ValueError("ray crossing undefined: an energy term vanished")
     if pd.p.is_constant and pd.q.is_constant:
         return float((psi / lam_phi) ** (1.0 / (pd.q.lo - pd.p.lo)))
-    if pd.q.lo >= pd.p.hi:
-        sgn = 1.0
-    elif pd.q.hi <= pd.p.lo:
-        sgn = -1.0
-    else:
+    if not (pd.q.lo >= pd.p.hi or pd.q.hi <= pd.p.lo):
         raise ValueError("ray crossing needs exponents ordered on every cell")
-    pv, qv = pd.p.values, pd.q.values
-
-    def h(tau):
-        return sgn * float(np.sum(a * tau**pv) - np.sum(b * tau**qv))
-
-    guard = 0
-    if h(1.0) > 0.0:
-        hi = 2.0
-        while h(hi) > 0.0:
-            hi *= 2.0
-            guard += 1
-            if guard > 4096:
-                raise ValueError("ray crossing failed to bracket from above")
-        lo = hi / 2.0
-    else:
-        lo = 0.5
-        while h(lo) <= 0.0:
-            lo *= 0.5
-            guard += 1
-            if guard > 4096:
-                raise ValueError("ray crossing failed to bracket from below")
-        hi = lo * 2.0
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _power_sum_root(a, pd.p.values, b, pd.q.values)[0]
 
 
 def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverConfig, budget: int):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+
 __all__ = [
     "ExponentField",
     "NormResult",
@@ -63,11 +65,63 @@ def product_exponent(a: ExponentField, b: ExponentField) -> ExponentField:
 
 @dataclass(frozen=True)
 class NormResult:
-    """Luxemburg norm together with the bisection certificate that produced it."""
+    """Luxemburg norm with the number of power-sum evaluations behind it.
+
+    `iterations` counts the Newton evaluations of the root kernel plus the
+    exact modular checks that keep the norm on the upper side.
+    """
 
     norm: float
     iterations: int
-    bracket_width: float
+
+
+def _log_power_sum(log_c: np.ndarray, e: np.ndarray, s: float):
+    """log sum(c * e^{e s}) and its s-derivative, shifted against overflow."""
+    if log_c.size == 1:  # one term: its log is linear in s
+        return log_c[0] + e[0] * s, e[0]
+    z = log_c + e * s
+    top = z.max()
+    w = np.exp(z - top)
+    total = w.sum()
+    return top + np.log(total), np.dot(e, w) / total
+
+
+def _power_sum_root(a, p, b, q, rtol: float = _EPS):
+    """Root t > 0 of sum(a * t**p) = sum(b * t**q), with its evaluation count.
+
+    Newton runs in s = log t on f(s) = log sum(a e^{p s}) - log sum(b e^{q s}),
+    a difference of log-sum-exps (Boyd & Vandenberghe, sec. 3.1.5): each is
+    convex, with the weighted mean exponent as slope and the weighted exponent
+    variance (at most a quarter of the squared exponent range) as curvature.
+    For a fixed target, b = [target] and q = [0], f is convex and Newton
+    approaches the root from one side after its first step.  For two sums the
+    callers order the exponents on every cell, so f is strictly monotone, and
+    a step that leaves the bracket of signs seen so far becomes a bisection in
+    s.  The loop stops once the step, or the error it is predicted to leave
+    (curvature / (2 slope) * step**2), is within rtol of t or the float
+    resolution of s.  Coefficients are finite and nonnegative, with a
+    positive one on each side.
+    """
+    keep_a, keep_b = a > 0.0, b > 0.0
+    la, p = np.log(a[keep_a]), p[keep_a]
+    lb, q = np.log(b[keep_b]), q[keep_b]
+    if not (la.size and lb.size):
+        raise ValueError("power sums need a positive coefficient on each side")
+    curvature = 0.25 * ((p.max() - p.min()) ** 2 + (q.max() - q.min()) ** 2)
+    lo, hi, s = -np.inf, np.inf, 0.0
+    for evals in range(1, 200):
+        fa, da = _log_power_sum(la, p, s)
+        fb, db = _log_power_sum(lb, q, s)
+        slope = da - db
+        step = (fb - fa) / slope if slope else np.nan
+        if not np.isfinite(step):
+            raise ValueError("power sums do not cross: exponents are not ordered")
+        tol = max(rtol, _EPS * abs(s))
+        if abs(step) <= tol or curvature * step * step <= 2.0 * abs(slope) * tol:
+            return float(np.exp(s + step)), evals
+        lo, hi = (s, hi) if step > 0.0 else (lo, s)
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    raise ValueError("power-sum root did not converge")
 
 
 def _check_cells(u: np.ndarray, p: ExponentField, cell_volumes) -> np.ndarray:
@@ -89,12 +143,15 @@ def modular(u, p: ExponentField, cell_volumes) -> float:
 
 
 def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> NormResult:
-    """Luxemburg norm inf{s > 0 : modular(u/s) <= 1} by bisection.
+    """Luxemburg norm inf{s > 0 : modular(u/s) <= 1} by the Newton power-sum kernel.
 
-    The map s -> modular(u/s) is strictly decreasing for u != 0, so the
-    norm is bracketed by doubling an upper endpoint from 1 and bisecting.
-    The returned norm is the upper bracket endpoint, hence always satisfies
-    modular(u/norm) <= 1; `tol` is relative to the current upper endpoint.
+    With v = |u| / max|u| (scaled so no power overflows or wholly
+    underflows), modular(u/s) = sum(vol * v**p * r**-p) for r = s / max|u|,
+    so the kernel solves that sum = 1 to relative accuracy `tol`.  On this
+    convex, decreasing target form Newton stays below the root, so the norm
+    is raised by the factor 1 + tol, then in doubling steps from one ulp
+    until modular(u/norm) <= 1 holds as `modular` evaluates it: the norm
+    always lies on the upper side, about tol above the root.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -103,28 +160,18 @@ def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> Nor
         raise ValueError("luxemburg_norm: input values must be finite")
     vol = _check_cells(u, p, cell_volumes)
     if not np.any(u):
-        return NormResult(0.0, 0, 0.0)
+        return NormResult(0.0, 0)
 
-    hi = 1.0
-    doublings = 0
-    while modular(u / hi, p, vol) > 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 4096:
-            raise ValueError("luxemburg_norm: failed to bracket the norm")
-    lo = hi / 2.0 if doublings else 0.0
-
-    iterations = doublings
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(u / mid, p, vol) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-        if iterations > 20000:  # unreachable for finite nonzero input
-            break
-    return NormResult(hi, iterations, hi - lo)
+    top = float(np.max(np.abs(u)))
+    a = (np.abs(u) / top) ** p.values * vol
+    r, evals = _power_sum_root(a, -p.values, np.ones(1), np.zeros(1), tol)
+    norm, raise_by = top * r * (1.0 + tol), 0.0
+    evals += 1
+    while modular(u / norm, p, vol) > 1.0:
+        raise_by = max(2.0 * raise_by, _EPS * norm)
+        norm += raise_by
+        evals += 1
+    return NormResult(norm, evals)
 
 
 def conjugate(p: ExponentField) -> ExponentField:

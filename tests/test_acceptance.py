@@ -235,8 +235,8 @@ def test_criterion_06_quotient_sandwich(capsys):
         )
         pair = solve_sphere_max(pd, 1.0, cfg)
         floor = pair.lam >= rep.nu_star - 1e-8
-        ok &= sandwich and floor
-        details.append(f"{name}:sand={sandwich},floor={floor}")
+        ok &= sandwich and floor and pair.converged
+        details.append(f"{name}:sand={sandwich},floor={floor},conv={pair.converged}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     report_line(capsys, 6, "quotient sandwich", ok, elapsed, " ".join(details))
@@ -264,8 +264,8 @@ def test_criterion_07_level_coincidence(capsys):
         lo = (pd.p.lo / pd.q.hi) * (alpha / a)
         hi = (pd.p.hi / pd.q.lo) * (alpha / a)
         bounds = lo * (1 - 1e-12) <= pair.lam <= hi * (1 + 1e-12)
-        ok &= coincide and bounds
-        details.append(f"{k}:coin={coincide},bounds={bounds}")
+        ok &= coincide and bounds and pair.converged
+        details.append(f"{k}:coin={coincide},bounds={bounds},conv={pair.converged}")
     elapsed = time.perf_counter() - t0
     report_line(capsys, 7, "level coincidence", ok, elapsed, " ".join(details))
 

@@ -77,6 +77,19 @@ def test_project_to_sphere(rng):
         project_to_sphere(u, pd, -1.0)
 
 
+def test_project_to_sphere_is_relative_at_every_level(rng):
+    """G(t u) = alpha to 1e-12 relative accuracy for alpha from 1e-13 to 1e3."""
+    grid = interval_grid(65)
+    x = grid.cell_midpoints()[0]
+    for p in (2.0 + x, 3.4 - 1.2 * x * x, 1.3 + 0.2 * np.sin(7.0 * x)):
+        pd = make_pd(grid, p, 1.1, C_embed=1.0)
+        for alpha in np.logspace(-13.0, 3.0, 17):
+            u = rng.standard_normal(grid.shape)
+            u[grid.boundary_mask] = 0.0
+            _, v = project_to_sphere(u, pd, alpha, tol=1e-12)
+            assert abs(energies(v, pd).G / alpha - 1.0) <= 1e-12
+
+
 def test_mode_seed_parity_is_exact():
     grid = interval_grid(17)
     pd = make_pd(grid, 3.0, 2.0, C_embed=1.0)

@@ -1,8 +1,11 @@
-"""Norm calculus on the discrete measure: modular, Luxemburg norm, duality.
+"""Norm calculus on the discrete measure: modular, Luxemburg norm, duality,
+and the power-sum root kernel behind the norm.
 
-The bisection in luxemburg_norm returns the upper bracket endpoint at a
-relative width of 1e-12, so every inequality below is asserted with a
-1e-9 relative slack unless the construction makes it exact.
+luxemburg_norm solves modular(u/s) = 1 with the safeguarded Newton
+power-sum kernel to a relative accuracy of 1e-12 and returns a norm on the
+upper side of the root, so every inequality below is asserted with a 1e-9
+relative slack unless the construction makes it exact.  The kernel itself
+is checked against scipy's brentq on the same equation.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from vexspec import (
     luxemburg_norm,
     modular,
 )
+from vexspec.spaces import _power_sum_root
 
 SLACK = 1e-9
 
@@ -149,6 +153,73 @@ def test_luxemburg_against_scalar_root_finder(rng):
     root = brentq(loop_modular, 1e-8, 1e8, xtol=1e-14, rtol=1e-14)
     got = luxemburg_norm(u, p, vol).norm
     assert got == pytest.approx(root, rel=1e-10)
+
+
+@st.composite
+def power_sums(draw):
+    """sum(a t^p) = sum(b t^q) on 1-500 cells, amplitudes over 10^(+-8).
+
+    Either a fixed target (b = [target], q = [0]) with increasing or
+    decreasing powers, or two sums with the exponents ordered on every
+    cell, superlinear (q above p) or sublinear (q below p), with a gap of
+    at least 0.1 so that the root stays within float range.  Some cells
+    carry a zero coefficient, as the profiles of the solvers do.
+    """
+    n = draw(st.integers(1, 500))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficients():
+        c = 10.0 ** draw(st.floats(-8.0, 8.0)) * (0.01 + r.random(n))
+        c[r.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+        c[r.integers(n)] = 10.0 ** draw(st.floats(-8.0, 8.0))
+        return c
+
+    a = coefficients()
+    p = draw(st.floats(1.05, 3.0)) + draw(st.floats(0.0, 2.0)) * r.random(n)
+    form = draw(st.sampled_from(["increasing", "decreasing", "superlinear", "sublinear"]))
+    if form in ("increasing", "decreasing"):
+        b, q = np.array([10.0 ** draw(st.floats(-8.0, 8.0))]), np.zeros(1)
+        if form == "decreasing":
+            p = -p
+    else:
+        b = coefficients()
+        q = p.max() + draw(st.floats(0.1, 1.0)) + draw(st.floats(0.0, 2.0)) * r.random(n)
+        if form == "sublinear":
+            p, q = q, p
+    return form, a, p, b, q
+
+
+def reference_log_root(a, p, b, q):
+    """brentq on log sum(a e^{p s}) - log sum(b e^{q s}), bracketed by doubling."""
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
+
+    def f(s):
+        return logsumexp(p * s, b=a) - logsumexp(q * s, b=b)
+
+    lo, hi = -1.0, 1.0
+    while np.sign(f(lo)) == np.sign(f(hi)):
+        lo, hi = 2.0 * lo, 2.0 * hi
+    return brentq(f, lo, hi, xtol=1e-14, maxiter=500)
+
+
+@given(power_sums())
+@settings(max_examples=300, deadline=None)
+def test_power_sum_root_matches_brentq(problem):
+    form, a, p, b, q = problem
+    t, evals = _power_sum_root(a, p, b, q)
+    s = reference_log_root(a, p, b, q)
+    assert abs(np.log(t) - s) <= 1e-11 * max(1.0, abs(s))
+    # bisection took 40-57 evaluations; Newton in log t needs a handful
+    assert evals <= (6 if form in ("increasing", "decreasing") else 8)
+
+
+def test_power_sum_root_rejects_degenerate_sums():
+    one, two = np.ones(3), np.full(3, 2.0)
+    with pytest.raises(ValueError, match="positive coefficient"):
+        _power_sum_root(np.zeros(3), two, np.ones(1), np.zeros(1))
+    with pytest.raises(ValueError, match="do not cross"):
+        _power_sum_root(one, two, 2.0 * one, two)
 
 
 def test_zero_function_norm():
