@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--lo", type=float, default=0.1)
     ap.add_argument("--hi", type=float, default=100.0)
     ap.add_argument("--rows", type=int, default=7)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     grid = interval_grid(args.n, 1.0)
@@ -35,7 +34,7 @@ def main():
     pd = make_problem(grid, *fields, np.ones(m))
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-6, seed=0)
     lams = np.geomspace(args.lo, args.hi, args.rows)
-    report = spectrum_sweep(pd, lams, 1.0, cfg, max_workers=args.threads)
+    report = spectrum_sweep(pd, lams, 1.0, cfg)
 
     print(f"{'lambda':>12s} {'alpha':>10s} {'window':>12s} {'residual':>10s} {'I':>12s}")
     for row in report.rows:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -169,7 +168,6 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
     if "problem" not in config:
         raise ValueError("config needs a 'problem' section")
-    threads = int(os.environ.get("VEXSPEC_THREADS", "1"))
     pd = build_problem(config)
     cfg = _solver_config(config, seed)
     results: dict = {}
@@ -211,9 +209,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         if out:
             dumps[_sibling(out, ".u.txt")] = pair.u
     elif command == "sweep":
-        report = spectrum_sweep(
-            pd, config["lambdas"], float(config.get("alpha", 1.0)), cfg, max_workers=threads
-        )
+        report = spectrum_sweep(pd, config["lambdas"], float(config.get("alpha", 1.0)), cfg)
         results = {"rows": [asdict(r) for r in report.rows]}
         if not report.all_converged:
             exit_code = 3
@@ -273,7 +269,6 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         "provenance": {
             "seed": cfg.seed,
             "version": __version__,
-            "threads": threads,
         },
     }
     if out:

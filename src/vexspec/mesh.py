@@ -30,6 +30,7 @@ __all__ = [
     "gradient_magnitude",
     "cell_values",
     "cell_values_adjoint",
+    "riesz_solve",
     "integrate",
 ]
 
@@ -91,6 +92,26 @@ class StructuredGrid:
             index[axis] = -1
             mask[tuple(index)] = True
         return mask
+
+    @cached_property
+    def riesz_spectrum(self) -> np.ndarray:
+        """Eigenvalues of gradient_adjoint o gradient on the interior nodes.
+
+        Every one-axis factor of that operator is tridiagonal Toeplitz, so
+        the DST-I basis diagonalizes it: with theta = pi*k/(n-1), the
+        difference factor has eigenvalue 4*sin(theta/2)^2/h^2 and the 2D
+        edge-averaging factor cos(theta/2)^2.  The values carry the factor
+        2*(n-1) per axis by which two DST-Is exceed the identity, so that
+        `riesz_solve` is two plain transforms around one division.
+        """
+        half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in self.extents]
+        stiff = [4.0 * np.sin(t) ** 2 / h**2 for t, h in zip(half, self.spacing)]
+        if self.dim == 1:
+            spectrum = stiff[0]
+        else:
+            mass = [np.cos(t) ** 2 for t in half]
+            spectrum = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
+        return spectrum * float(np.prod([2.0 * (n - 1) for n in self.extents]))
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         return self.spacing[axis] * np.arange(self.extents[axis])
@@ -220,6 +241,58 @@ def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
         return bp[:-1] + bp[1:]
     bp = np.pad(0.25 * b, 1)
     return (bp[:-1, :-1] + bp[1:, :-1]) + (bp[:-1, 1:] + bp[1:, 1:])
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along one axis (scipy.fft.dst type 1 convention).
+
+    y_k = 2 * sum_j x_j sin(pi (j+1) (k+1) / (m+1)), read off the real FFT
+    of the odd extension [0, x, 0, -x reversed].
+    """
+    m = x.shape[axis]
+    zero = np.zeros_like(np.take(x, [0], axis=axis))
+    odd = np.concatenate([zero, x, zero, -np.flip(x, axis)], axis=axis)
+    return -np.take(np.fft.rfft(odd, axis=axis).imag, np.arange(1, m + 1), axis=axis)
+
+
+def _spectral_solve(r: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    for axis in range(r.ndim):
+        r = _dst1(r, axis)
+    r = r / spectrum
+    for axis in range(r.ndim):
+        r = _dst1(r, axis)
+    return r
+
+
+def _parity_solve(r: np.ndarray, spectrum: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Solve on the even and odd parts of r along each axis separately.
+
+    Each partial solution is projected back onto its own parity, so a
+    reflected right-hand side yields the reflected solution bit for bit;
+    a plain transform would mix the two classes at rounding level.
+    """
+    if axis == r.ndim:
+        return _spectral_solve(r, spectrum)
+    even = _parity_solve(0.5 * (r + np.flip(r, axis)), spectrum, axis + 1)
+    odd = _parity_solve(0.5 * (r - np.flip(r, axis)), spectrum, axis + 1)
+    return 0.5 * (even + np.flip(even, axis)) + 0.5 * (odd - np.flip(odd, axis))
+
+
+def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
+    """Solve (gradient_adjoint o gradient) d = g on the interior nodes.
+
+    This is the Riesz map of the discrete H^1_0 inner product (up to the
+    cell volume): d vanishes on the Dirichlet nodes and the boundary
+    values of g are ignored.  The solve is exact, by DST-I along each
+    axis, and commutes with grid reflections in exact floating point.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.shape != grid.shape:
+        raise ValueError(f"nodal shape {g.shape} does not match grid {grid.shape}")
+    interior = (slice(1, -1),) * grid.dim
+    d = np.zeros(grid.shape)
+    d[interior] = _parity_solve(g[interior], grid.riesz_spectrum)
+    return d
 
 
 def integrate(f, grid: StructuredGrid) -> float:

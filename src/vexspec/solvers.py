@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .functionals import (
     residual,
     window_alpha,
 )
-from .mesh import gradient, gradient_magnitude
+from .mesh import gradient, gradient_magnitude, riesz_solve
 from .spaces import _power_sum_root, luxemburg_norm
 
 __all__ = [
@@ -191,10 +190,14 @@ def _x_norm(u, pd: ProblemData) -> float:
     return luxemburg_norm(gm, pd.p, pd.grid.cell_volume).norm
 
 
-def _pair(u, pd, lam, mechanism, converged, iterations, alpha, grad_tol=None) -> EigenPair:
+def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
+    """Certify the final iterate; the flag follows the certificate alone.
+
+    Ball and path iterates are first moved onto the ray crossing, where
+    the imposed lam closes the level identity psi = lam * phi, so the
+    residual (and with it the flag) belongs to the function returned.
+    """
     if mechanism in (BALL_MIN, MOUNTAIN_PASS):
-        # lam is imposed here (not a level ratio), so land exactly on the
-        # ray crossing to close the v = u identity psi = lam * phi
         try:
             wg = _grad_profile(u, pd)
             wm = _mass_profile(u, pd)
@@ -202,17 +205,13 @@ def _pair(u, pd, lam, mechanism, converged, iterations, alpha, grad_tol=None) ->
         except ValueError:
             pass
     res = residual(u, pd, lam)
-    # the rescale above can carry a stalled iterate below tolerance; the
-    # certificate is the final defect, so the flag follows it
-    if grad_tol is not None and res <= grad_tol:
-        converged = True
     return EigenPair(
         float(lam),
         u,
         res,
         energies(u, pd, lam),
         mechanism,
-        bool(converged),
+        res <= grad_tol,
         int(iterations),
         float(alpha),
     )
@@ -242,15 +241,23 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     raise ValueError("no negative-energy seed found; regime looks non-sublinear")
 
 
-def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float) -> float:
-    """Spectral step length, clipped to a safe positive range."""
-    denom = float(np.vdot(dg, dg))
+def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg=None) -> float:
+    """Spectral step length <du, dg> / <dg, pdg>, clipped to a safe positive range.
+
+    pdg is the change of the preconditioned gradient P^-1 dg when the
+    descent runs in the metric of P; plain gradient steps leave it as dg.
+    """
+    denom = float(np.vdot(dg, dg if pdg is None else pdg))
     if denom <= 0.0:
         return fallback
     step = float(np.vdot(du, dg)) / denom
     if not np.isfinite(step) or step <= 0.0:
         return fallback
     return min(max(step, 1e-16), 1e12)
+
+
+# energy changes within this many ulps of max(G, lam*F) are rounding noise
+_FLOAT_FLOOR_ULPS = 8.0
 
 
 def solve_sublinear(
@@ -261,12 +268,20 @@ def solve_sublinear(
     *,
     v0=None,
 ) -> EigenPair:
-    """Minimize I_lambda over the ball G <= alpha by projected descent.
+    """Minimize I_lambda over the ball G <= alpha by projected Sobolev descent.
 
-    The descent is monotone in I_lambda (Armijo backtracking; iterates that
-    leave the ball are rescaled onto the sphere before the test), and the
-    accepted minimizer is an interior critical point whenever lam sits
-    inside the certified window.
+    Steps follow the H^1_0 gradient d = P^-1 g, where g is the nodal
+    gradient of I_lambda and P = gradient_adjoint o gradient (the exact
+    DST-I solve `riesz_solve`), with spectral step lengths measured in the
+    same metric; this keeps the iteration count bounded as the mesh is
+    refined.  Trials that leave the ball are rescaled onto the sphere
+    G = alpha before they are tested.  The descent is monotone in I_lambda
+    (Armijo backtracking) until I_lambda changes by no more than a few
+    ulps of max(G, lam*F); from then on, in the float-resolution terminal
+    phase, a trial is accepted only when it lowers the certificate
+    residual, so the descent is monotone in the residual.  The accepted
+    minimizer is an interior critical point whenever lam sits inside the
+    certified window.
     """
     if not pd.q.lo < pd.p.lo:
         raise ValueError("ball minimization needs inf q < inf p")
@@ -279,32 +294,39 @@ def solve_sublinear(
             stacklevel=2,
         )
 
+    def gradient_at(w):
+        gG_w = grad_G(w, pd)
+        g_w = gG_w - lam * grad_F(w, pd)
+        return g_w, float(np.linalg.norm(g_w) / np.linalg.norm(gG_w))
+
+    def float_floor(G, F):
+        return _FLOAT_FLOOR_ULPS * np.finfo(float).eps * max(G, lam * F)
+
     u = _negative_seed(pd, alpha, lam, v0)
-    i_val = energies(u, pd, lam).I_lambda
-    gG = grad_G(u, pd)
-    g = gG - lam * grad_F(u, pd)
+    snap = energies(u, pd, lam)
+    i_val, floor = snap.I_lambda, float_floor(snap.G, snap.F)
+    g, res = gradient_at(u)
+    d = riesz_solve(g, pd.grid)
     step = cfg.step0
-    prev_u = prev_g = None
-    converged = False
+    prev_u = prev_g = prev_d = None
+    terminal = False
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        res = float(np.linalg.norm(g) / np.linalg.norm(gG))
         if res <= cfg.grad_tol:
-            converged = True
             break
         if prev_u is not None:
-            step = _bb_step(u - prev_u, g - prev_g, step)
+            step = _bb_step(u - prev_u, g - prev_g, step, d - prev_d)
         accepted = False
         s = step
         # moves beyond twice the iterate scale scramble localized iterates
         move_cap = 2.0 * float(np.linalg.norm(u))
-        g_norm = float(np.linalg.norm(g))
+        d_norm = float(np.linalg.norm(d))
         for _ in range(60):
-            if s * g_norm > move_cap:
+            if s * d_norm > move_cap:
                 s *= cfg.backtrack
                 continue
-            cand = u - s * g
+            cand = u - s * d
             if not np.any(cand):
                 s *= cfg.backtrack
                 continue
@@ -320,18 +342,23 @@ def solve_sublinear(
                 cand_f = float(np.sum(wm))
             cand_i = cand_g - lam * cand_f
             decrease = float(np.vdot(g, cand - u))
-            if cand_i <= i_val + cfg.armijo * decrease and cand_i < i_val:
-                prev_u, prev_g = u, g
-                u, i_val = cand, cand_i
-                gG = grad_G(u, pd)
-                g = gG - lam * grad_F(u, pd)
-                accepted = True
-                break
+            armijo = not terminal and cand_i <= i_val + cfg.armijo * decrease and cand_i < i_val
+            if armijo or abs(cand_i - i_val) <= floor:
+                cand_grad, cand_res = gradient_at(cand)
+                # at the float floor the energy test is noise: the residual decides
+                if armijo or cand_res < res:
+                    terminal = terminal or not armijo
+                    accepted = True
+                    break
             s *= cfg.backtrack
         if not accepted:
             break
+        prev_u, prev_g, prev_d = u, g, d
+        u, i_val, g, res = cand, cand_i, cand_grad, cand_res
+        floor = float_floor(cand_g, cand_f)
+        d = riesz_solve(g, pd.grid)
 
-    return _pair(u, pd, lam, BALL_MIN, converged, iterations, alpha, cfg.grad_tol)
+    return _pair(u, pd, lam, BALL_MIN, iterations, alpha, cfg.grad_tol)
 
 
 def solve_sphere_max(
@@ -372,14 +399,12 @@ def solve_sphere_max(
 
     step = cfg.step0
     prev_u = prev_d = None
-    converged = False
     iterations = 0
     lam = np.nan
     for iterations in range(1, cfg.max_iters + 1):
         lam = snap.psi / snap.phi
         res = float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
         if res <= cfg.grad_tol:
-            converged = True
             break
         d = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
         if not np.any(d):
@@ -428,7 +453,7 @@ def solve_sphere_max(
         gF, gG, f_val = grad_F(u, pd), grad_G(u, pd), snap.F
         step = min(s * 1.5, 1e12)
 
-    return _pair(u, pd, lam, SPHERE_MAX, converged, iterations, alpha, cfg.grad_tol)
+    return _pair(u, pd, lam, SPHERE_MAX, iterations, alpha, cfg.grad_tol)
 
 
 def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -> float:
@@ -686,7 +711,7 @@ def solve_mountain_pass(
     m = int(np.argmax(i_vals))
     if m == 0 or m == n_nodes - 1:
         m = int(np.argmax(i_vals[1:-1])) + 1
-    return _pair(path[m], pd, lam, MOUNTAIN_PASS, converged, iterations, alpha, cfg.grad_tol)
+    return _pair(path[m], pd, lam, MOUNTAIN_PASS, iterations, alpha, cfg.grad_tol)
 
 
 def _sweep_one(pd, lam, alpha_base, cfg, index):
@@ -711,8 +736,6 @@ def spectrum_sweep(
     lambdas,
     alpha: float,
     cfg: SolverConfig,
-    *,
-    max_workers: int = 1,
 ) -> SweepReport:
     """Solve one eigenpair per requested lam, never aborting on a bad row.
 
@@ -721,32 +744,15 @@ def spectrum_sweep(
     shrinks in the super-homogeneous one); `alpha` is the fallback level
     used only if the closed-form choice fails.
     """
-    if pd.q.hi < pd.p.lo:
-        pass
-    elif pd.q.lo > pd.p.hi and is_superlinear(pd):
-        pass
-    else:
+    if not (pd.q.hi < pd.p.lo or (pd.q.lo > pd.p.hi and is_superlinear(pd))):
         raise ValueError("sweep needs a strict regime; boundary cases go to eigenfamily")
-    lambdas = [float(l) for l in lambdas]
-
-    def run(i_lam):
-        i, lam = i_lam
+    rows, pairs = [], []
+    for i, lam in enumerate(float(l) for l in lambdas):
         try:
-            return i, _sweep_one(pd, lam, alpha, cfg, i)
+            pair = _sweep_one(pd, lam, alpha, cfg, i)
         except Exception as exc:  # row isolation: a bad row must not abort the sweep
             warnings.warn(f"sweep row {i} raised: {exc}", RuntimeWarning)
-            return i, None
-
-    items = list(enumerate(lambdas))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(run, items))
-    else:
-        results = dict(map(run, items))
-
-    rows, pairs = [], []
-    for i, lam in items:
-        pair = results[i]
+            pair = None
         if pair is None:
             rows.append(SweepRow(lam, np.nan, np.nan, np.nan, 0, "none", False, np.nan))
             pairs.append(None)

@@ -251,13 +251,6 @@ def test_run_rejects_unknown_command():
         run("frobnicate", sublinear_config())
 
 
-def test_threads_env_is_echoed(tmp_path, monkeypatch):
-    monkeypatch.setenv("VEXSPEC_THREADS", "2")
-    report, code = run("sweep", sublinear_config(lambdas=[0.5, 2.0]))
-    assert code == 0
-    assert report["provenance"]["threads"] == 2
-
-
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, sublinear_config(constants={"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0}))
     out = tmp_path / "cli.json"

@@ -1,13 +1,16 @@
 """Grids, stencils and their adjoints.
 
-The adjoint identities are asserted at float precision via dense operator
-assembly, and the reflection equivariance of the 2D stencils is asserted
-bitwise: the family solver's parity pinning depends on exact equality, not
+The adjoint identities and the Riesz solve are asserted at float precision
+via dense operator assembly, and the reflection equivariance of the 2D
+stencils and of the Riesz solve is asserted bitwise: the family solver's parity pinning depends on exact equality, not
 on closeness.
 """
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexspec import StructuredGrid, cell_values, gradient, integrate, interval_grid, rectangle_grid
 from vexspec.mesh import (
@@ -18,7 +21,9 @@ from vexspec.mesh import (
     grid_from_config,
     grid_to_config,
     require_dirichlet,
+    riesz_solve,
 )
+from vexspec.mesh import _dst1
 
 
 def test_grid_basic_geometry():
@@ -188,3 +193,57 @@ def test_shape_checks_on_stencil_inputs():
         gradient_adjoint(np.zeros((3, 3)), g)
     with pytest.raises(ValueError, match="wrong shape"):
         cell_values_adjoint(np.zeros((2, 3)), g)
+    with pytest.raises(ValueError, match="match"):
+        riesz_solve(np.zeros((4, 3)), g)
+
+
+@st.composite
+def riesz_cases(draw):
+    """A 1D or 2D grid with 3-40 nodes and a random spacing per axis, plus data."""
+    dim = draw(st.sampled_from([1, 2]))
+    extents = tuple(draw(st.integers(3, 40)) for _ in range(dim))
+    spacing = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return StructuredGrid(extents, spacing), rng.standard_normal(extents)
+
+
+def dense_laplacian(grid):
+    """gradient_adjoint o gradient assembled column by column on all nodes."""
+    cols = []
+    for k in range(grid.n_nodes):
+        e = np.zeros(grid.n_nodes)
+        e[k] = 1.0
+        cols.append(gradient_adjoint(gradient(e.reshape(grid.shape), grid), grid).ravel())
+    return np.stack(cols, axis=1)
+
+
+@given(riesz_cases())
+@settings(max_examples=60, deadline=None)
+def test_riesz_solve_matches_dense_solve(case):
+    grid, g = case
+    inner = ~grid.boundary_mask.ravel()
+    a = dense_laplacian(grid)[np.ix_(inner, inner)]
+    ref = np.zeros(grid.n_nodes)
+    ref[inner] = np.linalg.solve(a, g.ravel()[inner])
+    d = riesz_solve(g, grid)
+    assert np.all(d[grid.boundary_mask] == 0.0)
+    assert np.linalg.norm(d.ravel() - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@given(riesz_cases())
+@settings(max_examples=100, deadline=None)
+def test_dst1_matches_scipy(case):
+    _, x = case
+    for axis in range(x.ndim):
+        ref = scipy.fft.dst(x, type=1, axis=axis)
+        assert np.max(np.abs(_dst1(x, axis) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@given(riesz_cases())
+@settings(max_examples=100, deadline=None)
+def test_riesz_solve_commutes_with_reflections_bitwise(case):
+    grid, g = case
+    d = riesz_solve(g, grid)
+    for axis in range(grid.dim):
+        assert np.array_equal(riesz_solve(np.flip(g, axis), grid), np.flip(d, axis))
+    assert np.array_equal(riesz_solve(-g, grid), -d)

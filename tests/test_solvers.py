@@ -28,7 +28,7 @@ from vexspec import (
     spectrum_sweep,
     window_alpha,
 )
-from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples
+from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples, _pair
 
 from conftest import (
     family_ball_problem_1d,
@@ -200,6 +200,43 @@ def test_sublinear_argument_validation(sublinear_pd):
         solve_sublinear(sublinear_pd, 1.0, 0.2, cfg, v0=np.zeros(sublinear_pd.grid.shape))
 
 
+def test_pair_flag_follows_the_certificate(sublinear_pd):
+    """The flag is read off the final residual: a non-critical iterate is never converged."""
+    pd = sublinear_pd
+    u = mode_seed(pd, 1)
+    pair = _pair(u, pd, 0.2, BALL_MIN, 7, 1.0, 1e-6)
+    assert pair.residual > 1e-6
+    assert pair.converged is False
+    loose = _pair(u, pd, 0.2, BALL_MIN, 7, 1.0, 2.0 * pair.residual)
+    assert loose.converged is True and loose.residual == pair.residual
+
+
+SWEEP_4 = [0.1, 1.0, 10.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    "n, p, q, lams",
+    [
+        (129, 3.0, 2.0, SWEEP_4),
+        (257, 3.0, 2.0, SWEEP_4),
+        (513, 3.0, 2.0, SWEEP_4),
+        (1025, 3.0, 2.0, SWEEP_4),
+        (257, 3.0, 2.0, list(np.geomspace(0.1, 100.0, 8))),
+        # p < 2: the gradient weight |grad u|^(p-2) is singular at critical cells
+        (129, 1.6, 1.3, [0.1, 1.0, 10.0]),
+    ],
+    ids=["129", "257", "513", "1025", "257-dense", "129-degenerate"],
+)
+def test_sublinear_sweep_is_mesh_independent(n, p, q, lams):
+    """The H^1_0-preconditioned descent converges in a bounded number of iterations."""
+    pd = make_pd(interval_grid(n, 1.0), p, q)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-6, seed=0)
+    report = spectrum_sweep(pd, lams, 1.0, cfg)
+    for row in report.rows:
+        assert row.converged and row.residual <= 1e-6
+        assert row.iterations <= 150
+
+
 # ---------------------------------------------------------------------------
 # sphere maximization
 
@@ -330,15 +367,15 @@ def test_sweep_reproduces_single_solve(sublinear_pd):
     assert report.all_converged
 
 
-def test_sweep_dispatch_and_parallel_determinism(superlinear_pd):
+def test_sweep_dispatch_and_determinism(superlinear_pd):
     pd = superlinear_pd
     cfg = SolverConfig(max_iters=40000, grad_tol=1e-4, seed=0)
     lams = [0.5, 1.0]
-    serial = spectrum_sweep(pd, lams, 1.0, cfg)
-    assert all(r.mechanism == MOUNTAIN_PASS for r in serial.rows)
-    threaded = spectrum_sweep(pd, lams, 1.0, cfg, max_workers=2)
-    assert serial.rows == threaded.rows
-    for a, b in zip(serial.pairs, threaded.pairs):
+    first = spectrum_sweep(pd, lams, 1.0, cfg)
+    assert all(r.mechanism == MOUNTAIN_PASS for r in first.rows)
+    again = spectrum_sweep(pd, lams, 1.0, cfg)
+    assert first.rows == again.rows
+    for a, b in zip(first.pairs, again.pairs):
         assert np.array_equal(a.u, b.u)
 
 
