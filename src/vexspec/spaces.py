@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 __all__ = [
     "ExponentField",
@@ -165,10 +166,11 @@ def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> Nor
     top = float(np.max(np.abs(u)))
     a = (np.abs(u) / top) ** p.values * vol
     r, evals = _power_sum_root(a, -p.values, np.ones(1), np.zeros(1), tol)
-    norm, raise_by = top * r * (1.0 + tol), 0.0
+    # the floor keeps subnormal inputs from a zero norm or a zero raise step
+    norm, raise_by = max(top * r * (1.0 + tol), _TINY), 0.0
     evals += 1
     while modular(u / norm, p, vol) > 1.0:
-        raise_by = max(2.0 * raise_by, _EPS * norm)
+        raise_by = max(2.0 * raise_by, _EPS * norm, _TINY)
         norm += raise_by
         evals += 1
     return NormResult(norm, evals)

@@ -8,6 +8,8 @@ relative slack unless the construction makes it exact.  The kernel itself
 is checked against scipy's brentq on the same equation.
 """
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,31 @@ def test_zero_function_norm():
     p = constant_exponent(2.0, (7,))
     res = luxemburg_norm(np.zeros(7), p, 0.1)
     assert res.norm == 0.0 and res.iterations == 0
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("luxemburg_norm did not return within 10 s")
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-322, 1e-320, 1e-310])
+def test_subnormal_norm_terminates_on_the_upper_side(rng, t):
+    """A norm below the normal range stays positive and is raised to modular <= 1.
+
+    Scaled by 5e-324 every value is 0 or one subnormal step; the raise loop
+    once looped forever there, so the call runs under a 10 s alarm.
+    """
+    u = t * rng.standard_normal(6)
+    p = exponent_field(1.5 + rng.random(6))
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        norm = luxemburg_norm(u, p, 1e-3).norm
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert norm > 0.0
+    with np.errstate(over="ignore"):
+        assert modular(u / norm, p, 1e-3) <= 1.0
 
 
 def test_modular_additivity_in_cells(rng):
