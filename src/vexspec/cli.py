@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -98,6 +98,9 @@ def build_problem(config: dict) -> ProblemData:
 
 def _solver_config(config: dict, seed_override) -> SolverConfig:
     solver = dict(config.get("solver", {}))
+    unknown = sorted(set(solver) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ValueError(f"unknown solver keys {unknown}")
     if seed_override is not None:
         solver["seed"] = int(seed_override)
     return SolverConfig(**solver)

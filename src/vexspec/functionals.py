@@ -238,11 +238,11 @@ def residual(u, pd: ProblemData, lam: float) -> float:
     u = require_dirichlet(u, pd.grid)
     if not np.any(u):
         raise ValueError("residual undefined for the zero function")
-    gG = grad_G(u, pd)
+    gG = _grad_gradient_term(u, pd, scale_by_p=False)
     den = float(np.linalg.norm(gG))
     if den == 0.0:
         raise ValueError("residual undefined: gradient term vanished")
-    return float(np.linalg.norm(gG - lam * grad_F(u, pd)) / den)
+    return float(np.linalg.norm(gG - lam * _grad_mass_term(u, pd, scale_by_q=False)) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,6 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
 
 def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0."""
-    u = require_dirichlet(u, pd.grid)
     gm = gradient_magnitude(gradient(u, pd.grid))
     w = gm ** pd.p.values * (pd.grid.cell_volume / pd.p.values)
     if not np.all(np.isfinite(w)):
@@ -461,11 +460,43 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
     return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
+def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg=None) -> float:
+    """Spectral step length <du, dg> / <dg, pdg>, clipped to a safe positive range.
+
+    pdg is the change of the preconditioned gradient P^-1 dg when the
+    descent runs in the metric of P; plain gradient steps leave it as dg.
+    """
+    denom = float(np.vdot(dg, dg if pdg is None else pdg))
+    if denom <= 0.0:
+        return fallback
+    step = float(np.vdot(du, dg)) / denom
+    if not np.isfinite(step) or step <= 0.0:
+        return fallback
+    return min(max(step, 1e-16), 1e12)
+
+
+def _line_search(trial, step, shrink):
+    """First s with trial(s) not None: s = step*shrink^k, then step/shrink^(k+1).
+
+    Sixty backtracking tries come first; sixty upward probes follow,
+    because a spectral step can land far below the useful range, where
+    every shrink is a float no-op on the objective.  Returns (hit, s),
+    with hit None after all 120 tries missed.
+    """
+    for s, upward in ((step, False), (step / shrink, True)):
+        for _ in range(60):
+            hit = trial(s)
+            if hit is not None:
+                return hit, s
+            s = s / shrink if upward else s * shrink
+    return None, s
+
+
 def _quotient_descent(u0, pd, alpha, value_grad, iters, step0=1.0, tol=1e-10):
     """Monotone descent of a quotient restricted to the sphere G = alpha.
 
-    Spectral (Barzilai-Borwein) steps with a bidirectional fallback sweep;
-    stops once the tangential gradient is negligible against grad G.
+    Spectral (Barzilai-Borwein) steps with the shared backtrack-then-probe
+    search; stops once the tangential gradient is negligible against grad G.
     """
     u = u0
     val, grad = value_grad(u)
@@ -477,45 +508,23 @@ def _quotient_descent(u0, pd, alpha, value_grad, iters, step0=1.0, tol=1e-10):
         if float(np.linalg.norm(tangent)) <= tol * float(np.linalg.norm(gG)):
             break
         if prev_u is not None:
-            step = _bb_quotient_step(u - prev_u, tangent - prev_t, step)
-        accepted = False
-        s = step
-        for _ in range(50):
+            step = _bb_step(u - prev_u, tangent - prev_t, step)
+
+        def descend_at(s):
             cand = u - s * tangent
-            if np.any(cand):
-                cand = _sphere_scale(cand, pd, alpha) * cand
-                cand_val, cand_grad = value_grad(cand)
-                if cand_val < val:
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            s = step / 0.5
-            for _ in range(50):
-                cand = u - s * tangent
-                cand = _sphere_scale(cand, pd, alpha) * cand
-                cand_val, cand_grad = value_grad(cand)
-                if cand_val < val:
-                    accepted = True
-                    break
-                s /= 0.5
-        if not accepted:
+            if not np.any(cand):
+                return None
+            cand = _sphere_scale(cand, pd, alpha) * cand
+            cand_val, cand_grad = value_grad(cand)
+            return (cand, cand_val, cand_grad) if cand_val < val else None
+
+        hit, step = _line_search(descend_at, step, 0.5)
+        if hit is None:
             break
         prev_u, prev_t = u, tangent
-        u, val, grad = cand, cand_val, cand_grad
+        u, val, grad = hit
         gG = grad_G(u, pd)
-        step = s
     return u, val
-
-
-def _bb_quotient_step(du, dt, fallback):
-    denom = float(np.vdot(dt, dt))
-    if denom <= 0.0:
-        return fallback
-    step = float(np.vdot(du, dt)) / denom
-    if not np.isfinite(step) or step <= 0.0:
-        return fallback
-    return min(max(step, 1e-16), 1e9)
 
 
 def rayleigh_extrema(
@@ -564,13 +573,15 @@ def rayleigh_extrema(
             refined, _ = _quotient_descent(u, pd, alpha, value_grad, iters)
             pool.append(refined)
 
+    snaps = [energies(u, pd) for u in pool]
+
     def over_pool(fn):
-        vals = [fn(u) for u in pool]
+        vals = [fn(snap) for snap in snaps]
         k = int(np.argmin(vals))
         return vals[k], pool[k]
 
-    nu_star, w_nu = over_pool(lambda u: energies(u, pd).psi / energies(u, pd).phi)
-    nu_sup, w_sup = over_pool(lambda u: energies(u, pd).G / energies(u, pd).F)
+    nu_star, w_nu = over_pool(lambda snap: snap.psi / snap.phi)
+    nu_sup, w_sup = over_pool(lambda snap: snap.G / snap.F)
 
     # Ball infimum: amplitude decay below the sphere witness.
     lambda_star, w_ball = nu_star, w_nu

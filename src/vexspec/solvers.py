@@ -2,10 +2,11 @@
 
 Three mechanisms produce certified eigenpairs: constrained minimization of
 I_lambda over a gradient-energy ball (sub-homogeneous regime), maximization
-of F over a sphere (its first-eigenvalue dual), and a path-deformation
-saddle search between the origin and a negative-energy endpoint
-(super-homogeneous regime).  Each accepted pair carries the relative
-residual of the weak eigenpair identity as its certificate.
+of F over a sphere (its first-eigenvalue dual), and the mountain pass as the
+lowest ridge crossing (super-homogeneous regime): the infimum over rays of
+the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
+pair carries the relative residual of the weak eigenpair identity as its
+certificate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
+    _bb_step,
     _first_mode,
     _grad_profile,
+    _line_search,
     _mass_profile,
     _profile_scale,
     _sphere_scale,
@@ -34,7 +37,7 @@ from .functionals import (
     residual,
     window_alpha,
 )
-from .mesh import gradient, gradient_magnitude, riesz_solve
+from .mesh import apply_dirichlet, gradient, gradient_magnitude, require_dirichlet, riesz_solve
 from .spaces import _power_sum_root, luxemburg_norm
 
 __all__ = [
@@ -68,7 +71,6 @@ class SolverConfig:
     step0: float = 1.0
     backtrack: float = 0.5
     armijo: float = 1e-4
-    path_nodes: int = 21
     seed: int = 0
 
     def __post_init__(self):
@@ -80,8 +82,6 @@ class SolverConfig:
             raise ValueError("backtrack must lie in (0, 1)")
         if not 0.0 < self.armijo < 1.0:
             raise ValueError("armijo must lie in (0, 1)")
-        if self.path_nodes < 5:
-            raise ValueError("path_nodes must be at least 5")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def project_to_sphere(u, pd: ProblemData, alpha: float, tol: float = 1e-10):
     The scale is resolved to float resolution by the Newton power-sum
     kernel; the relative defect is then checked and a miss raises.
     """
-    u = np.asarray(u, dtype=float)
+    u = require_dirichlet(u, pd.grid)
     t = _sphere_scale(u, pd, alpha)
     v = t * u
     if not abs(energies(v, pd).G / alpha - 1.0) <= tol:
@@ -193,8 +193,8 @@ def _x_norm(u, pd: ProblemData) -> float:
 def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
     """Certify the final iterate; the flag follows the certificate alone.
 
-    Ball and path iterates are first moved onto the ray crossing, where
-    the imposed lam closes the level identity psi = lam * phi, so the
+    Ball and mountain-pass iterates are first moved onto the ray crossing,
+    where the imposed lam closes the level identity psi = lam * phi, so the
     residual (and with it the flag) belongs to the function returned.
     """
     if mechanism in (BALL_MIN, MOUNTAIN_PASS):
@@ -224,7 +224,7 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     their own energy well; a small-amplitude start would crawl for
     thousands of iterations and could drift into a neighbouring well.
     """
-    w = _first_mode(pd.grid) if v0 is None else np.asarray(v0, dtype=float)
+    w = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
     if not np.any(w):
         raise ValueError("seed function is identically zero")
     wg = _grad_profile(w, pd)
@@ -239,21 +239,6 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
             return t * w
         t *= 0.5
     raise ValueError("no negative-energy seed found; regime looks non-sublinear")
-
-
-def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg=None) -> float:
-    """Spectral step length <du, dg> / <dg, pdg>, clipped to a safe positive range.
-
-    pdg is the change of the preconditioned gradient P^-1 dg when the
-    descent runs in the metric of P; plain gradient steps leave it as dg.
-    """
-    denom = float(np.vdot(dg, dg if pdg is None else pdg))
-    if denom <= 0.0:
-        return fallback
-    step = float(np.vdot(du, dg)) / denom
-    if not np.isfinite(step) or step <= 0.0:
-        return fallback
-    return min(max(step, 1e-16), 1e12)
 
 
 # energy changes within this many ulps of max(G, lam*F) are rounding noise
@@ -317,19 +302,16 @@ def solve_sublinear(
             break
         if prev_u is not None:
             step = _bb_step(u - prev_u, g - prev_g, step, d - prev_d)
-        accepted = False
-        s = step
         # moves beyond twice the iterate scale scramble localized iterates
         move_cap = 2.0 * float(np.linalg.norm(u))
         d_norm = float(np.linalg.norm(d))
-        for _ in range(60):
+
+        def descend_at(s):
             if s * d_norm > move_cap:
-                s *= cfg.backtrack
-                continue
+                return None
             cand = u - s * d
             if not np.any(cand):
-                s *= cfg.backtrack
-                continue
+                return None
             wg = _grad_profile(cand, pd)
             wm = _mass_profile(cand, pd)
             cand_g = float(np.sum(wg))
@@ -343,18 +325,20 @@ def solve_sublinear(
             cand_i = cand_g - lam * cand_f
             decrease = float(np.vdot(g, cand - u))
             armijo = not terminal and cand_i <= i_val + cfg.armijo * decrease and cand_i < i_val
-            if armijo or abs(cand_i - i_val) <= floor:
-                cand_grad, cand_res = gradient_at(cand)
-                # at the float floor the energy test is noise: the residual decides
-                if armijo or cand_res < res:
-                    terminal = terminal or not armijo
-                    accepted = True
-                    break
-            s *= cfg.backtrack
-        if not accepted:
+            if not (armijo or abs(cand_i - i_val) <= floor):
+                return None
+            cand_grad, cand_res = gradient_at(cand)
+            # at the float floor the energy test is noise: the residual decides
+            if armijo or cand_res < res:
+                return cand, cand_i, cand_g, cand_f, cand_grad, cand_res, not armijo
+            return None
+
+        hit, _ = _line_search(descend_at, step, cfg.backtrack)
+        if hit is None:
             break
         prev_u, prev_g, prev_d = u, g, d
-        u, i_val, g, res = cand, cand_i, cand_grad, cand_res
+        u, i_val, cand_g, cand_f, g, res, at_floor = hit
+        terminal = terminal or at_floor
         floor = float_floor(cand_g, cand_f)
         d = riesz_solve(g, pd.grid)
 
@@ -381,8 +365,7 @@ def solve_sphere_max(
 
     rng = np.random.default_rng(cfg.seed)
     if v0 is not None:
-        u = np.asarray(v0, dtype=float).copy()
-        u[pd.grid.boundary_mask] = 0.0
+        u = apply_dirichlet(v0, pd.grid)
     else:
         u = rng.standard_normal(pd.grid.shape)
         u[pd.grid.boundary_mask] = 0.0
@@ -427,28 +410,13 @@ def solve_sphere_max(
             wg = _grad_profile(raw, pd)
             t = _profile_scale(wg, pd, alpha)
             cand_f = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
-            return (t * raw, cand_f) if cand_f > f_val else None
+            return t * raw if cand_f > f_val else None
 
-        hit = None
-        s = step
-        for _ in range(60):
-            hit = ascend_at(s)
-            if hit is not None:
-                break
-            s *= cfg.backtrack
-        if hit is None:
-            # the spectral step can land far below the useful range, where
-            # every shrink is a float no-op on F, so probe upward as well
-            s = step / cfg.backtrack
-            for _ in range(60):
-                hit = ascend_at(s)
-                if hit is not None:
-                    break
-                s /= cfg.backtrack
-        if hit is None:
+        u_new, s = _line_search(ascend_at, step, cfg.backtrack)
+        if u_new is None:
             break
         prev_u, prev_d = u, d
-        u, _ = hit
+        u = u_new
         snap = energies(u, pd)
         gF, gG, f_val = grad_F(u, pd), grad_G(u, pd), snap.F
         step = min(s * 1.5, 1e12)
@@ -479,13 +447,14 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -
     return _power_sum_root(a, pd.p.values, b, pd.q.values)[0]
 
 
-def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverConfig, budget: int):
+def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverConfig):
     """Minimize the ray-maximum of I_lambda over directions on M_alpha.
 
     The objective u -> max_tau I_lambda(tau*u) is invariant along rays, so
     re-projection onto the sphere never changes it; its minimizer's crossing
     point is a critical point of I_lambda at the lowest ridge level, which
-    is exactly where a connecting path must top out.
+    is exactly where a connecting path must top out.  Returns the direction
+    u on the sphere, its crossing scale tau and the iterations used.
     """
     u = _sphere_scale(u0, pd, alpha) * u0
     wg, wm = _grad_profile(u, pd), _mass_profile(u, pd)
@@ -502,7 +471,7 @@ def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverC
     step = cfg.step0
     prev_u = prev_g = None
     used = 0
-    while used < budget and res > cfg.grad_tol:
+    while used < cfg.max_iters and res > cfg.grad_tol:
         used += 1
         if prev_u is not None:
             step = _bb_step(u - prev_u, g - prev_g, step)
@@ -522,20 +491,7 @@ def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverC
                 return raw, wg_r, tau_r, cand_val
             return None
 
-        hit = None
-        s = step
-        for _ in range(60):
-            hit = descend_at(s)
-            if hit is not None:
-                break
-            s *= cfg.backtrack
-        if hit is None:
-            s = step / cfg.backtrack
-            for _ in range(60):
-                hit = descend_at(s)
-                if hit is not None:
-                    break
-                s /= cfg.backtrack
+        hit, s = _line_search(descend_at, step, cfg.backtrack)
         if hit is None:
             break
         raw, wg_r, tau_r, val = hit
@@ -545,24 +501,7 @@ def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverC
         tau = tau_r / scale
         g, res = grad_at(u, tau)
         step = min(s * 1.5, 1e12)
-    return u, tau, res, used
-
-
-def _respace(path: np.ndarray) -> np.ndarray:
-    """Redistribute path nodes to equal arclength in the nodal metric."""
-    k = path.shape[0]
-    flat = path.reshape(k, -1)
-    seg = np.linalg.norm(np.diff(flat, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] == 0.0:
-        return path
-    targets = np.linspace(0.0, arc[-1], k)
-    out = np.empty_like(flat)
-    for j in range(flat.shape[1]):
-        out[:, j] = np.interp(targets, arc, flat[:, j])
-    out[0] = flat[0]
-    out[-1] = flat[-1]
-    return out.reshape(path.shape)
+    return u, tau, used
 
 
 def solve_mountain_pass(
@@ -573,20 +512,19 @@ def solve_mountain_pass(
     *,
     v0=None,
 ) -> EigenPair:
-    """Deform a discrete path from 0 to a negative-energy endpoint.
+    """Find the mountain-pass eigenpair as the lowest ridge crossing.
 
-    The seed direction is first descended to the lowest ridge crossing (the
-    infimum over rays of the along-ray maximum of I_lambda), so the initial
-    path already tops out on the ridge.  The maximal-energy interior node is
-    then repeatedly relocated along the descent direction of I_lambda (ties
-    broken toward the lowest index), with an equal-arclength respacing every
-    10 relocations.  If the maximum collapses onto an endpoint the path is
-    re-discretized with twice the nodes, at most three times.
+    With p < q on every cell each ray through the origin carries exactly
+    one maximum of I_lambda, so the mountain-pass level is the infimum over
+    rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2;
+    Szulkin and Weth, 2010).  The seed direction is descended on the sphere
+    G = alpha to that infimum, and the pair is certified at the ridge
+    crossing of the final direction.
     """
     if not is_superlinear(pd):
-        raise ValueError("path deformation needs p(x) < q(x) on every cell")
+        raise ValueError("mountain pass needs p(x) < q(x) on every cell")
     if pd.q.lo < pd.p.hi:
-        raise ValueError("path deformation needs inf q >= sup p")
+        raise ValueError("mountain pass needs inf q >= sup p")
     if alpha <= 0 or lam <= 0:
         raise ValueError("alpha and lam must be positive")
     if lam >= lambda_alpha(pd, alpha):
@@ -596,122 +534,11 @@ def solve_mountain_pass(
             stacklevel=2,
         )
 
-    w0 = _first_mode(pd.grid) if v0 is None else np.asarray(v0, dtype=float)
+    w0 = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
     if not np.any(w0):
         raise ValueError("seed function is identically zero")
-    # phase one: descend the seed direction to the lowest ridge crossing, so
-    # the discretized path below tops out where a certifiable crest lives
-    w, tau, _, iterations = _ray_max_descent(pd, lam, w0, alpha, cfg, cfg.max_iters)
-
-    t = 1.0
-    guard = 0
-    while energies(t * w, pd, lam).I_lambda >= 0.0:
-        t *= 2.0
-        guard += 1
-        if guard > 200:
-            raise ValueError("no negative-energy endpoint found; window looks wrong")
-    e1 = t * w
-    crest = tau / t
-
-    def make_path(k):
-        weights = np.linspace(0.0, 1.0, k).reshape((k,) + (1,) * pd.grid.dim)
-        new_path = weights * e1[None, ...]
-        j = min(max(int(round(crest * (k - 1))), 1), k - 2)
-        new_path[j] = tau * w
-        return new_path
-
-    n_nodes = cfg.path_nodes
-    path = make_path(n_nodes)
-    i_vals = np.array([energies(node, pd, lam).I_lambda for node in path])
-
-    def refresh(new_path):
-        vals = np.array([energies(node, pd, lam).I_lambda for node in new_path])
-        return new_path, vals
-
-    converged = False
-    redisc = 0
-    relocations = 0
-    misses = 0
-
-    while iterations < cfg.max_iters and not converged:
-        m = int(np.argmax(i_vals))
-        if m == 0 or m == n_nodes - 1:
-            if redisc >= 3:
-                break
-            redisc += 1
-            n_nodes *= 2
-            path, i_vals = refresh(make_path(n_nodes))
-            continue
-
-        # relocate the crest node: descend along -grad I_lambda (spectral
-        # steps with backtracking) for as long as it stays the path maximum
-        u = path[m]
-        step = cfg.step0
-        prev_u = prev_g = None
-        moved = False
-        others = np.delete(i_vals, m)
-        ceiling = float(others.max())
-        while iterations < cfg.max_iters:
-            gG = grad_G(u, pd)
-            g = gG - lam * grad_F(u, pd)
-            res = float(np.linalg.norm(g) / np.linalg.norm(gG))
-            if res <= cfg.grad_tol:
-                converged = True
-                break
-            if prev_u is not None:
-                step = _bb_step(u - prev_u, g - prev_g, step)
-            slope = float(np.vdot(g, g))
-            i_here = i_vals[m]
-
-            def relocate_at(s):
-                cand = u - s * g
-                cand_i = energies(cand, pd, lam).I_lambda
-                if cand_i < i_here - cfg.armijo * s * slope:
-                    return cand, cand_i
-                return None
-
-            hit = None
-            s = step
-            for _ in range(60):
-                hit = relocate_at(s)
-                if hit is not None:
-                    break
-                s *= cfg.backtrack
-            if hit is None:
-                s = step / cfg.backtrack
-                for _ in range(60):
-                    hit = relocate_at(s)
-                    if hit is not None:
-                        break
-                    s /= cfg.backtrack
-            iterations += 1
-            if hit is None:
-                break
-            prev_u, prev_g = u, g
-            u, i_new = hit
-            path[m], i_vals[m] = u, i_new
-            step = min(s * 1.5, 1e12)
-            moved = True
-            if i_new < ceiling:
-                break
-        if converged:
-            break
-        if not moved:
-            # crest node is at its float floor: reshuffle once via respacing
-            misses += 1
-            if misses >= 2:
-                break
-            path, i_vals = refresh(_respace(path))
-            continue
-        misses = 0
-        relocations += 1
-        if relocations % 10 == 0:
-            path, i_vals = refresh(_respace(path))
-
-    m = int(np.argmax(i_vals))
-    if m == 0 or m == n_nodes - 1:
-        m = int(np.argmax(i_vals[1:-1])) + 1
-    return _pair(path[m], pd, lam, MOUNTAIN_PASS, iterations, alpha, cfg.grad_tol)
+    w, tau, iterations = _ray_max_descent(pd, lam, w0, alpha, cfg)
+    return _pair(tau * w, pd, lam, MOUNTAIN_PASS, iterations, alpha, cfg.grad_tol)
 
 
 def _sweep_one(pd, lam, alpha_base, cfg, index):
@@ -782,7 +609,8 @@ def eigenfamily(
     """One eigenpair per sphere level, all sharing the eigenvalue mu.
 
     Boundary regimes only: ball minimization when sup q = inf p (with inf q
-    strictly below), path deformation when inf q = sup p.  The level-k run
+    strictly below), the mountain pass (lowest ridge crossing) when
+    inf q = sup p.  The level-k run
     is seeded with the k-th separable sine mode (ordered by total
     frequency); on reflection-symmetric problem data each mode keeps its
     own exact parity class throughout the descent, so distinct levels land

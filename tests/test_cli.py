@@ -233,6 +233,12 @@ def test_missing_config_sections(tmp_path, capsys):
     assert "missing config key" in capsys.readouterr().err
 
 
+def test_unknown_solver_key_exits_with_diagnostic(tmp_path, capsys):
+    cfg = sublinear_config(solver={"bogus": 1, "path_nodes": 21})
+    assert main(["solve-sublinear", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "unknown solver keys ['bogus', 'path_nodes']" in capsys.readouterr().err
+
+
 def test_unreadable_or_malformed_config(tmp_path, capsys):
     assert main(["norms", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

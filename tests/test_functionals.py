@@ -275,3 +275,23 @@ def test_problem_data_is_frozen():
     pd = make_pd(grid, 3.0, 2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         pd.C_H = 2.0
+
+
+def test_line_search_trial_order_and_hits():
+    def search(hit_index):
+        tried = []
+
+        def trial(s):
+            tried.append(s)
+            return "hit" if len(tried) == hit_index else None
+
+        return fn._line_search(trial, 1.0, 0.5), tried
+
+    (hit, s), tried = search(4)
+    assert hit == "hit" and s == 0.125 and tried == [1.0, 0.5, 0.25, 0.125]
+    (hit, s), tried = search(62)
+    assert hit == "hit" and s == 4.0
+    assert tried[:60] == [0.5**k for k in range(60)] and tried[60:] == [2.0, 4.0]
+    (hit, s), tried = search(0)
+    assert hit is None and len(tried) == 120
+    assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]

@@ -53,8 +53,6 @@ def test_solver_config_validation():
         SolverConfig(backtrack=1.0)
     with pytest.raises(ValueError):
         SolverConfig(armijo=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(path_nodes=4)
 
 
 def test_project_to_sphere(rng):
@@ -287,8 +285,26 @@ def test_sphere_max_regime_and_arguments():
         solve_sphere_max(pd, 0.0, cfg)
 
 
+def test_entry_points_validate_outside_input(rng):
+    grid = interval_grid(17)
+    pd_sub = make_pd(grid, 3.0, 2.0, C_embed=1.0)
+    pd_super = make_pd(grid, 2.0, 4.0, C_embed=1.0)
+    cfg = SolverConfig(max_iters=10)
+    live_boundary = rng.standard_normal(grid.shape)
+    with pytest.raises(ValueError, match="vanish"):
+        project_to_sphere(live_boundary, pd_sub, 1.0)
+    with pytest.raises(ValueError, match="does not match grid"):
+        solve_sublinear(pd_sub, 1.0, 0.1, cfg, v0=np.ones(5))
+    not_finite = grid.zero_function()
+    not_finite[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_mountain_pass(pd_super, 0.1, 0.1, cfg, v0=not_finite)
+    with pytest.raises(ValueError, match="finite"):
+        solve_sphere_max(pd_sub, 1.0, cfg, v0=not_finite)
+
+
 # ---------------------------------------------------------------------------
-# path deformation
+# mountain pass
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +356,15 @@ def test_mountain_pass_regime_errors(superlinear_pd):
         solve_mountain_pass(pd_overlap, 0.1, 1.0, cfg)
     with pytest.raises(ValueError, match="positive"):
         solve_mountain_pass(superlinear_pd, -0.1, 1.0, cfg)
+
+
+def test_mountain_pass_certifies_a_tight_tolerance():
+    # the criterion-08 problem at grad_tol 1e-8, below what the descent can
+    # reach: the pair returned must still be the certified ridge crossing
+    pd = make_pd(interval_grid(129, 1.0), 2.0, 4.0)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
+    pair = solve_mountain_pass(pd, window_alpha(pd, 1.0), 1.0, cfg)
+    assert pair.residual <= 1e-6
 
 
 def test_mountain_pass_window_warning(superlinear_pd):
