@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields
@@ -97,10 +98,19 @@ def build_problem(config: dict) -> ProblemData:
 
 
 def _solver_config(config: dict, seed_override) -> SolverConfig:
-    solver = dict(config.get("solver", {}))
+    solver = config.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ValueError("config section 'solver' must be a JSON object")
+    solver = dict(solver)
     unknown = sorted(set(solver) - {f.name for f in fields(SolverConfig)})
     if unknown:
         raise ValueError(f"unknown solver keys {unknown}")
+    for key, value in solver.items():
+        real = key == "grad_tol"
+        ok = isinstance(value, (int, float) if real else int) and not isinstance(value, bool)
+        if not ok or (real and not math.isfinite(value)):
+            kind = "a finite number" if real else "an integer"
+            raise ValueError(f"solver key {key!r} must be {kind}, got {value!r}")
     if seed_override is not None:
         solver["seed"] = int(seed_override)
     return SolverConfig(**solver)

@@ -475,56 +475,97 @@ def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg=None) -> float
     return min(max(step, 1e-16), 1e12)
 
 
-def _line_search(trial, step, shrink):
-    """First s with trial(s) not None: s = step*shrink^k, then step/shrink^(k+1).
+# sufficient-decrease fraction of the Armijo test in every descent
+ARMIJO = 1e-4
 
-    Sixty backtracking tries come first; sixty upward probes follow,
-    because a spectral step can land far below the useful range, where
-    every shrink is a float no-op on the objective.  Returns (hit, s),
-    with hit None after all 120 tries missed.
+
+def _line_search(trial, step):
+    """First s with trial(s) not None: s = step/2^k, then step*2^(k+1).
+
+    Sixty halving tries come first; sixty upward probes follow, because a
+    spectral step can land far below the useful range, where every halving
+    is a float no-op on the objective.  Returns (hit, s), with hit None
+    after all 120 tries missed.
     """
-    for s, upward in ((step, False), (step / shrink, True)):
+    for s, upward in ((step, False), (2.0 * step, True)):
         for _ in range(60):
             hit = trial(s)
             if hit is not None:
                 return hit, s
-            s = s / shrink if upward else s * shrink
+            s = 2.0 * s if upward else 0.5 * s
     return None, s
 
 
-def _quotient_descent(u0, pd, alpha, value_grad, iters, step0=1.0, tol=1e-10):
-    """Monotone descent of a quotient restricted to the sphere G = alpha.
+def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
+    """Monotone projected descent of an objective over the sphere G = alpha.
 
-    Spectral (Barzilai-Borwein) steps with the shared backtrack-then-probe
-    search; stops once the tangential gradient is negligible against grad G.
+    u lies on the sphere.  Each step takes a Barzilai-Borwein length s from
+    the previous pair, forms raw = u - s*d and scales it back onto the
+    sphere by t = _profile_scale(_grad_profile(raw)).  value_at(raw, wg, t)
+    returns the objective at t*raw and a context for direction(u, ctx),
+    which returns the next direction d and the stop residual at an accepted
+    point.  A trial is accepted on strict decrease that also passes the
+    Armijo test.  Stops once the residual is at most tol, when the line
+    search misses, or after iters searches; returns (u, value, ctx,
+    searches).
     """
-    u = u0
-    val, grad = value_grad(u)
-    gG = grad_G(u, pd)
-    step = step0
-    prev_u = prev_t = None
-    for _ in range(iters):
-        tangent = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
-        if float(np.linalg.norm(tangent)) <= tol * float(np.linalg.norm(gG)):
-            break
+    val, ctx = value_at(u, _grad_profile(u, pd), 1.0)
+    d, res = direction(u, ctx)
+    step = 1.0
+    prev_u = prev_d = None
+    used = 0
+    while used < iters and res > tol:
+        used += 1
         if prev_u is not None:
-            step = _bb_step(u - prev_u, tangent - prev_t, step)
+            step = _bb_step(u - prev_u, d - prev_d, step)
 
         def descend_at(s):
-            cand = u - s * tangent
-            if not np.any(cand):
+            raw = u - s * d
+            if not np.any(raw):
                 return None
-            cand = _sphere_scale(cand, pd, alpha) * cand
-            cand_val, cand_grad = value_grad(cand)
-            return (cand, cand_val, cand_grad) if cand_val < val else None
+            wg = _grad_profile(raw, pd)
+            t = _profile_scale(wg, pd, alpha)
+            cand_val, cand_ctx = value_at(raw, wg, t)
+            if cand_val < val and cand_val <= val + ARMIJO * float(np.vdot(d, raw - u)):
+                return t * raw, cand_val, cand_ctx
+            return None
 
-        hit, step = _line_search(descend_at, step, 0.5)
+        hit, s = _line_search(descend_at, step)
         if hit is None:
             break
-        prev_u, prev_t = u, tangent
-        u, val, grad = hit
+        prev_u, prev_d = u, d
+        u, val, ctx = hit
+        d, res = direction(u, ctx)
+        step = min(1.5 * s, 1e12)
+    return u, val, ctx, used
+
+
+def _sphere_quotient(pd: ProblemData, moduli: bool):
+    """value_at and direction of psi/phi (moduli) or G/F for _sphere_descent.
+
+    The context is the energy snapshot of the point, and the direction is
+    the quotient gradient's component tangent to the sphere, with the
+    tangent's length relative to grad G as the stop residual.
+    """
+
+    def ratio(snap):
+        return snap.psi / snap.phi if moduli else snap.G / snap.F
+
+    def value_at(raw, wg, t):
+        snap = energies(t * raw, pd)
+        return ratio(snap), snap
+
+    def direction(u, snap):
+        val = ratio(snap)
         gG = grad_G(u, pd)
-    return u, val
+        if moduli:
+            grad = (grad_psi(u, pd) - val * grad_phi(u, pd)) / snap.phi
+        else:
+            grad = (gG - val * grad_F(u, pd)) / snap.F
+        tangent = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
+        return tangent, float(np.linalg.norm(tangent) / np.linalg.norm(gG))
+
+    return value_at, direction
 
 
 def rayleigh_extrema(
@@ -548,30 +589,22 @@ def rayleigh_extrema(
         raise ValueError("trials must be positive")
     grid = pd.grid
 
-    def quotient_psi_phi(u):
-        snap = energies(u, pd)
-        val = snap.psi / snap.phi
-        grad = (grad_psi(u, pd) - val * grad_phi(u, pd)) / snap.phi
-        return val, grad
-
-    def quotient_G_F(u):
-        snap = energies(u, pd)
-        val = snap.G / snap.F
-        grad = (grad_G(u, pd) - val * grad_F(u, pd)) / snap.F
-        return val, grad
-
-    pool = []
-    for trial in range(trials):
+    def start(trial, offset):
         if trial == 0:
             u = _first_mode(grid)
         else:
-            rng = np.random.default_rng([seed, trial])
-            u = rng.standard_normal(grid.shape)
+            u = np.random.default_rng([seed, offset + trial]).standard_normal(grid.shape)
             u[grid.boundary_mask] = 0.0
-        u = _sphere_scale(u, pd, alpha) * u
-        for value_grad in (quotient_psi_phi, quotient_G_F):
-            refined, _ = _quotient_descent(u, pd, alpha, value_grad, iters)
-            pool.append(refined)
+        return _sphere_scale(u, pd, alpha) * u
+
+    def descend(u, pd_k, moduli):
+        value_at, direction = _sphere_quotient(pd_k, moduli)
+        return _sphere_descent(u, pd_k, alpha, value_at, direction, iters, 1e-10)[:2]
+
+    pool = []
+    for trial in range(trials):
+        u = start(trial, 0)
+        pool += [descend(u, pd, moduli)[0] for moduli in (True, False)]
 
     snaps = [energies(u, pd) for u in pool]
 
@@ -601,21 +634,7 @@ def rayleigh_extrema(
     pd_p = dataclasses.replace(pd, q=pd.p)
     mu_star, w_mu = np.inf, None
     for trial in range(trials):
-        if trial == 0:
-            u = _first_mode(grid)
-        else:
-            rng = np.random.default_rng([seed, 7919 + trial])
-            u = rng.standard_normal(grid.shape)
-            u[grid.boundary_mask] = 0.0
-        u = _sphere_scale(u, pd_p, alpha) * u
-
-        def quotient_mu(w):
-            snap = energies(w, pd_p)
-            val = snap.psi / snap.phi
-            grad = (grad_psi(w, pd_p) - val * grad_phi(w, pd_p)) / snap.phi
-            return val, grad
-
-        refined, val = _quotient_descent(u, pd_p, alpha, quotient_mu, iters)
+        refined, val = descend(start(trial, 7919), pd_p, True)
         if val < mu_star:
             mu_star, w_mu = val, refined
 

@@ -6,7 +6,10 @@ of F over a sphere (its first-eigenvalue dual), and the mountain pass as the
 lowest ridge crossing (super-homogeneous regime): the infimum over rays of
 the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
-certificate.
+certificate.  Sphere maximization and the mountain pass, like the Rayleigh
+survey in functionals, minimize an objective over the sphere G = alpha by
+one projected descent, `_sphere_descent`; each supplies only its objective
+and its descent direction.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import (
+    ARMIJO,
     EnergySnapshot,
     ProblemData,
     _bb_step,
@@ -27,6 +31,7 @@ from .functionals import (
     _line_search,
     _mass_profile,
     _profile_scale,
+    _sphere_descent,
     _sphere_scale,
     alpha_independent_threshold,
     energies,
@@ -68,20 +73,13 @@ MOUNTAIN_PASS = "mountain_pass"
 class SolverConfig:
     max_iters: int = 20000
     grad_tol: float = 1e-6
-    step0: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0 or self.step0 <= 0:
-            raise ValueError("grad_tol and step0 must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError("armijo must lie in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def solve_sublinear(
     i_val, floor = snap.I_lambda, float_floor(snap.G, snap.F)
     g, res = gradient_at(u)
     d = riesz_solve(g, pd.grid)
-    step = cfg.step0
+    step = 1.0
     prev_u = prev_g = prev_d = None
     terminal = False
     iterations = 0
@@ -324,7 +322,7 @@ def solve_sublinear(
                 cand_f = float(np.sum(wm))
             cand_i = cand_g - lam * cand_f
             decrease = float(np.vdot(g, cand - u))
-            armijo = not terminal and cand_i <= i_val + cfg.armijo * decrease and cand_i < i_val
+            armijo = not terminal and cand_i <= i_val + ARMIJO * decrease and cand_i < i_val
             if not (armijo or abs(cand_i - i_val) <= floor):
                 return None
             cand_grad, cand_res = gradient_at(cand)
@@ -333,7 +331,7 @@ def solve_sublinear(
                 return cand, cand_i, cand_g, cand_f, cand_grad, cand_res, not armijo
             return None
 
-        hit, _ = _line_search(descend_at, step, cfg.backtrack)
+        hit, _ = _line_search(descend_at, step)
         if hit is None:
             break
         prev_u, prev_g, prev_d = u, g, d
@@ -352,75 +350,42 @@ def solve_sphere_max(
     *,
     v0=None,
 ) -> EigenPair:
-    """Maximize F on the sphere G = alpha by tangential ascent.
+    """Maximize F on the sphere G = alpha by projected descent of -F.
 
-    The F sequence is nondecreasing (rollback on failed steps) and the
-    accepted pair reports lam = psi/phi, the reciprocal of the first
-    constrained level ratio; snapshot.F is that level.
+    Steps follow the tangential component of grad F and are accepted only
+    when F rises, so the F sequence is nondecreasing; the accepted pair
+    reports lam = psi/phi, the reciprocal of the first constrained level
+    ratio; snapshot.F is that level.  Without v0 the seed is a standard
+    normal draw.
     """
     if not pd.q.hi <= pd.p.lo:
         raise ValueError("sphere maximization needs sup q <= inf p")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-
-    rng = np.random.default_rng(cfg.seed)
     if v0 is not None:
         u = apply_dirichlet(v0, pd.grid)
     else:
-        u = rng.standard_normal(pd.grid.shape)
+        u = np.random.default_rng(cfg.seed).standard_normal(pd.grid.shape)
         u[pd.grid.boundary_mask] = 0.0
-    for _ in range(8):
-        if np.any(u):
-            break
-        u = rng.standard_normal(pd.grid.shape)
-        u[pd.grid.boundary_mask] = 0.0
-    u = _sphere_scale(u, pd, alpha) * u
-    snap = energies(u, pd)
-    gF = grad_F(u, pd)
-    gG = grad_G(u, pd)
-    f_val = snap.F
-
-    step = cfg.step0
-    prev_u = prev_d = None
-    iterations = 0
+    if not np.any(u):
+        raise ValueError("seed function is identically zero")
     lam = np.nan
-    for iterations in range(1, cfg.max_iters + 1):
+
+    def value_at(raw, wg, t):
+        return -float(np.sum(_mass_profile(raw, pd) * t**pd.q.values)), None
+
+    def direction(w, _):
+        nonlocal lam
+        snap = energies(w, pd)
+        gF, gG = grad_F(w, pd), grad_G(w, pd)
         lam = snap.psi / snap.phi
-        res = float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
-        if res <= cfg.grad_tol:
-            break
-        d = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
-        if not np.any(d):
-            # tangential gradient vanished on a non-critical start: reseed
-            u = rng.standard_normal(pd.grid.shape)
-            u[pd.grid.boundary_mask] = 0.0
-            u = _sphere_scale(u, pd, alpha) * u
-            snap = energies(u, pd)
-            gF, gG, f_val = grad_F(u, pd), grad_G(u, pd), snap.F
-            prev_u = prev_d = None
-            continue
-        if prev_u is not None:
-            # spectral step for the ascent: y is the drop in ascent direction
-            step = _bb_step(u - prev_u, prev_d - d, step)
+        tangent = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
+        return -tangent, float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
 
-        def ascend_at(s):
-            raw = u + s * d
-            if not np.any(raw):
-                return None
-            wg = _grad_profile(raw, pd)
-            t = _profile_scale(wg, pd, alpha)
-            cand_f = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
-            return t * raw if cand_f > f_val else None
-
-        u_new, s = _line_search(ascend_at, step, cfg.backtrack)
-        if u_new is None:
-            break
-        prev_u, prev_d = u, d
-        u = u_new
-        snap = energies(u, pd)
-        gF, gG, f_val = grad_F(u, pd), grad_G(u, pd), snap.F
-        step = min(s * 1.5, 1e12)
-
+    u = _sphere_scale(u, pd, alpha) * u
+    u, _, _, iterations = _sphere_descent(
+        u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+    )
     return _pair(u, pd, lam, SPHERE_MAX, iterations, alpha, cfg.grad_tol)
 
 
@@ -447,63 +412,6 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -
     return _power_sum_root(a, pd.p.values, b, pd.q.values)[0]
 
 
-def _ray_max_descent(pd: ProblemData, lam: float, u0, alpha: float, cfg: SolverConfig):
-    """Minimize the ray-maximum of I_lambda over directions on M_alpha.
-
-    The objective u -> max_tau I_lambda(tau*u) is invariant along rays, so
-    re-projection onto the sphere never changes it; its minimizer's crossing
-    point is a critical point of I_lambda at the lowest ridge level, which
-    is exactly where a connecting path must top out.  Returns the direction
-    u on the sphere, its crossing scale tau and the iterations used.
-    """
-    u = _sphere_scale(u0, pd, alpha) * u0
-    wg, wm = _grad_profile(u, pd), _mass_profile(u, pd)
-    tau = _ray_crossing(wg, wm, pd, lam)
-    val = float(np.sum(wg * tau**pd.p.values) - lam * np.sum(wm * tau**pd.q.values))
-
-    def grad_at(u_cur, tau_cur):
-        w = tau_cur * u_cur
-        gG = grad_G(w, pd)
-        g = tau_cur * (gG - lam * grad_F(w, pd))
-        return g, float(np.linalg.norm(g) / (tau_cur * np.linalg.norm(gG)))
-
-    g, res = grad_at(u, tau)
-    step = cfg.step0
-    prev_u = prev_g = None
-    used = 0
-    while used < cfg.max_iters and res > cfg.grad_tol:
-        used += 1
-        if prev_u is not None:
-            step = _bb_step(u - prev_u, g - prev_g, step)
-
-        def descend_at(s):
-            raw = u - s * g
-            if not np.any(raw):
-                return None
-            wg_r = _grad_profile(raw, pd)
-            wm_r = _mass_profile(raw, pd)
-            tau_r = _ray_crossing(wg_r, wm_r, pd, lam)
-            cand_val = float(
-                np.sum(wg_r * tau_r**pd.p.values) - lam * np.sum(wm_r * tau_r**pd.q.values)
-            )
-            decrease = float(np.vdot(g, raw - u))
-            if cand_val <= val + cfg.armijo * decrease and cand_val < val:
-                return raw, wg_r, tau_r, cand_val
-            return None
-
-        hit, s = _line_search(descend_at, step, cfg.backtrack)
-        if hit is None:
-            break
-        raw, wg_r, tau_r, val = hit
-        scale = _profile_scale(wg_r, pd, alpha)
-        prev_u, prev_g = u, g
-        u = scale * raw
-        tau = tau_r / scale
-        g, res = grad_at(u, tau)
-        step = min(s * 1.5, 1e12)
-    return u, tau, used
-
-
 def solve_mountain_pass(
     pd: ProblemData,
     alpha: float,
@@ -517,9 +425,10 @@ def solve_mountain_pass(
     With p < q on every cell each ray through the origin carries exactly
     one maximum of I_lambda, so the mountain-pass level is the infimum over
     rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2;
-    Szulkin and Weth, 2010).  The seed direction is descended on the sphere
-    G = alpha to that infimum, and the pair is certified at the ridge
-    crossing of the final direction.
+    Szulkin and Weth, 2010).  The ray maximum is invariant along rays, so
+    the seed direction is descended on the sphere G = alpha to that
+    infimum, and the pair is certified at the ridge crossing of the final
+    direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
@@ -537,7 +446,23 @@ def solve_mountain_pass(
     w0 = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
     if not np.any(w0):
         raise ValueError("seed function is identically zero")
-    w, tau, iterations = _ray_max_descent(pd, lam, w0, alpha, cfg)
+
+    def value_at(raw, wg, t):
+        wm = _mass_profile(raw, pd)
+        tau = _ray_crossing(wg, wm, pd, lam)
+        val = float(np.sum(wg * tau**pd.p.values) - lam * np.sum(wm * tau**pd.q.values))
+        return val, tau / t
+
+    def direction(w, tau):
+        x = tau * w
+        gG = grad_G(x, pd)
+        g = tau * (gG - lam * grad_F(x, pd))
+        return g, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+
+    w = _sphere_scale(w0, pd, alpha) * w0
+    w, _, tau, iterations = _sphere_descent(
+        w, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+    )
     return _pair(tau * w, pd, lam, MOUNTAIN_PASS, iterations, alpha, cfg.grad_tol)
 
 

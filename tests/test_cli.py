@@ -239,6 +239,76 @@ def test_unknown_solver_key_exits_with_diagnostic(tmp_path, capsys):
     assert "unknown solver keys ['bogus', 'path_nodes']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ({"max_iters": "many"}, "solver key 'max_iters' must be an integer, got 'many'"),
+        ({"max_iters": True}, "solver key 'max_iters' must be an integer, got True"),
+        ({"max_iters": 100.0}, "solver key 'max_iters' must be an integer, got 100.0"),
+        ({"seed": "x"}, "solver key 'seed' must be an integer, got 'x'"),
+        ({"grad_tol": "1e-6"}, "solver key 'grad_tol' must be a finite number, got '1e-6'"),
+        ({"grad_tol": None}, "solver key 'grad_tol' must be a finite number, got None"),
+        ({"grad_tol": float("inf")}, "solver key 'grad_tol' must be a finite number, got inf"),
+    ],
+    ids=["max_iters-str", "max_iters-bool", "max_iters-float", "seed-str", "grad_tol-str",
+         "grad_tol-null", "grad_tol-inf"],
+)
+def test_mistyped_solver_value_exits_with_diagnostic(tmp_path, capsys, solver, message):
+    cfg = sublinear_config(solver=solver, constants={"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0})
+    assert main(["solve-sublinear", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_solver_section_must_be_an_object(tmp_path, capsys):
+    cfg = sublinear_config(solver=[["max_iters", 10]])
+    assert main(["solve-sublinear", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "'solver' must be a JSON object" in capsys.readouterr().err
+
+
+def sphere_config(n=33):
+    problem = dict(BASE_PROBLEM, extents=[n], p="2", q="2")
+    return {
+        "problem": problem,
+        "constants": {"C_embed": 1.0},
+        "solver": {"max_iters": 60000, "grad_tol": 1e-6, "seed": 0},
+        "alpha": 1.0,
+    }
+
+
+def test_sphere_max_command_reports_the_first_level():
+    """p = q = 2: lam is the closed-form discrete first eigenvalue, F = alpha / lam."""
+    cfg = sphere_config()
+    report, code = run("sphere-max", cfg)
+    assert code == 0
+    res = report["results"]
+    h = 1.0 / 32
+    discrete = (4.0 / h**2) * np.tan(np.pi * h / 2.0) ** 2
+    assert res["mechanism"] == "sphere_max" and res["converged"] is True
+    assert abs(res["lambda"] - discrete) <= 1e-9 * discrete
+    assert res["first_level"] == pytest.approx(1.0 / res["lambda"], rel=1e-9)
+
+
+def superlinear_config():
+    problem = dict(BASE_PROBLEM, p="2", q="4")
+    return {
+        "problem": problem,
+        "constants": {"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0},
+        "solver": {"max_iters": 60000, "grad_tol": 1e-6, "seed": 0},
+        "alpha": 0.05,
+        "lambda": 1.0,
+    }
+
+
+@pytest.mark.parametrize("command", ["solve-superlinear", "sphere-max"])
+def test_single_solves_exit_3_when_unconverged(tmp_path, command):
+    cfg = superlinear_config() if command == "solve-superlinear" else sphere_config()
+    cfg["solver"]["max_iters"] = 3
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    res = json.loads(out.read_text())["results"]
+    assert res["converged"] is False and res["iterations"] == 3
+
+
 def test_unreadable_or_malformed_config(tmp_path, capsys):
     assert main(["norms", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -285,7 +285,7 @@ def test_line_search_trial_order_and_hits():
             tried.append(s)
             return "hit" if len(tried) == hit_index else None
 
-        return fn._line_search(trial, 1.0, 0.5), tried
+        return fn._line_search(trial, 1.0), tried
 
     (hit, s), tried = search(4)
     assert hit == "hit" and s == 0.125 and tried == [1.0, 0.5, 0.25, 0.125]

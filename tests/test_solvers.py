@@ -49,10 +49,6 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo=0.0)
 
 
 def test_project_to_sphere(rng):
@@ -235,6 +231,23 @@ def test_sublinear_sweep_is_mesh_independent(n, p, q, lams):
         assert row.iterations <= 150
 
 
+@pytest.mark.parametrize("alpha", [0.5, 4.0])
+def test_sublinear_with_crossing_exponents(alpha):
+    """inf q < inf p, yet q > p near x = 1: the ray crossing is undefined there.
+
+    The seed and the final pair then take their fallbacks instead of the
+    ray crossing; the solve must still certify its pair.
+    """
+    grid = interval_grid(65, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 3.0, 2.0 + 1.5 * x)
+    assert pd.q.lo < pd.p.lo and pd.q.hi > pd.p.hi
+    cfg = SolverConfig(max_iters=2000, grad_tol=1e-6, seed=0)
+    pair = solve_sublinear(pd, alpha, 0.5, cfg)
+    assert pair.converged and pair.residual <= 1e-6
+    assert pair.converged == (pair.residual <= cfg.grad_tol)
+
+
 # ---------------------------------------------------------------------------
 # sphere maximization
 
@@ -301,6 +314,13 @@ def test_entry_points_validate_outside_input(rng):
         solve_mountain_pass(pd_super, 0.1, 0.1, cfg, v0=not_finite)
     with pytest.raises(ValueError, match="finite"):
         solve_sphere_max(pd_sub, 1.0, cfg, v0=not_finite)
+    for solve in (
+        lambda v0: solve_sublinear(pd_sub, 1.0, 0.1, cfg, v0=v0),
+        lambda v0: solve_mountain_pass(pd_super, 0.1, 0.1, cfg, v0=v0),
+        lambda v0: solve_sphere_max(pd_sub, 1.0, cfg, v0=v0),
+    ):
+        with pytest.raises(ValueError, match="identically zero"):
+            solve(grid.zero_function())
 
 
 # ---------------------------------------------------------------------------
