@@ -21,6 +21,7 @@ from .mesh import (
     gradient_adjoint,
     gradient_magnitude,
     require_dirichlet,
+    riesz_solve,
 )
 from .spaces import (
     ExponentField,
@@ -460,13 +461,13 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
     return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
-def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg=None) -> float:
+def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg: np.ndarray) -> float:
     """Spectral step length <du, dg> / <dg, pdg>, clipped to a safe positive range.
 
-    pdg is the change of the preconditioned gradient P^-1 dg when the
-    descent runs in the metric of P; plain gradient steps leave it as dg.
+    pdg is the matching change of the preconditioned direction: every
+    descent measures its steps in the metric of P = gradient_adjoint o gradient.
     """
-    denom = float(np.vdot(dg, dg if pdg is None else pdg))
+    denom = float(np.vdot(dg, pdg))
     if denom <= 0.0:
         return fallback
     step = float(np.vdot(du, dg)) / denom
@@ -496,31 +497,45 @@ def _line_search(trial, step):
     return None, s
 
 
-def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
-    """Monotone projected descent of an objective over the sphere G = alpha.
+def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.ndarray:
+    """P^-1 d minus its part along P^-1 gG, for P = gradient_adjoint o gradient.
 
-    u lies on the sphere.  Each step takes a Barzilai-Borwein length s from
-    the previous pair, forms raw = u - s*d and scales it back onto the
-    sphere by t = _profile_scale(_grad_profile(raw)).  value_at(raw, wg, t)
-    returns the objective at t*raw and a context for direction(u, ctx),
-    which returns the next direction d and the stop residual at an accepted
-    point.  A trial is accepted on strict decrease that also passes the
-    Armijo test.  Stops once the residual is at most tol, when the line
-    search misses, or after iters searches; returns (u, value, ctx,
-    searches).
+    The result is orthogonal to gG, the sphere normal, and <d, result> >= 0
+    by Cauchy-Schwarz in the P^-1 inner product.
+    """
+    pdir, n = riesz_solve(d, grid), riesz_solve(gG, grid)
+    num, den = pdir * gG, n * gG
+    for axis in range(gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
+        num, den = num + np.flip(num, axis), den + np.flip(den, axis)
+    return pdir - (np.sum(num) / np.sum(den)) * n
+
+
+def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
+    """Monotone projected Sobolev descent of an objective over the sphere G = alpha.
+
+    u lies on the sphere.  direction(u, ctx) returns a nodal direction d and
+    the stop residual; the step runs along pdir = _tangent_step(d, grad_G(u))
+    with a Barzilai-Borwein length s in the H^1_0 metric, so the search count
+    stays bounded under mesh refinement.  raw = u - s*pdir is scaled onto the
+    sphere by t = _profile_scale(_grad_profile(raw)), and value_at(raw, wg, t)
+    returns the objective at t*raw and the context for direction.  A trial is
+    accepted on strict decrease passing the Armijo test on <d, raw - u>.
+    Stops once the residual is at most tol, when the line search misses, or
+    after iters searches; returns (u, value, ctx, searches).
     """
     val, ctx = value_at(u, _grad_profile(u, pd), 1.0)
     d, res = direction(u, ctx)
     step = 1.0
-    prev_u = prev_d = None
+    prev_u = prev_d = prev_pdir = None
     used = 0
     while used < iters and res > tol:
         used += 1
+        pdir = _tangent_step(d, grad_G(u, pd), pd.grid)
         if prev_u is not None:
-            step = _bb_step(u - prev_u, d - prev_d, step)
+            step = _bb_step(u - prev_u, d - prev_d, step, pdir - prev_pdir)
 
         def descend_at(s):
-            raw = u - s * d
+            raw = u - s * pdir
             if not np.any(raw):
                 return None
             wg = _grad_profile(raw, pd)
@@ -533,7 +548,7 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
         hit, s = _line_search(descend_at, step)
         if hit is None:
             break
-        prev_u, prev_d = u, d
+        prev_u, prev_d, prev_pdir = u, d, pdir
         u, val, ctx = hit
         d, res = direction(u, ctx)
         step = min(1.5 * s, 1e12)
@@ -583,7 +598,9 @@ def rayleigh_extrema(
     * psi/phi transfer verbatim to the reported minima.  The ball infimum
     additionally exploits downward amplitude probes: scaling any candidate
     toward zero drives psi/phi below any positive level whenever inf p >
-    sup q, which is exactly why that infimum degenerates to zero.
+    sup q, which is exactly why that infimum degenerates to zero.  Pool
+    members come from H^1_0 sphere descents (`_sphere_descent`) to a tangent
+    residual of 1e-10; each value is its witness's quotient, an upper bound.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

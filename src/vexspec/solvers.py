@@ -8,8 +8,9 @@ the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
 certificate.  Sphere maximization and the mountain pass, like the Rayleigh
 survey in functionals, minimize an objective over the sphere G = alpha by
-one projected descent, `_sphere_descent`; each supplies only its objective
-and its descent direction.
+one projected Sobolev (H^1_0) descent, `_sphere_descent`, like the ball
+descent of `solve_sublinear`; each supplies only its objective and its
+nodal descent direction.
 """
 
 from __future__ import annotations
@@ -350,10 +351,11 @@ def solve_sphere_max(
     *,
     v0=None,
 ) -> EigenPair:
-    """Maximize F on the sphere G = alpha by projected descent of -F.
+    """Maximize F on the sphere G = alpha by projected Sobolev descent of -F.
 
-    Steps follow the tangential component of grad F and are accepted only
-    when F rises, so the F sequence is nondecreasing; the accepted pair
+    Steps follow the H^1_0 tangent of grad F (`_sphere_descent`), so their
+    count stays bounded under mesh refinement, and are accepted only when F
+    strictly rises, so the F sequence is nondecreasing; the accepted pair
     reports lam = psi/phi, the reciprocal of the first constrained level
     ratio; snapshot.F is that level.  Without v0 the seed is a standard
     normal draw.
@@ -427,8 +429,8 @@ def solve_mountain_pass(
     rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2;
     Szulkin and Weth, 2010).  The ray maximum is invariant along rays, so
     the seed direction is descended on the sphere G = alpha to that
-    infimum, and the pair is certified at the ridge crossing of the final
-    direction.
+    infimum along H^1_0 tangents (the ray maximum never rises), and the pair
+    is certified at the ridge crossing of the final direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vexspec.functionals as fn
 from vexspec import (
@@ -22,6 +24,7 @@ from vexspec import (
     window_alpha,
 )
 from vexspec.functionals import grad_phi, grad_psi, is_sublinear, is_superlinear
+from vexspec.mesh import StructuredGrid, riesz_solve
 from vexspec.spaces import constant_exponent, exponent_field
 
 from conftest import family_ball_problem_1d, make_pd
@@ -295,3 +298,61 @@ def test_line_search_trial_order_and_hits():
     (hit, s), tried = search(0)
     assert hit is None and len(tried) == 120
     assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
+
+
+@st.composite
+def tangent_cases(draw):
+    """A 1D or 2D grid with 3-40 nodes per axis, an exponent pair, a point u and a direction d."""
+    dim = draw(st.sampled_from([1, 2]))
+    extents = tuple(draw(st.integers(3, 40)) for _ in range(dim))
+    spacing = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    grid = StructuredGrid(extents, spacing)
+    p = draw(st.floats(1.5, 4.0))
+    pd = make_pd(grid, p, 0.9 * p, C_embed=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, d = rng.standard_normal((2,) + extents)
+    u[grid.boundary_mask] = 0.0
+    d[grid.boundary_mask] = 0.0
+    return pd, u, d
+
+
+@given(tangent_cases())
+@settings(max_examples=80, deadline=None)
+def test_tangent_step_is_a_reflection_equivariant_descent_tangent(case):
+    pd, u, d = case
+    grid = pd.grid
+    gG = grad_G(u, pd)
+    pdir = fn._tangent_step(d, gG, grid)
+    assert np.all(pdir[grid.boundary_mask] == 0.0)
+    if int(np.sum(~grid.boundary_mask)) == 1:
+        # one interior node: the tangent space is {0}
+        assert np.linalg.norm(pdir) <= 1e-12 * np.linalg.norm(riesz_solve(d, grid))
+    else:
+        scale = np.linalg.norm(gG) * np.linalg.norm(pdir)
+        assert abs(np.vdot(gG, pdir)) <= 1e-12 * scale
+        assert np.vdot(d, pdir) >= 0.0
+    # parity classes survive the step: reflections act on pdir bit for bit
+    for axis in range(grid.dim):
+        u_r, d_r = np.flip(u, axis), np.flip(d, axis)
+        reflected = fn._tangent_step(d_r, grad_G(u_r, pd), grid)
+        assert np.array_equal(reflected, np.flip(pdir, axis))
+    assert np.array_equal(fn._tangent_step(-d, gG, grid), -pdir)
+
+
+def test_survey_descents_stop_before_their_budget(monkeypatch):
+    """Every descent of the criterion-06 "strong" survey reaches its 1e-10 stop."""
+    grid = interval_grid(129, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    searches = []
+    descend = fn._sphere_descent
+
+    def counting(*args):
+        out = descend(*args)
+        searches.append(out[3])
+        return out
+
+    monkeypatch.setattr(fn, "_sphere_descent", counting)
+    rayleigh_extrema(pd, 1.0)
+    assert len(searches) == 18
+    assert max(searches) < 1000

@@ -266,6 +266,17 @@ def test_sphere_max_quadratic_oracle():
     assert pair.snapshot.G == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [129, 257, 513, 1025])
+def test_sphere_max_is_mesh_independent(n):
+    """The H^1_0 sphere descent needs a bounded number of steps on the strong instance."""
+    grid = interval_grid(n, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    pair = solve_sphere_max(pd, 1.0, SolverConfig(max_iters=60000, grad_tol=1e-5, seed=0))
+    assert pair.converged and pair.residual <= 1e-5
+    assert pair.iterations <= 300
+
+
 def test_sphere_max_multistart_agreement():
     grid = interval_grid(49, 1.0)
     x = grid.cell_midpoints()[0]
@@ -385,6 +396,15 @@ def test_mountain_pass_certifies_a_tight_tolerance():
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     pair = solve_mountain_pass(pd, window_alpha(pd, 1.0), 1.0, cfg)
     assert pair.residual <= 1e-6
+
+
+def test_mountain_pass_reaches_a_tight_residual():
+    # the criterion-08 problem at grad_tol 1e-8: every lam lands within 1e-7
+    pd = make_pd(interval_grid(129, 1.0), 2.0, 4.0)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
+    for lam in (0.1, 1.0, 10.0):
+        pair = solve_mountain_pass(pd, window_alpha(pd, lam), lam, cfg)
+        assert pair.residual <= 1e-7
 
 
 def test_mountain_pass_window_warning(superlinear_pd):
