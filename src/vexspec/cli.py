@@ -11,7 +11,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+import typing
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,6 +51,17 @@ COMMANDS = (
     "lambda-alpha",
 )
 
+# keywords of make_problem that the `constants` section may set
+CONSTANT_KEYS = {
+    "C_H": float,
+    "C_embed": float,
+    "V_norm": float,
+    "safety_factor": float,
+    "embed_trials": int,
+    "embed_iters": int,
+    "embed_seed": int,
+}
+
 CSV_COLUMNS = ("lambda", "residual", "u_norm", "I_value", "iterations", "mechanism", "converged")
 
 
@@ -80,37 +92,33 @@ def build_problem(config: dict) -> ProblemData:
             f"weight V must be positive everywhere; value {V[idx]} at cell {idx} "
             f"(midpoint {coords})"
         )
-    constants = config.get("constants", {})
-    return make_problem(
-        grid,
-        p,
-        q,
-        s,
-        V,
-        C_H=constants.get("C_H"),
-        C_embed=constants.get("C_embed"),
-        V_norm=constants.get("V_norm"),
-        safety_factor=constants.get("safety_factor", 2.0),
-        embed_trials=constants.get("embed_trials", 4),
-        embed_iters=constants.get("embed_iters", 250),
-        embed_seed=constants.get("embed_seed", 0),
-    )
+    constants = _section(config, "constants", CONSTANT_KEYS)
+    return make_problem(grid, p, q, s, V, **constants)
 
 
-def _solver_config(config: dict, seed_override) -> SolverConfig:
-    solver = config.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ValueError("config section 'solver' must be a JSON object")
-    solver = dict(solver)
-    unknown = sorted(set(solver) - {f.name for f in fields(SolverConfig)})
+def _section(config: dict, name: str, kinds: dict) -> dict:
+    """Copy of the optional config section `name`, typed by kinds[key].
+
+    A value of kind float must be a finite number, one of kind int an
+    integer; booleans are neither.  Unknown keys are rejected.
+    """
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
-        raise ValueError(f"unknown solver keys {unknown}")
-    for key, value in solver.items():
-        real = key == "grad_tol"
+        raise ValueError(f"unknown {name} keys {unknown}")
+    for key, value in section.items():
+        real = kinds[key] is float
         ok = isinstance(value, (int, float) if real else int) and not isinstance(value, bool)
         if not ok or (real and not math.isfinite(value)):
             kind = "a finite number" if real else "an integer"
-            raise ValueError(f"solver key {key!r} must be {kind}, got {value!r}")
+            raise ValueError(f"{name} key {key!r} must be {kind}, got {value!r}")
+    return dict(section)
+
+
+def _solver_config(config: dict, seed_override) -> SolverConfig:
+    solver = _section(config, "solver", typing.get_type_hints(SolverConfig))
     if seed_override is not None:
         solver["seed"] = int(seed_override)
     return SolverConfig(**solver)

@@ -134,9 +134,26 @@ def make_problem(
     embed_iters: int = 250,
     embed_seed: int = 0,
 ) -> ProblemData:
-    """Validate the fields and fill in any constant not supplied explicitly."""
+    """Validate the fields and fill in any constant not supplied explicitly.
+
+    C_H defaults to `holder_constant(s)` and V_norm to the Luxemburg norm
+    of V with exponent s.  C_embed defaults to safety_factor times
+    `embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)`,
+    the best of embed_trials H^1_0 ascents of the embedding ratio, each
+    stopped once an accepted step gains at most 1e-12 of the ratio or
+    after embed_iters line searches (a cap).  That ascent value is realized
+    by an explicit function, so it is a certified lower bound on the
+    discrete embedding constant; the safety factor makes it an upper
+    bound in practice, not a certified one.  All three constants must come
+    out positive and finite.
+    """
     for e, name in ((p, "p"), (q, "q"), (s, "s")):
         _check_field(grid, e, name)
+    if not safety_factor > 0.0:
+        raise ValueError(f"safety_factor must be positive (got {safety_factor})")
+    for value, name in ((embed_trials, "embed_trials"), (embed_iters, "embed_iters")):
+        if value < 1:
+            raise ValueError(f"{name} must be positive (got {value})")
     V = np.asarray(V, dtype=float)
     if V.shape != grid.cell_shape:
         raise ValueError(f"weight shape {V.shape} != cells {grid.cell_shape}")
@@ -154,7 +171,9 @@ def make_problem(
     if C_embed is None:
         estimate = embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)
         C_embed = safety_factor * estimate
-    return dataclasses.replace(pd, C_embed=float(C_embed))
+    pd = dataclasses.replace(pd, C_embed=float(C_embed))
+    _require_constants(pd)
+    return pd
 
 
 def is_sublinear(pd: ProblemData) -> bool:
@@ -364,15 +383,24 @@ def embedding_constant(
     iters: int = 250,
     *,
     seed: int = 0,
-    step0: float = 0.5,
 ) -> float:
     """Ascent estimate of sup ||u||_{s'(x)q(x)} / ||grad u||_{p(x)}.
+
+    Trial 0 starts from the first sine mode, trials 1.. from Gaussian
+    noise drawn from `seed`.  Each trial ascends in the H^1_0 metric: the
+    direction is d = P^-1 g for the nodal gradient g of the ratio and
+    P = gradient_adjoint o gradient (`riesz_solve`), with Barzilai-Borwein
+    lengths in the same metric through the shared `_line_search`.  The
+    ratio is 0-homogeneous, so an accepted candidate is rescaled to
+    max|u| = 1 with its ratio and gradient carried over.  A trial stops
+    once an accepted step gains at most 1e-12 of the ratio, when the line
+    search misses, or after `iters` searches.
 
     Every evaluated ratio is realized by an explicit candidate, so the
     returned maximum is a certified lower bound on the discrete supremum;
     callers scale it by a safety factor before trusting it as an upper
-    bound.  Each trial's ascent is monotone: steps that fail to increase
-    the ratio are rolled back and shortened.
+    bound.  Each trial's ascent is monotone: only strict increases of the
+    ratio are accepted.
     """
     if trials < 1 or iters < 1:
         raise ValueError("trials and iters must be positive")
@@ -384,25 +412,34 @@ def embedding_constant(
         if trial == 0:
             u = _first_mode(grid)
         else:
-            rng = np.random.default_rng([seed, trial])
-            u = rng.standard_normal(grid.shape)
-        u[grid.boundary_mask] = 0.0
+            u = np.random.default_rng([seed, trial]).standard_normal(grid.shape)
+            u[grid.boundary_mask] = 0.0
         ratio, grad = _embedding_ratio_and_grad(u, pd, num_exp)
-        step = step0
+        if grad is None:  # a vanishing norm: the start carries no ratio
+            continue
+        d = riesz_solve(grad, grid)
+        step = 0.5 * float(np.max(np.abs(u)) / np.max(np.abs(d)))
+        prev_u = None
         for _ in range(iters):
-            if grad is None:
+            if prev_u is not None:  # ascent: BB on the gradient of -ratio
+                step = _bb_step(u - prev_u, prev_g - grad, step, prev_d - d)
+
+            def ascend_at(s):
+                cand = u + s * d
+                cand_ratio, cand_grad = _embedding_ratio_and_grad(cand, pd, num_exp)
+                return (cand, cand_ratio, cand_grad) if cand_ratio > ratio else None
+
+            hit, step = _line_search(ascend_at, step)
+            if hit is None:
                 break
-            cand = u + step * grad
-            cand_ratio, cand_grad = _embedding_ratio_and_grad(cand, pd, num_exp)
-            if cand_ratio > ratio:
-                scale = np.max(np.abs(cand))
-                u = cand / scale
-                ratio, grad = _embedding_ratio_and_grad(u, pd, num_exp)
-                step = min(step * 1.5, 1e6)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
+            cand, cand_ratio, cand_grad = hit
+            gain = cand_ratio - ratio
+            scale = float(np.max(np.abs(cand)))
+            prev_u, prev_g, prev_d = u, grad, d
+            u, ratio, grad = cand / scale, cand_ratio, cand_grad * scale
+            d = riesz_solve(grad, grid)
+            if gain <= 1e-12 * ratio:
+                break
         best = max(best, ratio)
     return float(best)
 

@@ -196,6 +196,21 @@ def gradient(u, grid: StructuredGrid) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
+def _zero_pad(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """x inside a one-wide zero border along the given axes (np.pad(x, 1) on them).
+
+    A preallocated array filled by slice assignment holds the same values
+    as np.pad at a fraction of its per-call overhead.
+    """
+    shape, inner = list(x.shape), [slice(None)] * x.ndim
+    for k in axes:
+        shape[k] += 2
+        inner[k] = slice(1, -1)
+    out = np.zeros(shape)
+    out[tuple(inner)] = x
+    return out
+
+
 def gradient_adjoint(a, grid: StructuredGrid) -> np.ndarray:
     """Adjoint of `gradient` for cell vector fields a, returns nodal values.
 
@@ -207,15 +222,15 @@ def gradient_adjoint(a, grid: StructuredGrid) -> np.ndarray:
         raise ValueError("cell vector field has wrong shape")
     if grid.dim == 1:
         h = grid.spacing[0]
-        axp = np.pad(a[:, 0] / h, 1)
+        axp = _zero_pad(a[:, 0] / h, (0,))
         return axp[:-1] - axp[1:]
     hx, hy = grid.spacing
-    axp = np.pad(a[..., 0] / (2.0 * hx), ((1, 1), (0, 0)))
+    axp = _zero_pad(a[..., 0] / (2.0 * hx), (0,))
     dx = axp[:-1, :] - axp[1:, :]
-    dxp = np.pad(dx, ((0, 0), (1, 1)))
-    ayp = np.pad(a[..., 1] / (2.0 * hy), ((0, 0), (1, 1)))
+    dxp = _zero_pad(dx, (1,))
+    ayp = _zero_pad(a[..., 1] / (2.0 * hy), (1,))
     dy = ayp[:, :-1] - ayp[:, 1:]
-    dyp = np.pad(dy, ((1, 1), (0, 0)))
+    dyp = _zero_pad(dy, (0,))
     return (dxp[:, :-1] + dxp[:, 1:]) + (dyp[:-1, :] + dyp[1:, :])
 
 
@@ -237,9 +252,9 @@ def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
     if b.shape != grid.cell_shape:
         raise ValueError("cell field has wrong shape")
     if grid.dim == 1:
-        bp = np.pad(0.5 * b, 1)
+        bp = _zero_pad(0.5 * b, (0,))
         return bp[:-1] + bp[1:]
-    bp = np.pad(0.25 * b, 1)
+    bp = _zero_pad(0.25 * b, (0, 1))
     return (bp[:-1, :-1] + bp[1:, :-1]) + (bp[:-1, 1:] + bp[1:, 1:])
 
 

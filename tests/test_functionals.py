@@ -254,6 +254,49 @@ def test_embedding_constant_linear_oracle():
         embedding_constant(pd, trials=0)
 
 
+@pytest.mark.parametrize("n", [129, 257, 513, 1025])
+@pytest.mark.parametrize("instance", ["p3q2", "strong"])
+def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
+    """Every H^1_0 ascent trial stops on its own within 150 searches, and all agree.
+
+    A trial opens with the ratio evaluation at its start, the only one made
+    outside a line search; the largest ratio a trial evaluates is the one it
+    ends on, because the search accepts the first strict increase.
+    """
+    grid = interval_grid(n, 1.0)
+    x = grid.cell_midpoints()[0]
+    p, q = (3.0, 2.0) if instance == "p3q2" else (2.6 + 0.8 * x, 1.5 + 0.7 * x * x)
+    pd = make_pd(grid, p, q, C_embed=1.0)
+    trials, searching = [], []
+    ratio_and_grad, line_search = fn._embedding_ratio_and_grad, fn._line_search
+
+    def spy_ratio(*args):
+        ratio, grad = ratio_and_grad(*args)
+        if not searching:
+            trials.append({"searches": 0, "ratio": ratio})
+        trials[-1]["ratio"] = max(trials[-1]["ratio"], ratio)
+        return ratio, grad
+
+    def spy_search(trial, step):
+        trials[-1]["searches"] += 1
+        searching.append(True)
+        try:
+            return line_search(trial, step)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(fn, "_embedding_ratio_and_grad", spy_ratio)
+    monkeypatch.setattr(fn, "_line_search", spy_search)
+    est = embedding_constant(pd, trials=4, iters=250, seed=0)
+    assert len(trials) == 4
+    assert max(t["searches"] for t in trials) <= 150
+    ratios = [t["ratio"] for t in trials]
+    assert max(ratios) == est
+    assert max(ratios) - min(ratios) <= 1e-9 * est
+    if instance == "p3q2" and n == 1025:
+        assert est >= 0.3050
+
+
 def test_rayleigh_survey_structure():
     grid = interval_grid(49)
     pd = make_pd(grid, 3.0, 2.0)
