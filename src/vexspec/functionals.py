@@ -550,8 +550,9 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.nda
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
     """Monotone projected Sobolev descent of an objective over the sphere G = alpha.
 
-    u lies on the sphere.  direction(u, ctx) returns a nodal direction d and
-    the stop residual; the step runs along pdir = _tangent_step(d, grad_G(u))
+    u lies on the sphere.  gG = grad_G(u), the sphere normal, is computed
+    once per accepted point; direction(u, ctx, gG) returns a nodal direction
+    d and the stop residual.  The step runs along pdir = _tangent_step(d, gG)
     with a Barzilai-Borwein length s in the H^1_0 metric, so the search count
     stays bounded under mesh refinement.  raw = u - s*pdir is scaled onto the
     sphere by t = _profile_scale(_grad_profile(raw)), and value_at(raw, wg, t)
@@ -561,13 +562,14 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
     after iters searches; returns (u, value, ctx, searches).
     """
     val, ctx = value_at(u, _grad_profile(u, pd), 1.0)
-    d, res = direction(u, ctx)
+    gG = grad_G(u, pd)
+    d, res = direction(u, ctx, gG)
     step = 1.0
     prev_u = prev_d = prev_pdir = None
     used = 0
     while used < iters and res > tol:
         used += 1
-        pdir = _tangent_step(d, grad_G(u, pd), pd.grid)
+        pdir = _tangent_step(d, gG, pd.grid)
         if prev_u is not None:
             step = _bb_step(u - prev_u, d - prev_d, step, pdir - prev_pdir)
 
@@ -587,7 +589,8 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
             break
         prev_u, prev_d, prev_pdir = u, d, pdir
         u, val, ctx = hit
-        d, res = direction(u, ctx)
+        gG = grad_G(u, pd)
+        d, res = direction(u, ctx, gG)
         step = min(1.5 * s, 1e12)
     return u, val, ctx, used
 
@@ -607,9 +610,8 @@ def _sphere_quotient(pd: ProblemData, moduli: bool):
         snap = energies(t * raw, pd)
         return ratio(snap), snap
 
-    def direction(u, snap):
+    def direction(u, snap, gG):
         val = ratio(snap)
-        gG = grad_G(u, pd)
         if moduli:
             grad = (grad_psi(u, pd) - val * grad_phi(u, pd)) / snap.phi
         else:

@@ -94,24 +94,47 @@ class StructuredGrid:
         return mask
 
     @cached_property
-    def riesz_spectrum(self) -> np.ndarray:
-        """Eigenvalues of gradient_adjoint o gradient on the interior nodes.
+    def riesz_blocks(self) -> tuple:
+        """Half-size DST-I parity blocks and class spectra of a 2D grid's `riesz_solve`.
 
-        Every one-axis factor of that operator is tridiagonal Toeplitz, so
-        the DST-I basis diagonalizes it: with theta = pi*k/(n-1), the
-        difference factor has eigenvalue 4*sin(theta/2)^2/h^2 and the 2D
-        edge-averaging factor cos(theta/2)^2.  The values carry the factor
-        2*(n-1) per axis by which two DST-Is exceed the identity, so that
-        `riesz_solve` is two plain transforms around one division.
+        Every one-axis factor of gradient_adjoint o gradient is tridiagonal
+        Toeplitz, so the DST-I basis diagonalizes it: with theta = pi*k/(n-1),
+        the difference factor has eigenvalue 4*sin(theta/2)^2/h^2 and the 2D
+        edge-averaging factor cos(theta/2)^2.  Reflecting the n-2 interior
+        nodes maps sine k to (-1)^(k+1) times itself, so mirror-even data
+        excite only odd k (class 0) and mirror-odd data only even k (class 1).
+
+        Returns (blocks, spectra).  blocks[axis][c] = (forward, backward)
+        acts on the half of the interior next to node 0 that class c keeps
+        (ceil((n-2)/2) nodes for class 0, floor((n-2)/2) for class 1):
+        forward.T @ half gives the class entries of the unnormalized DST-I
+        (scipy.fft.dst type 1) of the mirrored vector, and backward @ coef
+        gives that half of the DST-I of a spectrum supported on the class.
+        spectra[a, b] holds the eigenvalues of class (a, b), times the
+        2*(n-1) per axis by which two DST-Is exceed the identity.  The 1D
+        solve needs none of this.
         """
+        blocks = []
+        for n in self.extents:
+            m = n - 2
+            rows = np.arange(1, (m + 1) // 2 + 1)[:, None]
+            pair = []
+            for c in (0, 1):
+                modes = np.arange(c + 1, m + 1, 2)
+                phase = (rows[: modes.size] * modes) % (2 * (m + 1))
+                backward = 2.0 * np.sin(np.pi * phase / (m + 1))
+                forward = 2.0 * backward
+                if c == 0 and m % 2:
+                    forward[-1] = backward[-1]  # the centre node has no mirror partner
+                pair.append((forward, backward))
+            blocks.append(tuple(pair))
         half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in self.extents]
         stiff = [4.0 * np.sin(t) ** 2 / h**2 for t, h in zip(half, self.spacing)]
-        if self.dim == 1:
-            spectrum = stiff[0]
-        else:
-            mass = [np.cos(t) ** 2 for t in half]
-            spectrum = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
-        return spectrum * float(np.prod([2.0 * (n - 1) for n in self.extents]))
+        mass = [np.cos(t) ** 2 for t in half]
+        spectrum = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
+        spectrum *= 4.0 * (self.extents[0] - 1) * (self.extents[1] - 1)
+        spectra = {(a, b): spectrum[a::2, b::2].copy() for a in (0, 1) for b in (0, 1)}
+        return tuple(blocks), spectra
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         return self.spacing[axis] * np.arange(self.extents[axis])
@@ -154,10 +177,16 @@ def grid_to_config(grid: StructuredGrid) -> dict:
     return {"extents": list(grid.extents), "lengths": list(grid.lengths)}
 
 
-def check_grid_function(u, grid: StructuredGrid) -> np.ndarray:
+def _as_nodal(u, grid: StructuredGrid) -> np.ndarray:
+    """u as a float array, checked for the nodal shape only (no finiteness pass)."""
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"nodal shape {u.shape} does not match grid {grid.shape}")
+    return u
+
+
+def check_grid_function(u, grid: StructuredGrid) -> np.ndarray:
+    u = _as_nodal(u, grid)
     if not np.all(np.isfinite(u)):
         raise ValueError("nodal values must be finite")
     return u
@@ -185,8 +214,10 @@ def gradient(u, grid: StructuredGrid) -> np.ndarray:
     exact for bilinear functions at cell midpoints.  Differences are
     grouped before cross-axis sums so grid reflections commute with the
     stencil in exact floating point (symmetric seeds keep their parity).
+    Only the shape is checked; finiteness is checked where outside input
+    enters (`check_grid_function` and its callers).
     """
-    u = check_grid_function(u, grid)
+    u = _as_nodal(u, grid)
     if grid.dim == 1:
         h = grid.spacing[0]
         return ((u[1:] - u[:-1]) / h)[:, None]
@@ -239,8 +270,8 @@ def gradient_magnitude(g: np.ndarray) -> np.ndarray:
 
 
 def cell_values(u, grid: StructuredGrid) -> np.ndarray:
-    """Corner average of nodal values, one scalar per cell."""
-    u = check_grid_function(u, grid)
+    """Corner average of nodal values, one scalar per cell (shape check only)."""
+    u = _as_nodal(u, grid)
     if grid.dim == 1:
         return 0.5 * (u[1:] + u[:-1])
     return 0.25 * ((u[:-1, :-1] + u[1:, :-1]) + (u[:-1, 1:] + u[1:, 1:]))
@@ -258,39 +289,64 @@ def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
     return (bp[:-1, :-1] + bp[1:, :-1]) + (bp[:-1, 1:] + bp[1:, 1:])
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along one axis (scipy.fft.dst type 1 convention).
+def _halves(r: np.ndarray, scale: float = 0.5) -> tuple:
+    """Mirror-even and mirror-odd parts of r along axis 0, on the half next to row 0.
 
-    y_k = 2 * sum_j x_j sin(pi (j+1) (k+1) / (m+1)), read off the real FFT
-    of the odd extension [0, x, 0, -x reversed].
+    The sums commute, so a reflected r gives the same even half and the
+    negated odd half bit for bit.  The even half keeps the centre row of an
+    odd-length axis; the odd part vanishes there and its half stops short.
     """
-    m = x.shape[axis]
-    zero = np.zeros_like(np.take(x, [0], axis=axis))
-    odd = np.concatenate([zero, x, zero, -np.flip(x, axis)], axis=axis)
-    return -np.take(np.fft.rfft(odd, axis=axis).imag, np.arange(1, m + 1), axis=axis)
+    m, f = r.shape[0], r[::-1]
+    return scale * (r[: (m + 1) // 2] + f[: (m + 1) // 2]), scale * (r[: m // 2] - f[: m // 2])
 
 
-def _spectral_solve(r: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    for axis in range(r.ndim):
-        r = _dst1(r, axis)
-    r = r / spectrum
-    for axis in range(r.ndim):
-        r = _dst1(r, axis)
-    return r
+def _mirror(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write even + odd extended by their parities along axis 0 into out."""
+    k = odd.shape[0]
+    np.add(even[:k], odd, out=out[:k])
+    np.subtract(even[:k], odd, out=out[::-1][:k])
+    if even.shape[0] > k:
+        out[k] = even[k]  # the odd part is exactly 0 on the centre row
+    return out
 
 
-def _parity_solve(r: np.ndarray, spectrum: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Solve on the even and odd parts of r along each axis separately.
+def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Exact O(n) solve of [-1, 2, -1]/h^2 by two cumulative sums per parity class.
 
-    Each partial solution is projected back onto its own parity, so a
-    reflected right-hand side yields the reflected solution bit for bit;
-    a plain transform would mix the two classes at rounding level.
+    Node j's equation says that the drop from node j to its outer neighbour
+    exceeds the drop from its inner neighbour by h^2 r_j, so the drops are
+    a cumulative sum running outward from the centre, and the values their
+    sum running inward from the zero boundary node.  The even class starts
+    at zero slope; a centre node is its own mirror, so it takes half its
+    value.  The odd class adds to that particular solution the multiple of
+    the linear homogeneous solution that makes it antisymmetric about the
+    centre: zero on a centre node (offset a = 1) or opposite on the two
+    middle nodes (a = 1/2).
     """
-    if axis == r.ndim:
-        return _spectral_solve(r, spectrum)
-    even = _parity_solve(0.5 * (r + np.flip(r, axis)), spectrum, axis + 1)
-    odd = _parity_solve(0.5 * (r - np.flip(r, axis)), spectrum, axis + 1)
-    return 0.5 * (even + np.flip(even, axis)) + 0.5 * (odd - np.flip(odd, axis))
+    m = r.shape[0]
+    even, odd = _halves(r, 0.5 * h * h)
+    if m % 2:
+        even[-1] *= 0.5
+    even = np.cumsum(np.cumsum(even[::-1])[::-1])
+    odd = np.cumsum(np.cumsum(odd[::-1])[::-1])
+    k, a = odd.shape[0], 0.5 + 0.5 * (m % 2)
+    odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))
+    return _mirror(even, odd, out)
+
+
+def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.ndarray:
+    """Four half-size dense solves, one per pair of axis parities."""
+    (bx, by), spectra = grid.riesz_blocks
+    rows = []
+    for a, ra in enumerate(_halves(r)):
+        fa, ba = bx[a]
+        cols = []
+        for b, rab in enumerate(_halves(ra.T)):
+            fb, bb = by[b]
+            coef = (fa.T @ rab.T @ fb) / spectra[a, b]
+            cols.append((ba @ coef @ bb.T).T)
+        rows.append(_mirror(*cols, np.empty((r.shape[1], ra.shape[0]))).T)
+    return _mirror(*rows, out)
 
 
 def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
@@ -298,15 +354,23 @@ def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
 
     This is the Riesz map of the discrete H^1_0 inner product (up to the
     cell volume): d vanishes on the Dirichlet nodes and the boundary
-    values of g are ignored.  The solve is exact, by DST-I along each
-    axis, and commutes with grid reflections in exact floating point.
+    values of g are ignored.  The interior data are split into their
+    mirror-even and mirror-odd halves along each axis, each parity class is
+    solved on its half alone and the result is mirrored back.  The solve is
+    exact: in 1D by the two-cumulative-sum recurrence of the tridiagonal
+    operator, in O(n); in 2D by the half-size DST-I blocks of
+    `StructuredGrid.riesz_blocks`, four small dense products per class.
+    Because every class sees the same half for a reflected right-hand side
+    (the odd ones negated), the solve commutes with grid reflections and
+    with a sign change in exact floating point.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != grid.shape:
-        raise ValueError(f"nodal shape {g.shape} does not match grid {grid.shape}")
+    g = _as_nodal(g, grid)
     interior = (slice(1, -1),) * grid.dim
     d = np.zeros(grid.shape)
-    d[interior] = _parity_solve(g[interior], grid.riesz_spectrum)
+    if grid.dim == 1:
+        _riesz_solve_1d(g[interior], grid.spacing[0], d[interior])
+    else:
+        _riesz_solve_2d(g[interior], grid, d[interior])
     return d
 
 

@@ -376,10 +376,10 @@ def solve_sphere_max(
     def value_at(raw, wg, t):
         return -float(np.sum(_mass_profile(raw, pd) * t**pd.q.values)), None
 
-    def direction(w, _):
+    def direction(w, _, gG):
         nonlocal lam
         snap = energies(w, pd)
-        gF, gG = grad_F(w, pd), grad_G(w, pd)
+        gF = grad_F(w, pd)
         lam = snap.psi / snap.phi
         tangent = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
         return -tangent, float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
@@ -455,7 +455,7 @@ def solve_mountain_pass(
         val = float(np.sum(wg * tau**pd.p.values) - lam * np.sum(wm * tau**pd.q.values))
         return val, tau / t
 
-    def direction(w, tau):
+    def direction(w, tau, _):  # grad G is needed at tau*w, not at w
         x = tau * w
         gG = grad_G(x, pd)
         g = tau * (gG - lam * grad_F(x, pd))

@@ -169,6 +169,21 @@ def test_residual_validation(rng):
     assert residual(u, pd, 1.0) == residual(-u, pd, 1.0)
 
 
+@pytest.mark.parametrize("grid", [interval_grid(9), rectangle_grid((5, 6))], ids=["1d", "2d"])
+def test_outside_input_is_validated_at_the_functionals(grid, rng):
+    """The stencils check shapes only; energies and gradients still reject bad input."""
+    pd = make_pd(grid, 3.0, 2.0)
+    nan = interior_noise(grid, rng)
+    nan[(1,) * grid.dim] = np.nan
+    edge = interior_noise(grid, rng)
+    edge[(0,) * grid.dim] = 1.0
+    for check in (energies, grad_G, lambda u, pd: residual(u, pd, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            check(nan, pd)
+        with pytest.raises(ValueError, match="vanish"):
+            check(edge, pd)
+
+
 def test_energies_overflow_reporting():
     grid = interval_grid(9)
     pd = make_pd(grid, 3.0, 2.0)

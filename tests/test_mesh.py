@@ -1,10 +1,16 @@
 """Grids, stencils and their adjoints.
 
 The adjoint identities and the Riesz solve are asserted at float precision
-via dense operator assembly, and the reflection equivariance of the 2D
-stencils and of the Riesz solve is asserted bitwise: the family solver's parity pinning depends on exact equality, not
-on closeness.
+via dense operator assembly and scipy's DST-I, and the reflection
+equivariance of the 2D stencils and of the Riesz solve is asserted bitwise:
+the family solver's parity pinning depends on exact equality, not on
+closeness.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +29,6 @@ from vexspec.mesh import (
     require_dirichlet,
     riesz_solve,
 )
-from vexspec.mesh import _dst1
 
 
 def test_grid_basic_geometry():
@@ -195,6 +200,12 @@ def test_shape_checks_on_stencil_inputs():
         cell_values_adjoint(np.zeros((2, 3)), g)
     with pytest.raises(ValueError, match="match"):
         riesz_solve(np.zeros((4, 3)), g)
+    with pytest.raises(ValueError, match="match"):
+        gradient(np.zeros((4, 3)), g)
+    with pytest.raises(ValueError, match="match"):
+        cell_values(np.zeros(4), g)
+    with pytest.raises(ValueError, match="match"):
+        gradient(np.zeros(5), interval_grid(4))
 
 
 @st.composite
@@ -230,13 +241,36 @@ def test_riesz_solve_matches_dense_solve(case):
     assert np.linalg.norm(d.ravel() - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
-@given(riesz_cases())
+@given(st.integers(3, 42), st.integers(3, 42), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_dst1_matches_scipy(case):
-    _, x = case
-    for axis in range(x.ndim):
-        ref = scipy.fft.dst(x, type=1, axis=axis)
-        assert np.max(np.abs(_dst1(x, axis) - ref)) <= 1e-13 * np.max(np.abs(ref))
+def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
+    """Each half-size parity block reproduces its class's entries of the DST-I.
+
+    Applied to the half of a mirror-even (class 0) or mirror-odd (class 1)
+    vector, forward.T gives the DST-I entries of that class (the others
+    vanish); applied to the class entries of a spectrum, backward gives the
+    first half of its DST-I.
+    """
+    rng = np.random.default_rng(seed)
+    blocks, _ = rectangle_grid((nx, ny)).riesz_blocks
+    for n, pair in zip((nx, ny), blocks):
+        m = n - 2
+        for c, (forward, backward) in enumerate(pair):
+            k = (m + 1 - c) // 2
+            assert forward.shape == backward.shape == (k, k)
+            if k == 0:  # one interior node: the odd class is empty
+                continue
+            half = rng.standard_normal(k)
+            x = np.zeros(m)
+            x[m - k :] = (-1.0) ** c * half[::-1]
+            x[:k] = half
+            ref = scipy.fft.dst(x, type=1)
+            assert np.all(np.abs(ref[1 - c :: 2]) <= 1e-13 * np.max(np.abs(ref)))
+            assert np.max(np.abs(forward.T @ half - ref[c::2])) <= 1e-13 * np.max(np.abs(ref))
+            coef = np.zeros(m)
+            coef[c::2] = rng.standard_normal(k)
+            ref = scipy.fft.dst(coef, type=1)[:k]
+            assert np.max(np.abs(backward @ coef[c::2] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @given(riesz_cases())
@@ -247,6 +281,61 @@ def test_riesz_solve_commutes_with_reflections_bitwise(case):
     for axis in range(grid.dim):
         assert np.array_equal(riesz_solve(np.flip(g, axis), grid), np.flip(d, axis))
     assert np.array_equal(riesz_solve(-g, grid), -d)
+
+
+def scipy_riesz_solve(g, grid):
+    """Reference Riesz solve: two full DST-Is per axis around the eigenvalues."""
+    half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in grid.extents]
+    stiff = [(2.0 * np.sin(t) / h) ** 2 for t, h in zip(half, grid.spacing)]
+    if grid.dim == 1:
+        eig = stiff[0]
+    else:
+        mass = [np.cos(t) ** 2 for t in half]
+        eig = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
+    interior = (slice(1, -1),) * grid.dim
+    coef = scipy.fft.dstn(g[interior], type=1, norm="ortho")
+    d = np.zeros(grid.shape)
+    d[interior] = scipy.fft.idstn(coef / eig, type=1, norm="ortho")
+    return d
+
+
+@pytest.mark.parametrize(
+    "extents",
+    [(129,), (130,), (1025,), (1026,), (4097,), (81, 97), (80, 96), (161, 193)],
+    ids=lambda e: "x".join(map(str, e)),
+)
+def test_riesz_solve_on_large_grids(extents):
+    rng = np.random.default_rng(sum(extents))
+    grid = StructuredGrid(extents, tuple(rng.uniform(0.05, 3.0) / n for n in extents))
+    g = rng.standard_normal(extents)
+    d = riesz_solve(g, grid)
+    ref = scipy_riesz_solve(g, grid)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    for axis in range(grid.dim):
+        assert np.array_equal(riesz_solve(np.flip(g, axis), grid), np.flip(d, axis))
+    assert np.array_equal(riesz_solve(-g, grid), -d)
+
+
+def test_riesz_solve_loads_neither_fft_nor_scipy():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import vexspec.cli\n"
+        "from vexspec.mesh import interval_grid, rectangle_grid, riesz_solve\n"
+        "for grid in (interval_grid(65), rectangle_grid((17, 21))):\n"
+        "    riesz_solve(np.ones(grid.shape), grid)\n"
+        "assert 'numpy.fft' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def padded_gradient_adjoint(a, grid):
