@@ -6,11 +6,11 @@ of F over a sphere (its first-eigenvalue dual), and the mountain pass as the
 lowest ridge crossing (super-homogeneous regime): the infimum over rays of
 the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
-certificate.  Sphere maximization and the mountain pass, like the Rayleigh
-survey in functionals, minimize an objective over the sphere G = alpha by
-one projected Sobolev (H^1_0) descent, `_sphere_descent`, like the ball
-descent of `solve_sublinear`; each supplies only its objective and its
-nodal descent direction.
+certificate.  All three, like the Rayleigh survey in functionals, run one
+monotone Sobolev (H^1_0) descent with a float-floor terminal phase,
+`_sobolev_descent`: the ball directly, sphere maximization and the mountain
+pass through its sphere form `_sphere_descent`.  Each supplies only its
+feasible-set map, its objective and its nodal descent direction.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import (
-    ARMIJO,
     EnergySnapshot,
     ProblemData,
-    _bb_step,
     _first_mode,
     _grad_profile,
-    _line_search,
     _mass_profile,
     _profile_scale,
+    _sobolev_descent,
     _sphere_descent,
     _sphere_scale,
     alpha_independent_threshold,
@@ -240,10 +238,6 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     raise ValueError("no negative-energy seed found; regime looks non-sublinear")
 
 
-# energy changes within this many ulps of max(G, lam*F) are rounding noise
-_FLOAT_FLOOR_ULPS = 8.0
-
-
 def solve_sublinear(
     pd: ProblemData,
     alpha: float,
@@ -254,18 +248,14 @@ def solve_sublinear(
 ) -> EigenPair:
     """Minimize I_lambda over the ball G <= alpha by projected Sobolev descent.
 
-    Steps follow the H^1_0 gradient d = P^-1 g, where g is the nodal
-    gradient of I_lambda and P = gradient_adjoint o gradient (the exact
-    DST-I solve `riesz_solve`), with spectral step lengths measured in the
-    same metric; this keeps the iteration count bounded as the mesh is
-    refined.  Trials that leave the ball are rescaled onto the sphere
-    G = alpha before they are tested.  The descent is monotone in I_lambda
-    (Armijo backtracking) until I_lambda changes by no more than a few
-    ulps of max(G, lam*F); from then on, in the float-resolution terminal
-    phase, a trial is accepted only when it lowers the certificate
-    residual, so the descent is monotone in the residual.  The accepted
-    minimizer is an interior critical point whenever lam sits inside the
-    certified window.
+    `_sobolev_descent` steps along the H^1_0 gradient riesz_solve(g) of
+    I_lambda, so the iteration count stays bounded as the mesh is refined;
+    trials that leave the ball are rescaled onto the sphere G = alpha.
+    I_lambda never rises beyond rounding: steps pass an Armijo test until
+    I_lambda is flat to a few ulps of max(G, lam*F), and from then on a
+    trial must lower the certificate residual.  The accepted minimizer is
+    an interior critical point whenever lam sits inside the certified
+    window.
     """
     if not pd.q.lo < pd.p.lo:
         raise ValueError("ball minimization needs inf q < inf p")
@@ -278,69 +268,31 @@ def solve_sublinear(
             stacklevel=2,
         )
 
-    def gradient_at(w):
-        gG_w = grad_G(w, pd)
-        g_w = gG_w - lam * grad_F(w, pd)
-        return g_w, float(np.linalg.norm(g_w) / np.linalg.norm(gG_w))
+    def admit(u, raw):
+        # moves beyond twice the iterate scale scramble localized iterates
+        if np.linalg.norm(raw - u) > 2.0 * np.linalg.norm(u):
+            return None
+        wg = _grad_profile(raw, pd)
+        wm = _mass_profile(raw, pd)
+        G = float(np.sum(wg))
+        if G > alpha:
+            t = _profile_scale(wg, pd, alpha)
+            raw = t * raw
+            G = float(np.sum(wg * t**pd.p.values))
+            F = float(np.sum(wm * t**pd.q.values))
+        else:
+            F = float(np.sum(wm))
+        return raw, G - lam * F, max(G, lam * F), None
 
-    def float_floor(G, F):
-        return _FLOAT_FLOOR_ULPS * np.finfo(float).eps * max(G, lam * F)
+    def direction(w, _):
+        gG = grad_G(w, pd)
+        g = gG - lam * grad_F(w, pd)
+        return g, riesz_solve(g, pd.grid), float(np.linalg.norm(g) / np.linalg.norm(gG))
 
     u = _negative_seed(pd, alpha, lam, v0)
     snap = energies(u, pd, lam)
-    i_val, floor = snap.I_lambda, float_floor(snap.G, snap.F)
-    g, res = gradient_at(u)
-    d = riesz_solve(g, pd.grid)
-    step = 1.0
-    prev_u = prev_g = prev_d = None
-    terminal = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iters + 1):
-        if res <= cfg.grad_tol:
-            break
-        if prev_u is not None:
-            step = _bb_step(u - prev_u, g - prev_g, step, d - prev_d)
-        # moves beyond twice the iterate scale scramble localized iterates
-        move_cap = 2.0 * float(np.linalg.norm(u))
-        d_norm = float(np.linalg.norm(d))
-
-        def descend_at(s):
-            if s * d_norm > move_cap:
-                return None
-            cand = u - s * d
-            if not np.any(cand):
-                return None
-            wg = _grad_profile(cand, pd)
-            wm = _mass_profile(cand, pd)
-            cand_g = float(np.sum(wg))
-            if cand_g > alpha:
-                t = _profile_scale(wg, pd, alpha)
-                cand = t * cand
-                cand_g = float(np.sum(wg * t**pd.p.values))
-                cand_f = float(np.sum(wm * t**pd.q.values))
-            else:
-                cand_f = float(np.sum(wm))
-            cand_i = cand_g - lam * cand_f
-            decrease = float(np.vdot(g, cand - u))
-            armijo = not terminal and cand_i <= i_val + ARMIJO * decrease and cand_i < i_val
-            if not (armijo or abs(cand_i - i_val) <= floor):
-                return None
-            cand_grad, cand_res = gradient_at(cand)
-            # at the float floor the energy test is noise: the residual decides
-            if armijo or cand_res < res:
-                return cand, cand_i, cand_g, cand_f, cand_grad, cand_res, not armijo
-            return None
-
-        hit, _ = _line_search(descend_at, step)
-        if hit is None:
-            break
-        prev_u, prev_g, prev_d = u, g, d
-        u, i_val, cand_g, cand_f, g, res, at_floor = hit
-        terminal = terminal or at_floor
-        floor = float_floor(cand_g, cand_f)
-        d = riesz_solve(g, pd.grid)
-
+    start = (u, snap.I_lambda, max(snap.G, lam * snap.F), None)
+    u, _, _, iterations = _sobolev_descent(start, admit, direction, cfg.max_iters, cfg.grad_tol)
     return _pair(u, pd, lam, BALL_MIN, iterations, alpha, cfg.grad_tol)
 
 
@@ -354,11 +306,12 @@ def solve_sphere_max(
     """Maximize F on the sphere G = alpha by projected Sobolev descent of -F.
 
     Steps follow the H^1_0 tangent of grad F (`_sphere_descent`), so their
-    count stays bounded under mesh refinement, and are accepted only when F
-    strictly rises, so the F sequence is nondecreasing; the accepted pair
-    reports lam = psi/phi, the reciprocal of the first constrained level
-    ratio; snapshot.F is that level.  Without v0 the seed is a standard
-    normal draw.
+    count stays bounded under mesh refinement.  F never falls beyond
+    rounding: steps must raise it (Armijo) until it is flat to a few ulps,
+    and then must lower the residual.  The accepted pair reports
+    lam = psi/phi, the reciprocal of the first constrained level ratio;
+    snapshot.F is that level.  Without v0 the seed is a standard normal
+    draw.
     """
     if not pd.q.hi <= pd.p.lo:
         raise ValueError("sphere maximization needs sup q <= inf p")
@@ -374,7 +327,8 @@ def solve_sphere_max(
     lam = np.nan
 
     def value_at(raw, wg, t):
-        return -float(np.sum(_mass_profile(raw, pd) * t**pd.q.values)), None
+        F = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
+        return -F, F, None
 
     def direction(w, _, gG):
         nonlocal lam
@@ -429,8 +383,9 @@ def solve_mountain_pass(
     rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2;
     Szulkin and Weth, 2010).  The ray maximum is invariant along rays, so
     the seed direction is descended on the sphere G = alpha to that
-    infimum along H^1_0 tangents (the ray maximum never rises), and the pair
-    is certified at the ridge crossing of the final direction.
+    infimum along H^1_0 tangents (the ray maximum never rises beyond
+    rounding), and the pair is certified at the ridge crossing of the final
+    direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
@@ -452,8 +407,9 @@ def solve_mountain_pass(
     def value_at(raw, wg, t):
         wm = _mass_profile(raw, pd)
         tau = _ray_crossing(wg, wm, pd, lam)
-        val = float(np.sum(wg * tau**pd.p.values) - lam * np.sum(wm * tau**pd.q.values))
-        return val, tau / t
+        G = float(np.sum(wg * tau**pd.p.values))
+        lam_F = lam * float(np.sum(wm * tau**pd.q.values))
+        return G - lam_F, max(G, lam_F), tau / t
 
     def direction(w, tau, _):  # grad G is needed at tau*w, not at w
         x = tau * w

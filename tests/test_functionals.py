@@ -358,6 +358,38 @@ def test_line_search_trial_order_and_hits():
     assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
 
 
+def test_terminal_phase_accepts_only_residual_decrease():
+    """On an objective flat to rounding the residual decides, and Armijo stays off after."""
+    eps = np.finfo(float).eps
+    # (value, residual) of each admitted trial, in trial order; the start has 1.0 and 1.0
+    script = [
+        (1.0 + 2 * eps, 2.0),  # floor trial, residual rises: rejected
+        (1.0 - 3 * eps, 0.5),  # floor trial (Armijo fails), residual falls: accepted
+        (0.0, 0.1),  # a real decrease, but the terminal phase is on: rejected unevaluated
+        (1.0 + 4 * eps, 0.6),  # floor trial, residual rises: rejected
+        (1.0 - eps, 0.25),  # floor trial, residual falls: accepted
+    ]
+    evaluated = []
+
+    def admit(u, raw):
+        k = admit.count
+        admit.count += 1
+        return raw, script[k][0], 1.0, k
+
+    admit.count = 0
+
+    def direction(u, k):
+        evaluated.append(k)
+        return np.ones_like(u), np.ones_like(u), 1.0 if k is None else script[k][1]
+
+    start = (np.full(3, 10.0), 1.0, 1.0, None)
+    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, 2, 1e-3)
+    assert used == 2 and ctx == 4 and val == 1.0 - eps
+    assert evaluated == [None, 0, 1, 3, 4]
+    # hit at s = 0.5; the next search starts at the fallback 1.5 * 0.5 and hits at 0.75 / 4
+    assert np.array_equal(u, np.full(3, 10.0 - 0.5 - 0.75 / 4))
+
+
 @st.composite
 def tangent_cases(draw):
     """A 1D or 2D grid with 3-40 nodes per axis, an exponent pair, a point u and a direction d."""

@@ -231,12 +231,15 @@ def test_sublinear_sweep_is_mesh_independent(n, p, q, lams):
         assert row.iterations <= 150
 
 
-@pytest.mark.parametrize("alpha", [0.5, 4.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
 def test_sublinear_with_crossing_exponents(alpha):
     """inf q < inf p, yet q > p near x = 1: the ray crossing is undefined there.
 
     The seed and the final pair then take their fallbacks instead of the
-    ray crossing; the solve must still certify its pair.
+    ray crossing; the solve must still certify its pair, in a bounded
+    number of iterations at every level.  At alpha = 1 that bound needs the
+    search after a hit to start from 1.5 times the accepted step, not from
+    the last BB length.
     """
     grid = interval_grid(65, 1.0)
     x = grid.cell_midpoints()[0]
@@ -246,6 +249,7 @@ def test_sublinear_with_crossing_exponents(alpha):
     pair = solve_sublinear(pd, alpha, 0.5, cfg)
     assert pair.converged and pair.residual <= 1e-6
     assert pair.converged == (pair.residual <= cfg.grad_tol)
+    assert pair.iterations <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +394,8 @@ def test_mountain_pass_regime_errors(superlinear_pd):
 
 
 def test_mountain_pass_certifies_a_tight_tolerance():
-    # the criterion-08 problem at grad_tol 1e-8, below what the descent can
-    # reach: the pair returned must still be the certified ridge crossing
+    # the criterion-08 problem at grad_tol 1e-8: the pair returned must be
+    # the certified ridge crossing
     pd = make_pd(interval_grid(129, 1.0), 2.0, 4.0)
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     pair = solve_mountain_pass(pd, window_alpha(pd, 1.0), 1.0, cfg)
@@ -399,12 +403,13 @@ def test_mountain_pass_certifies_a_tight_tolerance():
 
 
 def test_mountain_pass_reaches_a_tight_residual():
-    # the criterion-08 problem at grad_tol 1e-8: every lam lands within 1e-7
+    # the criterion-08 problem at grad_tol 1e-8: every lam converges, which
+    # needs the float-floor terminal phase once the ray maximum is flat
     pd = make_pd(interval_grid(129, 1.0), 2.0, 4.0)
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     for lam in (0.1, 1.0, 10.0):
         pair = solve_mountain_pass(pd, window_alpha(pd, lam), lam, cfg)
-        assert pair.residual <= 1e-7
+        assert pair.converged and pair.residual <= 1e-8
 
 
 def test_mountain_pass_window_warning(superlinear_pd):
@@ -484,14 +489,14 @@ def test_family_ball_regime_parity_classes():
 
 def test_family_pass_regime_parity_classes():
     pd, mu = family_pass_problem_1d()
-    cfg = SolverConfig(max_iters=60000, grad_tol=1e-5, seed=0)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fam = eigenfamily(pd, mu, [0.05, 0.1], cfg)
     for pair in fam:
         assert pair.mechanism == MOUNTAIN_PASS
         assert pair.lam == mu
-        assert pair.residual <= 1e-4
+        assert pair.converged and pair.residual <= 1e-8
         assert pair.snapshot.I_lambda > 0.0
     even, odd = fam[0].u, fam[1].u
     assert np.array_equal(even, even[::-1])
