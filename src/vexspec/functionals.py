@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -184,85 +185,100 @@ def is_superlinear(pd: ProblemData) -> bool:
     return bool(np.all(pd.p.values < pd.q.values))
 
 
-def _power_weight(gm2: np.ndarray, gm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|g|^{p-2} per cell, smoothed where p < 2 to keep the weight finite."""
-    w = np.empty_like(gm)
-    soft = p < 2.0
-    w[soft] = (gm2[soft] + GRAD_EPS**2) ** (0.5 * (p[soft] - 2.0))
-    w[~soft] = gm[~soft] ** (p[~soft] - 2.0)
-    return w
+def _finite(term: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(term)):
+        bad = np.unravel_index(int(np.argmax(~np.isfinite(term))), term.shape)
+        raise OverflowError(f"non-finite {name} integrand at cell {bad}")
+    return term
+
+
+class _Point:
+    """One nodal function u, validated once, with each stencil taken once.
+
+    The gradient term (cell gradients g, |g| and the power weight
+    |g|^(p-2)) and the mass term (cell values ub and the mass weight
+    V |ub|^(q-1) sign ub) are each computed on first use.  The public
+    energies and gradients and every descent direction read them here.
+    """
+
+    def __init__(self, u, pd: ProblemData):
+        self.u, self.pd = require_dirichlet(u, pd.grid), pd
+
+    @cached_property
+    def grad_cells(self):
+        g, p = gradient(self.u, self.pd.grid), self.pd.p.values
+        gm, soft = gradient_magnitude(g), p < 2.0
+        if not soft.any():
+            return g, gm, gm ** (p - 2.0)
+        w = np.empty_like(gm)  # smoothed where p < 2 to keep the weight finite
+        w[soft] = (np.sum(g * g, axis=-1)[soft] + GRAD_EPS**2) ** (0.5 * (p[soft] - 2.0))
+        w[~soft] = gm[~soft] ** (p[~soft] - 2.0)
+        return g, gm, w
+
+    @cached_property
+    def mass_cells(self):
+        ub = cell_values(self.u, self.pd.grid)
+        return ub, self.pd.V * np.abs(ub) ** (self.pd.q.values - 1.0) * np.sign(ub)
+
+    def energies(self, lam: float = 0.0) -> EnergySnapshot:
+        p, q, vol = self.pd.p.values, self.pd.q.values, self.pd.grid.cell_volume
+        grad_pow = _finite(self.grad_cells[1] ** p, "gradient")
+        mass_pow = _finite(self.pd.V * np.abs(self.mass_cells[0]) ** q, "mass")
+        psi, phi = float(np.sum(grad_pow) * vol), float(np.sum(mass_pow) * vol)
+        G, F = float(np.sum(grad_pow / p) * vol), float(np.sum(mass_pow / q) * vol)
+        return EnergySnapshot(G, F, phi, psi, G - lam * F, float(lam))
+
+    def grad_term(self, scale=1.0) -> np.ndarray:
+        """Nodal gradient of G, or of psi with scale = p."""
+        (g, _, w), grid = self.grad_cells, self.pd.grid
+        out = gradient_adjoint((w * scale)[..., None] * g * grid.cell_volume, grid)
+        out[grid.boundary_mask] = 0.0
+        return out
+
+    def mass_term(self, scale=1.0) -> np.ndarray:
+        """Nodal gradient of F, or of phi with scale = q."""
+        grid = self.pd.grid
+        out = cell_values_adjoint(self.mass_cells[1] * scale * grid.cell_volume, grid)
+        out[grid.boundary_mask] = 0.0
+        return out
 
 
 def energies(u, pd: ProblemData, lam: float = 0.0) -> EnergySnapshot:
-    """Evaluate G, F and the unscaled modulars phi, psi, plus I = G - lam F."""
-    u = require_dirichlet(u, pd.grid)
-    vol = pd.grid.cell_volume
-    gm = gradient_magnitude(gradient(u, pd.grid))
-    ub = cell_values(u, pd.grid)
+    """Evaluate G, F and the unscaled modulars phi, psi, plus I = G - lam F.
 
-    grad_pow = gm ** pd.p.values
-    mass_pow = pd.V * np.abs(ub) ** pd.q.values
-    for term, name in ((grad_pow, "gradient"), (mass_pow, "mass")):
-        if not np.all(np.isfinite(term)):
-            bad = np.unravel_index(int(np.argmax(~np.isfinite(term))), term.shape)
-            raise OverflowError(f"non-finite {name} integrand at cell {bad}")
-
-    psi = float(np.sum(grad_pow) * vol)
-    phi = float(np.sum(mass_pow) * vol)
-    G = float(np.sum(grad_pow / pd.p.values) * vol)
-    F = float(np.sum(mass_pow / pd.q.values) * vol)
-    return EnergySnapshot(G, F, phi, psi, G - lam * F, float(lam))
-
-
-def _grad_gradient_term(u, pd: ProblemData, scale_by_p: bool) -> np.ndarray:
-    g = gradient(u, pd.grid)
-    gm = gradient_magnitude(g)
-    w = _power_weight(np.sum(g * g, axis=-1), gm, pd.p.values)
-    if scale_by_p:
-        w = w * pd.p.values
-    out = gradient_adjoint(w[..., None] * g * pd.grid.cell_volume, pd.grid)
-    out[pd.grid.boundary_mask] = 0.0
-    return out
-
-
-def _grad_mass_term(u, pd: ProblemData, scale_by_q: bool) -> np.ndarray:
-    ub = cell_values(u, pd.grid)
-    t = pd.V * np.abs(ub) ** (pd.q.values - 1.0) * np.sign(ub)
-    if scale_by_q:
-        t = t * pd.q.values
-    out = cell_values_adjoint(t * pd.grid.cell_volume, pd.grid)
-    out[pd.grid.boundary_mask] = 0.0
-    return out
+    Like the nodal gradients below, a thin wrapper over one `_Point` pass.
+    """
+    return _Point(u, pd).energies(lam)
 
 
 def grad_G(u, pd: ProblemData) -> np.ndarray:
     """Nodal gradient of G; equals the p(x)-Laplacian weak form row by row."""
-    return _grad_gradient_term(require_dirichlet(u, pd.grid), pd, scale_by_p=False)
+    return _Point(u, pd).grad_term()
 
 
 def grad_F(u, pd: ProblemData) -> np.ndarray:
     """Nodal gradient of F, i.e. the weighted q(x)-power mass term."""
-    return _grad_mass_term(require_dirichlet(u, pd.grid), pd, scale_by_q=False)
+    return _Point(u, pd).mass_term()
 
 
 def grad_psi(u, pd: ProblemData) -> np.ndarray:
-    return _grad_gradient_term(require_dirichlet(u, pd.grid), pd, scale_by_p=True)
+    return _Point(u, pd).grad_term(pd.p.values)
 
 
 def grad_phi(u, pd: ProblemData) -> np.ndarray:
-    return _grad_mass_term(require_dirichlet(u, pd.grid), pd, scale_by_q=True)
+    return _Point(u, pd).mass_term(pd.q.values)
 
 
 def residual(u, pd: ProblemData, lam: float) -> float:
     """Relative Euclidean defect of the weak eigenpair identity at (u, lam)."""
-    u = require_dirichlet(u, pd.grid)
-    if not np.any(u):
+    pt = _Point(u, pd)
+    if not np.any(pt.u):
         raise ValueError("residual undefined for the zero function")
-    gG = _grad_gradient_term(u, pd, scale_by_p=False)
+    gG = pt.grad_term()
     den = float(np.linalg.norm(gG))
     if den == 0.0:
         raise ValueError("residual undefined: gradient term vanished")
-    return float(np.linalg.norm(gG - lam * _grad_mass_term(u, pd, scale_by_q=False)) / den)
+    return float(np.linalg.norm(gG - lam * pt.mass_term()) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -458,21 +474,21 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
 def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0."""
     gm = gradient_magnitude(gradient(u, pd.grid))
-    w = gm ** pd.p.values * (pd.grid.cell_volume / pd.p.values)
-    if not np.all(np.isfinite(w)):
-        bad = np.unravel_index(int(np.argmax(~np.isfinite(w))), w.shape)
-        raise OverflowError(f"non-finite gradient integrand at cell {bad}")
-    return w
+    return _finite(gm ** pd.p.values * (pd.grid.cell_volume / pd.p.values), "gradient")
 
 
 def _mass_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0."""
-    ub = cell_values(np.asarray(u, dtype=float), pd.grid)
-    m = pd.V * np.abs(ub) ** pd.q.values * (pd.grid.cell_volume / pd.q.values)
-    if not np.all(np.isfinite(m)):
-        bad = np.unravel_index(int(np.argmax(~np.isfinite(m))), m.shape)
-        raise OverflowError(f"non-finite mass integrand at cell {bad}")
-    return m
+    ub = cell_values(u, pd.grid)
+    return _finite(pd.V * np.abs(ub) ** pd.q.values * (pd.grid.cell_volume / pd.q.values), "mass")
+
+
+def _profile_energies(wg: np.ndarray, wm: np.ndarray, t: float, pd: ProblemData):
+    """Snapshot of t*u from the profiles of u: G = sum(wg t^p), psi = sum(p wg t^p)."""
+    gt, mt = wg * t**pd.p.values, wm * t**pd.q.values
+    G, F = float(gt.sum()), float(mt.sum())
+    psi, phi = float((pd.p.values * gt).sum()), float((pd.q.values * mt).sum())
+    return EnergySnapshot(G, F, phi, psi, G, 0.0)
 
 
 def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
@@ -542,10 +558,11 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.nda
     The result is orthogonal to gG, the sphere normal, and <d, result> >= 0
     by Cauchy-Schwarz in the P^-1 inner product.
     """
-    pdir, n = riesz_solve(d, grid), riesz_solve(gG, grid)
+    pdir, n = riesz_solve(np.stack([d, gG]), grid)
     num, den = pdir * gG, n * gG
     for axis in range(gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
-        num, den = num + np.flip(num, axis), den + np.flip(den, axis)
+        rev = (slice(None),) * axis + (slice(None, None, -1),)
+        num, den = num + num[rev], den + den[rev]
     return pdir - (np.sum(num) / np.sum(den)) * n
 
 
@@ -553,11 +570,12 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.nda
 _FLOAT_FLOOR_ULPS = 8.0
 
 
-def _sobolev_descent(start, admit, direction, iters, tol):
+def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     """Monotone H^1_0 descent with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) is the first point.  direction(u, ctx)
-    returns the nodal gradient d, the H^1_0 step pdir and the stop residual.
+    returns the nodal gradient d, an aux and the stop residual; the H^1_0
+    step pdir = precondition(d, aux) is built only at accepted points.
     A search tries raw = u - s*pdir, s from Barzilai-Borwein in the metric
     of pdir (else 1.5 times the last hit's s); admit(u, raw) maps raw onto
     the feasible set as (point, value, scale, ctx), or None.  A trial is
@@ -568,13 +586,14 @@ def _sobolev_descent(start, admit, direction, iters, tol):
     miss or after iters searches; returns (u, value, ctx, searches).
     """
     u, val, scale, ctx = start
-    d, pdir, res = direction(u, ctx)
+    d, aux, res = direction(u, ctx)
     step = 1.0
     prev_u = prev_d = prev_pdir = None
     terminal = False
     used = 0
     while used < iters and res > tol:
         used += 1
+        pdir = precondition(d, aux)
         if prev_u is not None:
             step = _bb_step(u - prev_u, d - prev_d, step, pdir - prev_pdir)
         floor = _FLOAT_FLOOR_ULPS * np.finfo(float).eps * scale
@@ -602,7 +621,7 @@ def _sobolev_descent(start, admit, direction, iters, tol):
         if hit is None:
             break
         prev_u, prev_d, prev_pdir = u, d, pdir
-        (u, val, scale, ctx), (d, pdir, res), at_floor = hit
+        (u, val, scale, ctx), (d, aux, res), at_floor = hit
         terminal = terminal or at_floor
         step = min(1.5 * s, 1e12)
     return u, val, ctx, used
@@ -611,11 +630,13 @@ def _sobolev_descent(start, admit, direction, iters, tol):
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
     """`_sobolev_descent` of an objective over the sphere G = alpha, from u on it.
 
-    direction(u, ctx, gG) returns a nodal direction d and the stop residual
-    at u, with gG = grad_G(u); the step is pdir = _tangent_step(d, gG).  A
-    trial raw is scaled onto the sphere by t = _profile_scale(wg), and
-    value_at(raw, wg, t) returns the objective at t*raw, its float-floor
-    scale and the context for direction.  Returns (u, value, ctx, searches).
+    direction(u, ctx) returns a nodal direction d, the sphere normal
+    gG = grad_G(u) and the stop residual at u, from one `_Point`; the step
+    _tangent_step(d, gG) is built only at accepted points.  A trial raw is
+    scaled onto the sphere by t = _profile_scale(wg), and value_at(raw, wg,
+    t) returns the objective at t*raw (from the profiles of raw), its
+    float-floor scale and the context for direction.  Returns (u, value,
+    ctx, searches).
     """
 
     def admit(_, raw):
@@ -623,41 +644,37 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
         t = _profile_scale(wg, pd, alpha)
         return (t * raw,) + value_at(raw, wg, t)
 
-    def tangent_direction(w, ctx):
-        gG = grad_G(w, pd)
-        d, res = direction(w, ctx, gG)
-        # the descent stops at res <= tol, where no step is taken
-        return d, (_tangent_step(d, gG, pd.grid) if res > tol else None), res
-
     start = (u,) + value_at(u, _grad_profile(u, pd), 1.0)
-    return _sobolev_descent(start, admit, tangent_direction, iters, tol)
+    tangent = partial(_tangent_step, grid=pd.grid)
+    return _sobolev_descent(start, admit, direction, tangent, iters, tol)
 
 
 def _sphere_quotient(pd: ProblemData, moduli: bool):
     """value_at and direction of psi/phi (moduli) or G/F for _sphere_descent.
 
-    The context is the energy snapshot of the point, the quotient is its own
-    float-floor scale, and the direction is the quotient gradient's
-    component tangent to the sphere, with the tangent's length relative to
-    grad G as the stop residual.
+    The context is the energy snapshot of the point, taken from the trial's
+    profiles; the quotient is its own float-floor scale, and the direction
+    is the quotient gradient's component tangent to the sphere, with the
+    tangent's length relative to grad G as the stop residual.
     """
 
     def ratio(snap):
         return snap.psi / snap.phi if moduli else snap.G / snap.F
 
     def value_at(raw, wg, t):
-        snap = energies(t * raw, pd)
+        snap = _profile_energies(wg, _mass_profile(raw, pd), t, pd)
         val = ratio(snap)
         return val, val, snap
 
-    def direction(u, snap, gG):
-        val = ratio(snap)
+    def direction(u, snap):
+        pt = _Point(u, pd)
+        gG, val = pt.grad_term(), ratio(snap)
         if moduli:
-            grad = (grad_psi(u, pd) - val * grad_phi(u, pd)) / snap.phi
+            grad = (pt.grad_term(pd.p.values) - val * pt.mass_term(pd.q.values)) / snap.phi
         else:
-            grad = (gG - val * grad_F(u, pd)) / snap.F
+            grad = (gG - val * pt.mass_term()) / snap.F
         tangent = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
-        return tangent, float(np.linalg.norm(tangent) / np.linalg.norm(gG))
+        return tangent, gG, float(np.linalg.norm(tangent) / np.linalg.norm(gG))
 
     return value_at, direction
 

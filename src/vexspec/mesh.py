@@ -321,16 +321,16 @@ def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     value.  The odd class adds to that particular solution the multiple of
     the linear homogeneous solution that makes it antisymmetric about the
     centre: zero on a centre node (offset a = 1) or opposite on the two
-    middle nodes (a = 1/2).
+    middle nodes (a = 1/2).  r is (m, k): k columns, each solved alone.
     """
     m = r.shape[0]
     even, odd = _halves(r, 0.5 * h * h)
     if m % 2:
         even[-1] *= 0.5
-    even = np.cumsum(np.cumsum(even[::-1])[::-1])
-    odd = np.cumsum(np.cumsum(odd[::-1])[::-1])
+    even = np.cumsum(np.cumsum(even[::-1], axis=0)[::-1], axis=0)
+    odd = np.cumsum(np.cumsum(odd[::-1], axis=0)[::-1], axis=0)
     k, a = odd.shape[0], 0.5 + 0.5 * (m % 2)
-    odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))
+    odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))[:, None]
     return _mirror(even, odd, out)
 
 
@@ -362,16 +362,22 @@ def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
     `StructuredGrid.riesz_blocks`, four small dense products per class.
     Because every class sees the same half for a reflected right-hand side
     (the odd ones negated), the solve commutes with grid reflections and
-    with a sign change in exact floating point.
+    with a sign change in exact floating point.  A leading axis of g holds
+    k right-hand sides, each solved bit for bit as if it were alone.
     """
-    g = _as_nodal(g, grid)
-    interior = (slice(1, -1),) * grid.dim
-    d = np.zeros(grid.shape)
+    g = np.asarray(g, dtype=float)
+    if g.shape[g.ndim - grid.dim :] != grid.shape or g.ndim > grid.dim + 1:
+        raise ValueError(f"nodal shape {g.shape} does not match grid {grid.shape}")
+    cols = g.reshape((-1,) + grid.shape)
+    d = np.zeros(cols.shape)
+    interior = (slice(None),) + (slice(1, -1),) * grid.dim
+    r, out = cols[interior], d[interior]
     if grid.dim == 1:
-        _riesz_solve_1d(g[interior], grid.spacing[0], d[interior])
+        _riesz_solve_1d(r.T, grid.spacing[0], out.T)
     else:
-        _riesz_solve_2d(g[interior], grid, d[interior])
-    return d
+        for r_k, out_k in zip(r, out):
+            _riesz_solve_2d(r_k, grid, out_k)
+    return d.reshape(g.shape)
 
 
 def integrate(f, grid: StructuredGrid) -> float:

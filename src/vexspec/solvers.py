@@ -25,16 +25,17 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
+    _Point,
     _first_mode,
     _grad_profile,
     _mass_profile,
+    _profile_energies,
     _profile_scale,
     _sobolev_descent,
     _sphere_descent,
     _sphere_scale,
     alpha_independent_threshold,
     energies,
-    grad_F,
     grad_G,
     is_superlinear,
     lambda_alpha,
@@ -285,14 +286,17 @@ def solve_sublinear(
         return raw, G - lam * F, max(G, lam * F), None
 
     def direction(w, _):
-        gG = grad_G(w, pd)
-        g = gG - lam * grad_F(w, pd)
-        return g, riesz_solve(g, pd.grid), float(np.linalg.norm(g) / np.linalg.norm(gG))
+        pt = _Point(w, pd)
+        gG = pt.grad_term()
+        g = gG - lam * pt.mass_term()
+        return g, pd.grid, float(np.linalg.norm(g) / np.linalg.norm(gG))  # step riesz_solve(g)
 
     u = _negative_seed(pd, alpha, lam, v0)
     snap = energies(u, pd, lam)
     start = (u, snap.I_lambda, max(snap.G, lam * snap.F), None)
-    u, _, _, iterations = _sobolev_descent(start, admit, direction, cfg.max_iters, cfg.grad_tol)
+    u, _, _, iterations = _sobolev_descent(
+        start, admit, direction, riesz_solve, cfg.max_iters, cfg.grad_tol
+    )
     return _pair(u, pd, lam, BALL_MIN, iterations, alpha, cfg.grad_tol)
 
 
@@ -324,25 +328,24 @@ def solve_sphere_max(
         u[pd.grid.boundary_mask] = 0.0
     if not np.any(u):
         raise ValueError("seed function is identically zero")
-    lam = np.nan
 
     def value_at(raw, wg, t):
         F = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
         return -F, F, None
 
-    def direction(w, _, gG):
-        nonlocal lam
-        snap = energies(w, pd)
-        gF = grad_F(w, pd)
+    def direction(w, _):
+        pt = _Point(w, pd)
+        snap, gG, gF = pt.energies(), pt.grad_term(), pt.mass_term()
         lam = snap.psi / snap.phi
         tangent = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
-        return -tangent, float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
+        return -tangent, gG, float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
 
     u = _sphere_scale(u, pd, alpha) * u
     u, _, _, iterations = _sphere_descent(
         u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    return _pair(u, pd, lam, SPHERE_MAX, iterations, alpha, cfg.grad_tol)
+    snap = energies(u, pd)
+    return _pair(u, pd, snap.psi / snap.phi, SPHERE_MAX, iterations, alpha, cfg.grad_tol)
 
 
 def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -> float:
@@ -407,15 +410,14 @@ def solve_mountain_pass(
     def value_at(raw, wg, t):
         wm = _mass_profile(raw, pd)
         tau = _ray_crossing(wg, wm, pd, lam)
-        G = float(np.sum(wg * tau**pd.p.values))
-        lam_F = lam * float(np.sum(wm * tau**pd.q.values))
-        return G - lam_F, max(G, lam_F), tau / t
+        snap = _profile_energies(wg, wm, tau, pd)
+        return snap.G - lam * snap.F, max(snap.G, lam * snap.F), tau / t
 
-    def direction(w, tau, _):  # grad G is needed at tau*w, not at w
-        x = tau * w
-        gG = grad_G(x, pd)
-        g = tau * (gG - lam * grad_F(x, pd))
-        return g, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+    def direction(w, tau):  # the residual lives at tau*w, the sphere normal at w
+        normal, x = grad_G(w, pd), _Point(tau * w, pd)
+        gG = x.grad_term()
+        g = tau * (gG - lam * x.mass_term())
+        return g, normal, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
 
     w = _sphere_scale(w0, pd, alpha) * w0
     w, _, tau, iterations = _sphere_descent(

@@ -24,7 +24,14 @@ from vexspec import (
     window_alpha,
 )
 from vexspec.functionals import grad_phi, grad_psi, is_sublinear, is_superlinear
-from vexspec.mesh import StructuredGrid, riesz_solve
+from vexspec.mesh import (
+    StructuredGrid,
+    cell_values,
+    cell_values_adjoint,
+    gradient,
+    gradient_adjoint,
+    riesz_solve,
+)
 from vexspec.spaces import constant_exponent, exponent_field
 
 from conftest import family_ball_problem_1d, make_pd
@@ -369,7 +376,7 @@ def test_terminal_phase_accepts_only_residual_decrease():
         (1.0 + 4 * eps, 0.6),  # floor trial, residual rises: rejected
         (1.0 - eps, 0.25),  # floor trial, residual falls: accepted
     ]
-    evaluated = []
+    evaluated, stepped = [], []
 
     def admit(u, raw):
         k = admit.count
@@ -382,10 +389,16 @@ def test_terminal_phase_accepts_only_residual_decrease():
         evaluated.append(k)
         return np.ones_like(u), np.ones_like(u), 1.0 if k is None else script[k][1]
 
+    def precondition(d, pdir):
+        stepped.append(len(evaluated))
+        return pdir
+
     start = (np.full(3, 10.0), 1.0, 1.0, None)
-    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, 2, 1e-3)
+    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
     assert used == 2 and ctx == 4 and val == 1.0 - eps
     assert evaluated == [None, 0, 1, 3, 4]
+    # steps are built only at the points that take one: the start and trial 1
+    assert stepped == [1, 3]
     # hit at s = 0.5; the next search starts at the fallback 1.5 * 0.5 and hits at 0.75 / 4
     assert np.array_equal(u, np.full(3, 10.0 - 0.5 - 0.75 / 4))
 
@@ -446,3 +459,114 @@ def test_survey_descents_stop_before_their_budget(monkeypatch):
     rayleigh_extrema(pd, 1.0)
     assert len(searches) == 18
     assert max(searches) < 1000
+
+
+def reference_point(u, pd):
+    """G, F, psi, phi and the grad_G/F/psi/phi formulas, each written out on its own."""
+    grid, p, q, V = pd.grid, pd.p.values, pd.q.values, pd.V
+    vol, mask = grid.cell_volume, grid.boundary_mask
+    g = gradient(u, grid)
+    gm2 = np.sum(g * g, axis=-1)
+    gm = np.sqrt(gm2)
+    ub = cell_values(u, grid)
+    grad_pow, mass_pow = gm**p, V * np.abs(ub) ** q
+    energy = {
+        "G": np.sum(grad_pow / p) * vol,
+        "F": np.sum(mass_pow / q) * vol,
+        "psi": np.sum(grad_pow) * vol,
+        "phi": np.sum(mass_pow) * vol,
+    }
+    w = np.empty_like(gm)
+    for c in np.ndindex(gm.shape):
+        w[c] = (gm2[c] + 1e-24) ** (0.5 * (p[c] - 2.0)) if p[c] < 2.0 else gm[c] ** (p[c] - 2.0)
+    mw = V * np.abs(ub) ** (q - 1.0) * np.sign(ub)
+    nodal = {
+        "grad_G": gradient_adjoint(w[..., None] * g * vol, grid),
+        "grad_psi": gradient_adjoint((w * p)[..., None] * g * vol, grid),
+        "grad_F": cell_values_adjoint(mw * vol, grid),
+        "grad_phi": cell_values_adjoint(mw * q * vol, grid),
+    }
+    for out in nodal.values():
+        out[mask] = 0.0
+    return energy, nodal
+
+
+@st.composite
+def point_cases(draw):
+    """A 1D or 2D grid with 3-40 nodes per axis, exponents with p < 2 cells, u and a level."""
+    dim = draw(st.sampled_from([1, 2]))
+    extents = tuple(draw(st.integers(3, 40)) for _ in range(dim))
+    spacing = tuple(10.0 ** draw(st.floats(-1.0, 0.5)) for _ in range(dim))
+    grid = StructuredGrid(extents, spacing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = grid.cell_shape
+    p = rng.uniform(1.3, 3.5, cells)
+    p[rng.random(cells) < 0.3] = 2.0  # the boundary case of the smoothing branch
+    pd = make_pd(grid, p, rng.uniform(1.2, 3.5, cells), V=rng.uniform(0.5, 2.0, cells), C_embed=1.0)
+    u = interior_noise(grid, rng)
+    if draw(st.booleans()):  # a flat patch: cells with zero gradient
+        patch = tuple(slice(1, 1 + n // 2) for n in extents)
+        u[patch] = u[patch][(0,) * dim]
+    return pd, u, 10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+@given(point_cases())
+@settings(max_examples=80, deadline=None)
+def test_point_evaluation_matches_the_term_formulas(case):
+    pd, u, alpha = case
+    energy, nodal = reference_point(u, pd)
+    pt = fn._Point(u, pd)
+    snap = pt.energies()
+    for name, ref in energy.items():
+        assert getattr(snap, name) == pytest.approx(ref, rel=1e-12)
+        assert getattr(energies(u, pd), name) == pytest.approx(ref, rel=1e-12)
+    got = {
+        "grad_G": pt.grad_term(),
+        "grad_psi": pt.grad_term(pd.p.values),
+        "grad_F": pt.mass_term(),
+        "grad_phi": pt.mass_term(pd.q.values),
+    }
+    public = {"grad_G": grad_G, "grad_psi": grad_psi, "grad_F": grad_F, "grad_phi": grad_phi}
+    for name, ref in nodal.items():
+        for value in (got[name], public[name](u, pd)):
+            assert np.linalg.norm(value - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the sphere point t*u from the profiles of u, as the survey's descents take it
+    wg = fn._grad_profile(u, pd)
+    t = fn._profile_scale(wg, pd, alpha)
+    from_profiles = fn._profile_energies(wg, fn._mass_profile(u, pd), t, pd)
+    direct = energies(t * u, pd)
+    for name in ("G", "F", "psi", "phi"):
+        assert getattr(from_profiles, name) == pytest.approx(getattr(direct, name), rel=1e-12)
+
+
+def test_survey_validates_once_per_point(monkeypatch):
+    """The criterion-06 "strong" survey validates each point it evaluates once.
+
+    Counted: `require_dirichlet` calls, against descent-direction evaluations
+    (each evaluates one point) plus `energies` calls (the pool members and the
+    amplitude probes of the ball infimum).
+    """
+    grid = interval_grid(129, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    calls = {"validate": 0, "direction": 0, "energies": 0}
+
+    def counted(fn_, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn_(*args, **kwargs)
+
+        return wrapper
+
+    quotient = fn._sphere_quotient
+
+    def counting_quotient(pd_k, moduli):
+        value_at, direction = quotient(pd_k, moduli)
+        return value_at, counted(direction, "direction")
+
+    monkeypatch.setattr(fn, "require_dirichlet", counted(fn.require_dirichlet, "validate"))
+    monkeypatch.setattr(fn, "energies", counted(fn.energies, "energies"))
+    monkeypatch.setattr(fn, "_sphere_quotient", counting_quotient)
+    rayleigh_extrema(pd, 1.0)
+    assert calls["energies"] >= 12  # one per pool member at least
+    assert calls["validate"] <= calls["direction"] + calls["energies"]

@@ -283,6 +283,20 @@ def test_riesz_solve_commutes_with_reflections_bitwise(case):
     assert np.array_equal(riesz_solve(-g, grid), -d)
 
 
+@given(riesz_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_riesz_solve_columns_equal_single_solves_bitwise(case, seed):
+    """A leading axis of right-hand sides is solved column by column, bit for bit."""
+    grid, g = case
+    other = np.random.default_rng(seed).standard_normal(grid.shape)
+    both = riesz_solve(np.stack([g, other]), grid)
+    assert both.shape == (2,) + grid.shape
+    assert np.array_equal(both[0], riesz_solve(g, grid))
+    assert np.array_equal(both[1], riesz_solve(other, grid))
+    with pytest.raises(ValueError, match="match"):
+        riesz_solve(np.zeros((2, 2) + grid.shape), grid)
+
+
 def scipy_riesz_solve(g, grid):
     """Reference Riesz solve: two full DST-Is per axis around the eigenvalues."""
     half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in grid.extents]
