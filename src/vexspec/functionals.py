@@ -16,6 +16,7 @@ import numpy as np
 
 from .mesh import (
     StructuredGrid,
+    _squared_norm,
     cell_values,
     cell_values_adjoint,
     gradient,
@@ -207,11 +208,12 @@ class _Point:
     @cached_property
     def grad_cells(self):
         g, p = gradient(self.u, self.pd.grid), self.pd.p.values
-        gm, soft = gradient_magnitude(g), p < 2.0
+        sq, soft = _squared_norm(g), p < 2.0
+        gm = np.sqrt(sq)  # gradient_magnitude(g), bit for bit
         if not soft.any():
             return g, gm, gm ** (p - 2.0)
         w = np.empty_like(gm)  # smoothed where p < 2 to keep the weight finite
-        w[soft] = (np.sum(g * g, axis=-1)[soft] + GRAD_EPS**2) ** (0.5 * (p[soft] - 2.0))
+        w[soft] = (sq[soft] + GRAD_EPS**2) ** (0.5 * (p[soft] - 2.0))
         w[~soft] = gm[~soft] ** (p[~soft] - 2.0)
         return g, gm, w
 

@@ -2,11 +2,15 @@
 
 Nodal functions are plain numpy arrays shaped like ``grid.extents``; cell
 fields carry one value per cell (scalars) or one vector per cell
-(gradients, trailing axis of length ``dim``).  Exponents and weights are
-always sampled at cell midpoints, never at nodes, so the node-to-cell
-bridge below (forward differences averaged over opposite edges, corner
-averaging for values) keeps every energy a smooth composition of linear
-maps with one power per cell.
+(gradients, trailing axis of length ``dim``).  A 2D gradient keeps that
+``(cells, dim)`` shape but is stored component-planar, as a view of two
+contiguous cell planes, so each component is read and reduced as one
+contiguous array; callers that need interleaved memory call
+``np.ascontiguousarray``.  Exponents and weights are always sampled at
+cell midpoints, never at nodes, so the node-to-cell bridge below (forward
+differences averaged over opposite edges, corner averaging for values)
+keeps every energy a smooth composition of linear maps with one power per
+cell.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class StructuredGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.cell_shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -92,6 +96,11 @@ class StructuredGrid:
             index[axis] = -1
             mask[tuple(index)] = True
         return mask
+
+    @cached_property
+    def _boundary_index(self) -> np.ndarray:
+        """Flat C-order indices of the boundary nodes, for a gather by take."""
+        return np.flatnonzero(self.boundary_mask)
 
     @cached_property
     def riesz_blocks(self) -> tuple:
@@ -187,7 +196,7 @@ def _as_nodal(u, grid: StructuredGrid) -> np.ndarray:
 
 def check_grid_function(u, grid: StructuredGrid) -> np.ndarray:
     u = _as_nodal(u, grid)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("nodal values must be finite")
     return u
 
@@ -201,7 +210,7 @@ def apply_dirichlet(u, grid: StructuredGrid) -> np.ndarray:
 
 def require_dirichlet(u, grid: StructuredGrid) -> np.ndarray:
     u = check_grid_function(u, grid)
-    if np.any(u[grid.boundary_mask] != 0.0):
+    if np.count_nonzero(u.take(grid._boundary_index)):
         raise ValueError("nodal values must vanish on masked boundary nodes")
     return u
 
@@ -214,6 +223,9 @@ def gradient(u, grid: StructuredGrid) -> np.ndarray:
     exact for bilinear functions at cell midpoints.  Differences are
     grouped before cross-axis sums so grid reflections commute with the
     stencil in exact floating point (symmetric seeds keep their parity).
+    The 2D result is component-planar: a view of one (2,) + cell_shape
+    buffer, so g[..., k] is C-contiguous; np.ascontiguousarray gives the
+    interleaved layout with the same values.
     Only the shape is checked; finiteness is checked where outside input
     enters (`check_grid_function` and its callers).
     """
@@ -222,9 +234,13 @@ def gradient(u, grid: StructuredGrid) -> np.ndarray:
         h = grid.spacing[0]
         return ((u[1:] - u[:-1]) / h)[:, None]
     hx, hy = grid.spacing
-    gx = ((u[1:, :-1] - u[:-1, :-1]) + (u[1:, 1:] - u[:-1, 1:])) / (2.0 * hx)
-    gy = ((u[:-1, 1:] - u[:-1, :-1]) + (u[1:, 1:] - u[1:, :-1])) / (2.0 * hy)
-    return np.stack([gx, gy], axis=-1)
+    dx, dy = u[1:] - u[:-1], u[:, 1:] - u[:, :-1]  # every edge difference, once
+    buf = np.empty((2,) + grid.cell_shape)
+    np.add(dx[:, :-1], dx[:, 1:], out=buf[0])
+    buf[0] /= 2.0 * hx
+    np.add(dy[:-1], dy[1:], out=buf[1])
+    buf[1] /= 2.0 * hy
+    return buf.transpose(1, 2, 0)
 
 
 def _zero_pad(x: np.ndarray, axes: tuple) -> np.ndarray:
@@ -242,11 +258,30 @@ def _zero_pad(x: np.ndarray, axes: tuple) -> np.ndarray:
     return out
 
 
+def _padded_edge_differences(c: np.ndarray, axis: int) -> np.ndarray:
+    """Edge differences of a 2D cell plane c along axis, inside a zero border across it.
+
+    With c zero-padded along axis, entry i is c[i-1] - c[i]: 0 - c[0]
+    first, c[-1] - 0 last.  These are the values `_zero_pad` gave when
+    applied before and after the differences, written straight into one
+    zero buffer, so the rounding and the signs of zeros are the same.
+    """
+    shape = [n + 2 for n in c.shape]
+    shape[axis] -= 1
+    out = np.zeros(shape)
+    inner, c = out.swapaxes(0, axis)[:, 1:-1], c.swapaxes(0, axis)
+    np.subtract(0.0, c[0], out=inner[0])
+    np.subtract(c[:-1], c[1:], out=inner[1:-1])
+    inner[-1] = c[-1]
+    return out
+
+
 def gradient_adjoint(a, grid: StructuredGrid) -> np.ndarray:
     """Adjoint of `gradient` for cell vector fields a, returns nodal values.
 
     Assembled from zero-padded differences with the same reflection-safe
-    term grouping as `gradient`.
+    term grouping as `gradient`; in 2D each component plane of a is read
+    once, so planar input (as `gradient` returns) is read contiguously.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != grid.cell_shape + (grid.dim,):
@@ -256,17 +291,22 @@ def gradient_adjoint(a, grid: StructuredGrid) -> np.ndarray:
         axp = _zero_pad(a[:, 0] / h, (0,))
         return axp[:-1] - axp[1:]
     hx, hy = grid.spacing
-    axp = _zero_pad(a[..., 0] / (2.0 * hx), (0,))
-    dx = axp[:-1, :] - axp[1:, :]
-    dxp = _zero_pad(dx, (1,))
-    ayp = _zero_pad(a[..., 1] / (2.0 * hy), (1,))
-    dy = ayp[:, :-1] - ayp[:, 1:]
-    dyp = _zero_pad(dy, (0,))
+    dxp = _padded_edge_differences(a[..., 0] / (2.0 * hx), 0)
+    dyp = _padded_edge_differences(a[..., 1] / (2.0 * hy), 1)
     return (dxp[:, :-1] + dxp[:, 1:]) + (dyp[:-1, :] + dyp[1:, :])
 
 
 def gradient_magnitude(g: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(g * g, axis=-1))
+    """|g| per cell; bit for bit np.sqrt(np.sum(g * g, axis=-1)), in either layout."""
+    return np.sqrt(_squared_norm(g))
+
+
+def _squared_norm(g: np.ndarray) -> np.ndarray:
+    """Sum of the squared components of a cell vector field, component by component."""
+    out = g[..., 0] * g[..., 0]
+    for k in range(1, g.shape[-1]):
+        out += g[..., k] * g[..., k]
+    return out
 
 
 def cell_values(u, grid: StructuredGrid) -> np.ndarray:

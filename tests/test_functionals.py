@@ -570,3 +570,38 @@ def test_survey_validates_once_per_point(monkeypatch):
     rayleigh_extrema(pd, 1.0)
     assert calls["energies"] >= 12  # one per pool member at least
     assert calls["validate"] <= calls["direction"] + calls["energies"]
+
+
+def test_weighted_gradient_fields_reach_the_adjoint_planar(monkeypatch, rng):
+    """The 2D weighted cell fields keep the component-planar order of `gradient`.
+
+    `_Point.grad_term` and the embedding ascent multiply the cell gradient by
+    per-cell weights before `gradient_adjoint`; each component plane must
+    still be one contiguous array there, and the results stay those of the
+    interleaved layout bit for bit.
+    """
+    grid = rectangle_grid((9, 11), (1.0, 1.3))
+    m = grid.cell_shape
+    pd = make_pd(grid, 1.6 + rng.random(m), 2.5 + rng.random(m), C_embed=1.0)
+    u = interior_noise(grid, rng)
+    seen = []
+
+    def spy_adjoint(a, grid_):
+        seen.append(all(a[..., k].flags.c_contiguous for k in range(grid_.dim)))
+        return gradient_adjoint(a, grid_)
+
+    monkeypatch.setattr(fn, "gradient_adjoint", spy_adjoint)
+    gG, gpsi = grad_G(u, pd), grad_psi(u, pd)
+    ratio, grad = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent)
+    assert seen == [True, True, True]
+
+    def interleaved(u_, grid_):
+        return np.ascontiguousarray(gradient(u_, grid_))
+
+    monkeypatch.setattr(fn, "gradient", interleaved)
+    seen.clear()
+    assert np.array_equal(grad_G(u, pd), gG)
+    assert np.array_equal(grad_psi(u, pd), gpsi)
+    ratio_i, grad_i = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent)
+    assert ratio_i == ratio and np.array_equal(grad_i, grad)
+    assert seen == [False, False, False]

@@ -167,7 +167,7 @@ def test_stencils_commute_with_reflections_bitwise(rng):
 def test_gradient_magnitude(rng):
     g = rng.standard_normal((6, 7, 2))
     gm = gradient_magnitude(g)
-    assert np.allclose(gm, np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2), rtol=1e-15)
+    assert np.array_equal(gm, np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
 
 
 def test_integrate_constant_field():
@@ -175,6 +175,28 @@ def test_integrate_constant_field():
     assert integrate(np.ones(g.cell_shape), g) == pytest.approx(6.0, rel=1e-14)
     with pytest.raises(ValueError, match="shape"):
         integrate(np.ones((3, 3)), g)
+
+
+def test_cell_volume_is_a_cached_float():
+    g = rectangle_grid((5, 9), (0.3, 0.7))
+    assert type(g.cell_volume) is float
+    assert g.cell_volume == np.prod(g.spacing)
+    assert g.cell_volume is g.cell_volume
+
+
+@pytest.mark.parametrize("grid", [interval_grid(5), rectangle_grid((4, 6))])
+def test_require_dirichlet_checks_every_boundary_node(grid, rng):
+    u = apply_dirichlet(rng.standard_normal(grid.shape), grid)
+    for k in np.flatnonzero(grid.boundary_mask):
+        bad = u.copy()
+        bad.flat[k] = 1e-300
+        with pytest.raises(ValueError, match="vanish"):
+            require_dirichlet(bad, grid)
+        bad.flat[k] = -0.0
+        assert require_dirichlet(bad, grid) is bad
+    bad = np.full(grid.shape, np.inf)
+    with pytest.raises(ValueError, match="finite"):  # finiteness is checked first
+        require_dirichlet(bad, grid)
 
 
 def test_dirichlet_masking(rng):
@@ -216,6 +238,31 @@ def riesz_cases(draw):
     spacing = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return StructuredGrid(extents, spacing), rng.standard_normal(extents)
+
+
+def written_out_gradient(u, grid):
+    """The gradient formula as written before the planar layout: np.stack of the terms."""
+    if grid.dim == 1:
+        return ((u[1:] - u[:-1]) / grid.spacing[0])[:, None]
+    hx, hy = grid.spacing
+    gx = ((u[1:, :-1] - u[:-1, :-1]) + (u[1:, 1:] - u[:-1, 1:])) / (2.0 * hx)
+    gy = ((u[:-1, 1:] - u[:-1, :-1]) + (u[1:, 1:] - u[1:, :-1])) / (2.0 * hy)
+    return np.stack([gx, gy], axis=-1)
+
+
+@given(riesz_cases())
+@settings(max_examples=100, deadline=None)
+def test_planar_gradient_is_bitwise_the_written_out_formula(case):
+    """Planar storage changes the memory order only: values, shape and |g| stay bit for bit."""
+    grid, u = case
+    g, ref = gradient(u, grid), written_out_gradient(u, grid)
+    assert g.shape == ref.shape == grid.cell_shape + (grid.dim,)
+    assert np.array_equal(g, ref)
+    if grid.dim == 2:
+        assert all(g[..., k].flags.c_contiguous for k in range(2))
+    reduced = np.sqrt(np.sum(g * g, axis=-1))
+    assert np.array_equal(gradient_magnitude(g), reduced)
+    assert np.array_equal(gradient_magnitude(np.ascontiguousarray(g)), reduced)
 
 
 def dense_laplacian(grid):
@@ -383,3 +430,11 @@ def test_adjoints_match_padded_reference_bitwise(case, seed):
     b = rng.standard_normal(grid.cell_shape)
     assert np.array_equal(gradient_adjoint(a, grid), padded_gradient_adjoint(a, grid))
     assert np.array_equal(cell_values_adjoint(b, grid), padded_cell_values_adjoint(b, grid))
+    # component-planar memory, as `gradient` returns it, with many zeros of both
+    # signs: the same bytes as the reference, zero signs included
+    zeros = rng.random(a.shape) < 0.6
+    a[zeros] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zeros]
+    planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    assert planar[..., 0].flags.c_contiguous
+    ref = padded_gradient_adjoint(a, grid)
+    assert gradient_adjoint(planar, grid).tobytes() == ref.tobytes()
