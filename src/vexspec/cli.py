@@ -96,6 +96,35 @@ def build_problem(config: dict) -> ProblemData:
     return make_problem(grid, p, q, s, V, **constants)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# what each JSON kind of a config value must be, and its test; booleans are no numbers
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    list: ("a non-empty list of finite numbers",
+           lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v))),
+}
+
+
+def _checked(value, kind, where: str):
+    """value if it is of the JSON kind (int, float or list), else a ValueError naming `where`."""
+    name, ok = _KINDS[kind]
+    if not ok(value):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _option(config: dict, key: str, kind, *default):
+    """The command-level config value `key`, checked for its kind; a missing key
+    takes the default, or raises KeyError when there is none."""
+    if key not in config and default:
+        return default[0]
+    return _checked(config[key], kind, f"config key {key!r}")
+
+
 def _section(config: dict, name: str, kinds: dict) -> dict:
     """Copy of the optional config section `name`, typed by kinds[key].
 
@@ -109,11 +138,7 @@ def _section(config: dict, name: str, kinds: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}")
     for key, value in section.items():
-        real = kinds[key] is float
-        ok = isinstance(value, (int, float) if real else int) and not isinstance(value, bool)
-        if not ok or (real and not math.isfinite(value)):
-            kind = "a finite number" if real else "an integer"
-            raise ValueError(f"{name} key {key!r} must be {kind}, got {value!r}")
+        _checked(value, kinds[key], f"{name} key {key!r}")
     return dict(section)
 
 
@@ -197,7 +222,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
 
     if command == "norms":
         u = _nodal_from_expr(config, pd)
-        tol = float(config.get("tol", 1e-12))
+        tol = _option(config, "tol", float, 1e-12)
         vol = pd.grid.cell_volume
         from .mesh import cell_values
 
@@ -212,14 +237,14 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         }
     elif command == "energies":
         u = _nodal_from_expr(config, pd)
-        lam = float(config.get("lambda", 0.0))
+        lam = _option(config, "lambda", float, 0.0)
         results = asdict(energies(u, pd, lam))
     elif command in ("solve-sublinear", "solve-superlinear", "sphere-max"):
-        alpha = float(config["alpha"])
+        alpha = _option(config, "alpha", float)
         if command == "solve-sublinear":
-            pair = solve_sublinear(pd, alpha, float(config["lambda"]), cfg)
+            pair = solve_sublinear(pd, alpha, _option(config, "lambda", float), cfg)
         elif command == "solve-superlinear":
-            pair = solve_mountain_pass(pd, alpha, float(config["lambda"]), cfg)
+            pair = solve_mountain_pass(pd, alpha, _option(config, "lambda", float), cfg)
         else:
             pair = solve_sphere_max(pd, alpha, cfg)
         results = _pair_payload(pair, pd)
@@ -230,14 +255,15 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         if out:
             dumps[_sibling(out, ".u.txt")] = pair.u
     elif command == "sweep":
-        report = spectrum_sweep(pd, config["lambdas"], float(config.get("alpha", 1.0)), cfg)
+        lambdas = _option(config, "lambdas", list)
+        report = spectrum_sweep(pd, lambdas, _option(config, "alpha", float, 1.0), cfg)
         results = {"rows": [asdict(r) for r in report.rows]}
         if not report.all_converged:
             exit_code = 3
         if out:
             _write_csv(_sibling(out, ".csv"), report.rows)
     elif command == "family":
-        pairs = eigenfamily(pd, float(config["mu"]), config["radii"], cfg)
+        pairs = eigenfamily(pd, _option(config, "mu", float), _option(config, "radii", list), cfg)
         results = {"pairs": [_pair_payload(p, pd) for p in pairs]}
         gaps = [
             float(np.linalg.norm(a.u - b.u))
@@ -268,8 +294,8 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
     elif command == "rayleigh":
         report = rayleigh_extrema(
             pd,
-            float(config.get("alpha", 1.0)),
-            int(config.get("trials", 6)),
+            _option(config, "alpha", float, 1.0),
+            _option(config, "trials", int, 6),
             seed=cfg.seed,
         )
         results = {
@@ -280,7 +306,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             "trials": report.trials,
         }
     elif command == "lambda-alpha":
-        info = lambda_alpha_detail(pd, float(config["alpha"]))
+        info = lambda_alpha_detail(pd, _option(config, "alpha", float))
         results = {"value": info.value, "branch": info.branch, "alpha": info.alpha}
 
     report = {

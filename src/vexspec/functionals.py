@@ -9,6 +9,7 @@ nodal gradients below are the exact derivatives of the discrete energies.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .mesh import (
     StructuredGrid,
+    _clear_boundary,
     _squared_norm,
     cell_values,
     cell_values_adjoint,
@@ -26,7 +28,9 @@ from .mesh import (
     riesz_solve,
 )
 from .spaces import (
+    _EPS,
     ExponentField,
+    _listed,
     _power_sum_root,
     conjugate,
     exponent_field,
@@ -83,6 +87,30 @@ class ProblemData:
     @property
     def target_exponent(self) -> ExponentField:
         return product_exponent(conjugate(self.s), self.q)
+
+    # exponent arrays every energy and profile evaluation reuses, computed once
+    @cached_property
+    def _p_minus_2(self) -> np.ndarray:
+        return self.p.values - 2.0
+
+    @cached_property
+    def _weight_split(self) -> tuple:
+        """Flat indices and weight exponents of the cells with p < 2 (smoothed) and the rest."""
+        p = self.p.values.ravel()
+        soft, hard = np.flatnonzero(p < 2.0), np.flatnonzero(p >= 2.0)
+        return soft, 0.5 * (p[soft] - 2.0), hard, p[hard] - 2.0
+
+    @cached_property
+    def _q_minus_1(self) -> np.ndarray:
+        return self.q.values - 1.0
+
+    @cached_property
+    def _vol_over_p(self) -> np.ndarray:
+        return self.grid.cell_volume / self.p.values
+
+    @cached_property
+    def _vol_over_q(self) -> np.ndarray:
+        return self.grid.cell_volume / self.q.values
 
 
 @dataclass(frozen=True)
@@ -150,6 +178,11 @@ def make_problem(
     out positive and finite.
     """
     for e, name in ((p, "p"), (q, "q"), (s, "s")):
+        if not isinstance(e, ExponentField):
+            raise TypeError(
+                f"exponent {name} must be an ExponentField (build it with exponent_field or "
+                f"constant_exponent), got {type(e).__name__}"
+            )
         _check_field(grid, e, name)
     if not safety_factor > 0.0:
         raise ValueError(f"safety_factor must be positive (got {safety_factor})")
@@ -193,13 +226,46 @@ def _finite(term: np.ndarray, name: str) -> np.ndarray:
     return term
 
 
+def _cell_sum(x: np.ndarray, grid: StructuredGrid):
+    """Sum over the trailing cell (or node) axes of x, one sum per row of a stack.
+
+    Each row is summed as one contiguous run, so it rounds exactly as np.sum
+    of the row alone.
+    """
+    return x.reshape(x.shape[: x.ndim - grid.dim] + (-1,)).sum(axis=-1)
+
+
+def _column(x, grid: StructuredGrid):
+    """Per-row scalars x shaped to broadcast against a stack of grid arrays (a float stays)."""
+    return x if isinstance(x, float) else x.reshape(x.shape + (1,) * grid.dim)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, dim: int):
+    """<a, b> over the trailing dim axes: one dot for one array, one per row of a stack.
+
+    np.vecdot hands each row pair to BLAS ddot, so every row rounds as
+    np.vdot of the two rows alone.
+    """
+    if a.ndim == dim:
+        return np.vdot(a, b)
+    lead = a.shape[: a.ndim - dim] + (-1,)
+    return np.vecdot(a.reshape(lead), b.reshape(lead))
+
+
+def _norm(a: np.ndarray, dim: int):
+    """Euclidean norm over the trailing dim axes, as np.linalg.norm takes it (sqrt of ddot)."""
+    return np.sqrt(_dot(a, a, dim))
+
+
 class _Point:
-    """One nodal function u, validated once, with each stencil taken once.
+    """One nodal function u, or a stack of them, validated once, each stencil taken once.
 
     The gradient term (cell gradients g, |g| and the power weight
     |g|^(p-2)) and the mass term (cell values ub and the mass weight
     V |ub|^(q-1) sign ub) are each computed on first use.  The public
     energies and gradients and every descent direction read them here.
+    A stack u of shape (k,) + grid.shape is evaluated row by row in the
+    same calls, and the nodal terms carry the leading axis.
     """
 
     def __init__(self, u, pd: ProblemData):
@@ -207,20 +273,23 @@ class _Point:
 
     @cached_property
     def grad_cells(self):
-        g, p = gradient(self.u, self.pd.grid), self.pd.p.values
-        sq, soft = _squared_norm(g), p < 2.0
+        pd = self.pd
+        g = gradient(self.u, pd.grid)
+        sq = _squared_norm(g)
         gm = np.sqrt(sq)  # gradient_magnitude(g), bit for bit
-        if not soft.any():
-            return g, gm, gm ** (p - 2.0)
-        w = np.empty_like(gm)  # smoothed where p < 2 to keep the weight finite
-        w[soft] = (sq[soft] + GRAD_EPS**2) ** (0.5 * (p[soft] - 2.0))
-        w[~soft] = gm[~soft] ** (p[~soft] - 2.0)
-        return g, gm, w
+        if pd.p.lo >= 2.0:
+            return g, gm, gm**pd._p_minus_2
+        soft, soft_exp, hard, hard_exp = pd._weight_split
+        flat = gm.shape[: gm.ndim - pd.grid.dim] + (-1,)
+        w = np.empty(gm.shape).reshape(flat)  # smoothed where p < 2 to keep the weight finite
+        w[..., soft] = (sq.reshape(flat).take(soft, axis=-1) + GRAD_EPS**2) ** soft_exp
+        w[..., hard] = gm.reshape(flat).take(hard, axis=-1) ** hard_exp
+        return g, gm, w.reshape(gm.shape)
 
     @cached_property
     def mass_cells(self):
         ub = cell_values(self.u, self.pd.grid)
-        return ub, self.pd.V * np.abs(ub) ** (self.pd.q.values - 1.0) * np.sign(ub)
+        return ub, self.pd.V * np.abs(ub) ** self.pd._q_minus_1 * np.sign(ub)
 
     def energies(self, lam: float = 0.0) -> EnergySnapshot:
         p, q, vol = self.pd.p.values, self.pd.q.values, self.pd.grid.cell_volume
@@ -234,14 +303,14 @@ class _Point:
         """Nodal gradient of G, or of psi with scale = p."""
         (g, _, w), grid = self.grad_cells, self.pd.grid
         out = gradient_adjoint((w * scale)[..., None] * g * grid.cell_volume, grid)
-        out[grid.boundary_mask] = 0.0
+        _clear_boundary(out, grid)
         return out
 
     def mass_term(self, scale=1.0) -> np.ndarray:
         """Nodal gradient of F, or of phi with scale = q."""
         grid = self.pd.grid
         out = cell_values_adjoint(self.mass_cells[1] * scale * grid.cell_volume, grid)
-        out[grid.boundary_mask] = 0.0
+        _clear_boundary(out, grid)
         return out
 
 
@@ -442,7 +511,7 @@ def embedding_constant(
         prev_u = None
         for _ in range(iters):
             if prev_u is not None:  # ascent: BB on the gradient of -ratio
-                step = _bb_step(u - prev_u, prev_g - grad, step, prev_d - d)
+                step = _bb_step(u - prev_u, prev_g - grad, [step], prev_d - d, grid.dim)[0]
 
             def ascend_at(s):
                 cand = u + s * d
@@ -474,33 +543,50 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
 
 
 def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
-    """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0."""
+    """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0 (row-wise for a stack)."""
     gm = gradient_magnitude(gradient(u, pd.grid))
-    return _finite(gm ** pd.p.values * (pd.grid.cell_volume / pd.p.values), "gradient")
+    return _finite(gm**pd.p.values * pd._vol_over_p, "gradient")
 
 
 def _mass_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
-    """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0."""
+    """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0 (row-wise for a stack)."""
     ub = cell_values(u, pd.grid)
-    return _finite(pd.V * np.abs(ub) ** pd.q.values * (pd.grid.cell_volume / pd.q.values), "mass")
+    return _finite(pd.V * np.abs(ub) ** pd.q.values * pd._vol_over_q, "mass")
 
 
-def _profile_energies(wg: np.ndarray, wm: np.ndarray, t: float, pd: ProblemData):
-    """Snapshot of t*u from the profiles of u: G = sum(wg t^p), psi = sum(p wg t^p)."""
-    gt, mt = wg * t**pd.p.values, wm * t**pd.q.values
-    G, F = float(gt.sum()), float(mt.sum())
-    psi, phi = float((pd.p.values * gt).sum()), float((pd.q.values * mt).sum())
-    return EnergySnapshot(G, F, phi, psi, G, 0.0)
+def _profile_energies(wg: np.ndarray, wm: np.ndarray, t, pd: ProblemData):
+    """(G, F, psi, phi) of t*u from the profiles of u: G = sum(wg t^p), psi = sum(p wg t^p).
+
+    For stacked profiles t holds one scale per row and each energy is an
+    array of k.
+    """
+    tc = _column(t, pd.grid)
+    gt, mt = wg * tc**pd.p.values, wm * tc**pd.q.values
+    G, F = _cell_sum(gt, pd.grid), _cell_sum(mt, pd.grid)
+    return G, F, _cell_sum(pd.p.values * gt, pd.grid), _cell_sum(pd.q.values * mt, pd.grid)
+
+
+def _rows_pow(base, e: float):
+    """base**e in Python floats, row by row: the libm rounding of a scalar closed form."""
+    if np.ndim(base) == 0:
+        return float(base) ** e
+    return np.array([b**e for b in base.tolist()])
 
 
 def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
-    """Solve sum(w * t**p) = alpha for t > 0 given a gradient profile w."""
-    total = float(np.sum(w))
-    if total == 0.0:
+    """Solve sum(w * t**p) = alpha for t > 0 given a gradient profile w.
+
+    A stack of profiles gives one t per row (an array), solved in lockstep
+    by the row-wise power-sum kernel; a single profile gives a float.
+    """
+    grid = pd.grid
+    if not pd.p.is_constant:  # the kernel rejects a vanished gradient energy itself
+        rows = w.reshape(w.shape[: w.ndim - grid.dim] + (-1,))
+        return _power_sum_root(rows, pd.p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
+    total = _cell_sum(w, grid)
+    if 0.0 in _listed(total):
         raise ValueError("gradient energy vanished; function is not admissible")
-    if pd.p.is_constant:
-        return float((alpha / total) ** (1.0 / pd.p.lo))
-    return _power_sum_root(w, pd.p.values, np.array([float(alpha)]), np.zeros(1))[0]
+    return _rows_pow(alpha / total, 1.0 / pd.p.lo)
 
 
 def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
@@ -509,48 +595,58 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
     The map t -> G(t u) separates into per-cell powers of t, so the cell
     weights are computed once and the kernel solves the scalar equation to
     float resolution, relative to alpha at every scale of alpha; constant p
-    collapses it to the closed form t = (alpha / G(u))^(1/p).
+    collapses it to the closed form t = (alpha / G(u))^(1/p).  A stack of
+    functions gives one scale per row.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if not np.any(u):
+    if not np.all(_cell_sum(u != 0.0, pd.grid)):
         raise ValueError("cannot project the zero function onto a sphere")
     return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
-def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: float, pdg: np.ndarray) -> float:
-    """Spectral step length <du, dg> / <dg, pdg>, clipped to a safe positive range.
+def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: list, pdg: np.ndarray, dim: int) -> list:
+    """Spectral step <du, dg> / <dg, pdg> per row, clipped to a safe positive range.
 
-    pdg is the matching change of the preconditioned direction: every
-    descent measures its steps in the metric of P = gradient_adjoint o gradient.
+    du, dg and pdg hold one grid array of dim axes, or a stack of them with
+    one row per step; a row whose curvature <dg, pdg> or step is not
+    positive and finite takes its fallback.  pdg is the matching change of
+    the preconditioned direction: every descent measures its steps in the
+    metric of P = gradient_adjoint o gradient.  Returns a list of floats.
     """
-    denom = float(np.vdot(dg, pdg))
-    if denom <= 0.0:
-        return fallback
-    step = float(np.vdot(du, dg)) / denom
-    if not np.isfinite(step) or step <= 0.0:
-        return fallback
-    return min(max(step, 1e-16), 1e12)
+    steps = []
+    for num, den, other in zip(_listed(_dot(du, dg, dim)), _listed(_dot(dg, pdg, dim)), fallback):
+        step = num / den if den > 0.0 else math.nan
+        steps.append(min(max(step, 1e-16), 1e12) if math.isfinite(step) and step > 0.0 else other)
+    return steps
 
 
 # sufficient-decrease fraction of the Armijo test in every descent
 ARMIJO = 1e-4
 
 
-def _line_search(trial, step):
-    """First s with trial(s) not None: s = step/2^k, then step*2^(k+1).
+def _trial_lengths(step):
+    """The 120 trial lengths of one line search: step/2^k, then step*2^(k+1).
 
-    Sixty halving tries come first; sixty upward probes follow, because a
+    Sixty halvings come first; sixty upward probes follow, because a
     spectral step can land far below the useful range, where every halving
-    is a float no-op on the objective.  Returns (hit, s), with hit None
-    after all 120 tries missed.
+    is a float no-op on the objective.
     """
-    for s, upward in ((step, False), (2.0 * step, True)):
+    for s, factor in ((step, 0.5), (2.0 * step, 2.0)):
         for _ in range(60):
-            hit = trial(s)
-            if hit is not None:
-                return hit, s
-            s = 2.0 * s if upward else 0.5 * s
+            yield s
+            s = factor * s
+
+
+def _line_search(trial, step):
+    """First s of `_trial_lengths(step)` with trial(s) not None.
+
+    Returns (hit, s), with hit None after all 120 tries missed.
+    """
+    for s in _trial_lengths(step):
+        hit = trial(s)
+        if hit is not None:
+            return hit, s
     return None, s
 
 
@@ -558,125 +654,256 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.nda
     """P^-1 d minus its part along P^-1 gG, for P = gradient_adjoint o gradient.
 
     The result is orthogonal to gG, the sphere normal, and <d, result> >= 0
-    by Cauchy-Schwarz in the P^-1 inner product.
+    by Cauchy-Schwarz in the P^-1 inner product.  Stacks of k directions and
+    normals are stepped row by row through one `riesz_solve` of 2k columns.
     """
-    pdir, n = riesz_solve(np.stack([d, gG]), grid)
+    single = d.ndim == grid.dim
+    d, gG = d.reshape((-1,) + grid.shape), gG.reshape((-1,) + grid.shape)
+    both = riesz_solve(np.concatenate([d, gG]), grid)
+    pdir, n = both[: len(d)], both[len(d) :]
     num, den = pdir * gG, n * gG
-    for axis in range(gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
+    for axis in range(1, gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
         rev = (slice(None),) * axis + (slice(None, None, -1),)
         num, den = num + num[rev], den + den[rev]
-    return pdir - (np.sum(num) / np.sum(den)) * n
+    out = pdir - _column(_cell_sum(num, grid) / _cell_sum(den, grid), grid) * n
+    return out[0] if single else out
 
 
 # objective changes within this many ulps of the point's scale are rounding noise
 _FLOAT_FLOOR_ULPS = 8.0
 
 
-def _sobolev_descent(start, admit, direction, precondition, iters, tol):
-    """Monotone H^1_0 descent with a float-floor terminal phase.
+class _Row:
+    """Control state of one row of a lockstep descent: its point's scalars and its search."""
 
-    start = (u, value, scale, ctx) is the first point.  direction(u, ctx)
-    returns the nodal gradient d, an aux and the stop residual; the H^1_0
-    step pdir = precondition(d, aux) is built only at accepted points.
-    A search tries raw = u - s*pdir, s from Barzilai-Borwein in the metric
-    of pdir (else 1.5 times the last hit's s); admit(u, raw) maps raw onto
-    the feasible set as (point, value, scale, ctx), or None.  A trial is
-    accepted on a strict Armijo decrease on <d, raw - u>.  A value within
-    _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a trial is
-    accepted only if its residual is lower, and after the first such
-    acceptance no other trial is.  Stops at residual <= tol, on a line-search
-    miss or after iters searches; returns (u, value, ctx, searches).
+    __slots__ = ("index", "value", "scale", "res", "step", "used", "terminal", "prev", "fresh",
+                 "floor", "lengths")
+
+    def __init__(self, index, value, scale, res):
+        self.index, self.value, self.scale, self.res = index, value, scale, res
+        self.step, self.used, self.floor, self.lengths = 1.0, 0, 0.0, None
+        self.terminal, self.prev, self.fresh = False, False, True
+
+
+def _take(x, idx, n):
+    """Rows idx of a stack of n rows: x itself when idx is every row, None for None."""
+    return x if x is None or len(idx) == n else x[idx]
+
+
+def _put(x, idx, y, n):
+    """x with rows idx replaced by y, as a new stack (x itself is never written)."""
+    if x is None or len(idx) == n:
+        return y
+    x = x.copy()
+    x[idx] = y
+    return x
+
+
+def _move(stack: dict, acc: list, n: int, **new) -> None:
+    """Move the accepted rows acc of the stack to their new point and direction.
+
+    Their old point, direction and step become the Barzilai-Borwein reference.
     """
-    u, val, scale, ctx = start
-    d, aux, res = direction(u, ctx)
-    step = 1.0
-    prev_u = prev_d = prev_pdir = None
-    terminal = False
-    used = 0
-    while used < iters and res > tol:
-        used += 1
-        pdir = precondition(d, aux)
-        if prev_u is not None:
-            step = _bb_step(u - prev_u, d - prev_d, step, pdir - prev_pdir)
-        floor = _FLOAT_FLOOR_ULPS * np.finfo(float).eps * scale
+    if len(acc) == n:
+        stack.update(prev_u=stack["u"], prev_d=stack["d"], prev_pdir=stack["pdir"], **new)
+        return
+    for key in ("u", "d", "pdir"):
+        stack["prev_" + key] = _put(stack["prev_" + key], acc, stack[key][acc], n)
+    for key, rows in new.items():
+        stack[key] = _put(stack[key], acc, rows, n)
 
-        def descend_at(s):
-            raw = u - s * pdir
-            got = admit(u, raw) if np.any(raw) else None
-            if got is None:
-                return None
-            point, cand_val, _, cand_ctx = got
-            armijo = (
-                not terminal
-                and cand_val < val
-                and cand_val <= val + ARMIJO * float(np.vdot(d, raw - u))
-            )
-            if not (armijo or abs(cand_val - val) <= floor):
-                return None
-            nxt = direction(point, cand_ctx)
-            # at the float floor the energy test is noise: the residual decides
-            if armijo or nxt[2] < res:
-                return got, nxt, not armijo
-            return None
 
-        hit, s = _line_search(descend_at, step)
-        if hit is None:
-            break
-        prev_u, prev_d, prev_pdir = u, d, pdir
-        (u, val, scale, ctx), (d, aux, res), at_floor = hit
-        terminal = terminal or at_floor
-        step = min(1.5 * s, 1e12)
-    return u, val, ctx, used
+def _retire(rows, stack, gone, out):
+    """Write the finished rows `gone` to out and drop them from the stack.
+
+    A stack left with one row is held as plain grid arrays from then on.
+    """
+    n, idx = len(rows), [rows[i].index for i in gone]
+    out[0][idx] = _take(stack["u"], gone, n)
+    out[1][idx] = [rows[i].value for i in gone]
+    if out[2] is not None:
+        out[2][idx] = _take(stack["ctx"], gone, n)
+    out[3][idx] = [rows[i].used for i in gone]
+    keep = [i for i in range(n) if i not in gone]
+    if not keep:
+        return [], stack
+    index = keep[0] if len(keep) == 1 else keep  # the last row runs as plain arrays
+    return [rows[i] for i in keep], {key: None if x is None else x[index] for key, x in stack.items()}
+
+
+def _sobolev_descent(start, admit, direction, precondition, iters, tol):
+    """Monotone H^1_0 descents of k starts in lockstep, each with a float-floor terminal phase.
+
+    start = (u, value, scale, ctx) holds the k first points: u of shape
+    (k,) + grid.shape, value and scale of k each, ctx an array with a
+    leading axis of k, or None; for k = 1, value, scale and ctx are those
+    of the one row, as the callbacks give them.  The callbacks take and
+    return stacks of the unfinished rows, or plain grid arrays and scalars
+    once one row is left (from the start when k = 1), so a caller that
+    starts one row writes them for one row: direction(u, ctx) gives the nodal
+    gradients d, an aux (or None) and the stop residuals; the H^1_0 steps
+    pdir = precondition(d, aux) are built only at accepted points.
+    admit(u, raw) maps trials onto the feasible set as (point, value,
+    scale, ctx), with value NaN where it rejects a trial, or returns None
+    to reject them all.
+
+    Each row runs the descent it would run alone.  A search tries
+    raw = u - s*pdir for s from `_trial_lengths(step)`, with step from
+    Barzilai-Borwein in the metric of pdir (else 1.5 times the last hit's
+    s); a trial is accepted on a strict Armijo decrease on <d, raw - u>.  A
+    value within _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a
+    trial is accepted only if its residual is lower, and after the first
+    such acceptance no other trial of the row is.  A row stops at residual
+    <= tol, when all trials of a search miss, or after iters searches, and
+    leaves the stack.  One tick gives every unfinished row its next trial:
+    all trials go through one admit call, those that pass the value test
+    through one direction call, and the rows that start a search through
+    one precondition call.  Every kernel under them works row by row, and
+    rounds a plain array as it rounds a row of a stack, so a row's result
+    does not depend on the rest of its batch.  Returns (u, value, ctx,
+    searches), stacked like start.
+    """
+    u, value, scale, ctx = start
+    k, dim = len(u), u.ndim - 1
+    out_ctx = None if ctx is None else np.empty((k,) + np.shape(ctx)[k > 1 :])  # ctx of one row
+    out = (np.empty_like(u), np.empty(k), out_ctx, np.zeros(k, dtype=int))
+    stack = {"u": u[0] if k == 1 else u, "ctx": ctx}
+    d, aux, res = direction(stack["u"], ctx)
+    # the step and the Barzilai-Borwein reference are placeholders until they are built
+    stack.update(d=d, aux=aux, pdir=d, prev_u=stack["u"], prev_d=d, prev_pdir=d)
+    rows = [_Row(i, *row) for i, row in enumerate(zip(_listed(value), _listed(scale), _listed(res)))]
+    while rows:
+        n, stop, fresh = len(rows), [], []
+        for i, r in enumerate(rows):
+            if r.fresh:
+                (stop if r.used >= iters or not r.res > tol else fresh).append(i)
+        if stop:
+            rows, stack = _retire(rows, stack, stop, out)
+            continue
+        if fresh:  # these rows start a search: their steps, lengths and float floors
+            pdir = precondition(_take(stack["d"], fresh, n), _take(stack["aux"], fresh, n))
+            stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
+            bb = [i for i in fresh if rows[i].prev]
+            if bb:
+                du, dd, dp = (
+                    _take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
+                    for key in ("u", "d", "pdir")
+                )
+                for i, step in zip(bb, _bb_step(du, dd, [rows[i].step for i in bb], dp, dim)):
+                    rows[i].step = step
+            for i in fresh:
+                r = rows[i]
+                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step)
+                r.floor = _FLOAT_FLOOR_ULPS * _EPS * r.scale
+        lengths = [next(r.lengths, None) for r in rows]
+        if None in lengths:  # every trial of these rows' searches missed
+            rows, stack = _retire(rows, stack, [i for i, s in enumerate(lengths) if s is None], out)
+            if not rows:
+                break
+            lengths, n = [s for s in lengths if s is not None], len(rows)
+        # a zero trial has no image on the feasible set: a lone row skips it, and in a
+        # stack u stands in for it and its value is no number
+        u, live = stack["u"], None
+        if u.ndim == dim:
+            raw = u - lengths[0] * stack["pdir"]
+            if not np.any(raw):
+                continue
+        else:
+            column = (n,) + (1,) * dim
+            raw = u - np.array(lengths).reshape(column) * stack["pdir"]
+            live = raw.reshape(n, -1).any(axis=1)
+            if not live.all():
+                raw = np.where(live.reshape(column), raw, u)
+        got = admit(u, raw)
+        if got is None:
+            continue
+        point, cand, cand_scale, cand_ctx = got
+        cand, cand_scale = _listed(cand), _listed(cand_scale)
+        if live is not None:
+            cand = [c if ok else math.nan for c, ok in zip(cand, live.tolist())]
+        # the Armijo test on <d, raw - u> (taken once, for all rows, when one needs it),
+        # else the float-floor test; rows that pass either have their direction taken
+        armijo, tested, slopes = [], [], None
+        for i, r in enumerate(rows):
+            ok = not r.terminal and cand[i] < r.value
+            if ok:
+                slopes = slopes or _listed(_dot(stack["d"], raw - u, dim))
+                ok = cand[i] <= r.value + ARMIJO * slopes[i]
+            armijo.append(ok)
+            if ok or abs(cand[i] - r.value) <= r.floor:
+                tested.append(i)
+        if not tested:
+            continue
+        nd, naux, nres = direction(_take(point, tested, n), _take(cand_ctx, tested, n))
+        # at the float floor the energy test is noise: the residual decides
+        acc, acc_t = [], []
+        for j, (i, res) in enumerate(zip(tested, _listed(nres))):
+            if armijo[i] or res < rows[i].res:
+                acc.append(i)
+                acc_t.append(j)
+                r = rows[i]
+                r.value, r.scale, r.res = cand[i], cand_scale[i], res
+                r.terminal = r.terminal or not armijo[i]
+                r.step, r.prev, r.fresh = min(1.5 * lengths[i], 1e12), True, True
+        if acc:
+            m = len(tested)
+            _move(stack, acc, n, u=_take(point, acc, n), ctx=_take(cand_ctx, acc, n),
+                  d=_take(nd, acc_t, m), aux=_take(naux, acc_t, m))
+    return out
 
 
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
-    """`_sobolev_descent` of an objective over the sphere G = alpha, from u on it.
+    """`_sobolev_descent` of an objective over the sphere G = alpha, from a stack u on it.
 
-    direction(u, ctx) returns a nodal direction d, the sphere normal
-    gG = grad_G(u) and the stop residual at u, from one `_Point`; the step
-    _tangent_step(d, gG) is built only at accepted points.  A trial raw is
-    scaled onto the sphere by t = _profile_scale(wg), and value_at(raw, wg,
-    t) returns the objective at t*raw (from the profiles of raw), its
-    float-floor scale and the context for direction.  Returns (u, value,
-    ctx, searches).
+    direction(u, ctx) returns nodal directions d, the sphere normals
+    gG = grad_G(u) and the stop residuals at the stacked points u, from one
+    `_Point`; the steps _tangent_step(d, gG) are built only at accepted
+    points.  Trials raw are scaled onto the sphere by t = _profile_scale(wg),
+    one per row, and value_at(raw, wg, t) returns the objective at t*raw
+    (from the profiles of raw), its float-floor scale and the context for
+    direction, one per row.  Returns (u, value, ctx, searches), stacked.
     """
+    grid = pd.grid
 
     def admit(_, raw):
         wg = _grad_profile(raw, pd)
         t = _profile_scale(wg, pd, alpha)
-        return (t * raw,) + value_at(raw, wg, t)
+        return (_column(t, grid) * raw,) + value_at(raw, wg, t)
 
-    start = (u,) + value_at(u, _grad_profile(u, pd), 1.0)
-    tangent = partial(_tangent_step, grid=pd.grid)
+    rows, t = (u[0], 1.0) if len(u) == 1 else (u, np.ones(len(u)))  # one row runs plain
+    start = (u,) + value_at(rows, _grad_profile(rows, pd), t)
+    tangent = partial(_tangent_step, grid=grid)
     return _sobolev_descent(start, admit, direction, tangent, iters, tol)
 
 
 def _sphere_quotient(pd: ProblemData, moduli: bool):
     """value_at and direction of psi/phi (moduli) or G/F for _sphere_descent.
 
-    The context is the energy snapshot of the point, taken from the trial's
-    profiles; the quotient is its own float-floor scale, and the direction
-    is the quotient gradient's component tangent to the sphere, with the
-    tangent's length relative to grad G as the stop residual.
+    The context of each row is its point's (G, F, psi, phi), taken from the
+    trial's profiles; the quotient is its own float-floor scale, and the
+    direction is the quotient gradient's component tangent to the sphere,
+    with the tangent's length relative to grad G as the stop residual.
     """
-
-    def ratio(snap):
-        return snap.psi / snap.phi if moduli else snap.G / snap.F
+    grid = pd.grid
 
     def value_at(raw, wg, t):
-        snap = _profile_energies(wg, _mass_profile(raw, pd), t, pd)
-        val = ratio(snap)
+        snap = np.stack(_profile_energies(wg, _mass_profile(raw, pd), t, pd), axis=-1)
+        val = snap[..., 2] / snap[..., 3] if moduli else snap[..., 0] / snap[..., 1]
         return val, val, snap
 
     def direction(u, snap):
         pt = _Point(u, pd)
-        gG, val = pt.grad_term(), ratio(snap)
+        G, F, psi, phi = snap.T
+        gG = pt.grad_term()
         if moduli:
-            grad = (pt.grad_term(pd.p.values) - val * pt.mass_term(pd.q.values)) / snap.phi
+            val = _column(psi / phi, grid)
+            grad = (pt.grad_term(pd.p.values) - val * pt.mass_term(pd.q.values)) / _column(phi, grid)
         else:
-            grad = (gG - val * pt.mass_term()) / snap.F
-        tangent = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
-        return tangent, gG, float(np.linalg.norm(tangent) / np.linalg.norm(gG))
+            val = _column(G / F, grid)
+            grad = (gG - val * pt.mass_term()) / _column(F, grid)
+        normal = _dot(gG, gG, grid.dim)
+        tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
+        return tangent, gG, _norm(tangent, grid.dim) / np.sqrt(normal)
 
     return value_at, direction
 
@@ -698,29 +925,34 @@ def rayleigh_extrema(
     toward zero drives psi/phi below any positive level whenever inf p >
     sup q, which is exactly why that infimum degenerates to zero.  Pool
     members come from H^1_0 sphere descents (`_sphere_descent`) to a tangent
-    residual of 1e-10; each value is its witness's quotient, an upper bound.
+    residual of 1e-10, at most `iters` searches each; each value is its
+    witness's quotient, an upper bound.  The descents run as three lockstep
+    stacks of `trials` rows, one per objective (psi/phi and G/F from the pool
+    starts, psi/phi with q = p from the mu starts); each row ends where it
+    would end alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1 (got {iters})")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     grid = pd.grid
 
-    def start(trial, offset):
-        if trial == 0:
-            u = _first_mode(grid)
-        else:
-            u = np.random.default_rng([seed, offset + trial]).standard_normal(grid.shape)
-            u[grid.boundary_mask] = 0.0
-        return _sphere_scale(u, pd, alpha) * u
+    def starts(offset):
+        u = np.empty((trials,) + grid.shape)
+        u[0] = _first_mode(grid)
+        for trial in range(1, trials):
+            u[trial] = np.random.default_rng([seed, offset + trial]).standard_normal(grid.shape)
+        u[:, grid.boundary_mask] = 0.0
+        return _column(_sphere_scale(u, pd, alpha), grid) * u
 
     def descend(u, pd_k, moduli):
         value_at, direction = _sphere_quotient(pd_k, moduli)
         return _sphere_descent(u, pd_k, alpha, value_at, direction, iters, 1e-10)[:2]
 
-    pool = []
-    for trial in range(trials):
-        u = start(trial, 0)
-        pool += [descend(u, pd, moduli)[0] for moduli in (True, False)]
-
+    u = starts(0)
+    pool = [w for pair in zip(descend(u, pd, True)[0], descend(u, pd, False)[0]) for w in pair]
     snaps = [energies(u, pd) for u in pool]
 
     def over_pool(fn):
@@ -748,8 +980,7 @@ def rayleigh_extrema(
     # Free quotient with the mass exponent tied to p.
     pd_p = dataclasses.replace(pd, q=pd.p)
     mu_star, w_mu = np.inf, None
-    for trial in range(trials):
-        refined, val = descend(start(trial, 7919), pd_p, True)
+    for refined, val in zip(*descend(starts(7919), pd_p, True)):
         if val < mu_star:
             mu_star, w_mu = val, refined
 

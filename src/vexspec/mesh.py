@@ -11,6 +11,12 @@ cell midpoints, never at nodes, so the node-to-cell bridge below (forward
 differences averaged over opposite edges, corner averaging for values)
 keeps every energy a smooth composition of linear maps with one power per
 cell.
+
+The stencils, their adjoints and `riesz_solve` also take a leading batch
+axis: a stack of k nodal functions of shape ``(k,) + grid.shape`` (or of
+k cell fields) maps to the stack of the k results, each row bit for bit
+what the row alone gives.  The lockstep descents of the solvers run their
+rows through one call this way.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class StructuredGrid:
         object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
         object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.extents)
 
@@ -66,7 +72,7 @@ class StructuredGrid:
     def shape(self) -> tuple:
         return self.extents
 
-    @property
+    @cached_property
     def cell_shape(self) -> tuple:
         return tuple(n - 1 for n in self.extents)
 
@@ -101,6 +107,17 @@ class StructuredGrid:
     def _boundary_index(self) -> np.ndarray:
         """Flat C-order indices of the boundary nodes, for a gather by take."""
         return np.flatnonzero(self.boundary_mask)
+
+    @cached_property
+    def _boundary_faces(self) -> tuple:
+        """One index per axis that selects both end faces of that axis, for one
+        nodal function or a stack of them (a step of n - 1 along the axis)."""
+        faces = []
+        for axis, n in enumerate(self.extents):
+            index = [slice(None)] * self.dim
+            index[axis] = slice(None, None, n - 1)
+            faces.append((Ellipsis, *index))
+        return tuple(faces)
 
     @cached_property
     def riesz_blocks(self) -> tuple:
@@ -186,10 +203,15 @@ def grid_to_config(grid: StructuredGrid) -> dict:
     return {"extents": list(grid.extents), "lengths": list(grid.lengths)}
 
 
+def _stacked(x: np.ndarray, trailing: tuple) -> bool:
+    """Whether x has the shape `trailing`, alone or behind one leading batch axis."""
+    return x.shape == trailing or (x.ndim == len(trailing) + 1 and x.shape[1:] == trailing)
+
+
 def _as_nodal(u, grid: StructuredGrid) -> np.ndarray:
     """u as a float array, checked for the nodal shape only (no finiteness pass)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.shape:
+    if u.shape != grid.shape and not _stacked(u, grid.shape):
         raise ValueError(f"nodal shape {u.shape} does not match grid {grid.shape}")
     return u
 
@@ -204,13 +226,20 @@ def check_grid_function(u, grid: StructuredGrid) -> np.ndarray:
 def apply_dirichlet(u, grid: StructuredGrid) -> np.ndarray:
     """Copy of u with masked boundary nodes forced to zero."""
     out = check_grid_function(u, grid).copy()
-    out[grid.boundary_mask] = 0.0
+    _clear_boundary(out, grid)
     return out
+
+
+def _clear_boundary(u: np.ndarray, grid: StructuredGrid) -> None:
+    """Zero the Dirichlet nodes of a nodal function (or a stack) in place."""
+    for face in grid._boundary_faces:
+        u[face] = 0.0
 
 
 def require_dirichlet(u, grid: StructuredGrid) -> np.ndarray:
     u = check_grid_function(u, grid)
-    if np.count_nonzero(u.take(grid._boundary_index)):
+    nodes = u.reshape(u.shape[: u.ndim - grid.dim] + (-1,))
+    if np.count_nonzero(nodes.take(grid._boundary_index, axis=-1)):
         raise ValueError("nodal values must vanish on masked boundary nodes")
     return u
 
@@ -232,15 +261,16 @@ def gradient(u, grid: StructuredGrid) -> np.ndarray:
     u = _as_nodal(u, grid)
     if grid.dim == 1:
         h = grid.spacing[0]
-        return ((u[1:] - u[:-1]) / h)[:, None]
+        return ((u[..., 1:] - u[..., :-1]) / h)[..., None]
     hx, hy = grid.spacing
-    dx, dy = u[1:] - u[:-1], u[:, 1:] - u[:, :-1]  # every edge difference, once
-    buf = np.empty((2,) + grid.cell_shape)
-    np.add(dx[:, :-1], dx[:, 1:], out=buf[0])
-    buf[0] /= 2.0 * hx
-    np.add(dy[:-1], dy[1:], out=buf[1])
-    buf[1] /= 2.0 * hy
-    return buf.transpose(1, 2, 0)
+    dx, dy = u[..., 1:, :] - u[..., :-1, :], u[..., 1:] - u[..., :-1]  # each edge once
+    buf = np.empty(u.shape[:-2] + (2,) + grid.cell_shape)
+    gx, gy = buf[..., 0, :, :], buf[..., 1, :, :]
+    np.add(dx[..., :-1], dx[..., 1:], out=gx)
+    gx /= 2.0 * hx
+    np.add(dy[..., :-1, :], dy[..., 1:, :], out=gy)
+    gy /= 2.0 * hy
+    return buf.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def _zero_pad(x: np.ndarray, axes: tuple) -> np.ndarray:
@@ -259,20 +289,22 @@ def _zero_pad(x: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 def _padded_edge_differences(c: np.ndarray, axis: int) -> np.ndarray:
-    """Edge differences of a 2D cell plane c along axis, inside a zero border across it.
+    """Edge differences of 2D cell planes c along axis (-2 or -1), inside a zero border across it.
 
     With c zero-padded along axis, entry i is c[i-1] - c[i]: 0 - c[0]
     first, c[-1] - 0 last.  These are the values `_zero_pad` gave when
     applied before and after the differences, written straight into one
     zero buffer, so the rounding and the signs of zeros are the same.
     """
-    shape = [n + 2 for n in c.shape]
+    shape = list(c.shape)
+    shape[-2] += 2
+    shape[-1] += 2
     shape[axis] -= 1
     out = np.zeros(shape)
-    inner, c = out.swapaxes(0, axis)[:, 1:-1], c.swapaxes(0, axis)
-    np.subtract(0.0, c[0], out=inner[0])
-    np.subtract(c[:-1], c[1:], out=inner[1:-1])
-    inner[-1] = c[-1]
+    inner, c = out.swapaxes(-2, axis)[..., 1:-1], c.swapaxes(-2, axis)
+    np.subtract(0.0, c[..., 0, :], out=inner[..., 0, :])
+    np.subtract(c[..., :-1, :], c[..., 1:, :], out=inner[..., 1:-1, :])
+    inner[..., -1, :] = c[..., -1, :]
     return out
 
 
@@ -284,16 +316,16 @@ def gradient_adjoint(a, grid: StructuredGrid) -> np.ndarray:
     once, so planar input (as `gradient` returns) is read contiguously.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != grid.cell_shape + (grid.dim,):
+    if not _stacked(a, grid.cell_shape + (grid.dim,)):
         raise ValueError("cell vector field has wrong shape")
     if grid.dim == 1:
         h = grid.spacing[0]
-        axp = _zero_pad(a[:, 0] / h, (0,))
-        return axp[:-1] - axp[1:]
+        axp = _zero_pad(a[..., 0] / h, (-1,))
+        return axp[..., :-1] - axp[..., 1:]
     hx, hy = grid.spacing
-    dxp = _padded_edge_differences(a[..., 0] / (2.0 * hx), 0)
-    dyp = _padded_edge_differences(a[..., 1] / (2.0 * hy), 1)
-    return (dxp[:, :-1] + dxp[:, 1:]) + (dyp[:-1, :] + dyp[1:, :])
+    dxp = _padded_edge_differences(a[..., 0] / (2.0 * hx), -2)
+    dyp = _padded_edge_differences(a[..., 1] / (2.0 * hy), -1)
+    return (dxp[..., :-1] + dxp[..., 1:]) + (dyp[..., :-1, :] + dyp[..., 1:, :])
 
 
 def gradient_magnitude(g: np.ndarray) -> np.ndarray:
@@ -313,20 +345,20 @@ def cell_values(u, grid: StructuredGrid) -> np.ndarray:
     """Corner average of nodal values, one scalar per cell (shape check only)."""
     u = _as_nodal(u, grid)
     if grid.dim == 1:
-        return 0.5 * (u[1:] + u[:-1])
-    return 0.25 * ((u[:-1, :-1] + u[1:, :-1]) + (u[:-1, 1:] + u[1:, 1:]))
+        return 0.5 * (u[..., 1:] + u[..., :-1])
+    return 0.25 * ((u[..., :-1, :-1] + u[..., 1:, :-1]) + (u[..., :-1, 1:] + u[..., 1:, 1:]))
 
 
 def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
     """Adjoint of `cell_values`: redistribute cell weights to corner nodes."""
     b = np.asarray(b, dtype=float)
-    if b.shape != grid.cell_shape:
+    if not _stacked(b, grid.cell_shape):
         raise ValueError("cell field has wrong shape")
     if grid.dim == 1:
-        bp = _zero_pad(0.5 * b, (0,))
-        return bp[:-1] + bp[1:]
-    bp = _zero_pad(0.25 * b, (0, 1))
-    return (bp[:-1, :-1] + bp[1:, :-1]) + (bp[:-1, 1:] + bp[1:, 1:])
+        bp = _zero_pad(0.5 * b, (-1,))
+        return bp[..., :-1] + bp[..., 1:]
+    bp = _zero_pad(0.25 * b, (-2, -1))
+    return (bp[..., :-1, :-1] + bp[..., 1:, :-1]) + (bp[..., :-1, 1:] + bp[..., 1:, 1:])
 
 
 def _halves(r: np.ndarray, scale: float = 0.5) -> tuple:
@@ -405,9 +437,7 @@ def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
     with a sign change in exact floating point.  A leading axis of g holds
     k right-hand sides, each solved bit for bit as if it were alone.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape[g.ndim - grid.dim :] != grid.shape or g.ndim > grid.dim + 1:
-        raise ValueError(f"nodal shape {g.shape} does not match grid {grid.shape}")
+    g = _as_nodal(g, grid)
     cols = g.reshape((-1,) + grid.shape)
     d = np.zeros(cols.shape)
     interior = (slice(None),) + (slice(1, -1),) * grid.dim

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,12 +26,13 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
-    _Point,
+    _cell_sum,
     _first_mode,
     _grad_profile,
     _mass_profile,
-    _profile_energies,
+    _Point,
     _profile_scale,
+    _rows_pow,
     _sobolev_descent,
     _sphere_descent,
     _sphere_scale,
@@ -76,10 +78,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        iters = self.max_iters
+        if not (isinstance(iters, numbers.Integral) and not isinstance(iters, bool) and iters >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1 (got {iters!r})")
+        tol = self.grad_tol
+        if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"grad_tol must be a finite positive number (got {tol!r})")
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,7 @@ def solve_sublinear(
             stacklevel=2,
         )
 
+    # the descent runs one row, so the callbacks see plain arrays and return floats
     def admit(u, raw):
         # moves beyond twice the iterate scale scramble localized iterates
         if np.linalg.norm(raw - u) > 2.0 * np.linalg.norm(u):
@@ -289,15 +294,18 @@ def solve_sublinear(
         pt = _Point(w, pd)
         gG = pt.grad_term()
         g = gG - lam * pt.mass_term()
-        return g, pd.grid, float(np.linalg.norm(g) / np.linalg.norm(gG))  # step riesz_solve(g)
+        return g, None, float(np.linalg.norm(g) / np.linalg.norm(gG))
+
+    def precondition(g, _):
+        return riesz_solve(g, pd.grid)
 
     u = _negative_seed(pd, alpha, lam, v0)
     snap = energies(u, pd, lam)
-    start = (u, snap.I_lambda, max(snap.G, lam * snap.F), None)
+    start = (u[None], [snap.I_lambda], [max(snap.G, lam * snap.F)], None)
     u, _, _, iterations = _sobolev_descent(
-        start, admit, direction, riesz_solve, cfg.max_iters, cfg.grad_tol
+        start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )
-    return _pair(u, pd, lam, BALL_MIN, iterations, alpha, cfg.grad_tol)
+    return _pair(u[0], pd, lam, BALL_MIN, iterations[0], alpha, cfg.grad_tol)
 
 
 def solve_sphere_max(
@@ -329,6 +337,7 @@ def solve_sphere_max(
     if not np.any(u):
         raise ValueError("seed function is identically zero")
 
+    # the descent runs one row, so the callbacks see plain arrays and return floats
     def value_at(raw, wg, t):
         F = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
         return -F, F, None
@@ -342,13 +351,13 @@ def solve_sphere_max(
 
     u = _sphere_scale(u, pd, alpha) * u
     u, _, _, iterations = _sphere_descent(
-        u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+        u[None], pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    snap = energies(u, pd)
-    return _pair(u, pd, snap.psi / snap.phi, SPHERE_MAX, iterations, alpha, cfg.grad_tol)
+    snap = energies(u[0], pd)
+    return _pair(u[0], pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
 
 
-def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -> float:
+def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float):
     """Positive tau where the ray derivative of I_lambda changes sign.
 
     Works on the per-cell scale profiles: tau * dI/dtau vanishes where
@@ -356,19 +365,22 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float) -
     every cell the log of the ratio of the two sums is strictly monotone in
     log tau, so the crossing is unique (the ray maximum in the superlinear
     regime, the ray minimum in the sublinear one) and the Newton power-sum
-    kernel finds it.  Constant exponents admit a closed form.
+    kernel finds it.  Constant exponents admit a closed form.  Stacked
+    profiles give one tau per row (an array), a single profile a float.
     """
+    grid = pd.grid
     a = pd.p.values * wg
     b = lam * pd.q.values * wm
-    psi = float(np.sum(a))
-    lam_phi = float(np.sum(b))
-    if psi == 0.0 or lam_phi == 0.0:
+    psi, lam_phi = _cell_sum(a, grid), _cell_sum(b, grid)
+    if np.any(psi == 0.0) or np.any(lam_phi == 0.0):
         raise ValueError("ray crossing undefined: an energy term vanished")
     if pd.p.is_constant and pd.q.is_constant:
-        return float((psi / lam_phi) ** (1.0 / (pd.q.lo - pd.p.lo)))
+        return _rows_pow(psi / lam_phi, 1.0 / (pd.q.lo - pd.p.lo))
     if not (pd.q.lo >= pd.p.hi or pd.q.hi <= pd.p.lo):
         raise ValueError("ray crossing needs exponents ordered on every cell")
-    return _power_sum_root(a, pd.p.values, b, pd.q.values)[0]
+    rows = np.shape(psi) + (-1,)
+    p, q = pd.p.values.ravel(), pd.q.values.ravel()
+    return _power_sum_root(a.reshape(rows), p, b.reshape(rows), q)[0]
 
 
 def solve_mountain_pass(
@@ -407,11 +419,12 @@ def solve_mountain_pass(
     if not np.any(w0):
         raise ValueError("seed function is identically zero")
 
+    # the descent runs one row, so the callbacks see plain arrays and return floats
     def value_at(raw, wg, t):
         wm = _mass_profile(raw, pd)
         tau = _ray_crossing(wg, wm, pd, lam)
-        snap = _profile_energies(wg, wm, tau, pd)
-        return snap.G - lam * snap.F, max(snap.G, lam * snap.F), tau / t
+        G, F = float(np.sum(wg * tau**pd.p.values)), float(np.sum(wm * tau**pd.q.values))
+        return G - lam * F, max(G, lam * F), tau / t
 
     def direction(w, tau):  # the residual lives at tau*w, the sphere normal at w
         normal, x = grad_G(w, pd), _Point(tau * w, pd)
@@ -421,9 +434,9 @@ def solve_mountain_pass(
 
     w = _sphere_scale(w0, pd, alpha) * w0
     w, _, tau, iterations = _sphere_descent(
-        w, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+        w[None], pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    return _pair(tau * w, pd, lam, MOUNTAIN_PASS, iterations, alpha, cfg.grad_tol)
+    return _pair(tau[0] * w[0], pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
 
 
 def _sweep_one(pd, lam, alpha_base, cfg, index):

@@ -7,6 +7,7 @@ is exact up to floating point: no quadrature error enters the modular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,19 +77,88 @@ class NormResult:
     iterations: int
 
 
-def _log_power_sum(log_c: np.ndarray, e: np.ndarray, s: float):
-    """log sum(c * e^{e s}) and its s-derivative, shifted against overflow."""
-    if log_c.size == 1:  # one term: its log is linear in s
-        return log_c[0] + e[0] * s, e[0]
-    z = log_c + e * s
-    top = z.max()
-    w = np.exp(z - top)
-    total = w.sum()
-    return top + np.log(total), np.dot(e, w) / total
+def _log_power_sums(log_c: np.ndarray, e: np.ndarray, s: list):
+    """Row-wise log sum(c * e^{e s}) and its s-derivative, as two lists.
+
+    Row i of log_c (a 1-D log_c is shared by every row) holds the log
+    coefficients of the sum at s[i], -inf for a zero coefficient, which
+    enters as exp(-inf) = 0.  Each sum is shifted by its largest term
+    against overflow.  The slope's weighted sum is np.vecdot, which hands
+    each row to BLAS ddot: each row rounds as np.dot takes it alone.
+    """
+    if len(s) == 1:  # one row: plain 1-D sums, rounded as the rows of a stack
+        if log_c.ndim > 1:
+            log_c, e = log_c.reshape(-1), e.reshape(-1)
+        z = log_c + e * s[0]
+        top = z.max()
+        w = np.exp(z - top)
+        total = w.sum()
+        return [float(top + np.log(total))], [float(np.dot(e, w) / total)]
+    z = log_c + e * np.array(s)[:, None]
+    top = z.max(axis=1)
+    w = np.exp(z - top[:, None])
+    total = w.sum(axis=1)
+    slope = np.vecdot(w, e) / total
+    return (top + np.log(total)).tolist(), slope.tolist()
+
+
+def _listed(x, k: int = 1) -> list:
+    """Per-row values (a list, an array of them, or one scalar) as a list of floats.
+
+    A scalar shared by k rows repeats.
+    """
+    if isinstance(x, list):
+        return x
+    if isinstance(x, float):  # np.float64 included
+        return [x] * k
+    x = np.asarray(x, dtype=float).tolist()
+    return x if isinstance(x, list) else [x] * k
+
+
+class _Side:
+    """One side sum(c * t**e) of a power-sum equation, per row, in s = log t.
+
+    A one-term side (a fixed target) is linear in s and is evaluated in
+    Python floats; a sum of several terms goes through `_log_power_sums`.
+    The exponent range counts only the cells with a positive coefficient,
+    and each row needs one.
+    """
+
+    def __init__(self, c: np.ndarray, e: np.ndarray, k: int):
+        keep = c > 0.0
+        if keep.all():
+            self.spread = e.max(axis=-1) - e.min(axis=-1) if c.shape[-1] > 1 else 0.0
+            self.log_c, self.e = np.log(c), e
+        elif keep.any(axis=-1).all():
+            self.spread = (np.where(keep, e, -np.inf).max(axis=-1)
+                           - np.where(keep, e, np.inf).min(axis=-1))
+            with np.errstate(divide="ignore"):
+                self.log_c, self.e = np.log(c), e
+        else:
+            raise ValueError("power sums need a positive coefficient on each side")
+        self.linear = c.shape[-1] == 1
+        if self.linear:  # log sum = log_c + e s, with slope e
+            self.log_c, self.e = _listed(self.log_c[..., 0], k), _listed(e[..., 0], k)
+
+    def at(self, s: list):
+        """Values and s-derivatives of the log sums of the rows at s."""
+        if self.linear:
+            return [c + e * s_i for c, e, s_i in zip(self.log_c, self.e, s)], self.e
+        return _log_power_sums(self.log_c, self.e, s)
+
+    def keep(self, rows: list) -> None:
+        """Keep only the given rows (a shared side stays as it is)."""
+        if self.linear:
+            self.log_c, self.e = [self.log_c[i] for i in rows], [self.e[i] for i in rows]
+            return
+        if self.log_c.ndim == 2:
+            self.log_c = self.log_c[rows]
+        if self.e.ndim == 2:
+            self.e = self.e[rows]
 
 
 def _power_sum_root(a, p, b, q, rtol: float = _EPS):
-    """Root t > 0 of sum(a * t**p) = sum(b * t**q), with its evaluation count.
+    """Root t > 0 of sum(a * t**p) = sum(b * t**q), row by row, with evaluation counts.
 
     Newton runs in s = log t on f(s) = log sum(a e^{p s}) - log sum(b e^{q s}),
     a difference of log-sum-exps (Boyd & Vandenberghe, sec. 3.1.5): each is
@@ -102,26 +172,45 @@ def _power_sum_root(a, p, b, q, rtol: float = _EPS):
     (curvature / (2 slope) * step**2), is within rtol of t or the float
     resolution of s.  Coefficients are finite and nonnegative, with a
     positive one on each side.
+
+    a of shape (n,) is one equation and gives (t, evaluations) as a float
+    and an int.  a of shape (k, n) holds k equations, one per row, solved in
+    lockstep: the sums of every unfinished row are evaluated in the same
+    numpy calls, while each row keeps its own bracket and stops on its own
+    test, and finished rows leave the stack; the result is two arrays of k.
+    A 1-D p, b or q is shared by every row.
     """
-    keep_a, keep_b = a > 0.0, b > 0.0
-    la, p = np.log(a[keep_a]), p[keep_a]
-    lb, q = np.log(b[keep_b]), q[keep_b]
-    if not (la.size and lb.size):
-        raise ValueError("power sums need a positive coefficient on each side")
-    curvature = 0.25 * ((p.max() - p.min()) ** 2 + (q.max() - q.min()) ** 2)
-    lo, hi, s = -np.inf, np.inf, 0.0
-    for evals in range(1, 200):
-        fa, da = _log_power_sum(la, p, s)
-        fb, db = _log_power_sum(lb, q, s)
-        slope = da - db
-        step = (fb - fa) / slope if slope else np.nan
-        if not np.isfinite(step):
-            raise ValueError("power sums do not cross: exponents are not ordered")
-        tol = max(rtol, _EPS * abs(s))
-        if abs(step) <= tol or curvature * step * step <= 2.0 * abs(slope) * tol:
-            return float(np.exp(s + step)), evals
-        lo, hi = (s, hi) if step > 0.0 else (lo, s)
-        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    a = np.asarray(a, dtype=float)
+    single = a.ndim == 1
+    k = 1 if single else len(a)
+    left = _Side(a, np.asarray(p, dtype=float), k)
+    right = _Side(np.asarray(b, dtype=float), np.asarray(q, dtype=float), k)
+    curvature = _listed(0.25 * (left.spread**2 + right.spread**2), k)
+    roots, evals = [0.0] * k, [0] * k
+    rows, s, lo, hi = list(range(k)), [0.0] * k, [-np.inf] * k, [np.inf] * k
+    for count in range(1, 200):
+        (fa, da), (fb, db) = left.at(s), right.at(s)
+        keep = []
+        for i in range(len(s)):
+            slope = da[i] - db[i]
+            step = (fb[i] - fa[i]) / slope if slope else math.nan
+            if not math.isfinite(step):
+                raise ValueError("power sums do not cross: exponents are not ordered")
+            tol = max(rtol, _EPS * abs(s[i]))
+            if abs(step) <= tol or curvature[i] * step * step <= 2.0 * abs(slope) * tol:
+                roots[rows[i]], evals[rows[i]] = s[i] + step, count
+                continue
+            keep.append(i)
+            lo[i], hi[i] = (s[i], hi[i]) if step > 0.0 else (lo[i], s[i])
+            nxt = s[i] + step
+            s[i] = nxt if lo[i] < nxt < hi[i] else 0.5 * (lo[i] + hi[i])
+        if not keep:
+            t = np.exp(roots)
+            return (float(t[0]), evals[0]) if single else (t, np.array(evals))
+        if len(keep) < len(s):  # finished rows leave the stack
+            rows, s, lo, hi, curvature = ([x[i] for i in keep] for x in (rows, s, lo, hi, curvature))
+            left.keep(keep)
+            right.keep(keep)
     raise ValueError("power-sum root did not converge")
 
 
@@ -165,7 +254,7 @@ def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> Nor
 
     top = float(np.max(np.abs(u)))
     a = (np.abs(u) / top) ** p.values * vol
-    r, evals = _power_sum_root(a, -p.values, np.ones(1), np.zeros(1), tol)
+    r, evals = _power_sum_root(a.ravel(), -p.values.ravel(), np.ones(1), np.zeros(1), tol)
     # the floor keeps subnormal inputs from a zero norm or a zero raise step
     norm, raise_by = max(top * r * (1.0 + tol), _TINY), 0.0
     evals += 1

@@ -287,6 +287,39 @@ def test_invalid_constants_exit_with_diagnostic(tmp_path, capsys, constants, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, kind",
+    [
+        ("rayleigh", "trials", 2.7, "an integer"),
+        ("rayleigh", "trials", True, "an integer"),
+        ("rayleigh", "trials", "3", "an integer"),
+        ("rayleigh", "alpha", "1.0", "a finite number"),
+        ("solve-sublinear", "alpha", float("nan"), "a finite number"),
+        ("solve-sublinear", "lambda", True, "a finite number"),
+        ("solve-superlinear", "lambda", [0.2], "a finite number"),
+        ("energies", "lambda", None, "a finite number"),
+        ("lambda-alpha", "alpha", float("inf"), "a finite number"),
+        ("family", "mu", "0.5", "a finite number"),
+        ("family", "radii", [], "a non-empty list of finite numbers"),
+        ("family", "radii", 0.1, "a non-empty list of finite numbers"),
+        ("sweep", "lambdas", [0.2, None], "a non-empty list of finite numbers"),
+        ("sweep", "lambdas", [0.2, False], "a non-empty list of finite numbers"),
+        ("sweep", "alpha", "2", "a finite number"),
+    ],
+    ids=[
+        "trials-float", "trials-bool", "trials-str", "rayleigh-alpha-str", "alpha-nan",
+        "lambda-bool", "lambda-list", "energies-lambda-null", "lambda-alpha-inf", "mu-str",
+        "radii-empty", "radii-scalar", "lambdas-null", "lambdas-bool", "sweep-alpha-str",
+    ],
+)
+def test_mistyped_command_value_exits_with_diagnostic(tmp_path, capsys, command, key, value, kind):
+    """Command-level values are checked like the sections, never coerced."""
+    cfg = sublinear_config(u="x*(1 - x)", mu=0.1, radii=[0.5], lambdas=[0.2])
+    cfg[key] = value
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config key {key!r} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+
 def sphere_config(n=33):
     problem = dict(BASE_PROBLEM, extents=[n], p="2", q="2")
     return {

@@ -1,0 +1,16 @@
+"""The README's Python quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, str(README), "exec"), namespace)
+    pair = namespace["pair"]
+    assert pair.converged and pair.residual <= 1e-6

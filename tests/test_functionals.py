@@ -338,6 +338,89 @@ def test_rayleigh_survey_structure():
         rayleigh_extrema(pd, 1.0, trials=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"iters": 0}, "iters must be at least 1"),
+        ({"iters": -5}, "iters must be at least 1"),
+        ({"alpha": float("nan")}, "alpha must be a finite positive level"),
+        ({"alpha": float("inf")}, "alpha must be a finite positive level"),
+        ({"alpha": 0.0}, "alpha must be a finite positive level"),
+    ],
+    ids=["iters-zero", "iters-negative", "alpha-nan", "alpha-inf", "alpha-zero"],
+)
+def test_rayleigh_survey_rejects_degenerate_settings(kwargs, message):
+    """iters <= 0 once returned the undescended starts; bad levels failed far from the cause."""
+    grid = interval_grid(33)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    args = {"alpha": 1.0, "trials": 2, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        rayleigh_extrema(pd, args.pop("alpha"), args.pop("trials"), **args)
+
+
+def test_rayleigh_survey_on_a_rectangle():
+    """The 2D survey: sandwich bounds, and each witness realizes its reported value."""
+    grid = rectangle_grid((9, 11), (1.0, 1.3))
+    x, y = grid.cell_midpoints()
+    pd = make_pd(grid, 2.6 + 0.4 * x, 1.6 + 0.3 * y, C_embed=1.0)
+    alpha = 1.0
+    rep = rayleigh_extrema(pd, alpha, trials=3, seed=2)
+    assert all(w.shape == grid.shape for w in rep.witnesses.values())
+    assert (pd.q.lo / pd.p.hi) * rep.nu_star <= rep.nu_sup * (1 + 1e-12)
+    assert rep.nu_sup <= (pd.q.hi / pd.p.lo) * rep.nu_star * (1 + 1e-12)
+    assert 0.0 < rep.lambda_star <= rep.nu_star and rep.mu_star > 0.0
+    snap = {name: energies(w, pd) for name, w in rep.witnesses.items()}
+    assert snap["nu_star"].psi / snap["nu_star"].phi == rep.nu_star
+    assert snap["nu_sup"].G / snap["nu_sup"].F == rep.nu_sup
+    assert snap["lambda_star"].psi / snap["lambda_star"].phi == rep.lambda_star
+    mu = energies(rep.witnesses["mu_star"], dataclasses.replace(pd, q=pd.p))
+    assert mu.psi / mu.phi == pytest.approx(rep.mu_star, rel=1e-12)
+    for name in ("nu_star", "nu_sup", "mu_star"):  # sphere descents end on the sphere
+        assert snap[name].G == pytest.approx(alpha, rel=1e-12)
+    assert rayleigh_extrema(pd, alpha, trials=3, seed=2).nu_star == rep.nu_star
+
+
+def test_make_problem_names_an_exponent_that_is_not_a_field():
+    grid = interval_grid(9)
+    m = grid.cell_shape
+    p, q, s = (constant_exponent(v, m) for v in (3.0, 2.0, 400.0))
+    with pytest.raises(TypeError, match="exponent q must be an ExponentField"):
+        make_problem(grid, p, np.full(m, 2.0), s, np.ones(m))
+    with pytest.raises(TypeError, match="exponent s must be an ExponentField"):
+        make_problem(grid, p, q, 400.0, np.ones(m))
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A small 1D or 2D problem with variable exponents and 1-5 random starts on its sphere."""
+    dim = draw(st.sampled_from([1, 2]))
+    extents = tuple(draw(st.integers(5, 33 if dim == 1 else 11)) for _ in range(dim))
+    grid = StructuredGrid(extents, tuple(1.0 / (n - 1) for n in extents))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = grid.cell_shape
+    pd = make_pd(grid, rng.uniform(2.2, 3.2, cells), rng.uniform(1.3, 2.0, cells), C_embed=1.0)
+    k = draw(st.integers(1, 5))
+    u = rng.standard_normal((k,) + extents)
+    u[:, grid.boundary_mask] = 0.0
+    alpha = 10.0 ** draw(st.floats(-1.0, 1.0))
+    u = fn._column(fn._sphere_scale(u, pd, alpha), grid) * u
+    return pd, alpha, u, draw(st.booleans()), draw(st.integers(1, 40))
+
+
+@given(lockstep_cases())
+@settings(max_examples=30, deadline=None)
+def test_lockstep_rows_equal_their_single_descents_bitwise(case):
+    """Each row of a k-row `_sphere_descent` is bit for bit the descent of that start alone."""
+    pd, alpha, u, moduli, iters = case
+    value_at, direction = fn._sphere_quotient(pd, moduli)
+    stacked = fn._sphere_descent(u, pd, alpha, value_at, direction, iters, 1e-10)
+    for i in range(len(u)):
+        alone = fn._sphere_descent(u[i : i + 1], pd, alpha, value_at, direction, iters, 1e-10)
+        for got, ref in zip(stacked, alone):
+            assert got[i].tobytes() == ref[0].tobytes()
+
+
 def test_problem_data_is_frozen():
     grid = interval_grid(9)
     pd = make_pd(grid, 3.0, 2.0)
@@ -363,6 +446,8 @@ def test_line_search_trial_order_and_hits():
     (hit, s), tried = search(0)
     assert hit is None and len(tried) == 120
     assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
+    # the lockstep descents draw each row's trials from the same sequence
+    assert list(fn._trial_lengths(1.0)) == tried
 
 
 def test_terminal_phase_accepts_only_residual_decrease():
@@ -376,6 +461,7 @@ def test_terminal_phase_accepts_only_residual_decrease():
         (1.0 + 4 * eps, 0.6),  # floor trial, residual rises: rejected
         (1.0 - eps, 0.25),  # floor trial, residual falls: accepted
     ]
+    # one lockstep row runs as plain arrays; the start's script index is -1
     evaluated, stepped = [], []
 
     def admit(u, raw):
@@ -386,6 +472,7 @@ def test_terminal_phase_accepts_only_residual_decrease():
     admit.count = 0
 
     def direction(u, k):
+        k = None if k < 0 else int(k)
         evaluated.append(k)
         return np.ones_like(u), np.ones_like(u), 1.0 if k is None else script[k][1]
 
@@ -393,14 +480,14 @@ def test_terminal_phase_accepts_only_residual_decrease():
         stepped.append(len(evaluated))
         return pdir
 
-    start = (np.full(3, 10.0), 1.0, 1.0, None)
+    start = (np.full((1, 3), 10.0), [1.0], [1.0], np.array([-1]))
     u, val, ctx, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
-    assert used == 2 and ctx == 4 and val == 1.0 - eps
+    assert used[0] == 2 and ctx[0] == 4 and val[0] == 1.0 - eps
     assert evaluated == [None, 0, 1, 3, 4]
     # steps are built only at the points that take one: the start and trial 1
     assert stepped == [1, 3]
     # hit at s = 0.5; the next search starts at the fallback 1.5 * 0.5 and hits at 0.75 / 4
-    assert np.array_equal(u, np.full(3, 10.0 - 0.5 - 0.75 / 4))
+    assert np.array_equal(u[0], np.full(3, 10.0 - 0.5 - 0.75 / 4))
 
 
 @st.composite
@@ -452,7 +539,7 @@ def test_survey_descents_stop_before_their_budget(monkeypatch):
 
     def counting(*args):
         out = descend(*args)
-        searches.append(out[3])
+        searches.extend(out[3].tolist())  # one count per row of the lockstep stack
         return out
 
     monkeypatch.setattr(fn, "_sphere_descent", counting)
@@ -535,8 +622,8 @@ def test_point_evaluation_matches_the_term_formulas(case):
     t = fn._profile_scale(wg, pd, alpha)
     from_profiles = fn._profile_energies(wg, fn._mass_profile(u, pd), t, pd)
     direct = energies(t * u, pd)
-    for name in ("G", "F", "psi", "phi"):
-        assert getattr(from_profiles, name) == pytest.approx(getattr(direct, name), rel=1e-12)
+    for name, value in zip(("G", "F", "psi", "phi"), from_profiles):
+        assert value == pytest.approx(getattr(direct, name), rel=1e-12)
 
 
 def test_survey_validates_once_per_point(monkeypatch):

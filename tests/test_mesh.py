@@ -263,6 +263,14 @@ def test_planar_gradient_is_bitwise_the_written_out_formula(case):
     reduced = np.sqrt(np.sum(g * g, axis=-1))
     assert np.array_equal(gradient_magnitude(g), reduced)
     assert np.array_equal(gradient_magnitude(np.ascontiguousarray(g)), reduced)
+    # a leading batch axis: each row of a stack is bit for bit its own call
+    stack = np.stack([u, -0.5 * u[::-1].reshape(u.shape), np.zeros_like(u)])
+    gs, cs = gradient(stack, grid), cell_values(stack, grid)
+    assert gs.shape == (3,) + g.shape and cs.shape == (3,) + grid.cell_shape
+    for row, g_row, c_row in zip(stack, gs, cs):
+        assert g_row.tobytes() == gradient(row, grid).tobytes()
+        assert c_row.tobytes() == cell_values(row, grid).tobytes()
+    assert np.array_equal(gradient_magnitude(gs)[0], gradient_magnitude(g))
 
 
 def dense_laplacian(grid):
@@ -438,3 +446,12 @@ def test_adjoints_match_padded_reference_bitwise(case, seed):
     assert planar[..., 0].flags.c_contiguous
     ref = padded_gradient_adjoint(a, grid)
     assert gradient_adjoint(planar, grid).tobytes() == ref.tobytes()
+    # a leading batch axis, planar stacks as `gradient` returns them: each row is its own call
+    u = rng.standard_normal((3,) + grid.shape)
+    a_stack, b_stack = gradient(u, grid), rng.standard_normal((3,) + grid.cell_shape)
+    a_stack[0] = planar
+    a_out, b_out = gradient_adjoint(a_stack, grid), cell_values_adjoint(b_stack, grid)
+    assert a_out.shape == b_out.shape == (3,) + grid.shape
+    for k in range(3):
+        assert a_out[k].tobytes() == padded_gradient_adjoint(a_stack[k], grid).tobytes()
+        assert b_out[k].tobytes() == padded_cell_values_adjoint(b_stack[k], grid).tobytes()

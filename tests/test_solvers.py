@@ -28,7 +28,8 @@ from vexspec import (
     spectrum_sweep,
     window_alpha,
 )
-from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples, _pair
+from vexspec.functionals import _grad_profile, _mass_profile
+from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples, _pair, _ray_crossing
 
 from conftest import (
     family_ball_problem_1d,
@@ -49,6 +50,46 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grad_tol": float("inf")},
+        {"grad_tol": float("nan")},
+        {"grad_tol": -1e-6},
+        {"grad_tol": "1e-6"},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"max_iters": "100"},
+    ],
+    ids=["tol-inf", "tol-nan", "tol-negative", "tol-str", "iters-float", "iters-bool", "iters-str"],
+)
+def test_solver_config_rejects_values_that_void_the_certificate(kwargs):
+    """grad_tol = inf certified the undescended seed after 0 iterations; nan returned it too."""
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5  # numpy integers are integers
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+def test_ray_crossing_rows_equal_single_crossings(variable, rng):
+    """Stacked profiles give one crossing per row, each bit for bit the row's own."""
+    grid = interval_grid(33)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.0 + 0.3 * x if variable else 2.0, 3.0 + x if variable else 4.0,
+                 C_embed=1.0)
+    u = rng.standard_normal((4,) + grid.shape)
+    u[:, grid.boundary_mask] = 0.0
+    wg, wm = _grad_profile(u, pd), _mass_profile(u, pd)
+    taus = _ray_crossing(wg, wm, pd, 0.7)
+    assert taus.shape == (4,)
+    for k in range(4):
+        tau = _ray_crossing(wg[k], wm[k], pd, 0.7)
+        assert isinstance(tau, float) and taus[k] == tau
+        # the crossing closes the level identity psi = lam * phi on the ray
+        snap = energies(tau * u[k], pd)
+        assert snap.psi == pytest.approx(0.7 * snap.phi, rel=1e-12)
 
 
 def test_project_to_sphere(rng):

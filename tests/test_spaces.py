@@ -214,6 +214,28 @@ def test_power_sum_root_matches_brentq(problem):
     assert abs(np.log(t) - s) <= 1e-11 * max(1.0, abs(s))
     # bisection took 40-57 evaluations; Newton in log t needs a handful
     assert evals <= (6 if form in ("increasing", "decreasing") else 8)
+    # rows solved in lockstep: scaled copies of a (so each row has its own root and
+    # its own evaluation count) against one shared right side, then per-row right sides
+    rows = a * np.array([1.0, 1e-3, 1e3, 0.5])[:, None]
+    ts, counts = _power_sum_root(rows, p, b, q)
+    assert ts.shape == counts.shape == (4,)
+    for row, t_row, n_row in zip(rows, ts, counts):
+        alone = _power_sum_root(row, p, b, q)
+        assert (t_row, n_row) == alone
+        s_row = reference_log_root(row, p, b, q)
+        assert abs(np.log(t_row) - s_row) <= 1e-11 * max(1.0, abs(s_row))
+    per_row_b = np.stack([b, 2.0 * b, 0.25 * b, b])
+    ts, counts = _power_sum_root(rows, p, per_row_b, q)
+    for row, b_row, t_row, n_row in zip(rows, per_row_b, ts, counts):
+        assert (t_row, n_row) == _power_sum_root(row, p, b_row, q)
+    # rows that keep different cells: each has its own exponent range, so its own curvature
+    keep = np.zeros((3, a.size), dtype=bool)
+    keep[0], keep[1, : (a.size + 1) // 2], keep[2, a.size // 2 :] = True, True, True
+    keep[:, int(np.argmax(a))] = True
+    rows = np.where(keep, a, 0.0)
+    ts, counts = _power_sum_root(rows, p, b, q)
+    for row, t_row, n_row in zip(rows, ts, counts):
+        assert (t_row, n_row) == _power_sum_root(row, p, b, q)
 
 
 def test_power_sum_root_rejects_degenerate_sums():
