@@ -265,11 +265,12 @@ class _Point:
     V |ub|^(q-1) sign ub) are each computed on first use.  The public
     energies and gradients and every descent direction read them here.
     A stack u of shape (k,) + grid.shape is evaluated row by row in the
-    same calls, and the nodal terms carry the leading axis.
+    same calls, and the nodal terms carry the leading axis.  q, if given,
+    replaces the mass exponent pd.q (one cell array, or one per row).
     """
 
-    def __init__(self, u, pd: ProblemData):
-        self.u, self.pd = require_dirichlet(u, pd.grid), pd
+    def __init__(self, u, pd: ProblemData, q=None):
+        self.u, self.pd, self.q = require_dirichlet(u, pd.grid), pd, q
 
     @cached_property
     def grad_cells(self):
@@ -289,10 +290,12 @@ class _Point:
     @cached_property
     def mass_cells(self):
         ub = cell_values(self.u, self.pd.grid)
-        return ub, self.pd.V * np.abs(ub) ** self.pd._q_minus_1 * np.sign(ub)
+        q_minus_1 = self.pd._q_minus_1 if self.q is None else self.q - 1.0
+        return ub, self.pd.V * np.abs(ub) ** q_minus_1 * np.sign(ub)
 
     def energies(self, lam: float = 0.0) -> EnergySnapshot:
-        p, q, vol = self.pd.p.values, self.pd.q.values, self.pd.grid.cell_volume
+        p, vol = self.pd.p.values, self.pd.grid.cell_volume
+        q = self.pd.q.values if self.q is None else self.q
         grad_pow = _finite(self.grad_cells[1] ** p, "gradient")
         mass_pow = _finite(self.pd.V * np.abs(self.mass_cells[0]) ** q, "mass")
         psi, phi = float(np.sum(grad_pow) * vol), float(np.sum(mass_pow) * vol)
@@ -548,22 +551,27 @@ def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     return _finite(gm**pd.p.values * pd._vol_over_p, "gradient")
 
 
-def _mass_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
-    """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0 (row-wise for a stack)."""
+def _mass_profile(u: np.ndarray, pd: ProblemData, q=None) -> np.ndarray:
+    """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0 (row-wise for a stack).
+
+    q, if given, replaces the mass exponent pd.q, as in `_Point`.
+    """
     ub = cell_values(u, pd.grid)
-    return _finite(pd.V * np.abs(ub) ** pd.q.values * pd._vol_over_q, "mass")
+    q, vol_over_q = (pd.q.values, pd._vol_over_q) if q is None else (q, pd.grid.cell_volume / q)
+    return _finite(pd.V * np.abs(ub) ** q * vol_over_q, "mass")
 
 
-def _profile_energies(wg: np.ndarray, wm: np.ndarray, t, pd: ProblemData):
+def _profile_energies(wg: np.ndarray, wm: np.ndarray, t, pd: ProblemData, q=None):
     """(G, F, psi, phi) of t*u from the profiles of u: G = sum(wg t^p), psi = sum(p wg t^p).
 
     For stacked profiles t holds one scale per row and each energy is an
-    array of k.
+    array of k.  q, if given, is the mass exponent wm was built with.
     """
+    q = pd.q.values if q is None else q
     tc = _column(t, pd.grid)
-    gt, mt = wg * tc**pd.p.values, wm * tc**pd.q.values
+    gt, mt = wg * tc**pd.p.values, wm * tc**q
     G, F = _cell_sum(gt, pd.grid), _cell_sum(mt, pd.grid)
-    return G, F, _cell_sum(pd.p.values * gt, pd.grid), _cell_sum(pd.q.values * mt, pd.grid)
+    return G, F, _cell_sum(pd.p.values * gt, pd.grid), _cell_sum(q * mt, pd.grid)
 
 
 def _rows_pow(base, e: float):
@@ -743,9 +751,11 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     starts one row writes them for one row: direction(u, ctx) gives the nodal
     gradients d, an aux (or None) and the stop residuals; the H^1_0 steps
     pdir = precondition(d, aux) are built only at accepted points.
-    admit(u, raw) maps trials onto the feasible set as (point, value,
+    admit(u, raw, ctx) maps trials onto the feasible set as (point, value,
     scale, ctx), with value NaN where it rejects a trial, or returns None
-    to reject them all.
+    to reject them all; the ctx it is handed is that of the rows' current
+    points, so per-row data carried in ctx (the survey's objective) follows
+    each row as others leave the stack.
 
     Each row runs the descent it would run alone.  A search tries
     raw = u - s*pdir for s from `_trial_lengths(step)`, with step from
@@ -814,7 +824,7 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
             live = raw.reshape(n, -1).any(axis=1)
             if not live.all():
                 raw = np.where(live.reshape(column), raw, u)
-        got = admit(u, raw)
+        got = admit(u, raw, stack["ctx"])
         if got is None:
             continue
         point, cand, cand_scale, cand_ctx = got
@@ -852,55 +862,71 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     return out
 
 
-def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol):
+def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
     """`_sobolev_descent` of an objective over the sphere G = alpha, from a stack u on it.
 
     direction(u, ctx) returns nodal directions d, the sphere normals
     gG = grad_G(u) and the stop residuals at the stacked points u, from one
     `_Point`; the steps _tangent_step(d, gG) are built only at accepted
     points.  Trials raw are scaled onto the sphere by t = _profile_scale(wg),
-    one per row, and value_at(raw, wg, t) returns the objective at t*raw
-    (from the profiles of raw), its float-floor scale and the context for
-    direction, one per row.  Returns (u, value, ctx, searches), stacked.
+    one per row, and value_at(raw, wg, t, ctx) returns the objective at
+    t*raw (from the profiles of raw), its float-floor scale and the context
+    for direction, one per row; ctx is the context of the rows' current
+    points, and the optional ctx here that of the starts.  Returns
+    (u, value, ctx, searches), stacked.
     """
     grid = pd.grid
 
-    def admit(_, raw):
+    def admit(_, raw, ctx):
         wg = _grad_profile(raw, pd)
         t = _profile_scale(wg, pd, alpha)
-        return (_column(t, grid) * raw,) + value_at(raw, wg, t)
+        return (_column(t, grid) * raw,) + value_at(raw, wg, t, ctx)
 
-    rows, t = (u[0], 1.0) if len(u) == 1 else (u, np.ones(len(u)))  # one row runs plain
-    start = (u,) + value_at(rows, _grad_profile(rows, pd), t)
+    rows, t = u, np.ones(len(u))
+    if len(u) == 1:  # one row runs plain
+        rows, t, ctx = u[0], 1.0, None if ctx is None else ctx[0]
+    start = (u,) + value_at(rows, _grad_profile(rows, pd), t, ctx)
     tangent = partial(_tangent_step, grid=grid)
     return _sobolev_descent(start, admit, direction, tangent, iters, tol)
 
 
-def _sphere_quotient(pd: ProblemData, moduli: bool):
-    """value_at and direction of psi/phi (moduli) or G/F for _sphere_descent.
+# the survey's sphere objectives, by the tag that ends each row's context
+PSI_PHI, G_F, PSI_PHI_Q_P = 0, 1, 2
 
-    The context of each row is its point's (G, F, psi, phi), taken from the
-    trial's profiles; the quotient is its own float-floor scale, and the
-    direction is the quotient gradient's component tangent to the sphere,
-    with the tangent's length relative to grad G as the stop residual.
+
+def _sphere_quotients(pd: ProblemData):
+    """value_at and direction of the survey's quotients for _sphere_descent, one objective per row.
+
+    A row's context ends in its objective tag: PSI_PHI (psi/phi), G_F (G/F)
+    or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p).  The
+    starts carry only that column; later points carry their (G, F, psi,
+    phi) before it, from the trial's profiles.  The quotient is its own
+    float-floor scale.  The direction is the part tangent to the sphere of
+    grad_term(P) - quotient * mass_term(S) over phi or F, with P = S = 1 on
+    G/F rows (exact, so each row rounds as its objective alone would), and
+    its length relative to grad G is the stop residual.
     """
-    grid = pd.grid
+    grid, p, q = pd.grid, pd.p.values, pd.q.values
+    ones = np.ones_like(p)
+    mass_exp = np.stack([q, q, p])  # by tag
+    grad_scale, mass_scale = np.stack([p, ones, p]), np.stack([q, ones, p])
 
-    def value_at(raw, wg, t):
-        snap = np.stack(_profile_energies(wg, _mass_profile(raw, pd), t, pd), axis=-1)
-        val = snap[..., 2] / snap[..., 3] if moduli else snap[..., 0] / snap[..., 1]
-        return val, val, snap
+    def value_at(raw, wg, t, ctx):
+        tag = ctx[..., -1].astype(int)
+        e = mass_exp[tag]
+        G, F, psi, phi = _profile_energies(wg, _mass_profile(raw, pd, e), t, pd, e)
+        val = np.where(tag == G_F, G / F, psi / phi)
+        return val, val, np.stack([G, F, psi, phi, tag], axis=-1)
 
     def direction(u, snap):
-        pt = _Point(u, pd)
-        G, F, psi, phi = snap.T
+        G, F, psi, phi, tag = snap.T
+        tag = tag.astype(int)
+        pt = _Point(u, pd, mass_exp[tag])
         gG = pt.grad_term()
-        if moduli:
-            val = _column(psi / phi, grid)
-            grad = (pt.grad_term(pd.p.values) - val * pt.mass_term(pd.q.values)) / _column(phi, grid)
-        else:
-            val = _column(G / F, grid)
-            grad = (gG - val * pt.mass_term()) / _column(F, grid)
+        gf_rows = tag == G_F
+        val = _column(np.where(gf_rows, G / F, psi / phi), grid)
+        grad = pt.grad_term(grad_scale[tag]) - val * pt.mass_term(mass_scale[tag])
+        grad = grad / _column(np.where(gf_rows, F, phi), grid)
         normal = _dot(gG, gG, grid.dim)
         tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
         return tangent, gG, _norm(tangent, grid.dim) / np.sqrt(normal)
@@ -926,10 +952,11 @@ def rayleigh_extrema(
     sup q, which is exactly why that infimum degenerates to zero.  Pool
     members come from H^1_0 sphere descents (`_sphere_descent`) to a tangent
     residual of 1e-10, at most `iters` searches each; each value is its
-    witness's quotient, an upper bound.  The descents run as three lockstep
-    stacks of `trials` rows, one per objective (psi/phi and G/F from the pool
-    starts, psi/phi with q = p from the mu starts); each row ends where it
-    would end alone.
+    witness's quotient, an upper bound.  All 3*trials descents run as the
+    rows of one lockstep stack, each with its own objective carried in its
+    context (psi/phi and G/F from the pool starts, psi/phi with q = p from
+    the mu starts; see `_sphere_quotients`); each row ends where it would
+    end alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -947,12 +974,12 @@ def rayleigh_extrema(
         u[:, grid.boundary_mask] = 0.0
         return _column(_sphere_scale(u, pd, alpha), grid) * u
 
-    def descend(u, pd_k, moduli):
-        value_at, direction = _sphere_quotient(pd_k, moduli)
-        return _sphere_descent(u, pd_k, alpha, value_at, direction, iters, 1e-10)[:2]
-
     u = starts(0)
-    pool = [w for pair in zip(descend(u, pd, True)[0], descend(u, pd, False)[0]) for w in pair]
+    tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
+    value_at, direction = _sphere_quotients(pd)
+    stack = np.concatenate([u, u, starts(7919)])
+    done, vals = _sphere_descent(stack, pd, alpha, value_at, direction, iters, 1e-10, tags)[:2]
+    pool = [w for pair in zip(done[:trials], done[trials : 2 * trials]) for w in pair]
     snaps = [energies(u, pd) for u in pool]
 
     def over_pool(fn):
@@ -978,9 +1005,8 @@ def rayleigh_extrema(
             lambda_star, w_ball = val, u
 
     # Free quotient with the mass exponent tied to p.
-    pd_p = dataclasses.replace(pd, q=pd.p)
     mu_star, w_mu = np.inf, None
-    for refined, val in zip(*descend(starts(7919), pd_p, True)):
+    for refined, val in zip(done[2 * trials :], vals[2 * trials :]):
         if val < mu_star:
             mu_star, w_mu = val, refined
 

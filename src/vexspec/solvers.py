@@ -274,7 +274,7 @@ def solve_sublinear(
         )
 
     # the descent runs one row, so the callbacks see plain arrays and return floats
-    def admit(u, raw):
+    def admit(u, raw, _):
         # moves beyond twice the iterate scale scramble localized iterates
         if np.linalg.norm(raw - u) > 2.0 * np.linalg.norm(u):
             return None
@@ -338,7 +338,7 @@ def solve_sphere_max(
         raise ValueError("seed function is identically zero")
 
     # the descent runs one row, so the callbacks see plain arrays and return floats
-    def value_at(raw, wg, t):
+    def value_at(raw, wg, t, _):
         F = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
         return -F, F, None
 
@@ -420,7 +420,7 @@ def solve_mountain_pass(
         raise ValueError("seed function is identically zero")
 
     # the descent runs one row, so the callbacks see plain arrays and return floats
-    def value_at(raw, wg, t):
+    def value_at(raw, wg, t, _):
         wm = _mass_profile(raw, pd)
         tau = _ray_crossing(wg, wm, pd, lam)
         G, F = float(np.sum(wg * tau**pd.p.values)), float(np.sum(wm * tau**pd.q.values))

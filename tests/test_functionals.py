@@ -391,9 +391,15 @@ def test_make_problem_names_an_exponent_that_is_not_a_field():
         make_problem(grid, p, q, 400.0, np.ones(m))
 
 
+SURVEY_OBJECTIVES = (fn.PSI_PHI, fn.G_F, fn.PSI_PHI_Q_P)
+
+
 @st.composite
 def lockstep_cases(draw):
-    """A small 1D or 2D problem with variable exponents and 1-5 random starts on its sphere."""
+    """A small 1D or 2D problem with variable exponents and 1-5 random starts on its sphere.
+
+    Each start draws its survey objective: psi/phi, G/F or psi/phi with q = p.
+    """
     dim = draw(st.sampled_from([1, 2]))
     extents = tuple(draw(st.integers(5, 33 if dim == 1 else 11)) for _ in range(dim))
     grid = StructuredGrid(extents, tuple(1.0 / (n - 1) for n in extents))
@@ -405,18 +411,21 @@ def lockstep_cases(draw):
     u[:, grid.boundary_mask] = 0.0
     alpha = 10.0 ** draw(st.floats(-1.0, 1.0))
     u = fn._column(fn._sphere_scale(u, pd, alpha), grid) * u
-    return pd, alpha, u, draw(st.booleans()), draw(st.integers(1, 40))
+    tags = np.array([[draw(st.sampled_from(SURVEY_OBJECTIVES))] for _ in range(k)])
+    return pd, alpha, u, tags, draw(st.integers(1, 40))
 
 
 @given(lockstep_cases())
 @settings(max_examples=30, deadline=None)
 def test_lockstep_rows_equal_their_single_descents_bitwise(case):
-    """Each row of a k-row `_sphere_descent` is bit for bit the descent of that start alone."""
-    pd, alpha, u, moduli, iters = case
-    value_at, direction = fn._sphere_quotient(pd, moduli)
-    stacked = fn._sphere_descent(u, pd, alpha, value_at, direction, iters, 1e-10)
+    """Each row of a mixed k-row `_sphere_descent` is bit for bit its objective's descent alone."""
+    pd, alpha, u, tags, iters = case
+    value_at, direction = fn._sphere_quotients(pd)
+    stacked = fn._sphere_descent(u, pd, alpha, value_at, direction, iters, 1e-10, tags)
     for i in range(len(u)):
-        alone = fn._sphere_descent(u[i : i + 1], pd, alpha, value_at, direction, iters, 1e-10)
+        alone = fn._sphere_descent(
+            u[i : i + 1], pd, alpha, value_at, direction, iters, 1e-10, tags[i : i + 1]
+        )
         for got, ref in zip(stacked, alone):
             assert got[i].tobytes() == ref[0].tobytes()
 
@@ -462,9 +471,10 @@ def test_terminal_phase_accepts_only_residual_decrease():
         (1.0 - eps, 0.25),  # floor trial, residual falls: accepted
     ]
     # one lockstep row runs as plain arrays; the start's script index is -1
-    evaluated, stepped = [], []
+    evaluated, stepped, admitted_at = [], [], []
 
-    def admit(u, raw):
+    def admit(u, raw, ctx):
+        admitted_at.append(np.asarray(ctx).item())  # the context of the row's current point
         k = admit.count
         admit.count += 1
         return raw, script[k][0], 1.0, k
@@ -484,6 +494,7 @@ def test_terminal_phase_accepts_only_residual_decrease():
     u, val, ctx, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
     assert used[0] == 2 and ctx[0] == 4 and val[0] == 1.0 - eps
     assert evaluated == [None, 0, 1, 3, 4]
+    assert admitted_at == [-1, -1, 1, 1, 1]
     # steps are built only at the points that take one: the start and trial 1
     assert stepped == [1, 3]
     # hit at s = 0.5; the next search starts at the fallback 1.5 * 0.5 and hits at 0.75 / 4
@@ -529,22 +540,61 @@ def test_tangent_step_is_a_reflection_equivariant_descent_tangent(case):
     assert np.array_equal(fn._tangent_step(-d, gG, grid), -pdir)
 
 
-def test_survey_descents_stop_before_their_budget(monkeypatch):
-    """Every descent of the criterion-06 "strong" survey reaches its 1e-10 stop."""
-    grid = interval_grid(129, 1.0)
+def strong_survey(monkeypatch, n):
+    """The criterion-06 "strong" survey at n nodes, with each row's searches and final residual."""
+    grid = interval_grid(n, 1.0)
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
-    searches = []
+    searches, residuals = [], []
     descend = fn._sphere_descent
 
-    def counting(*args):
-        out = descend(*args)
+    def counting(u, pd_, alpha, value_at, direction, *rest):
+        out = descend(u, pd_, alpha, value_at, direction, *rest)
         searches.extend(out[3].tolist())  # one count per row of the lockstep stack
+        residuals.extend(direction(out[0], out[2])[2].tolist())  # rows are batch-independent
         return out
 
     monkeypatch.setattr(fn, "_sphere_descent", counting)
-    rayleigh_extrema(pd, 1.0)
+    return rayleigh_extrema(pd, 1.0), searches, residuals
+
+
+def test_survey_descents_stop_before_their_budget(monkeypatch):
+    """Every descent of the criterion-06 "strong" survey reaches its 1e-10 stop."""
+    _, searches, residuals = strong_survey(monkeypatch, 129)
+    assert len(searches) == len(residuals) == 18
+    assert max(searches) < 1000
+    assert max(residuals) <= 1e-10
+
+
+# the 129-node criterion-06 "strong" survey values (nu*, nu_sup, mu*), the ladder's reference
+STRONG_129 = (12.301338001515322, 6.96746984491418, 27.2344193451219)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        129,
+        257,
+        pytest.param(
+            513,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="a G/F descent stalls at residual 1.56e-6 and uses all 1000 searches",
+            ),
+        ),
+        1025,
+    ],
+)
+def test_survey_mesh_ladder(monkeypatch, n):
+    """Every survey descent stays under its search budget, and the values agree across meshes.
+
+    nu*, nu_sup and mu* move by at most 1.8e-4 relative from 129 to 1025
+    nodes (nu* by 6.5e-5 from 129 to 257), a fifth of the 1e-3 bound.
+    """
+    rep, searches, _ = strong_survey(monkeypatch, n)
     assert len(searches) == 18
+    for got, ref in zip((rep.nu_star, rep.nu_sup, rep.mu_star), STRONG_129):
+        assert got == pytest.approx(ref, rel=1e-3)
     assert max(searches) < 1000
 
 
@@ -626,6 +676,35 @@ def test_point_evaluation_matches_the_term_formulas(case):
         assert value == pytest.approx(getattr(direct, name), rel=1e-12)
 
 
+@given(point_cases())
+@settings(max_examples=60, deadline=None)
+def test_survey_directions_match_the_term_formulas(case):
+    """Each survey objective's quotient and sphere-tangent direction, against `reference_point`.
+
+    One stack carries the three objectives as rows at the same point:
+    psi/phi and G/F with the problem's exponents, and psi/phi with q = p.
+    """
+    pd, u, _ = case
+    value_at, direction = fn._sphere_quotients(pd)
+    stack = np.stack([u, u, u])
+    tags = np.array([[tag] for tag in SURVEY_OBJECTIVES])
+    val, _, snap = value_at(stack, fn._grad_profile(stack, pd), np.ones(3), tags)
+    tangent, normal, res = direction(stack, snap)
+    pd_p = dataclasses.replace(pd, q=pd.p)
+    objectives = ((pd, "psi", "phi"), (pd, "G", "F"), (pd_p, "psi", "phi"))
+    for i, (ref_pd, num, den) in enumerate(objectives):
+        energy, nodal = reference_point(u, ref_pd)
+        quotient = energy[num] / energy[den]
+        assert val[i] == pytest.approx(quotient, rel=1e-12)
+        grad = (nodal["grad_" + num] - quotient * nodal["grad_" + den]) / energy[den]
+        gG = nodal["grad_G"]
+        ref = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
+        assert np.linalg.norm(normal[i] - gG) <= 1e-12 * np.linalg.norm(gG)
+        assert np.linalg.norm(tangent[i] - ref) <= 1e-11 * np.linalg.norm(grad)
+        scale = np.linalg.norm(gG)
+        assert abs(res[i] - np.linalg.norm(ref) / scale) <= 1e-11 * np.linalg.norm(grad) / scale
+
+
 def test_survey_validates_once_per_point(monkeypatch):
     """The criterion-06 "strong" survey validates each point it evaluates once.
 
@@ -645,15 +724,15 @@ def test_survey_validates_once_per_point(monkeypatch):
 
         return wrapper
 
-    quotient = fn._sphere_quotient
+    quotients = fn._sphere_quotients
 
-    def counting_quotient(pd_k, moduli):
-        value_at, direction = quotient(pd_k, moduli)
+    def counting_quotients(pd_):
+        value_at, direction = quotients(pd_)
         return value_at, counted(direction, "direction")
 
     monkeypatch.setattr(fn, "require_dirichlet", counted(fn.require_dirichlet, "validate"))
     monkeypatch.setattr(fn, "energies", counted(fn.energies, "energies"))
-    monkeypatch.setattr(fn, "_sphere_quotient", counting_quotient)
+    monkeypatch.setattr(fn, "_sphere_quotients", counting_quotients)
     rayleigh_extrema(pd, 1.0)
     assert calls["energies"] >= 12  # one per pool member at least
     assert calls["validate"] <= calls["direction"] + calls["energies"]

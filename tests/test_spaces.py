@@ -191,13 +191,27 @@ def power_sums(draw):
     return form, a, p, b, q
 
 
+def log_sum_exp(c, e):
+    """s -> log sum(c e^{e s}) over the positive c, shifted by the largest term."""
+    keep = c > 0.0
+    log_c, e = np.log(c[keep]), e[keep]
+
+    def at(s):
+        x = log_c + e * s
+        top = x.max()
+        return top + np.log(np.sum(np.exp(x - top)))
+
+    return at
+
+
 def reference_log_root(a, p, b, q):
     """brentq on log sum(a e^{p s}) - log sum(b e^{q s}), bracketed by doubling."""
     from scipy.optimize import brentq
-    from scipy.special import logsumexp
+
+    left, right = log_sum_exp(a, p), log_sum_exp(b, q)
 
     def f(s):
-        return logsumexp(p * s, b=a) - logsumexp(q * s, b=b)
+        return left(s) - right(s)
 
     lo, hi = -1.0, 1.0
     while np.sign(f(lo)) == np.sign(f(hi)):
