@@ -551,6 +551,18 @@ def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     return _finite(gm**pd.p.values * pd._vol_over_p, "gradient")
 
 
+def _h10_profile(u: np.ndarray, pd: ProblemData):
+    """`_grad_profile(u)`, bit for bit, and sum |grad u|^2 from the same gradient pass.
+
+    The sum is the squared H^1_0 norm <u, P u> in the metric of `riesz_solve`,
+    P = gradient_adjoint o gradient (the cell volume left out), one per row.
+    `_grad_profile` stays separate so its many callers skip the sum.
+    """
+    sq = _squared_norm(gradient(u, pd.grid))
+    gm = np.sqrt(sq)  # gradient_magnitude
+    return _finite(gm**pd.p.values * pd._vol_over_p, "gradient"), _cell_sum(sq, pd.grid)
+
+
 def _mass_profile(u: np.ndarray, pd: ProblemData, q=None) -> np.ndarray:
     """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0 (row-wise for a stack).
 

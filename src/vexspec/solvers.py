@@ -8,15 +8,19 @@ the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
 certificate.  All three, like the Rayleigh survey in functionals, run one
 monotone Sobolev (H^1_0) descent with a float-floor terminal phase,
-`_sobolev_descent`: the ball directly, sphere maximization and the mountain
-pass through its sphere form `_sphere_descent`.  Each supplies only its
-feasible-set map, its objective and its nodal descent direction.
+`_sobolev_descent`: sphere maximization through its form on the sphere
+G = alpha, `_sphere_descent`, the ball and the mountain pass directly.
+The mountain pass charts the rays by the H^1_0 sphere through its seed, so
+a trial is rescaled in closed form and its step is one Riesz column.  Each
+supplies only its feasible-set map, its objective and its nodal descent
+direction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +33,7 @@ from .functionals import (
     _cell_sum,
     _first_mode,
     _grad_profile,
+    _h10_profile,
     _mass_profile,
     _Point,
     _profile_scale,
@@ -38,7 +43,6 @@ from .functionals import (
     _sphere_scale,
     alpha_independent_threshold,
     energies,
-    grad_G,
     is_superlinear,
     lambda_alpha,
     residual,
@@ -357,7 +361,7 @@ def solve_sphere_max(
     return _pair(u[0], pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
 
 
-def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float):
+def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float, s0=0.0):
     """Positive tau where the ray derivative of I_lambda changes sign.
 
     Works on the per-cell scale profiles: tau * dI/dtau vanishes where
@@ -365,8 +369,9 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float):
     every cell the log of the ratio of the two sums is strictly monotone in
     log tau, so the crossing is unique (the ray maximum in the superlinear
     regime, the ray minimum in the sublinear one) and the Newton power-sum
-    kernel finds it.  Constant exponents admit a closed form.  Stacked
-    profiles give one tau per row (an array), a single profile a float.
+    kernel finds it, starting from log tau = s0.  Constant exponents admit
+    a closed form.  Stacked profiles give one tau per row (an array), a
+    single profile a float.
     """
     grid = pd.grid
     a = pd.p.values * wg
@@ -380,7 +385,7 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float):
         raise ValueError("ray crossing needs exponents ordered on every cell")
     rows = np.shape(psi) + (-1,)
     p, q = pd.p.values.ravel(), pd.q.values.ravel()
-    return _power_sum_root(a.reshape(rows), p, b.reshape(rows), q)[0]
+    return _power_sum_root(a.reshape(rows), p, b.reshape(rows), q, s0=s0)[0]
 
 
 def solve_mountain_pass(
@@ -395,12 +400,18 @@ def solve_mountain_pass(
 
     With p < q on every cell each ray through the origin carries exactly
     one maximum of I_lambda, so the mountain-pass level is the infimum over
-    rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2;
-    Szulkin and Weth, 2010).  The ray maximum is invariant along rays, so
-    the seed direction is descended on the sphere G = alpha to that
-    infimum along H^1_0 tangents (the ray maximum never rises beyond
-    rounding), and the pair is certified at the ridge crossing of the final
-    direction.
+    rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2).
+    The ray maximum is invariant along rays, so any sphere can chart the
+    rays; the descent runs on the H^1_0 sphere through the seed (Szulkin
+    and Weth, The method of Nehari manifold, 2010), the sphere of the
+    metric `riesz_solve` measures steps in.  The seed is scaled onto
+    G = alpha, which fixes the radius: r^2 = sum |grad w|^2.  A trial is put
+    back on the sphere by the closed form t = r / |grad raw|, from the
+    gradient its profile takes anyway; its ray crossing is found by Newton
+    started at the current point's crossing.  The step is one Riesz column,
+    riesz_solve(d) less its part along the sphere normal P w.  The ray
+    maximum never rises beyond rounding, and the pair is certified at the
+    ridge crossing of the final direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
@@ -418,23 +429,36 @@ def solve_mountain_pass(
     w0 = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
     if not np.any(w0):
         raise ValueError("seed function is identically zero")
+    grid, p, q = pd.grid, pd.p.values, pd.q.values
 
-    # the descent runs one row, so the callbacks see plain arrays and return floats
-    def value_at(raw, wg, t, _):
+    # the descent runs one row, so the callbacks see plain arrays and return floats;
+    # a point's context is its crossing tau, the scale that puts tau*w on the ridge
+    def at_crossing(raw, wg, s0):
         wm = _mass_profile(raw, pd)
-        tau = _ray_crossing(wg, wm, pd, lam)
-        G, F = float(np.sum(wg * tau**pd.p.values)), float(np.sum(wm * tau**pd.q.values))
-        return G - lam * F, max(G, lam * F), tau / t
+        tau = _ray_crossing(wg, wm, pd, lam, s0)
+        G, F = float(np.sum(wg * tau**p)), float(np.sum(wm * tau**q))
+        return G - lam * F, max(G, lam * F), tau
 
-    def direction(w, tau):  # the residual lives at tau*w, the sphere normal at w
-        normal, x = grad_G(w, pd), _Point(tau * w, pd)
+    def admit(_, raw, tau):
+        wg, norm2 = _h10_profile(raw, pd)
+        t = math.sqrt(r2 / norm2)
+        value, scale, tau_raw = at_crossing(raw, wg, math.log(t * tau))
+        return t * raw, value, scale, tau_raw / t
+
+    def direction(w, tau):  # the residual lives at tau*w
+        x = _Point(tau * w, pd)
         gG = x.grad_term()
         g = tau * (gG - lam * x.mass_term())
-        return g, normal, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+        return g, w, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+
+    def precondition(d, w):  # at an exact crossing <d, w> = psi - lam*phi = 0
+        return riesz_solve(d, grid) - (np.vdot(d, w) / r2) * w
 
     w = _sphere_scale(w0, pd, alpha) * w0
-    w, _, tau, iterations = _sphere_descent(
-        w[None], pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+    wg, r2 = _h10_profile(w, pd)
+    start = (w[None],) + at_crossing(w, wg, 0.0)
+    w, _, tau, iterations = _sobolev_descent(
+        start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )
     return _pair(tau[0] * w[0], pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
 

