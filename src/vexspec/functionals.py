@@ -547,16 +547,14 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
 
 def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
     """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0 (row-wise for a stack)."""
-    gm = gradient_magnitude(gradient(u, pd.grid))
-    return _finite(gm**pd.p.values * pd._vol_over_p, "gradient")
+    return _h10_profile(u, pd)[0]
 
 
 def _h10_profile(u: np.ndarray, pd: ProblemData):
-    """`_grad_profile(u)`, bit for bit, and sum |grad u|^2 from the same gradient pass.
+    """`_grad_profile(u)` and sum |grad u|^2, from one gradient pass.
 
     The sum is the squared H^1_0 norm <u, P u> in the metric of `riesz_solve`,
     P = gradient_adjoint o gradient (the cell volume left out), one per row.
-    `_grad_profile` stays separate so its many callers skip the sum.
     """
     sq = _squared_norm(gradient(u, pd.grid))
     gm = np.sqrt(sq)  # gradient_magnitude

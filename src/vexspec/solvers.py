@@ -409,7 +409,7 @@ def solve_mountain_pass(
     back on the sphere by the closed form t = r / |grad raw|, from the
     gradient its profile takes anyway; its ray crossing is found by Newton
     started at the current point's crossing.  The step is one Riesz column,
-    riesz_solve(d) less its part along the sphere normal P w.  The ray
+    riesz_solve(d), tangent to the sphere up to rounding.  The ray
     maximum never rises beyond rounding, and the pair is certified at the
     ridge crossing of the final direction.
     """
@@ -449,10 +449,12 @@ def solve_mountain_pass(
         x = _Point(tau * w, pd)
         gG = x.grad_term()
         g = tau * (gG - lam * x.mass_term())
-        return g, w, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+        return g, None, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
 
-    def precondition(d, w):  # at an exact crossing <d, w> = psi - lam*phi = 0
-        return riesz_solve(d, grid) - (np.vdot(d, w) / r2) * w
+    # at a crossing <d, w> = psi - lam*phi = 0, so the Riesz step is tangent to
+    # the sphere up to rounding, and admit puts every trial back on it
+    def precondition(d, _):
+        return riesz_solve(d, grid)
 
     w = _sphere_scale(w0, pd, alpha) * w0
     wg, r2 = _h10_profile(w, pd)

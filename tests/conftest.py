@@ -98,22 +98,6 @@ def family_pass_problem_1d(n=97):
     return pd, 0.5 * alpha_independent_threshold(pd)
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow", action="store_true", help="also run the mesh-ladder rungs marked slow"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Rungs that take over a second run only with --runslow (CI runs them as a step)."""
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="slow rung: run with --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

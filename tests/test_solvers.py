@@ -625,7 +625,7 @@ PASS_FAMILY_81 = (215.99740662820523, 15167.344811871146, 28091.72428314278)
     [
         ((41, 49), 5e-2),
         ((81, 97), 1e-9),
-        pytest.param((161, 193), 3e-3, marks=pytest.mark.slow),
+        ((161, 193), 3e-3),
     ],
     ids=["41x49", "81x97", "161x193"],
 )
@@ -635,8 +635,7 @@ def test_pass_family_mesh_ladder(extents, rel):
     From 41x49 to 81x97 the crest values move by up to 3.4% relative
     (4.2e-3, 2.4e-2, 3.4e-2 by level), and from 81x97 to 161x193 by up to
     1.7e-3 (1.4e-3, 1.7e-3, 6.6e-4); each bound is about 1.5 to 2 times that.
-    Every level takes 13-20 searches.  The 161x193 rung takes about a
-    second, so it runs only with --runslow, as a CI step.
+    Every level takes 13-20 searches.
     """
     pd, mu = family_pass_problem(extents)
     cfg = SolverConfig(max_iters=200000, grad_tol=1e-5, seed=0)
