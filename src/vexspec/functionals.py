@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +64,9 @@ __all__ = [
 # Smoothing floor for the degenerate gradient weight; active only where p < 2.
 GRAD_EPS = 1e-12
 
+# The 1D descent metric's cell weight is floored at this fraction of its row's largest.
+METRIC_FLOOR = 0.1
+
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -89,6 +92,10 @@ class ProblemData:
         return product_exponent(conjugate(self.s), self.q)
 
     # exponent arrays every energy and profile evaluation reuses, computed once
+    @cached_property
+    def _p_minus_1(self) -> np.ndarray:
+        return self.p.values - 1.0
+
     @cached_property
     def _p_minus_2(self) -> np.ndarray:
         return self.p.values - 2.0
@@ -316,6 +323,23 @@ class _Point:
         _clear_boundary(out, grid)
         return out
 
+    def metric_weight(self):
+        """Cell weight W of the metric a 1D descent steps in from this point; None in 2D.
+
+        W = (p - 1)|grad u|^(p-2) is the weight of the Hessian of G at u,
+        vol * gradient_adjoint o W o gradient (the power weight of
+        grad_cells, smoothed where p < 2), floored per row at METRIC_FLOOR
+        of its largest value so the metric stays uniformly equivalent to
+        P = gradient_adjoint o gradient (Karatson and Farago, SIAM J.
+        Numer. Anal. 41, 2003).  `riesz_solve` inverts it exactly in 1D
+        only; 2D descents keep P.
+        """
+        pd = self.pd
+        if pd.grid.dim != 1:
+            return None
+        w = pd._p_minus_1 * self.grad_cells[2]
+        return np.maximum(w, METRIC_FLOOR * w.max(axis=-1, keepdims=True))
+
 
 def energies(u, pd: ProblemData, lam: float = 0.0) -> EnergySnapshot:
     """Evaluate G, F and the unscaled modulars phi, psi, plus I = G - lam F.
@@ -482,7 +506,8 @@ def embedding_constant(
     Each trial ascends in the H^1_0 metric: the direction is d = P^-1 g
     for the nodal gradient g of the ratio and P = gradient_adjoint o
     gradient (`riesz_solve`), with Barzilai-Borwein lengths in the same
-    metric through the shared `_line_search`.  The
+    metric through the shared `_line_search`; unlike the 1D descents of G
+    it keeps P on 1D grids, since its ratio is not G.  The
     ratio is 0-homogeneous, so an accepted candidate is rescaled to
     max|u| = 1 with its ratio and gradient carried over.  A trial stops
     once an accepted step gains at most 1e-12 of the ratio, when the line
@@ -668,16 +693,21 @@ def _line_search(trial, step):
     return None, s
 
 
-def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid) -> np.ndarray:
+def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid, weight=None) -> np.ndarray:
     """P^-1 d minus its part along P^-1 gG, for P = gradient_adjoint o gradient.
 
-    The result is orthogonal to gG, the sphere normal, and <d, result> >= 0
-    by Cauchy-Schwarz in the P^-1 inner product.  Stacks of k directions and
+    With a 1D cell weight W (one row per direction), P is the variable
+    metric gradient_adjoint o W o gradient instead.  The result is
+    orthogonal to gG, the sphere normal, and <d, result> >= 0 by
+    Cauchy-Schwarz in the P^-1 inner product.  Stacks of k directions and
     normals are stepped row by row through one `riesz_solve` of 2k columns.
     """
     single = d.ndim == grid.dim
     d, gG = d.reshape((-1,) + grid.shape), gG.reshape((-1,) + grid.shape)
-    both = riesz_solve(np.concatenate([d, gG]), grid)
+    if weight is not None:
+        weight = weight.reshape((-1,) + grid.cell_shape)
+        weight = np.concatenate([weight, weight])
+    both = riesz_solve(np.concatenate([d, gG]), grid, weight)
     pdir, n = both[: len(d)], both[len(d) :]
     num, den = pdir * gG, n * gG
     for axis in range(1, gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
@@ -703,15 +733,26 @@ class _Row:
         self.terminal, self.prev, self.fresh = False, False, True
 
 
+def _rows(x, index):
+    """Rows `index` of a stack, or of each stack of a tuple; None for None."""
+    if x is None:
+        return None
+    if isinstance(x, tuple):
+        return tuple(_rows(a, index) for a in x)
+    return x[index]
+
+
 def _take(x, idx, n):
-    """Rows idx of a stack of n rows: x itself when idx is every row, None for None."""
-    return x if x is None or len(idx) == n else x[idx]
+    """Rows idx of a stack (or a tuple of stacks) of n rows: x itself when idx is every row."""
+    return x if len(idx) == n else _rows(x, idx)
 
 
 def _put(x, idx, y, n):
     """x with rows idx replaced by y, as a new stack (x itself is never written)."""
     if x is None or len(idx) == n:
         return y
+    if isinstance(x, tuple):
+        return tuple(_put(a, idx, b, n) for a, b in zip(x, y))
     x = x.copy()
     x[idx] = y
     return x
@@ -746,11 +787,11 @@ def _retire(rows, stack, gone, out):
     if not keep:
         return [], stack
     index = keep[0] if len(keep) == 1 else keep  # the last row runs as plain arrays
-    return [rows[i] for i in keep], {key: None if x is None else x[index] for key, x in stack.items()}
+    return [rows[i] for i in keep], {key: _rows(x, index) for key, x in stack.items()}
 
 
 def _sobolev_descent(start, admit, direction, precondition, iters, tol):
-    """Monotone H^1_0 descents of k starts in lockstep, each with a float-floor terminal phase.
+    """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
     (k,) + grid.shape, value and scale of k each, ctx an array with a
@@ -759,8 +800,10 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     return stacks of the unfinished rows, or plain grid arrays and scalars
     once one row is left (from the start when k = 1), so a caller that
     starts one row writes them for one row: direction(u, ctx) gives the nodal
-    gradients d, an aux (or None) and the stop residuals; the H^1_0 steps
-    pdir = precondition(d, aux) are built only at accepted points.
+    gradients d, an aux (an array, a tuple of arrays or None) and the stop
+    residuals; the Sobolev steps pdir = precondition(d, aux), in the
+    metric the caller picks (H^1_0, or the point's own in 1D), are built
+    only at accepted points.
     admit(u, raw, ctx) maps trials onto the feasible set as (point, value,
     scale, ctx), with value NaN where it rejects a trial, or returns None
     to reject them all; the ctx it is handed is that of the rows' current
@@ -875,15 +918,19 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
     """`_sobolev_descent` of an objective over the sphere G = alpha, from a stack u on it.
 
-    direction(u, ctx) returns nodal directions d, the sphere normals
-    gG = grad_G(u) and the stop residuals at the stacked points u, from one
-    `_Point`; the steps _tangent_step(d, gG) are built only at accepted
-    points.  Trials raw are scaled onto the sphere by t = _profile_scale(wg),
-    one per row, and value_at(raw, wg, t, ctx) returns the objective at
-    t*raw (from the profiles of raw), its float-floor scale and the context
-    for direction, one per row; ctx is the context of the rows' current
-    points, and the optional ctx here that of the starts.  Returns
-    (u, value, ctx, searches), stacked.
+    direction(u, ctx) returns nodal directions d, the pair (gG, W) of the
+    sphere normals gG = grad_G(u) and the metric weights
+    W = `_Point.metric_weight` (None in 2D), and the stop residuals at the
+    stacked points u, from one `_Point`; the steps _tangent_step(d, gG, W)
+    are built only at accepted points.  In 1D a step thus follows the
+    metric of G's Hessian at the point it leaves, which cuts the searches
+    while keeping the mesh independence of the H^1_0 step; in 2D it stays
+    the H^1_0 step.  Trials raw are scaled onto the sphere by
+    t = _profile_scale(wg), one per row, and value_at(raw, wg, t, ctx)
+    returns the objective at t*raw (from the profiles of raw), its
+    float-floor scale and the context for direction, one per row; ctx is
+    the context of the rows' current points, and the optional ctx here
+    that of the starts.  Returns (u, value, ctx, searches), stacked.
     """
     grid = pd.grid
 
@@ -896,7 +943,10 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
     if len(u) == 1:  # one row runs plain
         rows, t, ctx = u[0], 1.0, None if ctx is None else ctx[0]
     start = (u,) + value_at(rows, _grad_profile(rows, pd), t, ctx)
-    tangent = partial(_tangent_step, grid=grid)
+
+    def tangent(d, aux):
+        return _tangent_step(d, aux[0], grid, aux[1])
+
     return _sobolev_descent(start, admit, direction, tangent, iters, tol)
 
 
@@ -939,7 +989,7 @@ def _sphere_quotients(pd: ProblemData):
         grad = grad / _column(np.where(gf_rows, F, phi), grid)
         normal = _dot(gG, gG, grid.dim)
         tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
-        return tangent, gG, _norm(tangent, grid.dim) / np.sqrt(normal)
+        return tangent, (gG, pt.metric_weight()), _norm(tangent, grid.dim) / np.sqrt(normal)
 
     return value_at, direction
 

@@ -406,6 +406,28 @@ def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     return _mirror(even, odd, out)
 
 
+def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    """Exact O(n) solve of gradient_adjoint o W o gradient, run from node 0.
+
+    Node j's equation says that the flux W (u_{j+1} - u_j) / h^2 drops by
+    r_j across it, so the fluxes are a constant minus a cumulative sum of
+    r, and the values a cumulative sum of the differences h^2 f / W from
+    node 0.  The zero value at the far end fixes the constant.  Fluxes are
+    counted from that of the pivot, the cell of least W, whose difference
+    weighs most in the end value: its own flux then comes out of the
+    weighted mean without cancelling against the partial sums, which
+    would cost up to eps * max(W) / min(W) of relative accuracy.  r is
+    (k, m) interior data, w (k, m + 1) cell weights; rows are solved alone.
+    """
+    sums = np.zeros(w.shape)
+    np.cumsum(r, axis=-1, out=sums[..., 1:])
+    inv = (h * h) / w
+    pivot = np.take_along_axis(sums, np.argmax(inv, axis=-1)[:, None], axis=-1)
+    drop = pivot - sums  # each cell's flux minus the pivot cell's
+    flux = drop - (drop * inv).sum(axis=-1, keepdims=True) / inv.sum(axis=-1, keepdims=True)
+    return np.cumsum(flux * inv, axis=-1)[..., :-1]
+
+
 def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.ndarray:
     """Four half-size dense solves, one per pair of axis parities."""
     (bx, by), spectra = grid.riesz_blocks
@@ -421,7 +443,7 @@ def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.
     return _mirror(*rows, out)
 
 
-def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
+def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
     """Solve (gradient_adjoint o gradient) d = g on the interior nodes.
 
     This is the Riesz map of the discrete H^1_0 inner product (up to the
@@ -436,13 +458,30 @@ def riesz_solve(g, grid: StructuredGrid) -> np.ndarray:
     (the odd ones negated), the solve commutes with grid reflections and
     with a sign change in exact floating point.  A leading axis of g holds
     k right-hand sides, each solved bit for bit as if it were alone.
+
+    A positive per-cell weight W, shaped like the cells of g (one row per
+    right-hand side), solves (gradient_adjoint o W o gradient) d = g
+    instead: the Riesz map of a variable metric, 1D only, since the DST
+    blocks diagonalize only constant coefficients.  It is exact in O(n) by
+    the flux recurrence of `_flux_solve_1d`, run from each end and
+    averaged, so it too commutes with reflections (of g and W) and with a
+    sign change in exact floating point, row by row.
     """
     g = _as_nodal(g, grid)
     cols = g.reshape((-1,) + grid.shape)
     d = np.zeros(cols.shape)
     interior = (slice(None),) + (slice(1, -1),) * grid.dim
     r, out = cols[interior], d[interior]
-    if grid.dim == 1:
+    if weight is not None:
+        if grid.dim != 1:
+            raise ValueError("a weighted Riesz solve needs a 1D grid")
+        w = np.asarray(weight, dtype=float)
+        if w.shape != g.shape[:-1] + grid.cell_shape:
+            raise ValueError(f"weight shape {w.shape} does not match the cells of {g.shape}")
+        w, h = w.reshape(len(r), -1), grid.spacing[0]
+        ahead, back = _flux_solve_1d(r, w, h), _flux_solve_1d(r[:, ::-1], w[:, ::-1], h)
+        np.multiply(ahead + back[:, ::-1], 0.5, out=out)
+    elif grid.dim == 1:
         _riesz_solve_1d(r.T, grid.spacing[0], out.T)
     else:
         for r_k, out_k in zip(r, out):

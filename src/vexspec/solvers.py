@@ -7,13 +7,22 @@ lowest ridge crossing (super-homogeneous regime): the infimum over rays of
 the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
 certificate.  All three, like the Rayleigh survey in functionals, run one
-monotone Sobolev (H^1_0) descent with a float-floor terminal phase,
+monotone Sobolev descent with a float-floor terminal phase,
 `_sobolev_descent`: sphere maximization through its form on the sphere
 G = alpha, `_sphere_descent`, the ball and the mountain pass directly.
-The mountain pass charts the rays by the H^1_0 sphere through its seed, so
-a trial is rescaled in closed form and its step is one Riesz column.  Each
-supplies only its feasible-set map, its objective and its nodal descent
-direction.
+Each supplies only its feasible-set map, its objective, its nodal descent
+direction and the metric its steps are measured in.
+
+On 1D grids the ball and the sphere descents step in the metric of G's
+Hessian at the point they leave, gradient_adjoint o W o gradient with W
+from `_Point.metric_weight`, which `riesz_solve` inverts exactly in O(n);
+this variable preconditioning (Karatson and Farago, SIAM J. Numer. Anal.
+41, 2003) keeps the mesh independence of the H^1_0 step and cuts the
+searches.  The mountain pass keeps the H^1_0 metric P = gradient_adjoint
+o gradient: it charts the rays by the H^1_0 sphere through its seed, the
+sphere of P, so a trial is rescaled in closed form and its step is one
+Riesz column, tangent to that sphere.  2D descents keep P as well, since
+the 2D solve diagonalizes only constant coefficients.
 """
 
 from __future__ import annotations
@@ -257,9 +266,13 @@ def solve_sublinear(
 ) -> EigenPair:
     """Minimize I_lambda over the ball G <= alpha by projected Sobolev descent.
 
-    `_sobolev_descent` steps along the H^1_0 gradient riesz_solve(g) of
-    I_lambda, so the iteration count stays bounded as the mesh is refined;
-    trials that leave the ball are rescaled onto the sphere G = alpha.
+    `_sobolev_descent` steps along the Sobolev gradient riesz_solve(g) of
+    I_lambda, so the iteration count stays bounded as the mesh is refined.
+    In 1D the step is taken in the metric of G's Hessian at the point,
+    riesz_solve(g, grid, W) with W = `_Point.metric_weight` (11 searches
+    per row of the 513-node p = 3, q = 2 sweep instead of 41-45 in the
+    H^1_0 metric); in 2D it is the H^1_0 step riesz_solve(g).  Trials that
+    leave the ball are rescaled onto the sphere G = alpha.
     I_lambda never rises beyond rounding: steps pass an Armijo test until
     I_lambda is flat to a few ulps of max(G, lam*F), and from then on a
     trial must lower the certificate residual.  The accepted minimizer is
@@ -298,10 +311,10 @@ def solve_sublinear(
         pt = _Point(w, pd)
         gG = pt.grad_term()
         g = gG - lam * pt.mass_term()
-        return g, None, float(np.linalg.norm(g) / np.linalg.norm(gG))
+        return g, pt.metric_weight(), float(np.linalg.norm(g) / np.linalg.norm(gG))
 
-    def precondition(g, _):
-        return riesz_solve(g, pd.grid)
+    def precondition(g, weight):
+        return riesz_solve(g, pd.grid, weight)
 
     u = _negative_seed(pd, alpha, lam, v0)
     snap = energies(u, pd, lam)
@@ -321,7 +334,8 @@ def solve_sphere_max(
 ) -> EigenPair:
     """Maximize F on the sphere G = alpha by projected Sobolev descent of -F.
 
-    Steps follow the H^1_0 tangent of grad F (`_sphere_descent`), so their
+    Steps follow the Sobolev tangent of grad F (`_sphere_descent`: in 1D
+    in the metric of G's Hessian at the point, in 2D in H^1_0), so their
     count stays bounded under mesh refinement.  F never falls beyond
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
@@ -351,7 +365,8 @@ def solve_sphere_max(
         snap, gG, gF = pt.energies(), pt.grad_term(), pt.mass_term()
         lam = snap.psi / snap.phi
         tangent = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
-        return -tangent, gG, float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
+        res = float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
+        return -tangent, (gG, pt.metric_weight()), res
 
     u = _sphere_scale(u, pd, alpha) * u
     u, _, _, iterations = _sphere_descent(
@@ -409,7 +424,9 @@ def solve_mountain_pass(
     back on the sphere by the closed form t = r / |grad raw|, from the
     gradient its profile takes anyway; its ray crossing is found by Newton
     started at the current point's crossing.  The step is one Riesz column,
-    riesz_solve(d), tangent to the sphere up to rounding.  The ray
+    riesz_solve(d), tangent to the sphere up to rounding; it stays in the
+    H^1_0 metric on 1D grids too, since a step in the metric of G's Hessian
+    is not tangent to this sphere.  The ray
     maximum never rises beyond rounding, and the pair is certified at the
     ridge crossing of the final direction.
     """

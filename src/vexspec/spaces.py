@@ -170,8 +170,10 @@ def _power_sum_root(a, p, b, q, rtol: float = _EPS, s0=0.0):
     a step that leaves the bracket of signs seen so far becomes a bisection in
     s.  The loop stops once the step, or the error it is predicted to leave
     (curvature / (2 slope) * step**2), is within rtol of t or the float
-    resolution of s.  Coefficients are finite and nonnegative, with a
-    positive one on each side.
+    resolution of s.  The rounding of the log sums, not rtol, sets the floor
+    of the result: two starts can end up to a few hundred
+    eps * max(1, |log t|) apart in s.  Coefficients are finite and
+    nonnegative, with a positive one on each side.
 
     a of shape (n,) is one equation and gives (t, evaluations) as a float
     and an int.  a of shape (k, n) holds k equations, one per row, solved in

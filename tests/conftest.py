@@ -5,7 +5,15 @@ the acceptance tests build their own full-size instances from the same
 factories.
 """
 
-import numpy as np
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads its BLAS: the small dense
+# products of the 2D Riesz solve run an order of magnitude slower with
+# several threads when another process holds a core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from vexspec import (

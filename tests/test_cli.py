@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def test_family_command(tmp_path):
     u1, _ = read_nodal(str(tmp_path / "family.u1.txt"))
     assert float(np.linalg.norm(u0 - u1)) == report["results"]["min_nodal_gap"]
     assert (tmp_path / "family.csv").exists()
+
+
+def test_family_rectangle_config_fields_are_mirror_symmetric_bitwise():
+    """The quick-start 2D family pins its parity classes only if p and q are exactly symmetric."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "family_rectangle.json"
+    pd = build_problem(json.loads(path.read_text()))
+    for field in (pd.p.values, pd.q.values):
+        assert np.array_equal(field, field[::-1]) and np.array_equal(field, field[:, ::-1])
 
 
 def test_rayleigh_command():
