@@ -30,7 +30,6 @@ from .mesh import (
 from .spaces import (
     _EPS,
     ExponentField,
-    _listed,
     _power_sum_root,
     conjugate,
     exponent_field,
@@ -247,16 +246,16 @@ def _column(x, grid: StructuredGrid):
     return x if isinstance(x, float) else x.reshape(x.shape + (1,) * grid.dim)
 
 
-def _dot(a: np.ndarray, b: np.ndarray, dim: int):
-    """<a, b> over the trailing dim axes: one dot for one array, one per row of a stack.
+def _dot(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """<a, b> over the trailing dim axes of two stacks, one per row.
 
     np.vecdot hands each row pair to BLAS ddot, so every row rounds as
     np.vdot of the two rows alone.
     """
-    if a.ndim == dim:
-        return np.vdot(a, b)
-    lead = a.shape[: a.ndim - dim] + (-1,)
-    return np.vecdot(a.reshape(lead), b.reshape(lead))
+    if dim > 1:  # vecdot contracts the last axis alone
+        lead = a.shape[: a.ndim - dim] + (-1,)
+        a, b = a.reshape(lead), b.reshape(lead)
+    return np.vecdot(a, b)
 
 
 def _norm(a: np.ndarray, dim: int):
@@ -301,13 +300,17 @@ class _Point:
         return ub, self.pd.V * np.abs(ub) ** q_minus_1 * np.sign(ub)
 
     def energies(self, lam: float = 0.0) -> EnergySnapshot:
-        p, vol = self.pd.p.values, self.pd.grid.cell_volume
-        q = self.pd.q.values if self.q is None else self.q
+        G, F, phi, psi = map(float, self.energy_rows())
+        return EnergySnapshot(G, F, phi, psi, G - lam * F, float(lam))
+
+    def energy_rows(self):
+        """(G, F, phi, psi) of `energies`, one of each per row of a stack."""
+        p, grid = self.pd.p.values, self.pd.grid
+        q, vol = self.pd.q.values if self.q is None else self.q, grid.cell_volume
         grad_pow = _finite(self.grad_cells[1] ** p, "gradient")
         mass_pow = _finite(self.pd.V * np.abs(self.mass_cells[0]) ** q, "mass")
-        psi, phi = float(np.sum(grad_pow) * vol), float(np.sum(mass_pow) * vol)
-        G, F = float(np.sum(grad_pow / p) * vol), float(np.sum(mass_pow / q) * vol)
-        return EnergySnapshot(G, F, phi, psi, G - lam * F, float(lam))
+        psi, phi = _cell_sum(grad_pow, grid) * vol, _cell_sum(mass_pow, grid) * vol
+        return _cell_sum(grad_pow / p, grid) * vol, _cell_sum(mass_pow / q, grid) * vol, phi, psi
 
     def grad_term(self, scale=1.0) -> np.ndarray:
         """Nodal gradient of G, or of psi with scale = p."""
@@ -538,8 +541,9 @@ def embedding_constant(
         step = 0.5 * float(np.max(np.abs(u)) / np.max(np.abs(d)))
         prev_u = None
         for _ in range(iters):
-            if prev_u is not None:  # ascent: BB on the gradient of -ratio
-                step = _bb_step(u - prev_u, prev_g - grad, [step], prev_d - d, grid.dim)[0]
+            if prev_u is not None:  # ascent: BB on the gradient of -ratio, one row
+                du, dg, dd = (u - prev_u)[None], (prev_g - grad)[None], (prev_d - d)[None]
+                step = _bb_step(du, dg, [step], dd, grid.dim)[0]
 
             def ascend_at(s):
                 cand = u + s * d
@@ -627,7 +631,7 @@ def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
         rows = w.reshape(w.shape[: w.ndim - grid.dim] + (-1,))
         return _power_sum_root(rows, pd.p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
     total = _cell_sum(w, grid)
-    if 0.0 in _listed(total):
+    if not np.all(total):
         raise ValueError("gradient energy vanished; function is not admissible")
     return _rows_pow(alpha / total, 1.0 / pd.p.lo)
 
@@ -651,14 +655,16 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
 def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: list, pdg: np.ndarray, dim: int) -> list:
     """Spectral step <du, dg> / <dg, pdg> per row, clipped to a safe positive range.
 
-    du, dg and pdg hold one grid array of dim axes, or a stack of them with
-    one row per step; a row whose curvature <dg, pdg> or step is not
-    positive and finite takes its fallback.  pdg is the matching change of
-    the preconditioned direction: every descent measures its steps in the
-    metric of P = gradient_adjoint o gradient.  Returns a list of floats.
+    du, dg and pdg are stacks of grid arrays of dim axes, one row per step;
+    a row whose curvature <dg, pdg> or step is not positive and finite
+    takes its fallback.  pdg is the matching change of the preconditioned
+    direction, so each step is measured in the metric its descent steps
+    in: P = gradient_adjoint o gradient, or the point's metric
+    gradient_adjoint o W o gradient of a 1D descent.  Returns a list of
+    floats.
     """
     steps = []
-    for num, den, other in zip(_listed(_dot(du, dg, dim)), _listed(_dot(dg, pdg, dim)), fallback):
+    for num, den, other in zip(_dot(du, dg, dim).tolist(), _dot(dg, pdg, dim).tolist(), fallback):
         step = num / den if den > 0.0 else math.nan
         steps.append(min(max(step, 1e-16), 1e12) if math.isfinite(step) and step > 0.0 else other)
     return steps
@@ -699,13 +705,10 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid, weight=No
     With a 1D cell weight W (one row per direction), P is the variable
     metric gradient_adjoint o W o gradient instead.  The result is
     orthogonal to gG, the sphere normal, and <d, result> >= 0 by
-    Cauchy-Schwarz in the P^-1 inner product.  Stacks of k directions and
-    normals are stepped row by row through one `riesz_solve` of 2k columns.
+    Cauchy-Schwarz in the P^-1 inner product.  d and gG are stacks of k
+    rows, stepped row by row through one `riesz_solve` of 2k columns.
     """
-    single = d.ndim == grid.dim
-    d, gG = d.reshape((-1,) + grid.shape), gG.reshape((-1,) + grid.shape)
     if weight is not None:
-        weight = weight.reshape((-1,) + grid.cell_shape)
         weight = np.concatenate([weight, weight])
     both = riesz_solve(np.concatenate([d, gG]), grid, weight)
     pdir, n = both[: len(d)], both[len(d) :]
@@ -713,8 +716,7 @@ def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid, weight=No
     for axis in range(1, gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
         rev = (slice(None),) * axis + (slice(None, None, -1),)
         num, den = num + num[rev], den + den[rev]
-    out = pdir - _column(_cell_sum(num, grid) / _cell_sum(den, grid), grid) * n
-    return out[0] if single else out
+    return pdir - _column(_cell_sum(num, grid) / _cell_sum(den, grid), grid) * n
 
 
 # objective changes within this many ulps of the point's scale are rounding noise
@@ -733,18 +735,13 @@ class _Row:
         self.terminal, self.prev, self.fresh = False, False, True
 
 
-def _rows(x, index):
-    """Rows `index` of a stack, or of each stack of a tuple; None for None."""
-    if x is None:
-        return None
-    if isinstance(x, tuple):
-        return tuple(_rows(a, index) for a in x)
-    return x[index]
-
-
 def _take(x, idx, n):
-    """Rows idx of a stack (or a tuple of stacks) of n rows: x itself when idx is every row."""
-    return x if len(idx) == n else _rows(x, idx)
+    """Rows idx of an n-row stack x, or of each stack of a tuple; x itself for all rows or None."""
+    if x is None or len(idx) == n:
+        return x
+    if isinstance(x, tuple):
+        return tuple(_take(a, idx, n) for a in x)
+    return x[idx]
 
 
 def _put(x, idx, y, n):
@@ -773,10 +770,7 @@ def _move(stack: dict, acc: list, n: int, **new) -> None:
 
 
 def _retire(rows, stack, gone, out):
-    """Write the finished rows `gone` to out and drop them from the stack.
-
-    A stack left with one row is held as plain grid arrays from then on.
-    """
+    """Write the finished rows `gone` to out and drop them from the stack."""
     n, idx = len(rows), [rows[i].index for i in gone]
     out[0][idx] = _take(stack["u"], gone, n)
     out[1][idx] = [rows[i].value for i in gone]
@@ -784,31 +778,25 @@ def _retire(rows, stack, gone, out):
         out[2][idx] = _take(stack["ctx"], gone, n)
     out[3][idx] = [rows[i].used for i in gone]
     keep = [i for i in range(n) if i not in gone]
-    if not keep:
-        return [], stack
-    index = keep[0] if len(keep) == 1 else keep  # the last row runs as plain arrays
-    return [rows[i] for i in keep], {key: _rows(x, index) for key, x in stack.items()}
+    return [rows[i] for i in keep], {key: _take(x, keep, n) for key, x in stack.items()}
 
 
 def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
-    (k,) + grid.shape, value and scale of k each, ctx an array with a
-    leading axis of k, or None; for k = 1, value, scale and ctx are those
-    of the one row, as the callbacks give them.  The callbacks take and
-    return stacks of the unfinished rows, or plain grid arrays and scalars
-    once one row is left (from the start when k = 1), so a caller that
-    starts one row writes them for one row: direction(u, ctx) gives the nodal
-    gradients d, an aux (an array, a tuple of arrays or None) and the stop
-    residuals; the Sobolev steps pdir = precondition(d, aux), in the
-    metric the caller picks (H^1_0, or the point's own in 1D), are built
-    only at accepted points.
+    (k,) + grid.shape, value and scale arrays of k, ctx an array with a
+    leading axis of k, or None.  One row is a stack of one: the callbacks
+    take stacks of the unfinished rows and return per-row arrays, for
+    every k.  direction(u, ctx) gives the nodal gradients d, an aux (an
+    array, a tuple of arrays or None) and the stop residuals; the Sobolev
+    steps pdir = precondition(d, aux), in the metric the caller picks
+    (H^1_0, or the point's own in 1D), are built only at accepted points.
     admit(u, raw, ctx) maps trials onto the feasible set as (point, value,
-    scale, ctx), with value NaN where it rejects a trial, or returns None
-    to reject them all; the ctx it is handed is that of the rows' current
-    points, so per-row data carried in ctx (the survey's objective) follows
-    each row as others leave the stack.
+    scale, ctx), with value NaN where it rejects a trial; the ctx it is
+    handed is that of the rows' current points, so per-row data carried in
+    ctx (the survey's objective) follows each row as others leave the
+    stack.
 
     Each row runs the descent it would run alone.  A search tries
     raw = u - s*pdir for s from `_trial_lengths(step)`, with step from
@@ -816,25 +804,24 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     s); a trial is accepted on a strict Armijo decrease on <d, raw - u>.  A
     value within _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a
     trial is accepted only if its residual is lower, and after the first
-    such acceptance no other trial of the row is.  A row stops at residual
+    such acceptance no other trial of the row is.  A zero trial has no
+    image on the feasible set and is a miss.  A row stops at residual
     <= tol, when all trials of a search miss, or after iters searches, and
     leaves the stack.  One tick gives every unfinished row its next trial:
     all trials go through one admit call, those that pass the value test
     through one direction call, and the rows that start a search through
-    one precondition call.  Every kernel under them works row by row, and
-    rounds a plain array as it rounds a row of a stack, so a row's result
-    does not depend on the rest of its batch.  Returns (u, value, ctx,
-    searches), stacked like start.
+    one precondition call.  Every kernel under them works row by row, so a
+    row's result does not depend on the rest of its batch.  Returns (u,
+    value, ctx, searches), stacked like start.
     """
     u, value, scale, ctx = start
     k, dim = len(u), u.ndim - 1
-    out_ctx = None if ctx is None else np.empty((k,) + np.shape(ctx)[k > 1 :])  # ctx of one row
+    out_ctx = None if ctx is None else np.empty(np.shape(ctx))
     out = (np.empty_like(u), np.empty(k), out_ctx, np.zeros(k, dtype=int))
-    stack = {"u": u[0] if k == 1 else u, "ctx": ctx}
-    d, aux, res = direction(stack["u"], ctx)
+    d, aux, res = direction(u, ctx)
     # the step and the Barzilai-Borwein reference are placeholders until they are built
-    stack.update(d=d, aux=aux, pdir=d, prev_u=stack["u"], prev_d=d, prev_pdir=d)
-    rows = [_Row(i, *row) for i, row in enumerate(zip(_listed(value), _listed(scale), _listed(res)))]
+    stack = dict(u=u, ctx=ctx, d=d, aux=aux, pdir=d, prev_u=u, prev_d=d, prev_pdir=d)
+    rows = [_Row(i, *r) for i, r in enumerate(zip(value.tolist(), scale.tolist(), res.tolist()))]
     while rows:
         n, stop, fresh = len(rows), [], []
         for i, r in enumerate(rows):
@@ -864,33 +851,25 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
             if not rows:
                 break
             lengths, n = [s for s in lengths if s is not None], len(rows)
-        # a zero trial has no image on the feasible set: a lone row skips it, and in a
-        # stack u stands in for it and its value is no number
-        u, live = stack["u"], None
-        if u.ndim == dim:
-            raw = u - lengths[0] * stack["pdir"]
-            if not np.any(raw):
+        # a zero trial has no image on the feasible set: u stands in for it and its
+        # value is no number, and a tick of zero trials admits nothing
+        u, column = stack["u"], (n,) + (1,) * dim
+        raw = u - np.array(lengths).reshape(column) * stack["pdir"]
+        live = raw.reshape(n, -1).any(axis=1).tolist()
+        if False in live:
+            if True not in live:
                 continue
-        else:
-            column = (n,) + (1,) * dim
-            raw = u - np.array(lengths).reshape(column) * stack["pdir"]
-            live = raw.reshape(n, -1).any(axis=1)
-            if not live.all():
-                raw = np.where(live.reshape(column), raw, u)
-        got = admit(u, raw, stack["ctx"])
-        if got is None:
-            continue
-        point, cand, cand_scale, cand_ctx = got
-        cand, cand_scale = _listed(cand), _listed(cand_scale)
-        if live is not None:
-            cand = [c if ok else math.nan for c, ok in zip(cand, live.tolist())]
+            raw = np.where(np.reshape(live, column), raw, u)
+        point, cand, cand_scale, cand_ctx = admit(u, raw, stack["ctx"])
+        cand = [c if ok else math.nan for c, ok in zip(cand.tolist(), live)]
+        cand_scale = cand_scale.tolist()
         # the Armijo test on <d, raw - u> (taken once, for all rows, when one needs it),
         # else the float-floor test; rows that pass either have their direction taken
         armijo, tested, slopes = [], [], None
         for i, r in enumerate(rows):
             ok = not r.terminal and cand[i] < r.value
             if ok:
-                slopes = slopes or _listed(_dot(stack["d"], raw - u, dim))
+                slopes = slopes or _dot(stack["d"], raw - u, dim).tolist()
                 ok = cand[i] <= r.value + ARMIJO * slopes[i]
             armijo.append(ok)
             if ok or abs(cand[i] - r.value) <= r.floor:
@@ -900,7 +879,7 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
         nd, naux, nres = direction(_take(point, tested, n), _take(cand_ctx, tested, n))
         # at the float floor the energy test is noise: the residual decides
         acc, acc_t = [], []
-        for j, (i, res) in enumerate(zip(tested, _listed(nres))):
+        for j, (i, res) in enumerate(zip(tested, nres.tolist())):
             if armijo[i] or res < rows[i].res:
                 acc.append(i)
                 acc_t.append(j)
@@ -939,10 +918,7 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
         t = _profile_scale(wg, pd, alpha)
         return (_column(t, grid) * raw,) + value_at(raw, wg, t, ctx)
 
-    rows, t = u, np.ones(len(u))
-    if len(u) == 1:  # one row runs plain
-        rows, t, ctx = u[0], 1.0, None if ctx is None else ctx[0]
-    start = (u,) + value_at(rows, _grad_profile(rows, pd), t, ctx)
+    start = (u,) + value_at(u, _grad_profile(u, pd), np.ones(len(u)), ctx)
 
     def tangent(d, aux):
         return _tangent_step(d, aux[0], grid, aux[1])
@@ -1010,7 +986,8 @@ def rayleigh_extrema(
     additionally exploits downward amplitude probes: scaling any candidate
     toward zero drives psi/phi below any positive level whenever inf p >
     sup q, which is exactly why that infimum degenerates to zero.  Pool
-    members come from H^1_0 sphere descents (`_sphere_descent`) to a tangent
+    members come from descents on the sphere G = alpha (`_sphere_descent`,
+    stepping in the point's metric W in 1D and in H^1_0 in 2D) to a tangent
     residual of 1e-10, at most `iters` searches each; each value is its
     witness's quotient, an upper bound.  All 3*trials descents run as the
     rows of one lockstep stack, each with its own objective carried in its

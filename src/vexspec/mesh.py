@@ -205,13 +205,13 @@ def grid_to_config(grid: StructuredGrid) -> dict:
 
 def _stacked(x: np.ndarray, trailing: tuple) -> bool:
     """Whether x has the shape `trailing`, alone or behind one leading batch axis."""
-    return x.shape == trailing or (x.ndim == len(trailing) + 1 and x.shape[1:] == trailing)
+    return x.shape[x.ndim > len(trailing) :] == trailing
 
 
 def _as_nodal(u, grid: StructuredGrid) -> np.ndarray:
     """u as a float array, checked for the nodal shape only (no finiteness pass)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.shape and not _stacked(u, grid.shape):
+    if u.shape[u.ndim > grid.dim :] != grid.extents:  # `_stacked`, inlined: every stencil runs it
         raise ValueError(f"nodal shape {u.shape} does not match grid {grid.shape}")
     return u
 

@@ -40,10 +40,13 @@ from .functionals import (
     EnergySnapshot,
     ProblemData,
     _cell_sum,
+    _column,
+    _dot,
     _first_mode,
     _grad_profile,
     _h10_profile,
     _mass_profile,
+    _norm,
     _Point,
     _profile_scale,
     _rows_pow,
@@ -290,35 +293,42 @@ def solve_sublinear(
             stacklevel=2,
         )
 
-    # the descent runs one row, so the callbacks see plain arrays and return floats
+    grid = pd.grid
+
+    # the callbacks take stacks of rows and return one value per row
     def admit(u, raw, _):
-        # moves beyond twice the iterate scale scramble localized iterates
-        if np.linalg.norm(raw - u) > 2.0 * np.linalg.norm(u):
-            return None
+        # moves beyond twice the iterate scale scramble localized iterates: rejected, with
+        # u standing in for them
+        far = _norm(raw - u, grid.dim) > 2.0 * _norm(u, grid.dim)
+        rejected = np.count_nonzero(far)
+        if rejected:
+            raw = np.where(_column(far, grid), u, raw)
         wg = _grad_profile(raw, pd)
         wm = _mass_profile(raw, pd)
-        G = float(np.sum(wg))
-        if G > alpha:
-            t = _profile_scale(wg, pd, alpha)
+        G, F = _cell_sum(wg, grid), _cell_sum(wm, grid)
+        over = G > alpha
+        if np.count_nonzero(over):  # onto the sphere G = alpha; t = 1 keeps the rest exactly
+            t = _column(np.where(over, _profile_scale(wg, pd, alpha), 1.0), grid)
             raw = t * raw
-            G = float(np.sum(wg * t**pd.p.values))
-            F = float(np.sum(wm * t**pd.q.values))
-        else:
-            F = float(np.sum(wm))
-        return raw, G - lam * F, max(G, lam * F), None
+            G, F = _cell_sum(wg * t**pd.p.values, grid), _cell_sum(wm * t**pd.q.values, grid)
+        lam_F = lam * F
+        value = G - lam_F
+        if rejected:
+            value[far] = np.nan
+        return raw, value, np.maximum(G, lam_F), None
 
     def direction(w, _):
         pt = _Point(w, pd)
         gG = pt.grad_term()
         g = gG - lam * pt.mass_term()
-        return g, pt.metric_weight(), float(np.linalg.norm(g) / np.linalg.norm(gG))
+        return g, pt.metric_weight(), _norm(g, grid.dim) / _norm(gG, grid.dim)
 
     def precondition(g, weight):
-        return riesz_solve(g, pd.grid, weight)
+        return riesz_solve(g, grid, weight)
 
     u = _negative_seed(pd, alpha, lam, v0)
     snap = energies(u, pd, lam)
-    start = (u[None], [snap.I_lambda], [max(snap.G, lam * snap.F)], None)
+    start = (u[None], np.array([snap.I_lambda]), np.array([max(snap.G, lam * snap.F)]), None)
     u, _, _, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )
@@ -355,22 +365,24 @@ def solve_sphere_max(
     if not np.any(u):
         raise ValueError("seed function is identically zero")
 
-    # the descent runs one row, so the callbacks see plain arrays and return floats
+    grid, dim = pd.grid, pd.grid.dim
+
+    # the callbacks take stacks of rows and return one value per row
     def value_at(raw, wg, t, _):
-        F = float(np.sum(_mass_profile(raw, pd) * t**pd.q.values))
+        F = _cell_sum(_mass_profile(raw, pd) * _column(t, grid) ** pd.q.values, grid)
         return -F, F, None
 
     def direction(w, _):
         pt = _Point(w, pd)
-        snap, gG, gF = pt.energies(), pt.grad_term(), pt.mass_term()
-        lam = snap.psi / snap.phi
-        tangent = gF - (np.vdot(gF, gG) / np.vdot(gG, gG)) * gG
-        res = float(np.linalg.norm(gG - lam * gF) / np.linalg.norm(gG))
+        _, _, phi, psi = pt.energy_rows()
+        gG, gF = pt.grad_term(), pt.mass_term()
+        tangent = gF - _column(_dot(gF, gG, dim) / _dot(gG, gG, dim), grid) * gG
+        res = _norm(gG - _column(psi / phi, grid) * gF, dim) / _norm(gG, dim)
         return -tangent, (gG, pt.metric_weight()), res
 
-    u = _sphere_scale(u, pd, alpha) * u
+    u = (_sphere_scale(u, pd, alpha) * u)[None]
     u, _, _, iterations = _sphere_descent(
-        u[None], pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+        u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
     snap = energies(u[0], pd)
     return _pair(u[0], pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
@@ -448,34 +460,38 @@ def solve_mountain_pass(
         raise ValueError("seed function is identically zero")
     grid, p, q = pd.grid, pd.p.values, pd.q.values
 
-    # the descent runs one row, so the callbacks see plain arrays and return floats;
-    # a point's context is its crossing tau, the scale that puts tau*w on the ridge
+    # the callbacks take stacks of rows and return one value per row; a point's
+    # context is its crossing tau, the scale that puts tau*w on the ridge
     def at_crossing(raw, wg, s0):
         wm = _mass_profile(raw, pd)
         tau = _ray_crossing(wg, wm, pd, lam, s0)
-        G, F = float(np.sum(wg * tau**p)), float(np.sum(wm * tau**q))
-        return G - lam * F, max(G, lam * F), tau
+        tc = _column(tau, grid)
+        G, F = _cell_sum(wg * tc**p, grid), _cell_sum(wm * tc**q, grid)
+        return G - lam * F, np.maximum(G, lam * F), tau
 
     def admit(_, raw, tau):
         wg, norm2 = _h10_profile(raw, pd)
-        t = math.sqrt(r2 / norm2)
-        value, scale, tau_raw = at_crossing(raw, wg, math.log(t * tau))
-        return t * raw, value, scale, tau_raw / t
+        t = np.sqrt(r2 / norm2)  # correctly rounded, as math.sqrt
+        # Newton starts at each row's current crossing; math.log, as np.log need not round as libm
+        s0 = [math.log(x) for x in (t * tau).tolist()]
+        value, scale, tau_raw = at_crossing(raw, wg, s0)
+        return _column(t, grid) * raw, value, scale, tau_raw / t
 
     def direction(w, tau):  # the residual lives at tau*w
-        x = _Point(tau * w, pd)
+        tc = _column(tau, grid)
+        x = _Point(tc * w, pd)
         gG = x.grad_term()
-        g = tau * (gG - lam * x.mass_term())
-        return g, None, float(np.linalg.norm(g) / (tau * np.linalg.norm(gG)))
+        g = tc * (gG - lam * x.mass_term())
+        return g, None, _norm(g, grid.dim) / (tau * _norm(gG, grid.dim))
 
     # at a crossing <d, w> = psi - lam*phi = 0, so the Riesz step is tangent to
     # the sphere up to rounding, and admit puts every trial back on it
     def precondition(d, _):
         return riesz_solve(d, grid)
 
-    w = _sphere_scale(w0, pd, alpha) * w0
+    w = (_sphere_scale(w0, pd, alpha) * w0)[None]
     wg, r2 = _h10_profile(w, pd)
-    start = (w[None],) + at_crossing(w, wg, 0.0)
+    start = (w,) + at_crossing(w, wg, 0.0)
     w, _, tau, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )

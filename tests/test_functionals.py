@@ -470,27 +470,27 @@ def test_terminal_phase_accepts_only_residual_decrease():
         (1.0 + 4 * eps, 0.6),  # floor trial, residual rises: rejected
         (1.0 - eps, 0.25),  # floor trial, residual falls: accepted
     ]
-    # one lockstep row runs as plain arrays; the start's script index is -1
+    # one lockstep row; the start's script index is -1
     evaluated, stepped, admitted_at = [], [], []
 
     def admit(u, raw, ctx):
-        admitted_at.append(np.asarray(ctx).item())  # the context of the row's current point
+        admitted_at.append(ctx.item())  # the context of the row's current point
         k = admit.count
         admit.count += 1
-        return raw, script[k][0], 1.0, k
+        return raw, np.array([script[k][0]]), np.ones(1), np.array([k])
 
     admit.count = 0
 
     def direction(u, k):
-        k = None if k < 0 else int(k)
+        k = None if k.item() < 0 else k.item()
         evaluated.append(k)
-        return np.ones_like(u), np.ones_like(u), 1.0 if k is None else script[k][1]
+        return np.ones_like(u), np.ones_like(u), np.array([1.0 if k is None else script[k][1]])
 
     def precondition(d, pdir):
         stepped.append(len(evaluated))
         return pdir
 
-    start = (np.full((1, 3), 10.0), [1.0], [1.0], np.array([-1]))
+    start = (np.full((1, 3), 10.0), np.ones(1), np.ones(1), np.array([-1]))
     u, val, ctx, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
     assert used[0] == 2 and ctx[0] == 4 and val[0] == 1.0 - eps
     assert evaluated == [None, 0, 1, 3, 4]
@@ -499,6 +499,44 @@ def test_terminal_phase_accepts_only_residual_decrease():
     assert stepped == [1, 3]
     # hit at s = 0.5; the next search starts at the fallback 1.5 * 0.5 and hits at 0.75 / 4
     assert np.array_equal(u[0], np.full(3, 10.0 - 0.5 - 0.75 / 4))
+
+
+@pytest.mark.parametrize(
+    "shrink, ticks, stand_ins", [((1.0,), 2, 0), ((1.0, 1.0), 2, 0), ((1.0, 0.5), 4, 3)]
+)
+def test_zero_trials_are_misses_that_admit_never_sees(shrink, ticks, stand_ins):
+    """A zero trial is a miss: u stands in for it, and a tick of zero trials admits nothing.
+
+    The objective is |u|^2 / 2 with gradient u, and row i steps along
+    shrink[i] * u (its context), so with shrink 1 the first trial of every
+    search, s = 1 (the start, then Barzilai-Borwein), is exactly zero.
+    """
+    k = len(shrink)
+    u0 = np.array([[0.0, 1.0, -2.0, 0.0], [0.0, 3.0, 0.5, 0.0]])[:k]
+    seen = []
+
+    def value(u):
+        return 0.5 * np.sum(u * u, axis=1)
+
+    def admit(u, raw, ctx):
+        seen.append((u, raw))
+        return raw, value(raw), value(raw), ctx
+
+    def direction(u, ctx):
+        return u, ctx, np.ones(len(u))
+
+    def precondition(d, shrink):
+        return shrink * d
+
+    start = (u0, value(u0), value(u0), np.array(shrink)[:, None])
+    u, val, _, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
+    assert len(seen) == ticks  # for k = 2 alike, the two all-zero ticks make no admit call
+    assert all(raw.reshape(len(raw), -1).any(axis=1).all() for _, raw in seen)
+    # with shrink 1/2 the rows fall out of step, and a row's own point stands in for its zero trial
+    assert sum(np.array_equal(a, r) for at, raw in seen for a, r in zip(at, raw)) == stand_ins
+    # each search: the zero trial s = 1 misses, then s = 1/2 is accepted
+    assert np.array_equal(u, 0.25 * u0) and np.array_equal(val, value(0.25 * u0))
+    assert used.tolist() == [2] * k
 
 
 @st.composite
@@ -527,8 +565,11 @@ def test_tangent_step_is_a_reflection_equivariant_descent_tangent(case, weighted
     def weight_at(u):
         return fn._Point(u, pd).metric_weight() if weighted else None
 
+    def step(d, gG, weight):  # one-row stacks
+        return fn._tangent_step(d[None], gG[None], grid, None if weight is None else weight[None])[0]
+
     gG, weight = grad_G(u, pd), weight_at(u)
-    pdir = fn._tangent_step(d, gG, grid, weight)
+    pdir = step(d, gG, weight)
     assert np.all(pdir[grid.boundary_mask] == 0.0)
     if int(np.sum(~grid.boundary_mask)) == 1:
         # one interior node: the tangent space is {0}
@@ -540,9 +581,9 @@ def test_tangent_step_is_a_reflection_equivariant_descent_tangent(case, weighted
     # parity classes survive the step: reflections act on pdir bit for bit
     for axis in range(grid.dim):
         u_r, d_r = np.flip(u, axis), np.flip(d, axis)
-        reflected = fn._tangent_step(d_r, grad_G(u_r, pd), grid, weight_at(u_r))
+        reflected = step(d_r, grad_G(u_r, pd), weight_at(u_r))
         assert np.array_equal(reflected, np.flip(pdir, axis))
-    assert np.array_equal(fn._tangent_step(-d, gG, grid, weight), -pdir)
+    assert np.array_equal(step(-d, gG, weight), -pdir)
 
 
 def strong_survey(monkeypatch, n):
