@@ -28,7 +28,7 @@ from .functionals import (
 from .mesh import apply_dirichlet, grid_from_config, gradient, gradient_magnitude
 from .solvers import (
     SolverConfig,
-    SweepRow,
+    _sweep_row,
     eigenfamily,
     solve_mountain_pass,
     solve_sphere_max,
@@ -156,19 +156,12 @@ def _nodal_from_expr(config: dict, pd: ProblemData) -> np.ndarray:
     return apply_dirichlet(u, pd.grid)
 
 
-def _pair_payload(pair, pd) -> dict:
-    gm = gradient_magnitude(gradient(pair.u, pd.grid))
-    return {
-        "lambda": pair.lam,
-        "residual": pair.residual,
-        "u_norm": luxemburg_norm(gm, pd.p, pd.grid.cell_volume).norm,
-        "I_value": pair.snapshot.I_lambda,
-        "iterations": pair.iterations,
-        "mechanism": pair.mechanism,
-        "converged": pair.converged,
-        "alpha": pair.alpha,
-        "snapshot": asdict(pair.snapshot),
-    }
+def _pair_payload(pair, row) -> dict:
+    """The pair's report row, its `lam` keyed "lambda", plus the energy snapshot."""
+    payload = asdict(row)
+    payload["lambda"] = payload.pop("lam")
+    payload["snapshot"] = asdict(pair.snapshot)
+    return payload
 
 
 def write_nodal(path: str, u: np.ndarray, grid) -> None:
@@ -247,7 +240,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             pair = solve_mountain_pass(pd, alpha, _option(config, "lambda", float), cfg)
         else:
             pair = solve_sphere_max(pd, alpha, cfg)
-        results = _pair_payload(pair, pd)
+        results = _pair_payload(pair, _sweep_row(pair, pd))
         if command == "sphere-max":
             results["first_level"] = pair.snapshot.F
         if not pair.converged:
@@ -264,7 +257,8 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             _write_csv(_sibling(out, ".csv"), report.rows)
     elif command == "family":
         pairs = eigenfamily(pd, _option(config, "mu", float), _option(config, "radii", list), cfg)
-        results = {"pairs": [_pair_payload(p, pd) for p in pairs]}
+        rows = [_sweep_row(p, pd) for p in pairs]
+        results = {"pairs": [_pair_payload(p, row) for p, row in zip(pairs, rows)]}
         gaps = [
             float(np.linalg.norm(a.u - b.u))
             for i, a in enumerate(pairs)
@@ -272,19 +266,6 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         ]
         results["min_nodal_gap"] = min(gaps) if gaps else 0.0
         results["distinct"] = bool(gaps) and min(gaps) > 10.0 * cfg.grad_tol
-        rows = [
-            SweepRow(
-                p.lam,
-                p.residual,
-                _pair_payload(p, pd)["u_norm"],
-                p.snapshot.I_lambda,
-                p.iterations,
-                p.mechanism,
-                p.converged,
-                p.alpha,
-            )
-            for p in pairs
-        ]
         if not all(p.converged for p in pairs):
             exit_code = 3
         if out:

@@ -509,7 +509,7 @@ def embedding_constant(
     Each trial ascends in the H^1_0 metric: the direction is d = P^-1 g
     for the nodal gradient g of the ratio and P = gradient_adjoint o
     gradient (`riesz_solve`), with Barzilai-Borwein lengths in the same
-    metric through the shared `_line_search`; unlike the 1D descents of G
+    metric over the shared `_trial_lengths`; unlike the 1D descents of G
     it keeps P on 1D grids, since its ratio is not G.  The
     ratio is 0-homogeneous, so an accepted candidate is rescaled to
     max|u| = 1 with its ratio and gradient carried over.  A trial stops
@@ -544,16 +544,13 @@ def embedding_constant(
             if prev_u is not None:  # ascent: BB on the gradient of -ratio, one row
                 du, dg, dd = (u - prev_u)[None], (prev_g - grad)[None], (prev_d - d)[None]
                 step = _bb_step(du, dg, [step], dd, grid.dim)[0]
-
-            def ascend_at(s):
-                cand = u + s * d
+            for step in _trial_lengths(step):  # the first strict increase is taken
+                cand = u + step * d
                 cand_ratio, cand_grad = _embedding_ratio_and_grad(cand, pd, num_exp)
-                return (cand, cand_ratio, cand_grad) if cand_ratio > ratio else None
-
-            hit, step = _line_search(ascend_at, step)
-            if hit is None:
+                if cand_ratio > ratio:
+                    break
+            else:
                 break
-            cand, cand_ratio, cand_grad = hit
             gain = cand_ratio - ratio
             scale = float(np.max(np.abs(cand)))
             prev_u, prev_g, prev_d = u, grad, d
@@ -685,18 +682,6 @@ def _trial_lengths(step):
         for _ in range(60):
             yield s
             s = factor * s
-
-
-def _line_search(trial, step):
-    """First s of `_trial_lengths(step)` with trial(s) not None.
-
-    Returns (hit, s), with hit None after all 120 tries missed.
-    """
-    for s in _trial_lengths(step):
-        hit = trial(s)
-        if hit is not None:
-            return hit, s
-    return None, s
 
 
 def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid, weight=None) -> np.ndarray:

@@ -422,7 +422,7 @@ def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     sums = np.zeros(w.shape)
     np.cumsum(r, axis=-1, out=sums[..., 1:])
     inv = (h * h) / w
-    pivot = np.take_along_axis(sums, np.argmax(inv, axis=-1)[:, None], axis=-1)
+    pivot = sums[np.arange(len(sums)), np.argmax(inv, axis=-1)][:, None]
     drop = pivot - sums  # each cell's flux minus the pivot cell's
     flux = drop - (drop * inv).sum(axis=-1, keepdims=True) / inv.sum(axis=-1, keepdims=True)
     return np.cumsum(flux * inv, axis=-1)[..., :-1]

@@ -27,7 +27,6 @@ the 2D solve diagonalizes only constant coefficients.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import numbers
@@ -203,9 +202,40 @@ def bump_seed(pd: ProblemData, center: float, width: float) -> np.ndarray:
     return u
 
 
-def _x_norm(u, pd: ProblemData) -> float:
-    gm = gradient_magnitude(gradient(u, pd.grid))
-    return luxemburg_norm(gm, pd.p, pd.grid.cell_volume).norm
+def _sweep_row(pair: EigenPair, pd: ProblemData) -> SweepRow:
+    """The report row of a pair; u_norm is the p(x)-Luxemburg norm of |grad u|."""
+    gm = gradient_magnitude(gradient(pair.u, pd.grid))
+    u_norm = luxemburg_norm(gm, pd.p, pd.grid.cell_volume).norm
+    return SweepRow(
+        pair.lam,
+        pair.residual,
+        u_norm,
+        pair.snapshot.I_lambda,
+        pair.iterations,
+        pair.mechanism,
+        pair.converged,
+        pair.alpha,
+    )
+
+
+def _check_level(pd: ProblemData, alpha: float, lam: float) -> None:
+    """Reject a non-positive alpha or lam; warn when lam is outside the certified window."""
+    if alpha <= 0 or lam <= 0:
+        raise ValueError("alpha and lam must be positive")
+    if lam >= lambda_alpha(pd, alpha):
+        warnings.warn(
+            "lam sits at or above the certified window; attempting anyway",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _seed(pd: ProblemData, v0) -> np.ndarray:
+    """The first sine mode, or v0 checked for Dirichlet data; a zero seed raises."""
+    w = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
+    if not np.any(w):
+        raise ValueError("seed function is identically zero")
+    return w
 
 
 def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
@@ -242,9 +272,7 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     their own energy well; a small-amplitude start would crawl for
     thousands of iterations and could drift into a neighbouring well.
     """
-    w = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
-    if not np.any(w):
-        raise ValueError("seed function is identically zero")
+    w = _seed(pd, v0)
     wg = _grad_profile(w, pd)
     wm = _mass_profile(w, pd)
     try:
@@ -284,14 +312,7 @@ def solve_sublinear(
     """
     if not pd.q.lo < pd.p.lo:
         raise ValueError("ball minimization needs inf q < inf p")
-    if alpha <= 0 or lam <= 0:
-        raise ValueError("alpha and lam must be positive")
-    if lam >= lambda_alpha(pd, alpha):
-        warnings.warn(
-            "lam sits at or above the certified window; attempting anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _check_level(pd, alpha, lam)
 
     grid = pd.grid
 
@@ -446,18 +467,9 @@ def solve_mountain_pass(
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
     if pd.q.lo < pd.p.hi:
         raise ValueError("mountain pass needs inf q >= sup p")
-    if alpha <= 0 or lam <= 0:
-        raise ValueError("alpha and lam must be positive")
-    if lam >= lambda_alpha(pd, alpha):
-        warnings.warn(
-            "lam sits at or above the certified window; attempting anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _check_level(pd, alpha, lam)
 
-    w0 = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
-    if not np.any(w0):
-        raise ValueError("seed function is identically zero")
+    w0 = _seed(pd, v0)
     grid, p, q = pd.grid, pd.p.values, pd.q.values
 
     # the callbacks take stacks of rows and return one value per row; a point's
@@ -498,23 +510,6 @@ def solve_mountain_pass(
     return _pair(tau[0] * w[0], pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
 
 
-def _sweep_one(pd, lam, alpha_base, cfg, index):
-    cfg_i = dataclasses.replace(cfg, seed=cfg.seed + index)
-    try:
-        alpha = window_alpha(pd, lam)
-    except ValueError:
-        alpha = alpha_base
-    try:
-        if pd.q.hi < pd.p.lo:
-            pair = solve_sublinear(pd, alpha, lam, cfg_i)
-        else:
-            pair = solve_mountain_pass(pd, alpha, lam, cfg_i)
-    except (ValueError, OverflowError) as exc:
-        warnings.warn(f"sweep row {index} (lam={lam}) failed: {exc}", RuntimeWarning)
-        return None
-    return pair
-
-
 def spectrum_sweep(
     pd: ProblemData,
     lambdas,
@@ -530,30 +525,21 @@ def spectrum_sweep(
     """
     if not (pd.q.hi < pd.p.lo or (pd.q.lo > pd.p.hi and is_superlinear(pd))):
         raise ValueError("sweep needs a strict regime; boundary cases go to eigenfamily")
+    solve = solve_sublinear if pd.q.hi < pd.p.lo else solve_mountain_pass
     rows, pairs = [], []
     for i, lam in enumerate(float(l) for l in lambdas):
-        try:
-            pair = _sweep_one(pd, lam, alpha, cfg, i)
-        except Exception as exc:  # row isolation: a bad row must not abort the sweep
-            warnings.warn(f"sweep row {i} raised: {exc}", RuntimeWarning)
+        try:  # row isolation: a bad row must not abort the sweep
+            try:
+                level = window_alpha(pd, lam)
+            except ValueError:
+                level = alpha
+            pair = solve(pd, level, lam, cfg)
+            rows.append(_sweep_row(pair, pd))
+        except Exception as exc:
+            warnings.warn(f"sweep row {i} (lam={lam}) failed: {exc}", RuntimeWarning)
             pair = None
-        if pair is None:
             rows.append(SweepRow(lam, np.nan, np.nan, np.nan, 0, "none", False, np.nan))
-            pairs.append(None)
-        else:
-            rows.append(
-                SweepRow(
-                    pair.lam,
-                    pair.residual,
-                    _x_norm(pair.u, pd),
-                    pair.snapshot.I_lambda,
-                    pair.iterations,
-                    pair.mechanism,
-                    pair.converged,
-                    pair.alpha,
-                )
-            )
-            pairs.append(pair)
+        pairs.append(pair)
     return SweepReport(rows, pairs)
 
 
@@ -599,7 +585,6 @@ def eigenfamily(
     modes = _mode_tuples(pd.grid.dim, count)
     pairs = []
     for k, alpha in enumerate(radii):
-        cfg_k = dataclasses.replace(cfg, seed=cfg.seed + k)
         seed_fn = mode_seed(pd, modes[k])
         if ball_regime:
             if alpha * pd.p.hi < 1.0:
@@ -607,14 +592,14 @@ def eigenfamily(
                     "level-independence needs alpha*sup(p) >= 1 in the ball regime",
                     RuntimeWarning,
                 )
-            pairs.append(solve_sublinear(pd, alpha, mu, cfg_k, v0=seed_fn))
+            pairs.append(solve_sublinear(pd, alpha, mu, cfg, v0=seed_fn))
         else:
             if alpha * pd.p.hi >= 1.0:
                 warnings.warn(
                     "level-independence needs alpha*sup(p) < 1 in the path regime",
                     RuntimeWarning,
                 )
-            pairs.append(solve_mountain_pass(pd, alpha, mu, cfg_k, v0=seed_fn))
+            pairs.append(solve_mountain_pass(pd, alpha, mu, cfg, v0=seed_fn))
 
     gap_floor = 10.0 * cfg.grad_tol
     for i in range(count):
@@ -650,13 +635,7 @@ def rescale_constant_exponent(
     t = (pair.lam / lam_new) ** (1.0 / (q_val - p_val))
     u = t * pair.u
     res = residual(u, pd, lam_new)
+    snap = energies(u, pd, lam_new)
     return EigenPair(
-        float(lam_new),
-        u,
-        res,
-        energies(u, pd, lam_new),
-        pair.mechanism,
-        res <= tol,
-        pair.iterations,
-        energies(u, pd).G,
+        float(lam_new), u, res, snap, pair.mechanism, res <= tol, pair.iterations, snap.G
     )

@@ -159,6 +159,34 @@ def test_family_command(tmp_path):
     assert (tmp_path / "family.csv").exists()
 
 
+def test_family_csv_rows_match_the_pair_payloads(tmp_path, monkeypatch):
+    """The CSV and the JSON report share one row per pair, one gradient norm each."""
+    import csv
+
+    import vexspec.solvers as solvers
+    from vexspec import alpha_independent_threshold
+
+    norms, norm = [], solvers.luxemburg_norm
+
+    def spy(*args, **kwargs):
+        norms.append(args)
+        return norm(*args, **kwargs)
+
+    cfg = family_config()
+    cfg["mu"] = 0.5 * alpha_independent_threshold(build_problem(cfg))
+    monkeypatch.setattr(solvers, "luxemburg_norm", spy)
+    report, code = run("family", cfg, out=str(tmp_path / "family.json"))
+    assert code == 0
+    pairs = report["results"]["pairs"]
+    with open(tmp_path / "family.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(pairs) == len(norms) == 2
+    for row, pair in zip(rows, pairs):
+        assert float(row["u_norm"]) == pair["u_norm"]
+        assert float(row["lambda"]) == pair["lambda"]
+        assert int(row["iterations"]) == pair["iterations"]
+
+
 def test_family_rectangle_config_fields_are_mirror_symmetric_bitwise():
     """The quick-start 2D family pins its parity classes only if p and q are exactly symmetric."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "family_rectangle.json"

@@ -290,7 +290,7 @@ def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
     p, q = (3.0, 2.0) if instance == "p3q2" else (2.6 + 0.8 * x, 1.5 + 0.7 * x * x)
     pd = make_pd(grid, p, q, C_embed=1.0)
     trials, searching = [], []
-    ratio_and_grad, line_search = fn._embedding_ratio_and_grad, fn._line_search
+    ratio_and_grad, trial_lengths = fn._embedding_ratio_and_grad, fn._trial_lengths
 
     def spy_ratio(*args):
         ratio, grad = ratio_and_grad(*args)
@@ -299,16 +299,16 @@ def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
         trials[-1]["ratio"] = max(trials[-1]["ratio"], ratio)
         return ratio, grad
 
-    def spy_search(trial, step):
+    def spy_lengths(step):  # one line search per sequence drawn
         trials[-1]["searches"] += 1
         searching.append(True)
         try:
-            return line_search(trial, step)
+            yield from trial_lengths(step)
         finally:
             searching.pop()
 
     monkeypatch.setattr(fn, "_embedding_ratio_and_grad", spy_ratio)
-    monkeypatch.setattr(fn, "_line_search", spy_search)
+    monkeypatch.setattr(fn, "_trial_lengths", spy_lengths)
     est = embedding_constant(pd, trials=4, iters=250, seed=0)
     assert len(trials) == 4
     assert max(t["searches"] for t in trials) <= 150
@@ -438,25 +438,10 @@ def test_problem_data_is_frozen():
 
 
 def test_line_search_trial_order_and_hits():
-    def search(hit_index):
-        tried = []
-
-        def trial(s):
-            tried.append(s)
-            return "hit" if len(tried) == hit_index else None
-
-        return fn._line_search(trial, 1.0), tried
-
-    (hit, s), tried = search(4)
-    assert hit == "hit" and s == 0.125 and tried == [1.0, 0.5, 0.25, 0.125]
-    (hit, s), tried = search(62)
-    assert hit == "hit" and s == 4.0
-    assert tried[:60] == [0.5**k for k in range(60)] and tried[60:] == [2.0, 4.0]
-    (hit, s), tried = search(0)
-    assert hit is None and len(tried) == 120
+    tried = list(fn._trial_lengths(1.0))
+    assert len(tried) == 120
+    assert tried[:60] == [0.5**k for k in range(60)]
     assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
-    # the lockstep descents draw each row's trials from the same sequence
-    assert list(fn._trial_lengths(1.0)) == tried
 
 
 def test_terminal_phase_accepts_only_residual_decrease():

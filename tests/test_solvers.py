@@ -31,7 +31,15 @@ from vexspec import (
     window_alpha,
 )
 from vexspec.functionals import _grad_profile, _mass_profile
-from vexspec.solvers import BALL_MIN, MOUNTAIN_PASS, SPHERE_MAX, _mode_tuples, _pair, _ray_crossing
+from vexspec.solvers import (
+    BALL_MIN,
+    MOUNTAIN_PASS,
+    SPHERE_MAX,
+    _mode_tuples,
+    _pair,
+    _ray_crossing,
+    _sweep_row,
+)
 
 from conftest import (
     family_ball_problem_1d,
@@ -542,8 +550,8 @@ def test_sweep_reproduces_single_solve(sublinear_pd):
     report = spectrum_sweep(pd, [0.7], 1.0, cfg)
     direct = solve_sublinear(pd, window_alpha(pd, 0.7), 0.7, cfg)
     assert len(report.rows) == 1
-    assert report.rows[0].lam == direct.lam
-    assert report.rows[0].residual == direct.residual
+    assert report.rows[0] == _sweep_row(direct, pd)
+    assert report.rows[0].u_norm > 0.0
     assert np.array_equal(report.pairs[0].u, direct.u)
     assert report.all_converged
 
@@ -569,6 +577,29 @@ def test_sweep_isolates_bad_rows(sublinear_pd):
     assert not bad.converged and bad.mechanism == "none"
     assert np.isnan(bad.residual)
     assert not report.all_converged
+
+
+def test_sweep_isolates_a_row_that_raises_any_exception(sublinear_pd, monkeypatch):
+    cfg = SolverConfig(max_iters=4000, grad_tol=1e-4, seed=0)
+    solve = solvers.solve_sublinear
+
+    def flaky(pd, alpha, lam, cfg, **kwargs):
+        if lam == 2.0:
+            raise FloatingPointError("overflow in a stencil")
+        return solve(pd, alpha, lam, cfg, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_sublinear", flaky)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = spectrum_sweep(sublinear_pd, [0.5, 2.0], 1.0, cfg)
+    failed = [w for w in caught if "failed" in str(w.message)]
+    assert len(failed) == 1
+    assert "row 1 (lam=2.0) failed: overflow in a stencil" in str(failed[0].message)
+    good, bad = report.rows
+    assert good.converged and good.mechanism == BALL_MIN
+    assert bad.mechanism == "none" and not bad.converged and bad.iterations == 0
+    assert all(np.isnan(x) for x in (bad.residual, bad.u_norm, bad.I_value, bad.alpha))
+    assert report.pairs[1] is None and report.pairs[0] is not None
 
 
 def test_sweep_rejects_boundary_regime():
