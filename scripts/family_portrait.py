@@ -17,6 +17,7 @@ from vexspec import (
     make_problem,
     rectangle_grid,
 )
+from vexspec.solvers import _family_gaps
 
 
 def sym_band(m, lo_band, hi_band):
@@ -59,10 +60,9 @@ def main():
             f"{radius:8.3f} {pair.residual:10.2e} {pair.snapshot.I_lambda:13.5e} "
             f"{px:>9s} {py:>9s}"
         )
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            gap = float(np.linalg.norm(family[i].u - family[j].u))
-            print(f"gap({i},{j}) = {gap:.3e}")
+    for row in _family_gaps(family, pd):
+        i, j = row["levels"]
+        print(f"gap({i},{j}) = {row['gap']:.3e}  |dI| = {row['dI_lambda']:.3e}")
 
 
 if __name__ == "__main__":

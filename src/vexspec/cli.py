@@ -28,6 +28,7 @@ from .functionals import (
 from .mesh import apply_dirichlet, grid_from_config, gradient, gradient_magnitude
 from .solvers import (
     SolverConfig,
+    _family_gaps,
     _sweep_row,
     eigenfamily,
     solve_mountain_pass,
@@ -259,13 +260,10 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         pairs = eigenfamily(pd, _option(config, "mu", float), _option(config, "radii", list), cfg)
         rows = [_sweep_row(p, pd) for p in pairs]
         results = {"pairs": [_pair_payload(p, row) for p, row in zip(pairs, rows)]}
-        gaps = [
-            float(np.linalg.norm(a.u - b.u))
-            for i, a in enumerate(pairs)
-            for b in pairs[i + 1 :]
-        ]
-        results["min_nodal_gap"] = min(gaps) if gaps else 0.0
-        results["distinct"] = bool(gaps) and min(gaps) > 10.0 * cfg.grad_tol
+        gaps = _family_gaps(pairs, pd)
+        results["pair_gaps"] = gaps
+        results["min_nodal_gap"] = min((row["gap"] for row in gaps), default=0.0)
+        results["distinct"] = bool(gaps) and all(row["distinct"] for row in gaps)
         if not all(p.converged for p in pairs):
             exit_code = 3
         if out:

@@ -217,6 +217,23 @@ def make_problem(
     return pd
 
 
+def _restricted(pd: ProblemData, extents: tuple, mirror: tuple) -> ProblemData:
+    """pd on the corner of its grid at node 0 with these extents and mirror flags.
+
+    A folded solve runs there.  The cell fields are cut to the corner's
+    cells; the constants and the exponent bounds stay pd's, which
+    mirror-symmetric data share with the corner that generates them.
+    """
+    grid = StructuredGrid(extents, pd.grid.spacing, mirror)
+    cells = tuple(slice(0, n) for n in grid.cell_shape)
+
+    def cut(e: ExponentField) -> ExponentField:
+        return dataclasses.replace(e, values=np.ascontiguousarray(e.values[cells]))
+
+    V = np.ascontiguousarray(pd.V[cells])
+    return dataclasses.replace(pd, grid=grid, p=cut(pd.p), q=cut(pd.q), s=cut(pd.s), V=V)
+
+
 def is_sublinear(pd: ProblemData) -> bool:
     return pd.q.hi <= pd.p.lo or pd.q.lo < pd.p.lo
 
@@ -258,9 +275,19 @@ def _dot(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return np.vecdot(a, b)
 
 
-def _norm(a: np.ndarray, dim: int):
-    """Euclidean norm over the trailing dim axes, as np.linalg.norm takes it (sqrt of ddot)."""
-    return np.sqrt(_dot(a, a, dim))
+def _norm(a: np.ndarray, grid: StructuredGrid, primal: bool = False):
+    """Euclidean norm of nodal vectors over the trailing grid axes, one per row.
+
+    It is taken as np.linalg.norm takes it (sqrt of ddot).  On a grid with
+    mirror flags the squares are weighted by `grid._mirror_weight`, the
+    dual vectors' (nodal gradients) by it and the primal ones' (nodal
+    functions) by its reciprocal, so the norm is the unfolded vector's up
+    to the common factor 2**(-f/2), which cancels in every ratio of norms.
+    """
+    w = grid._mirror_weight
+    if w is None:
+        return np.sqrt(_dot(a, a, grid.dim))
+    return np.sqrt(_dot(a, a / w if primal else a * w, grid.dim))
 
 
 class _Point:
@@ -950,7 +977,7 @@ def _sphere_quotients(pd: ProblemData):
         grad = grad / _column(np.where(gf_rows, F, phi), grid)
         normal = _dot(gG, gG, grid.dim)
         tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
-        return tangent, (gG, pt.metric_weight()), _norm(tangent, grid.dim) / np.sqrt(normal)
+        return tangent, (gG, pt.metric_weight()), _norm(tangent, grid) / np.sqrt(normal)
 
     return value_at, direction
 

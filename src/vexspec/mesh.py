@@ -47,16 +47,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuredGrid:
-    """Uniform tensor-product grid in one or two dimensions."""
+    """Uniform tensor-product grid in one or two dimensions.
+
+    mirror holds one flag per axis (all False by default).  A flagged axis
+    ends on the mirror line of a mirror-even function: the grid is the half
+    next to node 0 of a grid with 2n - 1 nodes on that axis, its last node
+    lies on the mirror line and is free, not a Dirichlet node.  A solve
+    restricted to the fixed-point subspace of the reflections runs on such
+    a grid; the half of a mirror-odd function needs no flag, since it
+    vanishes on the mirror line like on any Dirichlet face.
+    """
 
     extents: tuple
     spacing: tuple
+    mirror: tuple = ()
 
     def __post_init__(self):
         if len(self.extents) not in (1, 2):
             raise ValueError("grid dimension must be 1 or 2")
         if len(self.spacing) != len(self.extents):
             raise ValueError("spacing and extents must have matching length")
+        mirror = tuple(bool(m) for m in self.mirror) or (False,) * len(self.extents)
+        if len(mirror) != len(self.extents):
+            raise ValueError("mirror flags and extents must have matching length")
+        object.__setattr__(self, "mirror", mirror)
         if any(int(n) < 3 for n in self.extents):
             raise ValueError("each axis needs at least 3 nodes")
         if any(h <= 0 for h in self.spacing):
@@ -94,13 +108,10 @@ class StructuredGrid:
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
+        """The Dirichlet nodes: both end faces of each axis, the first only on a flagged one."""
         mask = np.zeros(self.extents, dtype=bool)
-        for axis in range(self.dim):
-            index = [slice(None)] * self.dim
-            index[axis] = 0
-            mask[tuple(index)] = True
-            index[axis] = -1
-            mask[tuple(index)] = True
+        for face in self._boundary_faces:
+            mask[face] = True
         return mask
 
     @cached_property
@@ -110,14 +121,36 @@ class StructuredGrid:
 
     @cached_property
     def _boundary_faces(self) -> tuple:
-        """One index per axis that selects both end faces of that axis, for one
-        nodal function or a stack of them (a step of n - 1 along the axis)."""
+        """One index per axis that selects its Dirichlet faces, for one nodal
+        function or a stack of them: both end faces (a step of n - 1 along
+        the axis), or the first alone on a mirror-flagged axis."""
         faces = []
-        for axis, n in enumerate(self.extents):
+        for axis, (n, mirror) in enumerate(zip(self.extents, self.mirror)):
             index = [slice(None)] * self.dim
-            index[axis] = slice(None, None, n - 1)
+            index[axis] = 0 if mirror else slice(None, None, n - 1)
             faces.append((Ellipsis, *index))
         return tuple(faces)
+
+    @cached_property
+    def _interior(self) -> tuple:
+        """Index of the free nodes of a stack of nodal functions, a box behind its leading axis."""
+        return (slice(None),) + tuple(slice(1, None if m else -1) for m in self.mirror)
+
+    @cached_property
+    def _mirror_weight(self):
+        """2**c at a node on c mirror lines, or None on a grid without mirror flags.
+
+        In the mirror-even extension of a flagged grid's nodal function such
+        a node appears 2**(f-c) times for f flagged axes, and the
+        extension's nodal gradient there is 2**c times the grid's own.
+        """
+        if not any(self.mirror):
+            return None
+        w = np.ones(self.extents)
+        for axis, mirror in enumerate(self.mirror):
+            if mirror:
+                w[(slice(None),) * axis + (-1,)] *= 2.0
+        return w
 
     @cached_property
     def riesz_blocks(self) -> tuple:
@@ -129,19 +162,23 @@ class StructuredGrid:
         edge-averaging factor cos(theta/2)^2.  Reflecting the n-2 interior
         nodes maps sine k to (-1)^(k+1) times itself, so mirror-even data
         excite only odd k (class 0) and mirror-odd data only even k (class 1).
+        A mirror-flagged axis of n nodes is the half of an axis of 2n - 1
+        nodes, whose blocks it takes.
 
         Returns (blocks, spectra).  blocks[axis][c] = (forward, backward)
         acts on the half of the interior next to node 0 that class c keeps
         (ceil((n-2)/2) nodes for class 0, floor((n-2)/2) for class 1):
         forward.T @ half gives the class entries of the unnormalized DST-I
-        (scipy.fft.dst type 1) of the mirrored vector, and backward @ coef
-        gives that half of the DST-I of a spectrum supported on the class.
-        spectra[a, b] holds the eigenvalues of class (a, b), times the
-        2*(n-1) per axis by which two DST-Is exceed the identity.  The 1D
-        solve needs none of this.
+        (scipy.fft.dst type 1) of the mirrored vector, with the centre node
+        of an odd-length interior, which is its own mirror partner, counted
+        at half its value in half; backward @ coef gives that half of the
+        DST-I of a spectrum supported on the class.  spectra[a, b] holds the
+        eigenvalues of class (a, b), times the 2*(n-1) per axis by which two
+        DST-Is exceed the identity.  The 1D solve needs none of this.
         """
+        ends = [2 * n - 1 if mirror else n for n, mirror in zip(self.extents, self.mirror)]
         blocks = []
-        for n in self.extents:
+        for n in ends:
             m = n - 2
             rows = np.arange(1, (m + 1) // 2 + 1)[:, None]
             pair = []
@@ -149,16 +186,13 @@ class StructuredGrid:
                 modes = np.arange(c + 1, m + 1, 2)
                 phase = (rows[: modes.size] * modes) % (2 * (m + 1))
                 backward = 2.0 * np.sin(np.pi * phase / (m + 1))
-                forward = 2.0 * backward
-                if c == 0 and m % 2:
-                    forward[-1] = backward[-1]  # the centre node has no mirror partner
-                pair.append((forward, backward))
+                pair.append((2.0 * backward, backward))
             blocks.append(tuple(pair))
-        half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in self.extents]
+        half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in ends]
         stiff = [4.0 * np.sin(t) ** 2 / h**2 for t, h in zip(half, self.spacing)]
         mass = [np.cos(t) ** 2 for t in half]
         spectrum = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
-        spectrum *= 4.0 * (self.extents[0] - 1) * (self.extents[1] - 1)
+        spectrum *= 4.0 * (ends[0] - 1) * (ends[1] - 1)
         spectra = {(a, b): spectrum[a::2, b::2].copy() for a in (0, 1) for b in (0, 1)}
         return tuple(blocks), spectra
 
@@ -372,6 +406,32 @@ def _halves(r: np.ndarray, scale: float = 0.5) -> tuple:
     return scale * (r[: (m + 1) // 2] + f[: (m + 1) // 2]), scale * (r[: m // 2] - f[: m // 2])
 
 
+def _classes(r: np.ndarray, mirror: bool, scale: float = 0.5) -> tuple:
+    """The parity-class halves along axis 0 of interior data r that a solve keeps.
+
+    On an axis with both ends Dirichlet these are `_halves`, with the centre
+    row of an odd-length axis halved in the even class: it is its own
+    mirror partner, so the class solve, which counts every row of the half
+    twice, counts it once.  The interior of a mirror-flagged axis is the
+    even half itself, whose mirror row the grid already holds at half its
+    weight, so 2*scale*r is its only class.
+    """
+    if mirror:
+        return ((2.0 * scale) * r,)
+    even, odd = _halves(r, scale)
+    if r.shape[0] % 2:
+        even[-1] *= 0.5
+    return even, odd
+
+
+def _unclasses(parts: tuple, out: np.ndarray) -> np.ndarray:
+    """Write the class solutions of `_classes` back into out along axis 0."""
+    if len(parts) == 1:
+        out[...] = parts[0]
+        return out
+    return _mirror(*parts, out)
+
+
 def _mirror(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write even + odd extended by their parities along axis 0 into out."""
     k = odd.shape[0]
@@ -382,28 +442,31 @@ def _mirror(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray, mirror: bool) -> np.ndarray:
     """Exact O(n) solve of [-1, 2, -1]/h^2 by two cumulative sums per parity class.
 
     Node j's equation says that the drop from node j to its outer neighbour
     exceeds the drop from its inner neighbour by h^2 r_j, so the drops are
     a cumulative sum running outward from the centre, and the values their
     sum running inward from the zero boundary node.  The even class starts
-    at zero slope; a centre node is its own mirror, so it takes half its
-    value.  The odd class adds to that particular solution the multiple of
-    the linear homogeneous solution that makes it antisymmetric about the
-    centre: zero on a centre node (offset a = 1) or opposite on the two
-    middle nodes (a = 1/2).  r is (m, k): k columns, each solved alone.
+    at zero slope; a centre node is its own mirror, so `_classes` gives it
+    half its value (a mirror-flagged axis holds only this class, with its
+    mirror node as the centre).  The odd class adds to that particular
+    solution the multiple of the linear homogeneous solution that makes it
+    antisymmetric about the centre: zero on a centre node (offset a = 1) or
+    opposite on the two middle nodes (a = 1/2).  r is (m, k): k columns,
+    each solved alone.
     """
     m = r.shape[0]
-    even, odd = _halves(r, 0.5 * h * h)
-    if m % 2:
-        even[-1] *= 0.5
-    even = np.cumsum(np.cumsum(even[::-1], axis=0)[::-1], axis=0)
-    odd = np.cumsum(np.cumsum(odd[::-1], axis=0)[::-1], axis=0)
-    k, a = odd.shape[0], 0.5 + 0.5 * (m % 2)
-    odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))[:, None]
-    return _mirror(even, odd, out)
+    parts = [
+        np.cumsum(np.cumsum(c[::-1], axis=0)[::-1], axis=0)
+        for c in _classes(r, mirror, 0.5 * h * h)
+    ]
+    if not mirror:
+        odd = parts[1]
+        k, a = odd.shape[0], 0.5 + 0.5 * (m % 2)
+        odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))[:, None]
+    return _unclasses(parts, out)
 
 
 def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
@@ -429,18 +492,19 @@ def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
 
 
 def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.ndarray:
-    """Four half-size dense solves, one per pair of axis parities."""
+    """One half-size dense solve per pair of axis parities that `_classes` keeps."""
     (bx, by), spectra = grid.riesz_blocks
+    mx, my = grid.mirror
     rows = []
-    for a, ra in enumerate(_halves(r)):
+    for a, ra in enumerate(_classes(r, mx)):
         fa, ba = bx[a]
         cols = []
-        for b, rab in enumerate(_halves(ra.T)):
+        for b, rab in enumerate(_classes(ra.T, my)):
             fb, bb = by[b]
             coef = (fa.T @ rab.T @ fb) / spectra[a, b]
             cols.append((ba @ coef @ bb.T).T)
-        rows.append(_mirror(*cols, np.empty((r.shape[1], ra.shape[0]))).T)
-    return _mirror(*rows, out)
+        rows.append(_unclasses(cols, np.empty((r.shape[1], ra.shape[0]))).T)
+    return _unclasses(rows, out)
 
 
 def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
@@ -459,6 +523,11 @@ def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
     with a sign change in exact floating point.  A leading axis of g holds
     k right-hand sides, each solved bit for bit as if it were alone.
 
+    On a mirror-flagged axis the data are already the even half, with the
+    free mirror node, and only the even class is solved: the solve of the
+    flagged grid's own gradient_adjoint o gradient, which is the
+    restriction of the full grid's solve to its mirror-even data.
+
     A positive per-cell weight W, shaped like the cells of g (one row per
     right-hand side), solves (gradient_adjoint o W o gradient) d = g
     instead: the Riesz map of a variable metric, 1D only, since the DST
@@ -470,11 +539,10 @@ def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
     g = _as_nodal(g, grid)
     cols = g.reshape((-1,) + grid.shape)
     d = np.zeros(cols.shape)
-    interior = (slice(None),) + (slice(1, -1),) * grid.dim
-    r, out = cols[interior], d[interior]
+    r, out = cols[grid._interior], d[grid._interior]
     if weight is not None:
-        if grid.dim != 1:
-            raise ValueError("a weighted Riesz solve needs a 1D grid")
+        if grid.dim != 1 or grid.mirror[0]:
+            raise ValueError("a weighted Riesz solve needs a 1D grid without a mirror flag")
         w = np.asarray(weight, dtype=float)
         if w.shape != g.shape[:-1] + grid.cell_shape:
             raise ValueError(f"weight shape {w.shape} does not match the cells of {g.shape}")
@@ -482,7 +550,7 @@ def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
         ahead, back = _flux_solve_1d(r, w, h), _flux_solve_1d(r[:, ::-1], w[:, ::-1], h)
         np.multiply(ahead + back[:, ::-1], 0.5, out=out)
     elif grid.dim == 1:
-        _riesz_solve_1d(r.T, grid.spacing[0], out.T)
+        _riesz_solve_1d(r.T, grid.spacing[0], out.T, grid.mirror[0])
     else:
         for r_k, out_k in zip(r, out):
             _riesz_solve_2d(r_k, grid, out_k)

@@ -23,6 +23,13 @@ o gradient: it charts the rays by the H^1_0 sphere through its seed, the
 sphere of P, so a trial is rescaled in closed form and its step is one
 Riesz column, tangent to that sphere.  2D descents keep P as well, since
 the 2D solve diagonalizes only constant coefficients.
+
+A 2D ball or mountain-pass solve whose seed is bitwise even or odd along
+an axis with an odd node count, on data p, q and V bitwise symmetric
+along it, descends on the half of the grid its parity class fixes (a
+quarter when both axes fold; `_fold`), at a fraction of the array work,
+and is unfolded by reflection before `_pair` certifies it on the full
+grid.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .functionals import (
     _norm,
     _Point,
     _profile_scale,
+    _restricted,
     _rows_pow,
     _sobolev_descent,
     _sphere_descent,
@@ -84,6 +92,9 @@ __all__ = [
 BALL_MIN = "ball_min"
 SPHERE_MAX = "sphere_max"
 MOUNTAIN_PASS = "mountain_pass"
+
+# two levels of a family are distinct when their relative gap (`_family_gaps`) exceeds this
+FAMILY_GAP_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -238,6 +249,62 @@ def _seed(pd: ProblemData, v0) -> np.ndarray:
     return w
 
 
+def _symmetric_axes(pd: ProblemData) -> list:
+    """The axes without a mirror flag along which p, q and V are bitwise mirror-symmetric."""
+    fields, grid = (pd.p.values, pd.q.values, pd.V), pd.grid
+    return [
+        a
+        for a in range(grid.dim)
+        if not grid.mirror[a] and all(np.array_equal(f, np.flip(f, a)) for f in fields)
+    ]
+
+
+def _fold(pd: ProblemData, w: np.ndarray) -> tuple:
+    """Fold a 2D solve from seed w onto the corner of the grid its parity class fixes.
+
+    An axis folds when its node count is odd (at least 5), so the mirror
+    line is a node line, when p, q and V are bitwise mirror-symmetric along
+    it and when w is bitwise even or odd along it.  The descent keeps that
+    parity bit for bit, so it stays in the fixed-point subspace of the
+    reflection (principle of symmetric criticality, Palais, Comm. Math.
+    Phys. 69, 1979), whose functions are their values on the half next to
+    node 0: an even class ends on a mirror-flagged axis with a free mirror
+    node, an odd class on a Dirichlet node.  No cell straddles the mirror
+    line, so every energy there is 2**-f times the full grid's for f folded
+    axes, and its nodal gradients and Riesz solves are the full grid's
+    restricted (gradients halved on the mirror lines).  Returns (pd, w,
+    folds) on the folded grid, folds the (axis, class sign) pairs, or
+    (pd, w, ()) when no axis folds.
+    """
+    grid, folds = pd.grid, []
+    if grid.dim == 2:
+        for axis in _symmetric_axes(pd):
+            if grid.extents[axis] % 2 == 0 or grid.extents[axis] < 5:
+                continue
+            flip = np.flip(w, axis)
+            if np.array_equal(w, flip):
+                folds.append((axis, 1.0))
+            elif np.array_equal(w, -flip):
+                folds.append((axis, -1.0))
+    if not folds:
+        return pd, w, ()
+    extents, mirror = list(grid.extents), list(grid.mirror)
+    for axis, sign in folds:
+        extents[axis] = (extents[axis] + 1) // 2
+        mirror[axis] = sign > 0.0
+    nodes = tuple(slice(0, n) for n in extents)
+    qpd = _restricted(pd, tuple(extents), tuple(mirror))
+    return qpd, np.ascontiguousarray(w[nodes]), tuple(folds)
+
+
+def _unfold(u: np.ndarray, folds: tuple) -> np.ndarray:
+    """The full-grid function of a folded solve's u: each folded axis reflected with its sign."""
+    for axis, sign in folds:
+        u = np.moveaxis(u, axis, 0)
+        u = np.moveaxis(np.concatenate([u, sign * u[-2::-1]]), 0, axis)
+    return np.ascontiguousarray(u)
+
+
 def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
     """Certify the final iterate; the flag follows the certificate alone.
 
@@ -314,24 +381,26 @@ def solve_sublinear(
         raise ValueError("ball minimization needs inf q < inf p")
     _check_level(pd, alpha, lam)
 
-    grid = pd.grid
+    # on a fold the descent runs on the folded grid, where G is 2**-f times the full one
+    qpd, u, folds = _fold(pd, _negative_seed(pd, alpha, lam, v0))
+    grid, level = qpd.grid, alpha * 0.5 ** len(folds)
 
     # the callbacks take stacks of rows and return one value per row
     def admit(u, raw, _):
         # moves beyond twice the iterate scale scramble localized iterates: rejected, with
         # u standing in for them
-        far = _norm(raw - u, grid.dim) > 2.0 * _norm(u, grid.dim)
+        far = _norm(raw - u, grid, primal=True) > 2.0 * _norm(u, grid, primal=True)
         rejected = np.count_nonzero(far)
         if rejected:
             raw = np.where(_column(far, grid), u, raw)
-        wg = _grad_profile(raw, pd)
-        wm = _mass_profile(raw, pd)
+        wg = _grad_profile(raw, qpd)
+        wm = _mass_profile(raw, qpd)
         G, F = _cell_sum(wg, grid), _cell_sum(wm, grid)
-        over = G > alpha
-        if np.count_nonzero(over):  # onto the sphere G = alpha; t = 1 keeps the rest exactly
-            t = _column(np.where(over, _profile_scale(wg, pd, alpha), 1.0), grid)
+        over = G > level
+        if np.count_nonzero(over):  # onto the sphere G = level; t = 1 keeps the rest exactly
+            t = _column(np.where(over, _profile_scale(wg, qpd, level), 1.0), grid)
             raw = t * raw
-            G, F = _cell_sum(wg * t**pd.p.values, grid), _cell_sum(wm * t**pd.q.values, grid)
+            G, F = _cell_sum(wg * t**qpd.p.values, grid), _cell_sum(wm * t**qpd.q.values, grid)
         lam_F = lam * F
         value = G - lam_F
         if rejected:
@@ -339,21 +408,20 @@ def solve_sublinear(
         return raw, value, np.maximum(G, lam_F), None
 
     def direction(w, _):
-        pt = _Point(w, pd)
+        pt = _Point(w, qpd)
         gG = pt.grad_term()
         g = gG - lam * pt.mass_term()
-        return g, pt.metric_weight(), _norm(g, grid.dim) / _norm(gG, grid.dim)
+        return g, pt.metric_weight(), _norm(g, grid) / _norm(gG, grid)
 
     def precondition(g, weight):
         return riesz_solve(g, grid, weight)
 
-    u = _negative_seed(pd, alpha, lam, v0)
-    snap = energies(u, pd, lam)
+    snap = energies(u, qpd, lam)
     start = (u[None], np.array([snap.I_lambda]), np.array([max(snap.G, lam * snap.F)]), None)
     u, _, _, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )
-    return _pair(u[0], pd, lam, BALL_MIN, iterations[0], alpha, cfg.grad_tol)
+    return _pair(_unfold(u[0], folds), pd, lam, BALL_MIN, iterations[0], alpha, cfg.grad_tol)
 
 
 def solve_sphere_max(
@@ -398,7 +466,7 @@ def solve_sphere_max(
         _, _, phi, psi = pt.energy_rows()
         gG, gF = pt.grad_term(), pt.mass_term()
         tangent = gF - _column(_dot(gF, gG, dim) / _dot(gG, gG, dim), grid) * gG
-        res = _norm(gG - _column(psi / phi, grid) * gF, dim) / _norm(gG, dim)
+        res = _norm(gG - _column(psi / phi, grid) * gF, grid) / _norm(gG, grid)
         return -tangent, (gG, pt.metric_weight()), res
 
     u = (_sphere_scale(u, pd, alpha) * u)[None]
@@ -469,20 +537,21 @@ def solve_mountain_pass(
         raise ValueError("mountain pass needs inf q >= sup p")
     _check_level(pd, alpha, lam)
 
-    w0 = _seed(pd, v0)
-    grid, p, q = pd.grid, pd.p.values, pd.q.values
+    # on a fold the descent runs on the folded grid, where G is 2**-f times the full one
+    qpd, w0, folds = _fold(pd, _seed(pd, v0))
+    grid, p, q = qpd.grid, qpd.p.values, qpd.q.values
 
     # the callbacks take stacks of rows and return one value per row; a point's
     # context is its crossing tau, the scale that puts tau*w on the ridge
     def at_crossing(raw, wg, s0):
-        wm = _mass_profile(raw, pd)
-        tau = _ray_crossing(wg, wm, pd, lam, s0)
+        wm = _mass_profile(raw, qpd)
+        tau = _ray_crossing(wg, wm, qpd, lam, s0)
         tc = _column(tau, grid)
         G, F = _cell_sum(wg * tc**p, grid), _cell_sum(wm * tc**q, grid)
         return G - lam * F, np.maximum(G, lam * F), tau
 
     def admit(_, raw, tau):
-        wg, norm2 = _h10_profile(raw, pd)
+        wg, norm2 = _h10_profile(raw, qpd)
         t = np.sqrt(r2 / norm2)  # correctly rounded, as math.sqrt
         # Newton starts at each row's current crossing; math.log, as np.log need not round as libm
         s0 = [math.log(x) for x in (t * tau).tolist()]
@@ -491,23 +560,24 @@ def solve_mountain_pass(
 
     def direction(w, tau):  # the residual lives at tau*w
         tc = _column(tau, grid)
-        x = _Point(tc * w, pd)
+        x = _Point(tc * w, qpd)
         gG = x.grad_term()
         g = tc * (gG - lam * x.mass_term())
-        return g, None, _norm(g, grid.dim) / (tau * _norm(gG, grid.dim))
+        return g, None, _norm(g, grid) / (tau * _norm(gG, grid))
 
     # at a crossing <d, w> = psi - lam*phi = 0, so the Riesz step is tangent to
     # the sphere up to rounding, and admit puts every trial back on it
     def precondition(d, _):
         return riesz_solve(d, grid)
 
-    w = (_sphere_scale(w0, pd, alpha) * w0)[None]
-    wg, r2 = _h10_profile(w, pd)
+    w = (_sphere_scale(w0, qpd, alpha * 0.5 ** len(folds)) * w0)[None]
+    wg, r2 = _h10_profile(w, qpd)
     start = (w,) + at_crossing(w, wg, 0.0)
     w, _, tau, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )
-    return _pair(tau[0] * w[0], pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
+    u = _unfold(tau[0] * w[0], folds)
+    return _pair(u, pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
 
 
 def spectrum_sweep(
@@ -557,9 +627,12 @@ def eigenfamily(
     is seeded with the k-th separable sine mode (ordered by total
     frequency); on reflection-symmetric problem data each mode keeps its
     own exact parity class throughout the descent, so distinct levels land
-    on genuinely different critical points.  Distinctness is certified by
-    pairwise nodal gaps exceeding 10 * grad_tol (a warning is issued for
-    any pair that collapses onto one function).
+    on genuinely different critical points.  Each 2D level then descends
+    on the quarter (or half) of the grid that its parity class fixes and
+    is certified on the full grid (`_fold`).  Two levels are distinct when
+    their relative gap up to sign and to the symmetries of the data
+    (`_family_gaps`) exceeds FAMILY_GAP_FLOOR; a warning is issued for any
+    pair that is not.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -601,18 +674,41 @@ def eigenfamily(
                 )
             pairs.append(solve_mountain_pass(pd, alpha, mu, cfg, v0=seed_fn))
 
-    gap_floor = 10.0 * cfg.grad_tol
-    for i in range(count):
-        for j in range(i + 1, count):
-            gap = float(np.linalg.norm(pairs[i].u - pairs[j].u))
-            if gap <= gap_floor:
-                warnings.warn(
-                    f"radii {radii[i]} and {radii[j]} landed on one function "
-                    f"(nodal gap {gap:.3e} <= {gap_floor:.3e})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    for row in _family_gaps(pairs, pd):
+        if not row["distinct"]:
+            i, j = row["levels"]
+            warnings.warn(
+                f"radii {radii[i]} and {radii[j]} landed on one function up to sign and "
+                f"symmetry (relative gap {row['gap']:.3e} <= {FAMILY_GAP_FLOOR:g})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return pairs
+
+
+def _family_gaps(pairs: list, pd: ProblemData) -> list:
+    """One row per pair of levels i < j of a family: its gap, |dI_lambda| and distinctness.
+
+    The gap is min ||u_i - s R u_j|| / max(||u_i||, ||u_j||) over the signs
+    s = +-1 and the reflections R of the grid, and their compositions,
+    under which p, q and V are bitwise invariant (`_symmetric_axes`).
+    I_lambda is even and such a reflection maps critical points to critical
+    points, so a small gap means the two levels found one critical point,
+    whatever their nodal distance.  The levels are distinct when the gap
+    exceeds FAMILY_GAP_FLOOR.
+    """
+    axes = _symmetric_axes(pd)
+    group = [r for k in range(len(axes) + 1) for r in itertools.combinations(axes, k)]
+    rows = []
+    for i, j in itertools.combinations(range(len(pairs)), 2):
+        a, b = pairs[i], pairs[j]
+        dist = min(np.linalg.norm(a.u - s * np.flip(b.u, r)) for r in group for s in (1.0, -1.0))
+        gap = float(dist / max(np.linalg.norm(a.u), np.linalg.norm(b.u)))
+        d_value = abs(a.snapshot.I_lambda - b.snapshot.I_lambda)
+        rows.append(
+            {"levels": [i, j], "gap": gap, "dI_lambda": d_value, "distinct": gap > FAMILY_GAP_FLOOR}
+        )
+    return rows
 
 
 def rescale_constant_exponent(

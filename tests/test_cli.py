@@ -152,10 +152,20 @@ def test_family_command(tmp_path):
     assert len(pairs) == 2
     assert all(p["lambda"] == cfg["mu"] for p in pairs)
     assert report["results"]["distinct"] is True
-    assert report["results"]["min_nodal_gap"] > 1e-5
+    assert report["results"]["min_nodal_gap"] > 1e-3
     u0, _ = read_nodal(str(tmp_path / "family.u0.txt"))
     u1, _ = read_nodal(str(tmp_path / "family.u1.txt"))
-    assert float(np.linalg.norm(u0 - u1)) == report["results"]["min_nodal_gap"]
+    # the gap is relative and blind to sign and to the reflections that keep p, q and V
+    pd = build_problem(cfg)
+    symmetric = all(np.array_equal(f, f[::-1]) for f in (pd.p.values, pd.q.values, pd.V))
+    images = [u1, u1[::-1]] if symmetric else [u1]
+    dist = min(np.linalg.norm(u0 - s * v) for v in images for s in (1.0, -1.0))
+    gap = float(dist / max(np.linalg.norm(u0), np.linalg.norm(u1)))
+    assert report["results"]["min_nodal_gap"] == gap
+    (row,) = report["results"]["pair_gaps"]
+    assert row["levels"] == [0, 1] and row["gap"] == gap and row["distinct"] is True
+    values = [p["snapshot"]["I_lambda"] for p in pairs]
+    assert row["dI_lambda"] == abs(values[0] - values[1])
     assert (tmp_path / "family.csv").exists()
 
 
@@ -187,12 +197,49 @@ def test_family_csv_rows_match_the_pair_payloads(tmp_path, monkeypatch):
         assert int(row["iterations"]) == pair["iterations"]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
 def test_family_rectangle_config_fields_are_mirror_symmetric_bitwise():
-    """The quick-start 2D family pins its parity classes only if p and q are exactly symmetric."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "family_rectangle.json"
-    pd = build_problem(json.loads(path.read_text()))
-    for field in (pd.p.values, pd.q.values):
-        assert np.array_equal(field, field[::-1]) and np.array_equal(field, field[:, ::-1])
+    """The 2D family configs pin their parity classes, and fold their solves onto a quarter
+    of the grid, only if p, q and V are exactly symmetric."""
+    for name in ("family_rectangle.json", "family_pass_rectangle.json"):
+        pd = build_problem(json.loads((CONFIGS / name).read_text()))
+        for field in (pd.p.values, pd.q.values, pd.V):
+            assert np.array_equal(field, field[::-1]) and np.array_equal(field, field[:, ::-1])
+
+
+def test_family_flags_levels_that_collapse_on_asymmetric_data(monkeypatch):
+    """A 0.1% tilt of V in x breaks the mirror that kept the (1,1) and (2,1) modes apart.
+
+    Levels alpha = 1 and alpha = 4 then land on u and -u of one critical
+    point: a nodal distance of 5.7e-3 (twice their norm) but a relative gap
+    of about 4e-8 up to sign.  The report says the family is not distinct and a
+    warning names the pair.  The fold declines the tilted x axis; V is
+    still symmetric in y, so that axis folds.
+    """
+    import vexspec.solvers as solvers
+
+    cfg = json.loads((CONFIGS / "family_rectangle.json").read_text())
+    cfg["problem"]["V"] = "1 + 0.001*x"
+    cfg["radii"] = [1.0, 2.0, 4.0]
+    folds, fold = [], solvers._fold
+
+    def spy(pd, w):
+        out = fold(pd, w)
+        folds.append([axis for axis, _ in out[2]])
+        return out
+
+    monkeypatch.setattr(solvers, "_fold", spy)
+    with pytest.warns(RuntimeWarning, match="radii 1.0 and 4.0 landed on one function"):
+        report, code = run("family", cfg)
+    assert code == 0
+    assert folds == [[1], [1], [1]]
+    res = report["results"]
+    assert res["distinct"] is False and res["min_nodal_gap"] < 1e-6
+    rows = {tuple(row["levels"]): row for row in res["pair_gaps"]}
+    assert not rows[0, 2]["distinct"] and rows[0, 2]["gap"] == res["min_nodal_gap"]
+    assert rows[0, 1]["distinct"] and rows[1, 2]["distinct"]
 
 
 def test_rayleigh_command():

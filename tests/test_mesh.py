@@ -7,6 +7,7 @@ the family solver's parity pinning depends on exact equality, not on
 closeness.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -296,13 +297,61 @@ def test_riesz_solve_matches_dense_solve(case):
     assert np.linalg.norm(d.ravel() - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+@st.composite
+def mirror_cases(draw):
+    """A riesz case whose axes each may carry a mirror flag: the half of an odd-length axis."""
+    grid, g = draw(riesz_cases())
+    mirror = tuple(draw(st.booleans()) for _ in range(grid.dim))
+    return StructuredGrid(grid.extents, grid.spacing, mirror), g
+
+
+@given(mirror_cases())
+@settings(max_examples=60, deadline=None)
+def test_mirror_riesz_solve_matches_dense_solve(case):
+    """On a mirror-flagged grid the last node of a flagged axis is free, and the solve inverts
+    gradient_adjoint o gradient on all free nodes: the even-class half of the doubled axis."""
+    grid, g = case
+    free = ~grid.boundary_mask.ravel()
+    assert free.sum() == np.prod([n - 1 if m else n - 2 for n, m in zip(grid.extents, grid.mirror)])
+    a = dense_laplacian(grid)[np.ix_(free, free)]
+    ref = np.zeros(grid.n_nodes)
+    ref[free] = np.linalg.solve(a, g.ravel()[free])
+    d = riesz_solve(g, grid)
+    assert np.all(d[grid.boundary_mask] == 0.0)
+    assert np.linalg.norm(d.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("extents", [(81, 97), (21, 25), (9,)], ids=lambda e: "x".join(map(str, e)))
+def test_mirror_riesz_solve_is_the_restricted_full_solve(extents):
+    """Folding mirror-even data onto a flagged grid, whose mirror-line entries of the
+    right-hand side count half, gives the full solve's values on that grid bit for bit."""
+    rng = np.random.default_rng(sum(extents))
+    spacing = tuple(rng.uniform(0.05, 3.0) / n for n in extents)
+    full = StructuredGrid(extents, spacing)
+    for mirror in itertools.product([False, True], repeat=len(extents)):
+        if not any(mirror):
+            continue
+        g = rng.standard_normal(extents)
+        half = tuple((n + 1) // 2 if m else n for n, m in zip(extents, mirror))
+        for axis, m in enumerate(mirror):
+            if m:
+                g = 0.5 * (g + np.flip(g, axis))
+        corner = g[tuple(slice(0, n) for n in half)].copy()
+        for axis, m in enumerate(mirror):
+            if m:
+                corner[(slice(None),) * axis + (-1,)] *= 0.5
+        folded = riesz_solve(corner, StructuredGrid(half, spacing, mirror))
+        assert np.array_equal(folded, riesz_solve(g, full)[tuple(slice(0, n) for n in half)])
+
+
 @given(st.integers(3, 42), st.integers(3, 42), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
     """Each half-size parity block reproduces its class's entries of the DST-I.
 
     Applied to the half of a mirror-even (class 0) or mirror-odd (class 1)
-    vector, forward.T gives the DST-I entries of that class (the others
+    vector, with the centre node of an odd-length interior at half its
+    value, forward.T gives the DST-I entries of that class (the others
     vanish); applied to the class entries of a spectrum, backward gives the
     first half of its DST-I.
     """
@@ -321,6 +370,8 @@ def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
             x[:k] = half
             ref = scipy.fft.dst(x, type=1)
             assert np.all(np.abs(ref[1 - c :: 2]) <= 1e-13 * np.max(np.abs(ref)))
+            if m % 2 and c == 0:
+                half[-1] *= 0.5  # the centre node is its own mirror partner
             assert np.max(np.abs(forward.T @ half - ref[c::2])) <= 1e-13 * np.max(np.abs(ref))
             coef = np.zeros(m)
             coef[c::2] = rng.standard_normal(k)
@@ -474,6 +525,8 @@ def test_weighted_riesz_solve_needs_1d_and_one_weight_row_per_solve():
         riesz_solve(np.ones((2, 9)), grid, np.ones(8))
     with pytest.raises(ValueError, match="1D grid"):
         riesz_solve(np.ones((5, 6)), rectangle_grid((5, 6)), np.ones((4, 5)))
+    with pytest.raises(ValueError, match="without a mirror flag"):
+        riesz_solve(np.ones(9), StructuredGrid((9,), (0.1,), (True,)), np.ones(8))
 
 
 def padded_gradient_adjoint(a, grid):

@@ -697,6 +697,48 @@ def test_pass_family_mesh_ladder(extents, rel):
         assert pair.snapshot.I_lambda == pytest.approx(ref, rel=rel)
 
 
+def test_pass_family_folds_onto_the_quarter_grid(monkeypatch):
+    """Each level of the 81x97 pass family folds both axes and matches its unfolded run.
+
+    Its data are mirror-symmetric bit for bit and its seeds are sine modes
+    of exact parity, so every descent runs on 41x49 stacks and only the
+    certificate sees the full grid.  With the fold declined the same
+    family runs on the full grid; sums then run in another order, so the
+    two agree to rounding, not bit for bit.
+    """
+    pd, mu = family_pass_problem()
+    cfg = SolverConfig(max_iters=200000, grad_tol=1e-5, seed=0)
+    radii = [0.05, 0.1, 0.2]
+    shapes, inside = [], []
+    descent, grad = solvers._sobolev_descent, fn.gradient
+
+    def spy_descent(*args):
+        inside.append(True)
+        try:
+            return descent(*args)
+        finally:
+            inside.pop()
+
+    def spy_gradient(u, grid):
+        shapes.append((bool(inside), np.shape(u)))
+        return grad(u, grid)
+
+    monkeypatch.setattr(solvers, "_sobolev_descent", spy_descent)
+    monkeypatch.setattr(fn, "gradient", spy_gradient)
+    folded = eigenfamily(pd, mu, radii, cfg)
+    in_descent = [shape for flag, shape in shapes if flag]
+    assert in_descent and all(len(shape) == 3 and shape[1:] == (41, 49) for shape in in_descent)
+    assert (False, (81, 97)) in shapes  # the certificate
+
+    monkeypatch.setattr(solvers, "_fold", lambda pd, w: (pd, w, ()))
+    plain = eigenfamily(pd, mu, radii, cfg)
+    for a, b in zip(folded, plain):
+        assert a.converged and b.converged
+        assert a.snapshot.I_lambda == pytest.approx(b.snapshot.I_lambda, rel=1e-10)
+        assert np.linalg.norm(a.u - b.u) <= 1e-8 * np.linalg.norm(b.u)
+        assert abs(a.iterations - b.iterations) <= 2
+
+
 def test_family_rejects_strict_regimes(sublinear_pd):
     with pytest.raises(ValueError, match="boundary regime"):
         eigenfamily(sublinear_pd, 0.1, [1.0], SolverConfig())
