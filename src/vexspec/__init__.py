@@ -28,7 +28,6 @@ from .mesh import (  # noqa: F401
     StructuredGrid,
     cell_values,
     gradient,
-    integrate,
     interval_grid,
     rectangle_grid,
 )
@@ -37,10 +36,8 @@ from .solvers import (  # noqa: F401
     SolverConfig,
     SweepReport,
     SweepRow,
-    bump_seed,
     eigenfamily,
     mode_seed,
-    project_to_sphere,
     rescale_constant_exponent,
     solve_mountain_pass,
     solve_sphere_max,

@@ -44,7 +44,6 @@ __all__ = [
     "RayleighReport",
     "LambdaAlphaInfo",
     "make_problem",
-    "is_sublinear",
     "is_superlinear",
     "energies",
     "grad_G",
@@ -234,10 +233,6 @@ def _restricted(pd: ProblemData, extents: tuple, mirror: tuple) -> ProblemData:
     return dataclasses.replace(pd, grid=grid, p=cut(pd.p), q=cut(pd.q), s=cut(pd.s), V=V)
 
 
-def is_sublinear(pd: ProblemData) -> bool:
-    return pd.q.hi <= pd.p.lo or pd.q.lo < pd.p.lo
-
-
 def is_superlinear(pd: ProblemData) -> bool:
     return bool(np.all(pd.p.values < pd.q.values))
 
@@ -258,9 +253,9 @@ def _cell_sum(x: np.ndarray, grid: StructuredGrid):
     return x.reshape(x.shape[: x.ndim - grid.dim] + (-1,)).sum(axis=-1)
 
 
-def _column(x, grid: StructuredGrid):
-    """Per-row scalars x shaped to broadcast against a stack of grid arrays (a float stays)."""
-    return x if isinstance(x, float) else x.reshape(x.shape + (1,) * grid.dim)
+def _column(x: np.ndarray, grid: StructuredGrid) -> np.ndarray:
+    """Per-row scalars x shaped to broadcast against a stack of grid arrays."""
+    return x.reshape(x.shape + (1,) * grid.dim)
 
 
 def _dot(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
@@ -399,7 +394,11 @@ def grad_phi(u, pd: ProblemData) -> np.ndarray:
 
 def residual(u, pd: ProblemData, lam: float) -> float:
     """Relative Euclidean defect of the weak eigenpair identity at (u, lam)."""
-    pt = _Point(u, pd)
+    return _residual_at(_Point(u, pd), lam)
+
+
+def _residual_at(pt: _Point, lam: float) -> float:
+    """`residual` at the function of pt, from its stencils."""
     if not np.any(pt.u):
         raise ValueError("residual undefined for the zero function")
     gG = pt.grad_term()
@@ -637,22 +636,20 @@ def _profile_energies(wg: np.ndarray, wm: np.ndarray, t, pd: ProblemData, q=None
     return G, F, _cell_sum(pd.p.values * gt, pd.grid), _cell_sum(q * mt, pd.grid)
 
 
-def _rows_pow(base, e: float):
+def _rows_pow(base: np.ndarray, e: float) -> np.ndarray:
     """base**e in Python floats, row by row: the libm rounding of a scalar closed form."""
-    if np.ndim(base) == 0:
-        return float(base) ** e
     return np.array([b**e for b in base.tolist()])
 
 
 def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
-    """Solve sum(w * t**p) = alpha for t > 0 given a gradient profile w.
+    """Solve sum(w * t**p) = alpha for t > 0 given a stack of gradient profiles w.
 
-    A stack of profiles gives one t per row (an array), solved in lockstep
-    by the row-wise power-sum kernel; a single profile gives a float.
+    Each row gives its own t, solved in lockstep by the row-wise power-sum
+    kernel.
     """
     grid = pd.grid
     if not pd.p.is_constant:  # the kernel rejects a vanished gradient energy itself
-        rows = w.reshape(w.shape[: w.ndim - grid.dim] + (-1,))
+        rows = w.reshape(len(w), -1)
         return _power_sum_root(rows, pd.p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
     total = _cell_sum(w, grid)
     if not np.all(total):
@@ -666,8 +663,8 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
     The map t -> G(t u) separates into per-cell powers of t, so the cell
     weights are computed once and the kernel solves the scalar equation to
     float resolution, relative to alpha at every scale of alpha; constant p
-    collapses it to the closed form t = (alpha / G(u))^(1/p).  A stack of
-    functions gives one scale per row.
+    collapses it to the closed form t = (alpha / G(u))^(1/p).  u is a stack
+    of functions, and each row gets its own scale.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -711,26 +708,6 @@ def _trial_lengths(step):
             s = factor * s
 
 
-def _tangent_step(d: np.ndarray, gG: np.ndarray, grid: StructuredGrid, weight=None) -> np.ndarray:
-    """P^-1 d minus its part along P^-1 gG, for P = gradient_adjoint o gradient.
-
-    With a 1D cell weight W (one row per direction), P is the variable
-    metric gradient_adjoint o W o gradient instead.  The result is
-    orthogonal to gG, the sphere normal, and <d, result> >= 0 by
-    Cauchy-Schwarz in the P^-1 inner product.  d and gG are stacks of k
-    rows, stepped row by row through one `riesz_solve` of 2k columns.
-    """
-    if weight is not None:
-        weight = np.concatenate([weight, weight])
-    both = riesz_solve(np.concatenate([d, gG]), grid, weight)
-    pdir, n = both[: len(d)], both[len(d) :]
-    num, den = pdir * gG, n * gG
-    for axis in range(1, gG.ndim):  # mirror-symmetric sums keep reflections bit-exact
-        rev = (slice(None),) * axis + (slice(None, None, -1),)
-        num, den = num + num[rev], den + den[rev]
-    return pdir - _column(_cell_sum(num, grid) / _cell_sum(den, grid), grid) * n
-
-
 # objective changes within this many ulps of the point's scale are rounding noise
 _FLOAT_FLOOR_ULPS = 8.0
 
@@ -748,11 +725,9 @@ class _Row:
 
 
 def _take(x, idx, n):
-    """Rows idx of an n-row stack x, or of each stack of a tuple; x itself for all rows or None."""
+    """Rows idx of an n-row stack x; x itself for all rows or None."""
     if x is None or len(idx) == n:
         return x
-    if isinstance(x, tuple):
-        return tuple(_take(a, idx, n) for a in x)
     return x[idx]
 
 
@@ -760,8 +735,6 @@ def _put(x, idx, y, n):
     """x with rows idx replaced by y, as a new stack (x itself is never written)."""
     if x is None or len(idx) == n:
         return y
-    if isinstance(x, tuple):
-        return tuple(_put(a, idx, b, n) for a, b in zip(x, y))
     x = x.copy()
     x[idx] = y
     return x
@@ -801,9 +774,11 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     leading axis of k, or None.  One row is a stack of one: the callbacks
     take stacks of the unfinished rows and return per-row arrays, for
     every k.  direction(u, ctx) gives the nodal gradients d, an aux (an
-    array, a tuple of arrays or None) and the stop residuals; the Sobolev
-    steps pdir = precondition(d, aux), in the metric the caller picks
-    (H^1_0, or the point's own in 1D), are built only at accepted points.
+    array or None) and the stop residuals; the Sobolev steps
+    pdir = precondition(d, aux) are built only at accepted points.  Every
+    caller steps by one rule, riesz_solve(d, grid, W) with the metric
+    weight W = `_Point.metric_weight` as aux: the point's own metric in 1D,
+    H^1_0 in 2D (W None).
     admit(u, raw, ctx) maps trials onto the feasible set as (point, value,
     scale, ctx), with value NaN where it rejects a trial; the ctx it is
     handed is that of the rows' current points, so per-row data carried in
@@ -907,16 +882,19 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
 
 
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
-    """`_sobolev_descent` of an objective over the sphere G = alpha, from a stack u on it.
+    """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u on it.
 
-    direction(u, ctx) returns nodal directions d, the pair (gG, W) of the
-    sphere normals gG = grad_G(u) and the metric weights
-    W = `_Point.metric_weight` (None in 2D), and the stop residuals at the
-    stacked points u, from one `_Point`; the steps _tangent_step(d, gG, W)
-    are built only at accepted points.  In 1D a step thus follows the
-    metric of G's Hessian at the point it leaves, which cuts the searches
-    while keeping the mesh independence of the H^1_0 step; in 2D it stays
-    the H^1_0 step.  Trials raw are scaled onto the sphere by
+    It descends the ray function u -> Q(t(u) u), with t(u) the scale that
+    puts u on the sphere (Szulkin and Weth, The method of Nehari manifold,
+    2010).  That function is constant along rays, and at a point v on the
+    sphere its gradient is grad Q(v) - <grad Q(v), v> / <grad G(v), v> *
+    grad G(v), orthogonal to v.  direction(u, ctx) returns that gradient d,
+    the metric weights W = `_Point.metric_weight` (None in 2D) and the
+    stop residuals at the stacked points u, from one `_Point`; the steps
+    riesz_solve(d, grid, W), one column a row, are built only at accepted
+    points, in 1D in the metric of G's Hessian at the point they leave, in
+    2D in H^1_0.  A step's radial part leaves the value as it is, so it
+    needs no projection: trials raw are scaled back onto the sphere by
     t = _profile_scale(wg), one per row, and value_at(raw, wg, t, ctx)
     returns the objective at t*raw (from the profiles of raw), its
     float-floor scale and the context for direction, one per row; ctx is
@@ -932,10 +910,10 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
 
     start = (u,) + value_at(u, _grad_profile(u, pd), np.ones(len(u)), ctx)
 
-    def tangent(d, aux):
-        return _tangent_step(d, aux[0], grid, aux[1])
+    def precondition(d, weight):
+        return riesz_solve(d, grid, weight)
 
-    return _sobolev_descent(start, admit, direction, tangent, iters, tol)
+    return _sobolev_descent(start, admit, direction, precondition, iters, tol)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -949,10 +927,11 @@ def _sphere_quotients(pd: ProblemData):
     or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p).  The
     starts carry only that column; later points carry their (G, F, psi,
     phi) before it, from the trial's profiles.  The quotient is its own
-    float-floor scale.  The direction is the part tangent to the sphere of
-    grad_term(P) - quotient * mass_term(S) over phi or F, with P = S = 1 on
-    G/F rows (exact, so each row rounds as its objective alone would), and
-    its length relative to grad G is the stop residual.
+    float-floor scale.  With grad = grad_term(P) - quotient * mass_term(S)
+    over phi or F, P = S = 1 on G/F rows (exact, so each row rounds as its
+    objective alone would), the direction is the ray gradient
+    grad - <grad, u> / <grad G, u> * grad G, and the stop residual is the
+    length of the Euclidean tangent part of grad, relative to grad G.
     """
     grid, p, q = pd.grid, pd.p.values, pd.q.values
     ones = np.ones_like(p)
@@ -977,7 +956,8 @@ def _sphere_quotients(pd: ProblemData):
         grad = grad / _column(np.where(gf_rows, F, phi), grid)
         normal = _dot(gG, gG, grid.dim)
         tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
-        return tangent, (gG, pt.metric_weight()), _norm(tangent, grid) / np.sqrt(normal)
+        ray = grad - _column(_dot(grad, u, grid.dim) / _dot(gG, u, grid.dim), grid) * gG
+        return ray, pt.metric_weight(), _norm(tangent, grid) / np.sqrt(normal)
 
     return value_at, direction
 

@@ -31,7 +31,6 @@ __all__ = [
     "interval_grid",
     "rectangle_grid",
     "grid_from_config",
-    "grid_to_config",
     "check_grid_function",
     "apply_dirichlet",
     "require_dirichlet",
@@ -41,7 +40,6 @@ __all__ = [
     "cell_values",
     "cell_values_adjoint",
     "riesz_solve",
-    "integrate",
 ]
 
 
@@ -231,10 +229,6 @@ def grid_from_config(cfg: dict) -> StructuredGrid:
         raise ValueError("config lengths and extents disagree in dimension")
     spacing = tuple(l / (n - 1) for l, n in zip(lengths, extents))
     return StructuredGrid(tuple(extents), spacing)
-
-
-def grid_to_config(grid: StructuredGrid) -> dict:
-    return {"extents": list(grid.extents), "lengths": list(grid.lengths)}
 
 
 def _stacked(x: np.ndarray, trailing: tuple) -> bool:
@@ -555,11 +549,3 @@ def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
         for r_k, out_k in zip(r, out):
             _riesz_solve_2d(r_k, grid, out_k)
     return d.reshape(g.shape)
-
-
-def integrate(f, grid: StructuredGrid) -> float:
-    """Midpoint-rule integral of a per-cell scalar field."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.cell_shape:
-        raise ValueError(f"cell field shape {f.shape} does not match {grid.cell_shape}")
-    return float(np.sum(f) * grid.cell_volume)

@@ -10,18 +10,21 @@ certificate.  All three, like the Rayleigh survey in functionals, run one
 monotone Sobolev descent with a float-floor terminal phase,
 `_sobolev_descent`: sphere maximization through its form on the sphere
 G = alpha, `_sphere_descent`, the ball and the mountain pass directly.
-Each supplies only its feasible-set map, its objective, its nodal descent
-direction and the metric its steps are measured in.
+Each supplies only its feasible-set map, its objective and its nodal
+descent direction.  Sphere maximization and the mountain pass descend a
+function of the ray through u alone (Szulkin and Weth, The method of
+Nehari manifold, 2010): -F where the ray meets G = alpha, and the ray
+maximum of I_lambda; their direction is the gradient of that ray
+function, orthogonal to u, so a step needs no projection.
 
-On 1D grids the ball and the sphere descents step in the metric of G's
-Hessian at the point they leave, gradient_adjoint o W o gradient with W
-from `_Point.metric_weight`, which `riesz_solve` inverts exactly in O(n);
-this variable preconditioning (Karatson and Farago, SIAM J. Numer. Anal.
-41, 2003) keeps the mesh independence of the H^1_0 step and cuts the
-searches.  The mountain pass keeps the H^1_0 metric P = gradient_adjoint
-o gradient: it charts the rays by the H^1_0 sphere through its seed, the
-sphere of P, so a trial is rescaled in closed form and its step is one
-Riesz column, tangent to that sphere.  2D descents keep P as well, since
+Every descent takes one step rule: the Riesz column
+riesz_solve(d, grid, W) of its direction d, with W from
+`_Point.metric_weight`.  On 1D grids that is the metric of G's Hessian at
+the point the step leaves, gradient_adjoint o W o gradient, which
+`riesz_solve` inverts exactly in O(n); this variable preconditioning
+(Karatson and Farago, SIAM J. Numer. Anal. 41, 2003) keeps the mesh
+independence of the H^1_0 step and cuts the searches.  In 2D W is None
+and the step is the H^1_0 step of P = gradient_adjoint o gradient, since
 the 2D solve diagonalizes only constant coefficients.
 
 A 2D ball or mountain-pass solve whose seed is bitwise even or odd along
@@ -47,7 +50,6 @@ from .functionals import (
     ProblemData,
     _cell_sum,
     _column,
-    _dot,
     _first_mode,
     _grad_profile,
     _h10_profile,
@@ -55,6 +57,7 @@ from .functionals import (
     _norm,
     _Point,
     _profile_scale,
+    _residual_at,
     _restricted,
     _rows_pow,
     _sobolev_descent,
@@ -78,9 +81,7 @@ __all__ = [
     "BALL_MIN",
     "SPHERE_MAX",
     "MOUNTAIN_PASS",
-    "project_to_sphere",
     "mode_seed",
-    "bump_seed",
     "solve_sublinear",
     "solve_sphere_max",
     "solve_mountain_pass",
@@ -146,20 +147,6 @@ class SweepReport:
         return all(r.converged for r in self.rows)
 
 
-def project_to_sphere(u, pd: ProblemData, alpha: float, tol: float = 1e-10):
-    """Return (t, t*u) with |G(t*u)/alpha - 1| <= tol.
-
-    The scale is resolved to float resolution by the Newton power-sum
-    kernel; the relative defect is then checked and a miss raises.
-    """
-    u = require_dirichlet(u, pd.grid)
-    t = _sphere_scale(u, pd, alpha)
-    v = t * u
-    if not abs(energies(v, pd).G / alpha - 1.0) <= tol:
-        raise ValueError(f"sphere projection missed the relative tolerance {tol:g}")
-    return t, v
-
-
 def mode_seed(pd: ProblemData, k=1) -> np.ndarray:
     """Separable sine mode; k is the first-axis frequency or one per axis.
 
@@ -191,26 +178,6 @@ def _mode_tuples(dim: int, count: int) -> list:
     top = count + 1
     cands = sorted(itertools.product(range(1, top), repeat=dim), key=lambda t: (sum(t), t))
     return cands[:count]
-
-
-def bump_seed(pd: ProblemData, center: float, width: float) -> np.ndarray:
-    """Tent bump at a fractional position along the first axis.
-
-    Localized seeds let a family run explore separate energy wells; the
-    remaining axes carry a first sine mode so the bump vanishes on the
-    whole boundary.
-    """
-    if not 0.0 < center < 1.0 or width <= 0.0:
-        raise ValueError("bump seed needs 0 < center < 1 and width > 0")
-    grid = pd.grid
-    coords = grid.node_coordinates()
-    x = coords[0] / grid.lengths[0]
-    u = np.maximum(0.0, 1.0 - np.abs(x - center) / width)
-    for axis in range(1, grid.dim):
-        u = u * np.sin(np.pi * coords[axis] / grid.lengths[axis])
-    u = u.copy()
-    u[grid.boundary_mask] = 0.0
-    return u
 
 
 def _sweep_row(pair: EigenPair, pd: ProblemData) -> SweepRow:
@@ -310,21 +277,22 @@ def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
 
     Ball and mountain-pass iterates are first moved onto the ray crossing,
     where the imposed lam closes the level identity psi = lam * phi, so the
-    residual (and with it the flag) belongs to the function returned.
+    residual (and with it the flag) belongs to the function returned.  The
+    residual and the snapshot come from the stencils of one `_Point`.
     """
     if mechanism in (BALL_MIN, MOUNTAIN_PASS):
         try:
-            wg = _grad_profile(u, pd)
-            wm = _mass_profile(u, pd)
-            u = _ray_crossing(wg, wm, pd, lam) * u
+            wg, wm = _grad_profile(u[None], pd), _mass_profile(u[None], pd)
+            u = _ray_crossing(wg, wm, pd, lam)[0] * u
         except ValueError:
             pass
-    res = residual(u, pd, lam)
+    pt = _Point(u, pd)
+    res = _residual_at(pt, lam)
     return EigenPair(
         float(lam),
         u,
         res,
-        energies(u, pd, lam),
+        pt.energies(lam),
         mechanism,
         res <= grad_tol,
         int(iterations),
@@ -340,13 +308,12 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     thousands of iterations and could drift into a neighbouring well.
     """
     w = _seed(pd, v0)
-    wg = _grad_profile(w, pd)
-    wm = _mass_profile(w, pd)
+    wg = _grad_profile(w[None], pd)
     try:
-        t = _ray_crossing(wg, wm, pd, lam)
+        t = _ray_crossing(wg, _mass_profile(w[None], pd), pd, lam)[0]
     except ValueError:
-        t = _sphere_scale(w, pd, 0.5 * alpha)
-    t = min(t, _profile_scale(wg, pd, alpha))
+        t = _sphere_scale(w[None], pd, 0.5 * alpha)[0]
+    t = min(t, _profile_scale(wg, pd, alpha)[0])
     for _ in range(200):
         if energies(t * w, pd, lam).I_lambda < 0.0:
             return t * w
@@ -431,11 +398,13 @@ def solve_sphere_max(
     *,
     v0=None,
 ) -> EigenPair:
-    """Maximize F on the sphere G = alpha by projected Sobolev descent of -F.
+    """Maximize F on the sphere G = alpha by Sobolev descent of -F along rays.
 
-    Steps follow the Sobolev tangent of grad F (`_sphere_descent`: in 1D
-    in the metric of G's Hessian at the point, in 2D in H^1_0), so their
-    count stays bounded under mesh refinement.  F never falls beyond
+    `_sphere_descent` descends u -> -F(t(u) u), with t(u) u on the sphere;
+    its gradient at u on the sphere, (phi/psi) (grad_G - (psi/phi) grad_F),
+    is the certificate's defect scaled, and the step is its Riesz column in
+    the metric of G's Hessian at the point in 1D, in H^1_0 in 2D, so the
+    step count stays bounded under mesh refinement.  F never falls beyond
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
     lam = psi/phi, the reciprocal of the first constrained level ratio;
@@ -454,22 +423,25 @@ def solve_sphere_max(
     if not np.any(u):
         raise ValueError("seed function is identically zero")
 
-    grid, dim = pd.grid, pd.grid.dim
+    grid = pd.grid
 
     # the callbacks take stacks of rows and return one value per row
     def value_at(raw, wg, t, _):
         F = _cell_sum(_mass_profile(raw, pd) * _column(t, grid) ** pd.q.values, grid)
         return -F, F, None
 
+    # the ray gradient of -F at w on the sphere, -gF + (phi/psi) gG, is the certificate's
+    # defect scaled by phi/psi
     def direction(w, _):
         pt = _Point(w, pd)
         _, _, phi, psi = pt.energy_rows()
-        gG, gF = pt.grad_term(), pt.mass_term()
-        tangent = gF - _column(_dot(gF, gG, dim) / _dot(gG, gG, dim), grid) * gG
-        res = _norm(gG - _column(psi / phi, grid) * gF, grid) / _norm(gG, grid)
-        return -tangent, (gG, pt.metric_weight()), res
+        gG = pt.grad_term()
+        defect = gG - _column(psi / phi, grid) * pt.mass_term()
+        res = _norm(defect, grid) / _norm(gG, grid)
+        return _column(phi / psi, grid) * defect, pt.metric_weight(), res
 
-    u = (_sphere_scale(u, pd, alpha) * u)[None]
+    u = u[None]
+    u = _column(_sphere_scale(u, pd, alpha), grid) * u
     u, _, _, iterations = _sphere_descent(
         u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
@@ -486,8 +458,7 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float, s
     log tau, so the crossing is unique (the ray maximum in the superlinear
     regime, the ray minimum in the sublinear one) and the Newton power-sum
     kernel finds it, starting from log tau = s0.  Constant exponents admit
-    a closed form.  Stacked profiles give one tau per row (an array), a
-    single profile a float.
+    a closed form.  The profiles are stacks, and each row gets its own tau.
     """
     grid = pd.grid
     a = pd.p.values * wg
@@ -499,9 +470,8 @@ def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float, s
         return _rows_pow(psi / lam_phi, 1.0 / (pd.q.lo - pd.p.lo))
     if not (pd.q.lo >= pd.p.hi or pd.q.hi <= pd.p.lo):
         raise ValueError("ray crossing needs exponents ordered on every cell")
-    rows = np.shape(psi) + (-1,)
     p, q = pd.p.values.ravel(), pd.q.values.ravel()
-    return _power_sum_root(a.reshape(rows), p, b.reshape(rows), q, s0=s0)[0]
+    return _power_sum_root(a.reshape(len(a), -1), p, b.reshape(len(b), -1), q, s0=s0)[0]
 
 
 def solve_mountain_pass(
@@ -518,18 +488,18 @@ def solve_mountain_pass(
     one maximum of I_lambda, so the mountain-pass level is the infimum over
     rays of that ray maximum (Willem, Minimax Theorems, 1996, Thm 4.2).
     The ray maximum is invariant along rays, so any sphere can chart the
-    rays; the descent runs on the H^1_0 sphere through the seed (Szulkin
-    and Weth, The method of Nehari manifold, 2010), the sphere of the
-    metric `riesz_solve` measures steps in.  The seed is scaled onto
-    G = alpha, which fixes the radius: r^2 = sum |grad w|^2.  A trial is put
-    back on the sphere by the closed form t = r / |grad raw|, from the
-    gradient its profile takes anyway; its ray crossing is found by Newton
-    started at the current point's crossing.  The step is one Riesz column,
-    riesz_solve(d), tangent to the sphere up to rounding; it stays in the
-    H^1_0 metric on 1D grids too, since a step in the metric of G's Hessian
-    is not tangent to this sphere.  The ray
-    maximum never rises beyond rounding, and the pair is certified at the
-    ridge crossing of the final direction.
+    rays (Szulkin and Weth, The method of Nehari manifold, 2010); the
+    descent runs on the H^1_0 sphere through the seed.  The seed is scaled
+    onto G = alpha, which fixes the radius: r^2 = sum |grad w|^2.  A trial
+    is put back on the sphere by the closed form t = r / |grad raw|, from
+    the gradient its profile takes anyway; its ray crossing is found by
+    Newton started at the current point's crossing.  The direction
+    tau (grad_G - lam grad_F) at the crossing tau*w is the gradient of the
+    ray maximum, and the step is its one Riesz column
+    riesz_solve(d, grid, W), with W the metric weight at tau*w: in 1D the
+    metric of G's Hessian there, in 2D (W None) H^1_0.  The ray maximum
+    never rises beyond rounding, and the pair is certified at the ridge
+    crossing of the final direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
@@ -563,14 +533,15 @@ def solve_mountain_pass(
         x = _Point(tc * w, qpd)
         gG = x.grad_term()
         g = tc * (gG - lam * x.mass_term())
-        return g, None, _norm(g, grid) / (tau * _norm(gG, grid))
+        return g, x.metric_weight(), _norm(g, grid) / (tau * _norm(gG, grid))
 
-    # at a crossing <d, w> = psi - lam*phi = 0, so the Riesz step is tangent to
-    # the sphere up to rounding, and admit puts every trial back on it
-    def precondition(d, _):
-        return riesz_solve(d, grid)
+    # the ray maximum is constant along rays, so a step's radial part leaves it as it
+    # is, and admit puts every trial back on the sphere
+    def precondition(d, weight):
+        return riesz_solve(d, grid, weight)
 
-    w = (_sphere_scale(w0, qpd, alpha * 0.5 ** len(folds)) * w0)[None]
+    w0 = w0[None]
+    w = _column(_sphere_scale(w0, qpd, alpha * 0.5 ** len(folds)), grid) * w0
     wg, r2 = _h10_profile(w, qpd)
     start = (w,) + at_crossing(w, wg, 0.0)
     w, _, tau, iterations = _sobolev_descent(

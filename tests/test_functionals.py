@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vexspec.functionals as fn
+import vexspec.solvers as solvers
 from vexspec import (
     alpha_independent_threshold,
     embedding_constant,
@@ -23,7 +24,7 @@ from vexspec import (
     residual,
     window_alpha,
 )
-from vexspec.functionals import grad_phi, grad_psi, is_sublinear, is_superlinear
+from vexspec.functionals import grad_phi, grad_psi, is_superlinear
 from vexspec.mesh import (
     StructuredGrid,
     cell_values,
@@ -217,9 +218,9 @@ def test_make_problem_validation(rng):
     assert pd.C_H == pytest.approx(1.0, rel=1e-12)
     assert np.isfinite(pd.C_embed) and pd.C_embed > 0
     assert pd.V_norm > 0
-    assert is_sublinear(pd) and not is_superlinear(pd)
+    assert not is_superlinear(pd)
     pd_super = make_pd(grid, 2.0, 4.0)
-    assert is_superlinear(pd_super) and not is_sublinear(pd_super)
+    assert is_superlinear(pd_super)
 
 
 def test_threshold_closed_form_with_unit_constants():
@@ -525,50 +526,68 @@ def test_zero_trials_are_misses_that_admit_never_sees(shrink, ticks, stand_ins):
 
 
 @st.composite
-def tangent_cases(draw):
-    """A 1D or 2D grid with 3-40 nodes per axis, an exponent pair, a point u and a direction d."""
+def ray_cases(draw):
+    """A 1D or 2D grid with 4-40 nodes per axis, variable q < p, a point on G = alpha and h."""
     dim = draw(st.sampled_from([1, 2]))
-    extents = tuple(draw(st.integers(3, 40)) for _ in range(dim))
-    spacing = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    extents = tuple(draw(st.integers(4, 40 if dim == 1 else 16)) for _ in range(dim))
+    spacing = tuple(10.0 ** draw(st.floats(-1.0, 0.5)) for _ in range(dim))
     grid = StructuredGrid(extents, spacing)
-    p = draw(st.floats(1.5, 4.0))
-    pd = make_pd(grid, p, 0.9 * p, C_embed=1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u, d = rng.standard_normal((2,) + extents)
-    u[grid.boundary_mask] = 0.0
-    d[grid.boundary_mask] = 0.0
-    return pd, u, d
+    cells = grid.cell_shape
+    pd = make_pd(grid, rng.uniform(2.2, 3.2, cells), rng.uniform(1.3, 2.0, cells), C_embed=1.0)
+    alpha = 10.0 ** draw(st.floats(-1.0, 1.0))
+    u, h = interior_noise(grid, rng), interior_noise(grid, rng)
+    u = fn._sphere_scale(u[None], pd, alpha)[0] * u
+    return pd, alpha, u, h * (np.linalg.norm(u) / np.linalg.norm(h))
 
 
-@given(tangent_cases(), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_tangent_step_is_a_reflection_equivariant_descent_tangent(case, weighted):
-    """The step in P = gradient_adjoint o gradient, or in 1D in the point's metric weight."""
-    pd, u, d = case
+def sphere_max_callbacks(pd):
+    """value_at and direction of `solve_sphere_max`, caught from a one-search solve."""
+    caught = []
+
+    def spy(u, pd_, alpha, value_at, direction, *rest):
+        caught.append((value_at, direction))
+        return descend(u, pd_, alpha, value_at, direction, *rest)
+
+    descend = solvers._sphere_descent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_sphere_descent", spy)
+        solvers.solve_sphere_max(pd, 1.0, solvers.SolverConfig(max_iters=1))
+    return caught[0]
+
+
+@given(ray_cases())
+@settings(max_examples=60, deadline=None)
+def test_sphere_directions_are_ray_gradients(case):
+    """Each sphere descent steps along the gradient of its ray function u -> Q(t_alpha(u) u).
+
+    For sphere maximization's -F and the survey's three quotients, the
+    direction at u on G = alpha is orthogonal to u, matches a central
+    difference of the ray function along h, and its Riesz step in the
+    descent's metric is a descent step.
+    """
+    pd, alpha, u, h = case
     grid = pd.grid
+    survey = fn._sphere_quotients(pd)
+    objectives = [(sphere_max_callbacks(pd), None)]
+    objectives += [(survey, np.array([[tag]])) for tag in SURVEY_OBJECTIVES]
+    eps = 1e-5
 
-    def weight_at(u):
-        return fn._Point(u, pd).metric_weight() if weighted else None
+    def ray_value(value_at, v, tags):
+        wg = fn._grad_profile(v[None], pd)
+        return value_at(v[None], wg, fn._profile_scale(wg, pd, alpha), tags)
 
-    def step(d, gG, weight):  # one-row stacks
-        return fn._tangent_step(d[None], gG[None], grid, None if weight is None else weight[None])[0]
-
-    gG, weight = grad_G(u, pd), weight_at(u)
-    pdir = step(d, gG, weight)
-    assert np.all(pdir[grid.boundary_mask] == 0.0)
-    if int(np.sum(~grid.boundary_mask)) == 1:
-        # one interior node: the tangent space is {0}
-        assert np.linalg.norm(pdir) <= 1e-12 * np.linalg.norm(riesz_solve(d, grid, weight))
-    else:
-        scale = np.linalg.norm(gG) * np.linalg.norm(pdir)
-        assert abs(np.vdot(gG, pdir)) <= 1e-12 * scale
-        assert np.vdot(d, pdir) >= 0.0
-    # parity classes survive the step: reflections act on pdir bit for bit
-    for axis in range(grid.dim):
-        u_r, d_r = np.flip(u, axis), np.flip(d, axis)
-        reflected = step(d_r, grad_G(u_r, pd), weight_at(u_r))
-        assert np.array_equal(reflected, np.flip(pdir, axis))
-    assert np.array_equal(step(-d, gG, weight), -pdir)
+    for (value_at, direction), tags in objectives:
+        ctx = ray_value(value_at, u, tags)[2]
+        d, weight, _ = direction(u[None], ctx)
+        d = d[0]
+        assert np.all(d[grid.boundary_mask] == 0.0)
+        assert abs(np.vdot(d, u)) <= 1e-10 * np.linalg.norm(d) * np.linalg.norm(u)
+        up, down = (ray_value(value_at, u + s * eps * h, tags)[0][0] for s in (1.0, -1.0))
+        slope = np.vdot(d, h)
+        assert abs((up - down) / (2.0 * eps) - slope) <= 1e-5 * np.linalg.norm(d) * np.linalg.norm(h)
+        assert (weight is None) == (grid.dim == 2)
+        assert np.vdot(d, riesz_solve(d[None], grid, weight)[0]) > 0.0
 
 
 def strong_survey(monkeypatch, n):
@@ -715,18 +734,18 @@ def test_point_evaluation_matches_the_term_formulas(case):
         for value in (got[name], public[name](u, pd)):
             assert np.linalg.norm(value - ref) <= 1e-12 * np.linalg.norm(ref)
     # the sphere point t*u from the profiles of u, as the survey's descents take it
-    wg = fn._grad_profile(u, pd)
+    wg = fn._grad_profile(u[None], pd)
     t = fn._profile_scale(wg, pd, alpha)
-    from_profiles = fn._profile_energies(wg, fn._mass_profile(u, pd), t, pd)
-    direct = energies(t * u, pd)
+    from_profiles = fn._profile_energies(wg, fn._mass_profile(u[None], pd), t, pd)
+    direct = energies(t[0] * u, pd)
     for name, value in zip(("G", "F", "psi", "phi"), from_profiles):
-        assert value == pytest.approx(getattr(direct, name), rel=1e-12)
+        assert value[0] == pytest.approx(getattr(direct, name), rel=1e-12)
 
 
 @given(point_cases())
 @settings(max_examples=60, deadline=None)
 def test_survey_directions_match_the_term_formulas(case):
-    """Each survey objective's quotient and sphere-tangent direction, against `reference_point`.
+    """Each survey objective's quotient, ray direction and residual, against `reference_point`.
 
     One stack carries the three objectives as rows at the same point:
     psi/phi and G/F with the problem's exponents, and psi/phi with q = p.
@@ -736,7 +755,7 @@ def test_survey_directions_match_the_term_formulas(case):
     stack = np.stack([u, u, u])
     tags = np.array([[tag] for tag in SURVEY_OBJECTIVES])
     val, _, snap = value_at(stack, fn._grad_profile(stack, pd), np.ones(3), tags)
-    tangent, (normal, weight), res = direction(stack, snap)
+    ray, weight, res = direction(stack, snap)
     if pd.grid.dim == 1:  # the metric weight depends on p and u only: one for all three rows
         for row in weight:
             assert np.allclose(row, reference_metric_weight(u, pd), rtol=1e-14, atol=0.0)
@@ -751,8 +770,10 @@ def test_survey_directions_match_the_term_formulas(case):
         grad = (nodal["grad_" + num] - quotient * nodal["grad_" + den]) / energy[den]
         gG = nodal["grad_G"]
         ref = grad - (np.vdot(grad, gG) / np.vdot(gG, gG)) * gG
-        assert np.linalg.norm(normal[i] - gG) <= 1e-12 * np.linalg.norm(gG)
-        assert np.linalg.norm(tangent[i] - ref) <= 1e-11 * np.linalg.norm(grad)
+        ref_ray = grad - (np.vdot(grad, u) / np.vdot(gG, u)) * gG
+        # relative to grad's first term: grad itself is pure rounding where u is critical
+        first = np.linalg.norm(nodal["grad_" + num]) / energy[den]
+        assert np.linalg.norm(ray[i] - ref_ray) <= 1e-11 * first
         scale = np.linalg.norm(gG)
         assert abs(res[i] - np.linalg.norm(ref) / scale) <= 1e-11 * np.linalg.norm(grad) / scale
 

@@ -14,13 +14,11 @@ import vexspec.functionals as fn
 import vexspec.solvers as solvers
 from vexspec import (
     SolverConfig,
-    bump_seed,
     eigenfamily,
     energies,
     interval_grid,
     lambda_alpha,
     mode_seed,
-    project_to_sphere,
     rayleigh_extrema,
     rescale_constant_exponent,
     residual,
@@ -96,8 +94,8 @@ def test_ray_crossing_rows_equal_single_crossings(variable, rng):
     taus = _ray_crossing(wg, wm, pd, 0.7)
     assert taus.shape == (4,)
     for k in range(4):
-        tau = _ray_crossing(wg[k], wm[k], pd, 0.7)
-        assert isinstance(tau, float) and taus[k] == tau
+        (tau,) = _ray_crossing(wg[k : k + 1], wm[k : k + 1], pd, 0.7)
+        assert taus[k] == tau
         # the crossing closes the level identity psi = lam * phi on the ray
         snap = energies(tau * u[k], pd)
         assert snap.psi == pytest.approx(0.7 * snap.phi, rel=1e-12)
@@ -109,18 +107,17 @@ def test_project_to_sphere(rng):
     pd = make_pd(grid, 2.0 + x, 2.0, C_embed=1.0)
     u = rng.standard_normal(grid.shape)
     u[grid.boundary_mask] = 0.0
-    t, v = project_to_sphere(u, pd, 0.7)
-    assert np.array_equal(v, t * u)
-    assert energies(v, pd).G == pytest.approx(0.7, abs=1e-9)
+    (t,) = fn._sphere_scale(u[None], pd, 0.7)
+    assert energies(t * u, pd).G == pytest.approx(0.7, abs=1e-9)
 
     pdc = make_pd(grid, 3.0, 2.0, C_embed=1.0)
-    t, v = project_to_sphere(u, pdc, 1.3)
+    (t,) = fn._sphere_scale(u[None], pdc, 1.3)
     closed = (1.3 / energies(u, pdc).G) ** (1.0 / 3.0)
     assert t == pytest.approx(closed, rel=1e-12)
     with pytest.raises(ValueError, match="zero function"):
-        project_to_sphere(grid.zero_function(), pd, 1.0)
+        fn._sphere_scale(grid.zero_function()[None], pd, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        project_to_sphere(u, pd, -1.0)
+        fn._sphere_scale(u[None], pd, -1.0)
 
 
 def test_project_to_sphere_is_relative_at_every_level(rng):
@@ -132,8 +129,8 @@ def test_project_to_sphere_is_relative_at_every_level(rng):
         for alpha in np.logspace(-13.0, 3.0, 17):
             u = rng.standard_normal(grid.shape)
             u[grid.boundary_mask] = 0.0
-            _, v = project_to_sphere(u, pd, alpha, tol=1e-12)
-            assert abs(energies(v, pd).G / alpha - 1.0) <= 1e-12
+            (t,) = fn._sphere_scale(u[None], pd, alpha)
+            assert abs(energies(t * u, pd).G / alpha - 1.0) <= 1e-12
 
 
 def test_mode_seed_parity_is_exact():
@@ -162,18 +159,6 @@ def test_mode_tuple_ordering():
     assert _mode_tuples(1, 3) == [(1,), (2,), (3,)]
     assert _mode_tuples(2, 3) == [(1, 1), (1, 2), (2, 1)]
     assert _mode_tuples(2, 5) == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
-
-
-def test_bump_seed():
-    grid = interval_grid(41)
-    pd = make_pd(grid, 3.0, 2.0, C_embed=1.0)
-    u = bump_seed(pd, 0.25, 0.1)
-    assert u[grid.boundary_mask].max() == 0.0
-    assert np.argmax(u) == pytest.approx(10, abs=1)
-    with pytest.raises(ValueError, match="center"):
-        bump_seed(pd, 0.0, 0.1)
-    with pytest.raises(ValueError, match="width"):
-        bump_seed(pd, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +375,7 @@ def test_entry_points_validate_outside_input(rng):
     cfg = SolverConfig(max_iters=10)
     live_boundary = rng.standard_normal(grid.shape)
     with pytest.raises(ValueError, match="vanish"):
-        project_to_sphere(live_boundary, pd_sub, 1.0)
+        solve_sublinear(pd_sub, 1.0, 0.1, cfg, v0=live_boundary)
     with pytest.raises(ValueError, match="does not match grid"):
         solve_sublinear(pd_sub, 1.0, 0.1, cfg, v0=np.ones(5))
     not_finite = grid.zero_function()
@@ -483,17 +468,19 @@ def test_mountain_pass_reaches_a_tight_residual():
 
 
 def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
-    """One Riesz column per search, and no root-find to put a trial on a sphere.
+    """One Riesz column per search, in the point's metric, and no root-find per trial.
 
-    Only the seed is scaled onto G = alpha (one `_profile_scale`); the
-    trials are rescaled onto the H^1_0 sphere through it in closed form.
+    The 1D steps take the cell weight of the point's metric.  Only the
+    seed is scaled onto G = alpha (one `_profile_scale`); the trials are
+    rescaled onto the H^1_0 sphere through it in closed form.
     """
     pd, mu = family_pass_problem_1d()
-    columns, scales = [], []
+    columns, weights, scales = [], [], []
 
-    def riesz(d, grid):
+    def riesz(d, grid, weight=None):
         columns.append(len(d.reshape((-1,) + grid.shape)))
-        return riesz_solve(d, grid)
+        weights.append(weight)
+        return riesz_solve(d, grid, weight)
 
     def scale(*args):
         scales.append(args)
@@ -506,6 +493,7 @@ def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
     pair = solve_mountain_pass(pd, 0.05, mu, cfg, v0=mode_seed(pd, 2))
     assert pair.converged
     assert columns == [1] * pair.iterations
+    assert all(w.shape == (1,) + pd.grid.cell_shape and np.all(w > 0.0) for w in weights)
     assert len(scales) == 1
 
 
@@ -529,6 +517,24 @@ def test_mountain_pass_mesh_ladder(n, rel):
         assert pair.converged and pair.residual <= 1e-8
         assert pair.iterations <= 12
         assert lam * pair.snapshot.I_lambda == pytest.approx(PASS_CREST_2049, rel=rel)
+
+
+@pytest.mark.parametrize("n", [129, 513, 2049])
+def test_mountain_pass_variable_exponent_ladder(n):
+    """p = 2.2+0.3x, q = 3.5+0.5x: every lam certifies grad_tol 1e-10 in at most 25 searches.
+
+    In the point's metric W the searches stay within 14-19 at every mesh;
+    in the H^1_0 metric they were 32-87, and the 2049-node lam = 1 solve
+    ran out of trials at residual 1.1e-10.
+    """
+    grid = interval_grid(n, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.2 + 0.3 * x, 3.5 + 0.5 * x)
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-10, seed=0)
+    for lam in (0.1, 1.0, 10.0):
+        pair = solve_mountain_pass(pd, window_alpha(pd, lam), lam, cfg)
+        assert pair.converged and pair.residual <= 1e-10
+        assert pair.iterations <= 25
 
 
 def test_mountain_pass_window_warning(superlinear_pd):
@@ -639,6 +645,7 @@ def test_family_pass_regime_parity_classes():
         assert pair.mechanism == MOUNTAIN_PASS
         assert pair.lam == mu
         assert pair.converged and pair.residual <= 1e-8
+        assert pair.iterations <= 25
         assert pair.snapshot.I_lambda > 0.0
     even, odd = fam[0].u, fam[1].u
     assert np.array_equal(even, even[::-1])

@@ -219,11 +219,17 @@ def reference_log_root(a, p, b, q):
     return brentq(f, lo, hi, xtol=1e-14, maxiter=500)
 
 
+def root_alone(a, p, b, q, **kwargs):
+    """(t, evaluations) of one equation, solved as a stack of one row."""
+    t, evals = _power_sum_root(a[None], p, b, q, **kwargs)
+    return t[0], evals[0]
+
+
 @given(power_sums())
 @settings(max_examples=300, deadline=None)
 def test_power_sum_root_matches_brentq(problem):
     form, a, p, b, q = problem
-    t, evals = _power_sum_root(a, p, b, q)
+    t, evals = root_alone(a, p, b, q)
     s = reference_log_root(a, p, b, q)
     assert abs(np.log(t) - s) <= 1e-11 * max(1.0, abs(s))
     # bisection took 40-57 evaluations; Newton in log t needs a handful
@@ -234,14 +240,14 @@ def test_power_sum_root_matches_brentq(problem):
     ts, counts = _power_sum_root(rows, p, b, q)
     assert ts.shape == counts.shape == (4,)
     for row, t_row, n_row in zip(rows, ts, counts):
-        alone = _power_sum_root(row, p, b, q)
+        alone = root_alone(row, p, b, q)
         assert (t_row, n_row) == alone
         s_row = reference_log_root(row, p, b, q)
         assert abs(np.log(t_row) - s_row) <= 1e-11 * max(1.0, abs(s_row))
     per_row_b = np.stack([b, 2.0 * b, 0.25 * b, b])
     ts, counts = _power_sum_root(rows, p, per_row_b, q)
     for row, b_row, t_row, n_row in zip(rows, per_row_b, ts, counts):
-        assert (t_row, n_row) == _power_sum_root(row, p, b_row, q)
+        assert (t_row, n_row) == root_alone(row, p, b_row, q)
     # rows that keep different cells: each has its own exponent range, so its own curvature
     keep = np.zeros((3, a.size), dtype=bool)
     keep[0], keep[1, : (a.size + 1) // 2], keep[2, a.size // 2 :] = True, True, True
@@ -249,7 +255,7 @@ def test_power_sum_root_matches_brentq(problem):
     rows = np.where(keep, a, 0.0)
     ts, counts = _power_sum_root(rows, p, b, q)
     for row, t_row, n_row in zip(rows, ts, counts):
-        assert (t_row, n_row) == _power_sum_root(row, p, b, q)
+        assert (t_row, n_row) == root_alone(row, p, b, q)
 
 
 @given(power_sums(), st.lists(st.floats(-30.0, 30.0), min_size=4, max_size=4))
@@ -268,8 +274,8 @@ def test_power_sum_root_warm_start_matches_cold_start(problem, starts):
         s = np.log(t_cold)
         return abs(np.log(t_warm) - s) <= 1e-12 * max(1.0, abs(s))
 
-    t, _ = _power_sum_root(a, p, b, q)
-    t_warm, evals = _power_sum_root(a, p, b, q, s0=starts[0])
+    t, _ = root_alone(a, p, b, q)
+    t_warm, evals = root_alone(a, p, b, q, s0=starts[0])
     assert close(t_warm, t)
     s = reference_log_root(a, p, b, q)
     assert abs(np.log(t_warm) - s) <= 1e-11 * max(1.0, abs(s))
@@ -281,16 +287,16 @@ def test_power_sum_root_warm_start_matches_cold_start(problem, starts):
         ts, counts = _power_sum_root(rows, p, b, q, s0=s0)
         row_starts = s0 if isinstance(s0, list) else [s0] * len(rows)
         for row, start, t_row, n_row, t_cold in zip(rows, row_starts, ts, counts, cold):
-            assert (t_row, n_row) == _power_sum_root(row, p, b, q, s0=start)
+            assert (t_row, n_row) == root_alone(row, p, b, q, s0=start)
             assert close(t_row, t_cold)
 
 
 def test_power_sum_root_rejects_degenerate_sums():
     one, two = np.ones(3), np.full(3, 2.0)
     with pytest.raises(ValueError, match="positive coefficient"):
-        _power_sum_root(np.zeros(3), two, np.ones(1), np.zeros(1))
+        _power_sum_root(np.zeros((1, 3)), two, np.ones(1), np.zeros(1))
     with pytest.raises(ValueError, match="do not cross"):
-        _power_sum_root(one, two, 2.0 * one, two)
+        _power_sum_root(one[None], two, 2.0 * one, two)
 
 
 def test_zero_function_norm():
