@@ -174,13 +174,13 @@ def make_problem(
     C_H defaults to `holder_constant(s)` and V_norm to the Luxemburg norm
     of V with exponent s.  C_embed defaults to safety_factor times
     `embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)`,
-    the best of embed_trials H^1_0 ascents of the embedding ratio, each
-    stopped once an accepted step gains at most 1e-12 of the ratio or
-    after embed_iters line searches (a cap).  That ascent value is realized
-    by an explicit function, so it is a certified lower bound on the
-    discrete embedding constant; the safety factor makes it an upper
-    bound in practice, not a certified one.  All three constants must come
-    out positive and finite.
+    the best of embed_trials ascents of the embedding ratio, each in the
+    metric of its iterate and stopped once an accepted step gains at most
+    1e-12 of the ratio or after embed_iters line searches (a cap).  That
+    ascent value is realized by an explicit function, so it is a certified
+    lower bound on the discrete embedding constant; the safety factor
+    makes it an upper bound in practice, not a certified one.  All three
+    constants must come out positive and finite.
     """
     for e, name in ((p, "p"), (q, "q"), (s, "s")):
         if not isinstance(e, ExponentField):
@@ -349,7 +349,7 @@ class _Point:
         return out
 
     def metric_weight(self):
-        """Cell weight W of the metric a 1D descent steps in from this point; None in 2D.
+        """Cell weight W of the metric a 1D descent or ascent steps in from this point; None in 2D.
 
         W = (p - 1)|grad u|^(p-2) is the weight of the Hessian of G at u,
         vol * gradient_adjoint o W o gradient (the power weight of
@@ -532,15 +532,15 @@ def embedding_constant(
     Trial 0 starts from the first sine mode, trials 1.. from Gaussian
     noise drawn from `seed`; by default only trial 0 runs (random starts
     gained under 1e-11 relative where tried, at several times the cost).
-    Each trial ascends in the H^1_0 metric: the direction is d = P^-1 g
-    for the nodal gradient g of the ratio and P = gradient_adjoint o
-    gradient (`riesz_solve`), with Barzilai-Borwein lengths in the same
-    metric over the shared `_trial_lengths`; unlike the 1D descents of G
-    it keeps P on 1D grids, since its ratio is not G.  The
-    ratio is 0-homogeneous, so an accepted candidate is rescaled to
-    max|u| = 1 with its ratio and gradient carried over.  A trial stops
-    once an accepted step gains at most 1e-12 of the ratio, when the line
-    search misses, or after `iters` searches.
+    Each trial steps by the rule of every descent: the direction is
+    d = riesz_solve(g, grid, W) for the nodal gradient g of the ratio and
+    the metric weight W = `_Point.metric_weight` of the iterate (the
+    metric of G's Hessian there in 1D, H^1_0 in 2D, where W is None), with
+    Barzilai-Borwein lengths in the metric of d over the shared
+    `_trial_lengths`.  The ratio is 0-homogeneous, so an accepted
+    candidate is rescaled to max|u| = 1 with its ratio and gradient
+    carried over.  A trial stops once an accepted step gains at most 1e-12
+    of the ratio, when the line search misses, or after `iters` searches.
 
     Every evaluated ratio is realized by an explicit candidate, so the
     returned maximum is a certified lower bound on the discrete supremum;
@@ -563,7 +563,7 @@ def embedding_constant(
         ratio, grad = _embedding_ratio_and_grad(u, pd, num_exp)
         if grad is None:  # a vanishing norm: the start carries no ratio
             continue
-        d = riesz_solve(grad, grid)
+        d = riesz_solve(grad, grid, _Point(u, pd).metric_weight())
         step = 0.5 * float(np.max(np.abs(u)) / np.max(np.abs(d)))
         prev_u = None
         for _ in range(iters):
@@ -581,7 +581,7 @@ def embedding_constant(
             scale = float(np.max(np.abs(cand)))
             prev_u, prev_g, prev_d = u, grad, d
             u, ratio, grad = cand / scale, cand_ratio, cand_grad * scale
-            d = riesz_solve(grad, grid)
+            d = riesz_solve(grad, grid, _Point(u, pd).metric_weight())
             if gain <= 1e-12 * ratio:
                 break
         best = max(best, ratio)

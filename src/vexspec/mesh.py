@@ -17,6 +17,10 @@ axis: a stack of k nodal functions of shape ``(k,) + grid.shape`` (or of
 k cell fields) maps to the stack of the k results, each row bit for bit
 what the row alone gives.  The lockstep descents of the solvers run their
 rows through one call this way.
+
+`riesz_solve` inverts gradient_adjoint o W o gradient: in 1D for any
+positive cell weight W by one flux recurrence, in 2D for W = 1 only.
+Mirror flags (the half grids of folded solves) exist on 2D grids only.
 """
 
 from __future__ import annotations
@@ -47,13 +51,15 @@ __all__ = [
 class StructuredGrid:
     """Uniform tensor-product grid in one or two dimensions.
 
-    mirror holds one flag per axis (all False by default).  A flagged axis
-    ends on the mirror line of a mirror-even function: the grid is the half
-    next to node 0 of a grid with 2n - 1 nodes on that axis, its last node
-    lies on the mirror line and is free, not a Dirichlet node.  A solve
-    restricted to the fixed-point subspace of the reflections runs on such
-    a grid; the half of a mirror-odd function needs no flag, since it
-    vanishes on the mirror line like on any Dirichlet face.
+    mirror holds one flag per axis (all False by default), on 2D grids
+    only.  A flagged axis ends on the mirror line of a mirror-even
+    function: the grid is the half next to node 0 of a grid with 2n - 1
+    nodes on that axis, its last node lies on the mirror line and is free,
+    not a Dirichlet node.  A solve restricted to the fixed-point subspace
+    of the reflections runs on such a grid; the half of a mirror-odd
+    function needs no flag, since it vanishes on the mirror line like on
+    any Dirichlet face.  A 1D grid takes no flag: its solves step in a
+    variable metric, and the weighted `riesz_solve` has no free end.
     """
 
     extents: tuple
@@ -68,6 +74,8 @@ class StructuredGrid:
         mirror = tuple(bool(m) for m in self.mirror) or (False,) * len(self.extents)
         if len(mirror) != len(self.extents):
             raise ValueError("mirror flags and extents must have matching length")
+        if len(mirror) == 1 and mirror[0]:
+            raise ValueError("a mirror flag needs a 2D grid")
         object.__setattr__(self, "mirror", mirror)
         if any(int(n) < 3 for n in self.extents):
             raise ValueError("each axis needs at least 3 nodes")
@@ -389,7 +397,7 @@ def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
     return (bp[..., :-1, :-1] + bp[..., 1:, :-1]) + (bp[..., :-1, 1:] + bp[..., 1:, 1:])
 
 
-def _halves(r: np.ndarray, scale: float = 0.5) -> tuple:
+def _halves(r: np.ndarray) -> tuple:
     """Mirror-even and mirror-odd parts of r along axis 0, on the half next to row 0.
 
     The sums commute, so a reflected r gives the same even half and the
@@ -397,10 +405,10 @@ def _halves(r: np.ndarray, scale: float = 0.5) -> tuple:
     odd-length axis; the odd part vanishes there and its half stops short.
     """
     m, f = r.shape[0], r[::-1]
-    return scale * (r[: (m + 1) // 2] + f[: (m + 1) // 2]), scale * (r[: m // 2] - f[: m // 2])
+    return 0.5 * (r[: (m + 1) // 2] + f[: (m + 1) // 2]), 0.5 * (r[: m // 2] - f[: m // 2])
 
 
-def _classes(r: np.ndarray, mirror: bool, scale: float = 0.5) -> tuple:
+def _classes(r: np.ndarray, mirror: bool) -> tuple:
     """The parity-class halves along axis 0 of interior data r that a solve keeps.
 
     On an axis with both ends Dirichlet these are `_halves`, with the centre
@@ -408,11 +416,11 @@ def _classes(r: np.ndarray, mirror: bool, scale: float = 0.5) -> tuple:
     mirror partner, so the class solve, which counts every row of the half
     twice, counts it once.  The interior of a mirror-flagged axis is the
     even half itself, whose mirror row the grid already holds at half its
-    weight, so 2*scale*r is its only class.
+    weight, so a copy of r (laid out like the halves) is its only class.
     """
     if mirror:
-        return ((2.0 * scale) * r,)
-    even, odd = _halves(r, scale)
+        return (np.copy(r),)
+    even, odd = _halves(r)
     if r.shape[0] % 2:
         even[-1] *= 0.5
     return even, odd
@@ -434,33 +442,6 @@ def _mirror(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
     if even.shape[0] > k:
         out[k] = even[k]  # the odd part is exactly 0 on the centre row
     return out
-
-
-def _riesz_solve_1d(r: np.ndarray, h: float, out: np.ndarray, mirror: bool) -> np.ndarray:
-    """Exact O(n) solve of [-1, 2, -1]/h^2 by two cumulative sums per parity class.
-
-    Node j's equation says that the drop from node j to its outer neighbour
-    exceeds the drop from its inner neighbour by h^2 r_j, so the drops are
-    a cumulative sum running outward from the centre, and the values their
-    sum running inward from the zero boundary node.  The even class starts
-    at zero slope; a centre node is its own mirror, so `_classes` gives it
-    half its value (a mirror-flagged axis holds only this class, with its
-    mirror node as the centre).  The odd class adds to that particular
-    solution the multiple of the linear homogeneous solution that makes it
-    antisymmetric about the centre: zero on a centre node (offset a = 1) or
-    opposite on the two middle nodes (a = 1/2).  r is (m, k): k columns,
-    each solved alone.
-    """
-    m = r.shape[0]
-    parts = [
-        np.cumsum(np.cumsum(c[::-1], axis=0)[::-1], axis=0)
-        for c in _classes(r, mirror, 0.5 * h * h)
-    ]
-    if not mirror:
-        odd = parts[1]
-        k, a = odd.shape[0], 0.5 + 0.5 * (m % 2)
-        odd -= odd[-1:] * (np.arange(1, k + 1) / (k + a))[:, None]
-    return _unclasses(parts, out)
 
 
 def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
@@ -502,50 +483,49 @@ def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.
 
 
 def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
-    """Solve (gradient_adjoint o gradient) d = g on the interior nodes.
+    """Solve (gradient_adjoint o W o gradient) d = g on the interior nodes.
 
-    This is the Riesz map of the discrete H^1_0 inner product (up to the
-    cell volume): d vanishes on the Dirichlet nodes and the boundary
-    values of g are ignored.  The interior data are split into their
-    mirror-even and mirror-odd halves along each axis, each parity class is
-    solved on its half alone and the result is mirrored back.  The solve is
-    exact: in 1D by the two-cumulative-sum recurrence of the tridiagonal
-    operator, in O(n); in 2D by the half-size DST-I blocks of
-    `StructuredGrid.riesz_blocks`, four small dense products per class.
-    Because every class sees the same half for a reflected right-hand side
-    (the odd ones negated), the solve commutes with grid reflections and
-    with a sign change in exact floating point.  A leading axis of g holds
-    k right-hand sides, each solved bit for bit as if it were alone.
+    This is the Riesz map of a discrete weighted H^1_0 inner product (up
+    to the cell volume): d vanishes on the Dirichlet nodes and the
+    boundary values of g are ignored.  W is a positive per-cell weight,
+    shaped like the cells of g (one row per right-hand side), or W = 1
+    when none is given: the H^1_0 metric of P = gradient_adjoint o
+    gradient.  A leading axis of g holds k right-hand sides, each solved
+    bit for bit as if it were alone.  The solve is exact and commutes with
+    grid reflections (of g and W) and with a sign change in exact
+    floating point.
 
-    On a mirror-flagged axis the data are already the even half, with the
-    free mirror node, and only the even class is solved: the solve of the
-    flagged grid's own gradient_adjoint o gradient, which is the
-    restriction of the full grid's solve to its mirror-even data.
-
-    A positive per-cell weight W, shaped like the cells of g (one row per
-    right-hand side), solves (gradient_adjoint o W o gradient) d = g
-    instead: the Riesz map of a variable metric, 1D only, since the DST
-    blocks diagonalize only constant coefficients.  It is exact in O(n) by
-    the flux recurrence of `_flux_solve_1d`, run from each end and
-    averaged, so it too commutes with reflections (of g and W) and with a
-    sign change in exact floating point, row by row.
+    In 1D it runs in O(n) by the flux recurrence of `_flux_solve_1d`, from
+    each end, and averages the two.  In 2D only W = 1 is taken, since the
+    DST blocks of `StructuredGrid.riesz_blocks` diagonalize only constant
+    coefficients: the interior data are split into their mirror-even and
+    mirror-odd halves along each axis, each parity class is solved on its
+    half alone by four small dense products and the result is mirrored
+    back; every class sees the same half for a reflected right-hand side
+    (the odd ones negated).  On a mirror-flagged axis the data are already
+    the even half, with the free mirror node, and only the even class is
+    solved: the solve of the flagged grid's own gradient_adjoint o
+    gradient, which is the restriction of the full grid's solve to its
+    mirror-even data.
     """
     g = _as_nodal(g, grid)
     cols = g.reshape((-1,) + grid.shape)
     d = np.zeros(cols.shape)
     r, out = cols[grid._interior], d[grid._interior]
-    if weight is not None:
-        if grid.dim != 1 or grid.mirror[0]:
-            raise ValueError("a weighted Riesz solve needs a 1D grid without a mirror flag")
+    if grid.dim == 2:
+        if weight is not None:
+            raise ValueError("a weighted Riesz solve needs a 1D grid")
+        for r_k, out_k in zip(r, out):
+            _riesz_solve_2d(r_k, grid, out_k)
+        return d.reshape(g.shape)
+    if weight is None:
+        w = np.ones((len(r), grid.n_cells))
+    else:
         w = np.asarray(weight, dtype=float)
         if w.shape != g.shape[:-1] + grid.cell_shape:
             raise ValueError(f"weight shape {w.shape} does not match the cells of {g.shape}")
-        w, h = w.reshape(len(r), -1), grid.spacing[0]
-        ahead, back = _flux_solve_1d(r, w, h), _flux_solve_1d(r[:, ::-1], w[:, ::-1], h)
-        np.multiply(ahead + back[:, ::-1], 0.5, out=out)
-    elif grid.dim == 1:
-        _riesz_solve_1d(r.T, grid.spacing[0], out.T, grid.mirror[0])
-    else:
-        for r_k, out_k in zip(r, out):
-            _riesz_solve_2d(r_k, grid, out_k)
+        w = w.reshape(len(r), -1)
+    h = grid.spacing[0]
+    ahead, back = _flux_solve_1d(r, w, h), _flux_solve_1d(r[:, ::-1], w[:, ::-1], h)
+    np.multiply(ahead + back[:, ::-1], 0.5, out=out)
     return d.reshape(g.shape)

@@ -17,22 +17,23 @@ Nehari manifold, 2010): -F where the ray meets G = alpha, and the ray
 maximum of I_lambda; their direction is the gradient of that ray
 function, orthogonal to u, so a step needs no projection.
 
-Every descent takes one step rule: the Riesz column
-riesz_solve(d, grid, W) of its direction d, with W from
-`_Point.metric_weight`.  On 1D grids that is the metric of G's Hessian at
-the point the step leaves, gradient_adjoint o W o gradient, which
-`riesz_solve` inverts exactly in O(n); this variable preconditioning
-(Karatson and Farago, SIAM J. Numer. Anal. 41, 2003) keeps the mesh
-independence of the H^1_0 step and cuts the searches.  In 2D W is None
-and the step is the H^1_0 step of P = gradient_adjoint o gradient, since
-the 2D solve diagonalizes only constant coefficients.
+Every descent, like the embedding-constant ascent of `make_problem`,
+takes one step rule: the Riesz column riesz_solve(d, grid, W) of its
+direction d, with W from `_Point.metric_weight`.  On 1D grids that is the
+metric of G's Hessian at the point the step leaves, gradient_adjoint o W
+o gradient, which `riesz_solve` inverts exactly in O(n); this variable
+preconditioning (Karatson and Farago, SIAM J. Numer. Anal. 41, 2003)
+keeps the mesh independence of the H^1_0 step and cuts the searches.  In
+2D W is None and the step is the H^1_0 step of P = gradient_adjoint o
+gradient, since the 2D solve diagonalizes only constant coefficients.
 
 A 2D ball or mountain-pass solve whose seed is bitwise even or odd along
 an axis with an odd node count, on data p, q and V bitwise symmetric
 along it, descends on the half of the grid its parity class fixes (a
 quarter when both axes fold; `_fold`), at a fraction of the array work,
 and is unfolded by reflection before `_pair` certifies it on the full
-grid.
+grid.  1D solves do not fold: their half-line would end on a free node,
+which the weighted flux solve of `riesz_solve` does not take.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .functionals import (
     residual,
     window_alpha,
 )
-from .mesh import apply_dirichlet, gradient, gradient_magnitude, require_dirichlet, riesz_solve
+from .mesh import gradient, gradient_magnitude, require_dirichlet, riesz_solve
 from .spaces import _power_sum_root, luxemburg_norm
 
 __all__ = [
@@ -408,22 +409,19 @@ def solve_sphere_max(
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
     lam = psi/phi, the reciprocal of the first constrained level ratio;
-    snapshot.F is that level.  Without v0 the seed is a standard normal
-    draw.
+    snapshot.F is that level.  A seed v0 must vanish on the Dirichlet
+    nodes, as for the other two solvers; without it the seed is a standard
+    normal draw.
     """
     if not pd.q.hi <= pd.p.lo:
         raise ValueError("sphere maximization needs sup q <= inf p")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if v0 is not None:
-        u = apply_dirichlet(v0, pd.grid)
-    else:
-        u = np.random.default_rng(cfg.seed).standard_normal(pd.grid.shape)
-        u[pd.grid.boundary_mask] = 0.0
-    if not np.any(u):
-        raise ValueError("seed function is identically zero")
-
     grid = pd.grid
+    if v0 is None:
+        v0 = np.random.default_rng(cfg.seed).standard_normal(grid.shape)
+        v0[grid.boundary_mask] = 0.0
+    u = _seed(pd, v0)
 
     # the callbacks take stacks of rows and return one value per row
     def value_at(raw, wg, t, _):

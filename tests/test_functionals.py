@@ -277,10 +277,11 @@ def test_embedding_constant_linear_oracle():
         embedding_constant(pd, trials=0)
 
 
-@pytest.mark.parametrize("n", [129, 257, 513, 1025])
+@pytest.mark.parametrize("n", [129, 257, 513, 1025, 2049])
 @pytest.mark.parametrize("instance", ["p3q2", "strong"])
 def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
-    """Every H^1_0 ascent trial stops on its own within 150 searches, and all agree.
+    """Every ascent trial, stepping in the metric of its point, stops on its own within
+    30 searches, and all agree to 1e-11.
 
     A trial opens with the ratio evaluation at its start, the only one made
     outside a line search; the largest ratio a trial evaluates is the one it
@@ -312,12 +313,32 @@ def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
     monkeypatch.setattr(fn, "_trial_lengths", spy_lengths)
     est = embedding_constant(pd, trials=4, iters=250, seed=0)
     assert len(trials) == 4
-    assert max(t["searches"] for t in trials) <= 150
+    assert max(t["searches"] for t in trials) <= 30
     ratios = [t["ratio"] for t in trials]
     assert max(ratios) == est
-    assert max(ratios) - min(ratios) <= 1e-9 * est
+    assert max(ratios) - min(ratios) <= 1e-11 * est
     if instance == "p3q2" and n == 1025:
         assert est >= 0.3050
+
+
+@pytest.mark.parametrize("grid", [interval_grid(33), rectangle_grid((9, 11))], ids=["1d", "2d"])
+def test_embedding_ascent_steps_in_the_metric_of_its_point(monkeypatch, grid):
+    """Every Riesz solve of the ascent passes the point's cell weight in 1D and None in 2D."""
+    pd = make_pd(grid, 3.0, 2.0, C_embed=1.0)
+    weights, solve = [], fn.riesz_solve
+
+    def spy(g, grid, weight=None):
+        weights.append(weight)
+        return solve(g, grid, weight)
+
+    monkeypatch.setattr(fn, "riesz_solve", spy)
+    fn.embedding_constant(pd, trials=2, iters=20)
+    assert len(weights) > 2
+    for w in weights:
+        if grid.dim == 2:
+            assert w is None
+        else:
+            assert w.shape == grid.cell_shape and np.all(w > 0.0)
 
 
 def test_rayleigh_survey_structure():
