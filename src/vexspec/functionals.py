@@ -569,7 +569,7 @@ def embedding_constant(
         for _ in range(iters):
             if prev_u is not None:  # ascent: BB on the gradient of -ratio, one row
                 du, dg, dd = (u - prev_u)[None], (prev_g - grad)[None], (prev_d - d)[None]
-                step = _bb_step(du, dg, [step], dd, grid.dim)[0]
+                step = _bb_step(*_secants(du, dg, dd, grid.dim), [step])[0]
             for step in _trial_lengths(step):  # the first strict increase is taken
                 cand = u + step * d
                 cand_ratio, cand_grad = _embedding_ratio_and_grad(cand, pd, num_exp)
@@ -673,19 +673,28 @@ def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
     return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
-def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: list, pdg: np.ndarray, dim: int) -> list:
-    """Spectral step <du, dg> / <dg, pdg> per row, clipped to a safe positive range.
+def _secants(du: np.ndarray, dg: np.ndarray, pdg: np.ndarray, dim: int) -> tuple:
+    """Secants <du, dg> and curvatures <dg, pdg> per row, as two lists of floats.
 
-    du, dg and pdg are stacks of grid arrays of dim axes, one row per step;
-    a row whose curvature <dg, pdg> or step is not positive and finite
-    takes its fallback.  pdg is the matching change of the preconditioned
-    direction, so each step is measured in the metric its descent steps
-    in: P = gradient_adjoint o gradient, or the point's metric
-    gradient_adjoint o W o gradient of a 1D descent.  Returns a list of
-    floats.
+    du, dg and pdg are stacks of grid arrays of dim axes, one row per step:
+    the step, the change of the gradient and the matching change of the
+    preconditioned direction, so each curvature is measured in the metric
+    its descent steps in: P = gradient_adjoint o gradient, or the point's
+    metric gradient_adjoint o W o gradient of a 1D descent.
+    """
+    return _dot(du, dg, dim).tolist(), _dot(dg, pdg, dim).tolist()
+
+
+def _bb_step(secant: list, curvature: list, fallback: list) -> list:
+    """Spectral step secant / curvature per row, clipped to a safe positive range.
+
+    A row whose curvature or step is not positive and finite takes its
+    fallback.  Returns a list of floats.  `_sobolev_descent` widens its
+    fallbacks after a concave stretch before the call; the embedding
+    ascent passes its own unchanged.
     """
     steps = []
-    for num, den, other in zip(_dot(du, dg, dim).tolist(), _dot(dg, pdg, dim).tolist(), fallback):
+    for num, den, other in zip(secant, curvature, fallback):
         step = num / den if den > 0.0 else math.nan
         steps.append(min(max(step, 1e-16), 1e12) if math.isfinite(step) and step > 0.0 else other)
     return steps
@@ -695,8 +704,8 @@ def _bb_step(du: np.ndarray, dg: np.ndarray, fallback: list, pdg: np.ndarray, di
 ARMIJO = 1e-4
 
 
-def _trial_lengths(step):
-    """The 120 trial lengths of one line search: step/2^k, then step*2^(k+1).
+def _trial_lengths(step, cap=math.inf):
+    """The 120 trial lengths of one line search, step/2^k then step*2^(k+1), less those above cap.
 
     Sixty halvings come first; sixty upward probes follow, because a
     spectral step can land far below the useful range, where every halving
@@ -704,12 +713,16 @@ def _trial_lengths(step):
     """
     for s, factor in ((step, 0.5), (2.0 * step, 2.0)):
         for _ in range(60):
-            yield s
+            if s <= cap:
+                yield s
             s = factor * s
 
 
 # objective changes within this many ulps of the point's scale are rounding noise
 _FLOAT_FLOOR_ULPS = 8.0
+
+# relative margin of the Armijo ceiling over the rounding of the Armijo test's slope
+_CEILING_SLACK = 1e-6
 
 
 class _Row:
@@ -766,7 +779,7 @@ def _retire(rows, stack, gone, out):
     return [rows[i] for i in keep], {key: _take(x, keep, n) for key, x in stack.items()}
 
 
-def _sobolev_descent(start, admit, direction, precondition, iters, tol):
+def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=None):
     """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
@@ -786,15 +799,25 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     stack.
 
     Each row runs the descent it would run alone.  A search tries
-    raw = u - s*pdir for s from `_trial_lengths(step)`, with step from
-    Barzilai-Borwein in the metric of pdir (else 1.5 times the last hit's
-    s); a trial is accepted on a strict Armijo decrease on <d, raw - u>.  A
-    value within _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a
-    trial is accepted only if its residual is lower, and after the first
-    such acceptance no other trial of the row is.  A zero trial has no
-    image on the feasible set and is a miss.  A row stops at residual
-    <= tol, when all trials of a search miss, or after iters searches, and
-    leaves the stack.  One tick gives every unfinished row its next trial:
+    raw = u - s*pdir for s from `_trial_lengths(step, cap)`.  step is the
+    Barzilai-Borwein length <du, dd> / <dd, dp> of the last step's changes
+    of u, d and pdir (in the metric of pdir), else 1.5 times the last
+    hit's s; after a concave stretch (<du, dd> < 0 < <dd, dp>) it is at
+    least the secant's length |<du, dd>| / <dd, dp>, so a noise start
+    reaches the scale of the problem in one search, not by 1.5 times a
+    search.  A trial is accepted on a strict Armijo decrease on
+    <d, raw - u> = -s <d, pdir>.  A caller whose objective is bounded
+    below passes that bound: past the Armijo ceiling
+    (value - bound) / (ARMIJO <d, pdir>), widened by _CEILING_SLACK for the
+    rounding of the slope, a trial would need a value below the bound to
+    pass, so the search skips those lengths, halving and upward.  A value
+    within _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a trial
+    is accepted only if its residual is lower (outside the terminal phase
+    the ceiling skips such trials too), and after the first such
+    acceptance no other trial of the row is, and the ceiling is off.  A
+    zero trial has no image on the feasible set and is a miss.  A row
+    stops at residual <= tol, when all trials of a search miss, or after
+    iters searches, and leaves the stack.  One tick gives every unfinished row its next trial:
     all trials go through one admit call, those that pass the value test
     through one direction call, and the rows that start a search through
     one precondition call.  Every kernel under them works row by row, so a
@@ -818,7 +841,8 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
             rows, stack = _retire(rows, stack, stop, out)
             continue
         if fresh:  # these rows start a search: their steps, lengths and float floors
-            pdir = precondition(_take(stack["d"], fresh, n), _take(stack["aux"], fresh, n))
+            d = _take(stack["d"], fresh, n)
+            pdir = precondition(d, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
             bb = [i for i in fresh if rows[i].prev]
             if bb:
@@ -826,11 +850,22 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
                     _take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
                     for key in ("u", "d", "pdir")
                 )
-                for i, step in zip(bb, _bb_step(du, dd, [rows[i].step for i in bb], dp, dim)):
+                secant, curvature = _secants(du, dd, dp, dim)
+                # across a concave stretch the fallback grows to the secant's length
+                fallback = [
+                    min(max(rows[i].step, -num / den), 1e12) if num < 0.0 < den else rows[i].step
+                    for i, num, den in zip(bb, secant, curvature)
+                ]
+                for i, step in zip(bb, _bb_step(secant, curvature, fallback)):
                     rows[i].step = step
-            for i in fresh:
+            # the Armijo ceiling: a longer trial would need a value below the bound to pass
+            slopes = [0.0] * len(fresh) if bound is None else _dot(d, pdir, dim).tolist()
+            for i, slope in zip(fresh, slopes):
                 r = rows[i]
-                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step)
+                cap = math.inf
+                if slope > 0.0 and not r.terminal and r.value > bound:
+                    cap = (1.0 + _CEILING_SLACK) * (r.value - bound) / (ARMIJO * slope)
+                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step, cap)
                 r.floor = _FLOAT_FLOOR_ULPS * _EPS * r.scale
         lengths = [next(r.lengths, None) for r in rows]
         if None in lengths:  # every trial of these rows' searches missed
@@ -881,7 +916,7 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol):
     return out
 
 
-def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
+def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, bound=None):
     """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u on it.
 
     It descends the ray function u -> Q(t(u) u), with t(u) the scale that
@@ -899,7 +934,9 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
     returns the objective at t*raw (from the profiles of raw), its
     float-floor scale and the context for direction, one per row; ctx is
     the context of the rows' current points, and the optional ctx here
-    that of the starts.  Returns (u, value, ctx, searches), stacked.
+    that of the starts.  bound, if given, is a lower bound of the objective,
+    passed on as the Armijo ceiling's.  Returns (u, value, ctx, searches),
+    stacked.
     """
     grid = pd.grid
 
@@ -913,7 +950,7 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None):
     def precondition(d, weight):
         return riesz_solve(d, grid, weight)
 
-    return _sobolev_descent(start, admit, direction, precondition, iters, tol)
+    return _sobolev_descent(start, admit, direction, precondition, iters, tol, bound)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -985,7 +1022,12 @@ def rayleigh_extrema(
     rows of one lockstep stack, each with its own objective carried in its
     context (psi/phi and G/F from the pool starts, psi/phi with q = p from
     the mu starts; see `_sphere_quotients`); each row ends where it would
-    end alone.
+    end alone.  Each search starts where a hit is possible: after a concave
+    stretch at no less than the secant's length, and never above the
+    Armijo ceiling of the lower bound 0 that every quotient has (see
+    `_sobolev_descent`).  The pool members are evaluated as one stack, and
+    the 60 amplitude probes, each half the last, as another; each row
+    rounds as it would alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -1007,31 +1049,29 @@ def rayleigh_extrema(
     tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
     value_at, direction = _sphere_quotients(pd)
     stack = np.concatenate([u, u, starts(7919)])
-    done, vals = _sphere_descent(stack, pd, alpha, value_at, direction, iters, 1e-10, tags)[:2]
-    pool = [w for pair in zip(done[:trials], done[trials : 2 * trials]) for w in pair]
-    snaps = [energies(u, pd) for u in pool]
+    done, vals = _sphere_descent(stack, pd, alpha, value_at, direction, iters, 1e-10, tags, 0.0)[:2]
+    pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
+    G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())
 
-    def over_pool(fn):
-        vals = [fn(snap) for snap in snaps]
-        k = int(np.argmin(vals))
-        return vals[k], pool[k]
+    def over_pool(quotients):
+        k = int(np.argmin(quotients))
+        return quotients[k], pool[k]
 
-    nu_star, w_nu = over_pool(lambda snap: snap.psi / snap.phi)
-    nu_sup, w_sup = over_pool(lambda snap: snap.G / snap.F)
+    nu_star, w_nu = over_pool([a / b for a, b in zip(psi, phi)])
+    nu_sup, w_sup = over_pool([a / b for a, b in zip(G, F)])
 
-    # Ball infimum: amplitude decay below the sphere witness.
+    # Ball infimum: amplitude decay below the sphere witness, halved 60 times in one stack.
     lambda_star, w_ball = nu_star, w_nu
     if pd.q.hi < pd.p.lo:
-        u = w_nu
-        for _ in range(60):
-            u = 0.5 * u
-            snap = energies(u, pd)
-            if snap.phi <= 0.0 or not np.isfinite(snap.psi / snap.phi):
+        probes = np.empty((60,) + grid.shape)
+        probes[0] = 0.5 * w_nu
+        for k in range(1, 60):
+            probes[k] = 0.5 * probes[k - 1]
+        _, _, phi, psi = (x.tolist() for x in _Point(probes, pd).energy_rows())
+        for u, a, b in zip(probes, psi, phi):
+            if b <= 0.0 or not math.isfinite(a / b) or a / b >= lambda_star:
                 break
-            val = snap.psi / snap.phi
-            if val >= lambda_star:
-                break
-            lambda_star, w_ball = val, u
+            lambda_star, w_ball = a / b, u
 
     # Free quotient with the mass exponent tied to p.
     mu_star, w_mu = np.inf, None

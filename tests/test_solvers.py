@@ -309,27 +309,32 @@ def test_sphere_max_quadratic_oracle():
 
 @pytest.mark.parametrize("n", [129, 257, 513, 1025])
 def test_sphere_max_is_mesh_independent(n):
-    """The H^1_0 sphere descent needs a bounded number of steps on the strong instance."""
+    """The sphere descent needs a bounded number of steps on the strong instance.
+
+    Seed 0 takes 17, 23, 26 and 27 searches from 129 to 1025 nodes.
+    """
     grid = interval_grid(n, 1.0)
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
     pair = solve_sphere_max(pd, 1.0, SolverConfig(max_iters=60000, grad_tol=1e-5, seed=0))
     assert pair.converged and pair.residual <= 1e-5
-    assert pair.iterations <= 300
+    assert pair.iterations <= 40
 
 
 def test_one_dimensional_descents_step_in_the_point_metric():
     """Search counts of the benchmark's 1D sphere and ball operations.
 
     Stepping in the metric of G's Hessian at the point, sphere maximization
-    on the strong instance takes 32 searches (60 in the H^1_0 metric) and
-    each row of the 513-node p = 3, q = 2 sweep 11 (41-45).
+    on the strong instance takes 17 searches (31 when a search after a
+    concave stretch starts at the fallback 1.5 times the last hit alone, 60
+    in the H^1_0 metric) and each row of the 513-node p = 3, q = 2 sweep 11
+    (41-45).
     """
     grid = interval_grid(129, 1.0)
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
     pair = solve_sphere_max(pd, 1.0, SolverConfig(max_iters=60000, grad_tol=1e-5, seed=0))
-    assert pair.converged and pair.iterations <= 40
+    assert pair.converged and pair.iterations <= 20
     pd = make_pd(interval_grid(513, 1.0), 3.0, 2.0)
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-6, seed=0)
     for row in spectrum_sweep(pd, SWEEP_4, 1.0, cfg).rows:
