@@ -286,40 +286,66 @@ def _norm(a: np.ndarray, grid: StructuredGrid, primal: bool = False):
 
 
 class _Point:
-    """One nodal function u, or a stack of them, validated once, each stencil taken once.
+    """The one evaluator of a nodal function u, or a stack of them, and of its rays.
 
-    The gradient term (cell gradients g, |g| and the power weight
-    |g|^(p-2)) and the mass term (cell values ub and the mass weight
-    V |ub|^(q-1) sign ub) are each computed on first use.  The public
-    energies and gradients and every descent direction read them here.
+    The constructor takes the cell gradient g, its squared length |g|^2 and
+    the cell values ub of u, each once; everything below derives from them.
     A stack u of shape (k,) + grid.shape is evaluated row by row in the
-    same calls, and the nodal terms carry the leading axis.  q, if given,
-    replaces the mass exponent pd.q (one cell array, or one per row).
+    same calls.  q, if given, replaces the mass exponent pd.q (one cell
+    array, or one per row); like u it is fixed here.  Nothing here checks
+    u: the public functions below validate outside input, and the descents
+    evaluate only functions they built.
+
+    - `energy_rows` and `energies`: G, F, phi and psi of u, from |g| and ub.
+    - `grad_term`, `mass_term` and `metric_weight`: the nodal gradients and
+      the 1D step metric, from the power weight |g|^(p-2) (smoothed where
+      p < 2) and the mass weight V |ub|^(q-1) sign ub.
+    - `ray`, `sphere_scale` and `crossing`, on stacks: the fibering maps
+      t -> G(t u), F(t u) (Szulkin and Weth, The method of Nehari manifold,
+      2010), from the profiles wg = vol |g|^p / p and wm = vol V |ub|^q / q,
+      with G(t u) = sum(wg t^p) and F(t u) = sum(wm t^q) for every t > 0;
+      `h10` gives the squared H^1_0 norm.
+
+    The weights and the profiles are each built on first use: a descent
+    direction reads only the weights, a line-search trial only the
+    profiles and an energy evaluation neither.
     """
 
     def __init__(self, u, pd: ProblemData, q=None):
-        self.u, self.pd, self.q = require_dirichlet(u, pd.grid), pd, q
+        grid = pd.grid
+        self.u, self.pd, self.q = u, pd, q
+        self.g = gradient(u, grid)
+        self.sq = _squared_norm(self.g)
+        self.gm = np.sqrt(self.sq)  # gradient_magnitude(g), bit for bit
+        self.ub = cell_values(u, grid)
 
     @cached_property
-    def grad_cells(self):
-        pd = self.pd
-        g = gradient(self.u, pd.grid)
-        sq = _squared_norm(g)
-        gm = np.sqrt(sq)  # gradient_magnitude(g), bit for bit
+    def power_weight(self):
+        """|g|^(p-2) per cell, smoothed to (|g|^2 + GRAD_EPS^2)^((p-2)/2) where p < 2."""
+        pd, gm = self.pd, self.gm
         if pd.p.lo >= 2.0:
-            return g, gm, gm**pd._p_minus_2
+            return gm**pd._p_minus_2
         soft, soft_exp, hard, hard_exp = pd._weight_split
         flat = gm.shape[: gm.ndim - pd.grid.dim] + (-1,)
         w = np.empty(gm.shape).reshape(flat)  # smoothed where p < 2 to keep the weight finite
-        w[..., soft] = (sq.reshape(flat).take(soft, axis=-1) + GRAD_EPS**2) ** soft_exp
+        w[..., soft] = (self.sq.reshape(flat).take(soft, axis=-1) + GRAD_EPS**2) ** soft_exp
         w[..., hard] = gm.reshape(flat).take(hard, axis=-1) ** hard_exp
-        return g, gm, w.reshape(gm.shape)
+        return w.reshape(gm.shape)
 
     @cached_property
-    def mass_cells(self):
-        ub = cell_values(self.u, self.pd.grid)
+    def mass_weight(self):
+        """V |ub|^(q-1) sign ub per cell."""
         q_minus_1 = self.pd._q_minus_1 if self.q is None else self.q - 1.0
-        return ub, self.pd.V * np.abs(ub) ** q_minus_1 * np.sign(ub)
+        return self.pd.V * np.abs(self.ub) ** q_minus_1 * np.sign(self.ub)
+
+    @cached_property
+    def profiles(self):
+        """(wg, wm), the cell weights of G(t u) = sum(wg t^p) and F(t u) = sum(wm t^q)."""
+        pd, q = self.pd, self.q
+        vol_over_q = pd._vol_over_q if q is None else pd.grid.cell_volume / q
+        q = pd.q.values if q is None else q
+        wg = _finite(self.gm**pd.p.values * pd._vol_over_p, "gradient")
+        return wg, _finite(pd.V * np.abs(self.ub) ** q * vol_over_q, "mass")
 
     def energies(self, lam: float = 0.0) -> EnergySnapshot:
         G, F, phi, psi = map(float, self.energy_rows())
@@ -329,22 +355,22 @@ class _Point:
         """(G, F, phi, psi) of `energies`, one of each per row of a stack."""
         p, grid = self.pd.p.values, self.pd.grid
         q, vol = self.pd.q.values if self.q is None else self.q, grid.cell_volume
-        grad_pow = _finite(self.grad_cells[1] ** p, "gradient")
-        mass_pow = _finite(self.pd.V * np.abs(self.mass_cells[0]) ** q, "mass")
+        grad_pow = _finite(self.gm**p, "gradient")
+        mass_pow = _finite(self.pd.V * np.abs(self.ub) ** q, "mass")
         psi, phi = _cell_sum(grad_pow, grid) * vol, _cell_sum(mass_pow, grid) * vol
         return _cell_sum(grad_pow / p, grid) * vol, _cell_sum(mass_pow / q, grid) * vol, phi, psi
 
     def grad_term(self, scale=1.0) -> np.ndarray:
         """Nodal gradient of G, or of psi with scale = p."""
-        (g, _, w), grid = self.grad_cells, self.pd.grid
-        out = gradient_adjoint((w * scale)[..., None] * g * grid.cell_volume, grid)
+        grid, w = self.pd.grid, self.power_weight
+        out = gradient_adjoint((w * scale)[..., None] * self.g * grid.cell_volume, grid)
         _clear_boundary(out, grid)
         return out
 
     def mass_term(self, scale=1.0) -> np.ndarray:
         """Nodal gradient of F, or of phi with scale = q."""
         grid = self.pd.grid
-        out = cell_values_adjoint(self.mass_cells[1] * scale * grid.cell_volume, grid)
+        out = cell_values_adjoint(self.mass_weight * scale * grid.cell_volume, grid)
         _clear_boundary(out, grid)
         return out
 
@@ -352,9 +378,9 @@ class _Point:
         """Cell weight W of the metric a 1D descent or ascent steps in from this point; None in 2D.
 
         W = (p - 1)|grad u|^(p-2) is the weight of the Hessian of G at u,
-        vol * gradient_adjoint o W o gradient (the power weight of
-        grad_cells, smoothed where p < 2), floored per row at METRIC_FLOOR
-        of its largest value so the metric stays uniformly equivalent to
+        vol * gradient_adjoint o W o gradient (the power weight, smoothed
+        where p < 2), floored per row at METRIC_FLOOR of its largest value
+        so the metric stays uniformly equivalent to
         P = gradient_adjoint o gradient (Karatson and Farago, SIAM J.
         Numer. Anal. 41, 2003).  `riesz_solve` inverts it exactly in 1D
         only; 2D descents keep P.
@@ -362,39 +388,109 @@ class _Point:
         pd = self.pd
         if pd.grid.dim != 1:
             return None
-        w = pd._p_minus_1 * self.grad_cells[2]
+        w = pd._p_minus_1 * self.power_weight
         return np.maximum(w, METRIC_FLOOR * w.max(axis=-1, keepdims=True))
+
+    def h10(self):
+        """sum |grad u|^2 per row: the squared H^1_0 norm in the metric of `riesz_solve`."""
+        return _cell_sum(self.sq, self.pd.grid)
+
+    def ray(self, t=None):
+        """Rows G, F, psi, phi of t u, one scale t per row (of u itself for t None).
+
+        G = sum(wg t^p), psi = sum(p wg t^p), and F, phi likewise from wm and
+        q, summed in one pass, each row as it would be alone.
+        """
+        pd, (wg, wm) = self.pd, self.profiles
+        p, q = pd.p.values, pd.q.values if self.q is None else self.q
+        terms = np.empty((4,) + wg.shape)
+        if t is None:  # the profiles themselves, as wg * 1**p would give them
+            terms[0], terms[1] = wg, wm
+        else:
+            tc = _column(t, pd.grid)
+            np.multiply(wg, tc**p, out=terms[0])
+            np.multiply(wm, tc**q, out=terms[1])
+        np.multiply(p, terms[0], out=terms[2])
+        np.multiply(q, terms[1], out=terms[3])
+        return _cell_sum(terms, pd.grid)
+
+    def sphere_scale(self, alpha: float):
+        """Scale t per row with G(t u) = alpha, by the Newton power-sum kernel on wg.
+
+        It solves to float resolution, relative to alpha at every scale of
+        alpha; constant p collapses it to the closed form (alpha / G(u))^(1/p),
+        in Python floats (the libm rounding of the scalar form).  The solve
+        itself fails unless alpha > 0 and no row is the zero function.
+        """
+        p, grid, wg = self.pd.p, self.pd.grid, self.profiles[0]
+        undefined = "no sphere scale: alpha must be positive and no row the zero function"
+        if p.is_constant:
+            total = _cell_sum(wg, grid)
+            if not (alpha > 0.0 and np.all(total)):
+                raise ValueError(undefined)
+            return np.array([x ** (1.0 / p.lo) for x in (alpha / total).tolist()])
+        rows = wg.reshape(len(wg), -1)
+        try:
+            return _power_sum_root(rows, p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
+        except ValueError as exc:  # the kernel needs a positive term on each side
+            raise ValueError(undefined) from exc
+
+    def crossing(self, lam: float, s0=0.0):
+        """Positive tau per row where the ray derivative of I_lambda changes sign.
+
+        tau * dI/dtau vanishes where sum(p wg tau^p) = lam sum(q wm tau^q).
+        With the exponents ordered on every cell the log of the ratio of the
+        two sums is strictly monotone in log tau, so the crossing is unique
+        (the ray maximum in the superlinear regime, the ray minimum in the
+        sublinear one) and the Newton power-sum kernel finds it, starting
+        from log tau = s0.  Constant exponents admit a closed form, taken in
+        Python floats as in `sphere_scale`.  The point must carry the
+        problem's own q.
+        """
+        pd, (wg, wm) = self.pd, self.profiles
+        grid, p, q = pd.grid, pd.p, pd.q
+        a, b = p.values * wg, lam * q.values * wm
+        psi, lam_phi = _cell_sum(a, grid), _cell_sum(b, grid)
+        if np.any(psi == 0.0) or np.any(lam_phi == 0.0):
+            raise ValueError("ray crossing undefined: an energy term vanished")
+        if p.is_constant and q.is_constant:
+            return np.array([x ** (1.0 / (q.lo - p.lo)) for x in (psi / lam_phi).tolist()])
+        if not (q.lo >= p.hi or q.hi <= p.lo):
+            raise ValueError("ray crossing needs exponents ordered on every cell")
+        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+        return _power_sum_root(a, p.values.ravel(), b, q.values.ravel(), s0=s0)[0]
 
 
 def energies(u, pd: ProblemData, lam: float = 0.0) -> EnergySnapshot:
     """Evaluate G, F and the unscaled modulars phi, psi, plus I = G - lam F.
 
-    Like the nodal gradients below, a thin wrapper over one `_Point` pass.
+    Like the nodal gradients below, a thin wrapper over one `_Point` of
+    u, checked here for Dirichlet data.
     """
-    return _Point(u, pd).energies(lam)
+    return _Point(require_dirichlet(u, pd.grid), pd).energies(lam)
 
 
 def grad_G(u, pd: ProblemData) -> np.ndarray:
     """Nodal gradient of G; equals the p(x)-Laplacian weak form row by row."""
-    return _Point(u, pd).grad_term()
+    return _Point(require_dirichlet(u, pd.grid), pd).grad_term()
 
 
 def grad_F(u, pd: ProblemData) -> np.ndarray:
     """Nodal gradient of F, i.e. the weighted q(x)-power mass term."""
-    return _Point(u, pd).mass_term()
+    return _Point(require_dirichlet(u, pd.grid), pd).mass_term()
 
 
 def grad_psi(u, pd: ProblemData) -> np.ndarray:
-    return _Point(u, pd).grad_term(pd.p.values)
+    return _Point(require_dirichlet(u, pd.grid), pd).grad_term(pd.p.values)
 
 
 def grad_phi(u, pd: ProblemData) -> np.ndarray:
-    return _Point(u, pd).mass_term(pd.q.values)
+    return _Point(require_dirichlet(u, pd.grid), pd).mass_term(pd.q.values)
 
 
 def residual(u, pd: ProblemData, lam: float) -> float:
     """Relative Euclidean defect of the weak eigenpair identity at (u, lam)."""
-    return _residual_at(_Point(u, pd), lam)
+    return _residual_at(_Point(require_dirichlet(u, pd.grid), pd), lam)
 
 
 def _residual_at(pt: _Point, lam: float) -> float:
@@ -553,6 +649,9 @@ def embedding_constant(
     grid = pd.grid
     num_exp = pd.target_exponent
 
+    def metric(u):  # the iterate's metric weight; a 2D one is None, with no stencil to take
+        return _Point(u, pd).metric_weight() if grid.dim == 1 else None
+
     best = 0.0
     for trial in range(trials):
         if trial == 0:
@@ -563,7 +662,7 @@ def embedding_constant(
         ratio, grad = _embedding_ratio_and_grad(u, pd, num_exp)
         if grad is None:  # a vanishing norm: the start carries no ratio
             continue
-        d = riesz_solve(grad, grid, _Point(u, pd).metric_weight())
+        d = riesz_solve(grad, grid, metric(u))
         step = 0.5 * float(np.max(np.abs(u)) / np.max(np.abs(d)))
         prev_u = None
         for _ in range(iters):
@@ -581,7 +680,7 @@ def embedding_constant(
             scale = float(np.max(np.abs(cand)))
             prev_u, prev_g, prev_d = u, grad, d
             u, ratio, grad = cand / scale, cand_ratio, cand_grad * scale
-            d = riesz_solve(grad, grid, _Point(u, pd).metric_weight())
+            d = riesz_solve(grad, grid, metric(u))
             if gain <= 1e-12 * ratio:
                 break
         best = max(best, ratio)
@@ -595,82 +694,6 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
         u = u * np.sin(np.pi * coords[axis] / grid.lengths[axis])
     u[grid.boundary_mask] = 0.0
     return u
-
-
-def _grad_profile(u: np.ndarray, pd: ProblemData) -> np.ndarray:
-    """Per-cell weights w with G(t u) = sum(w * t**p) for every t > 0 (row-wise for a stack)."""
-    return _h10_profile(u, pd)[0]
-
-
-def _h10_profile(u: np.ndarray, pd: ProblemData):
-    """`_grad_profile(u)` and sum |grad u|^2, from one gradient pass.
-
-    The sum is the squared H^1_0 norm <u, P u> in the metric of `riesz_solve`,
-    P = gradient_adjoint o gradient (the cell volume left out), one per row.
-    """
-    sq = _squared_norm(gradient(u, pd.grid))
-    gm = np.sqrt(sq)  # gradient_magnitude
-    return _finite(gm**pd.p.values * pd._vol_over_p, "gradient"), _cell_sum(sq, pd.grid)
-
-
-def _mass_profile(u: np.ndarray, pd: ProblemData, q=None) -> np.ndarray:
-    """Per-cell weights m with F(t u) = sum(m * t**q) for every t > 0 (row-wise for a stack).
-
-    q, if given, replaces the mass exponent pd.q, as in `_Point`.
-    """
-    ub = cell_values(u, pd.grid)
-    q, vol_over_q = (pd.q.values, pd._vol_over_q) if q is None else (q, pd.grid.cell_volume / q)
-    return _finite(pd.V * np.abs(ub) ** q * vol_over_q, "mass")
-
-
-def _profile_energies(wg: np.ndarray, wm: np.ndarray, t, pd: ProblemData, q=None):
-    """(G, F, psi, phi) of t*u from the profiles of u: G = sum(wg t^p), psi = sum(p wg t^p).
-
-    For stacked profiles t holds one scale per row and each energy is an
-    array of k.  q, if given, is the mass exponent wm was built with.
-    """
-    q = pd.q.values if q is None else q
-    tc = _column(t, pd.grid)
-    gt, mt = wg * tc**pd.p.values, wm * tc**q
-    G, F = _cell_sum(gt, pd.grid), _cell_sum(mt, pd.grid)
-    return G, F, _cell_sum(pd.p.values * gt, pd.grid), _cell_sum(q * mt, pd.grid)
-
-
-def _rows_pow(base: np.ndarray, e: float) -> np.ndarray:
-    """base**e in Python floats, row by row: the libm rounding of a scalar closed form."""
-    return np.array([b**e for b in base.tolist()])
-
-
-def _profile_scale(w: np.ndarray, pd: ProblemData, alpha: float):
-    """Solve sum(w * t**p) = alpha for t > 0 given a stack of gradient profiles w.
-
-    Each row gives its own t, solved in lockstep by the row-wise power-sum
-    kernel.
-    """
-    grid = pd.grid
-    if not pd.p.is_constant:  # the kernel rejects a vanished gradient energy itself
-        rows = w.reshape(len(w), -1)
-        return _power_sum_root(rows, pd.p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
-    total = _cell_sum(w, grid)
-    if not np.all(total):
-        raise ValueError("gradient energy vanished; function is not admissible")
-    return _rows_pow(alpha / total, 1.0 / pd.p.lo)
-
-
-def _sphere_scale(u: np.ndarray, pd: ProblemData, alpha: float):
-    """Scale factor t with G(t u) = alpha, by the Newton power-sum kernel.
-
-    The map t -> G(t u) separates into per-cell powers of t, so the cell
-    weights are computed once and the kernel solves the scalar equation to
-    float resolution, relative to alpha at every scale of alpha; constant p
-    collapses it to the closed form t = (alpha / G(u))^(1/p).  u is a stack
-    of functions, and each row gets its own scale.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not np.all(_cell_sum(u != 0.0, pd.grid)):
-        raise ValueError("cannot project the zero function onto a sphere")
-    return _profile_scale(_grad_profile(u, pd), pd, alpha)
 
 
 def _secants(du: np.ndarray, dg: np.ndarray, pdg: np.ndarray, dim: int) -> tuple:
@@ -916,7 +939,9 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
     return out
 
 
-def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, bound=None):
+def _sphere_descent(
+    u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None, bound=None
+):
     """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u on it.
 
     It descends the ray function u -> Q(t(u) u), with t(u) the scale that
@@ -929,23 +954,27 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, bou
     riesz_solve(d, grid, W), one column a row, are built only at accepted
     points, in 1D in the metric of G's Hessian at the point they leave, in
     2D in H^1_0.  A step's radial part leaves the value as it is, so it
-    needs no projection: trials raw are scaled back onto the sphere by
-    t = _profile_scale(wg), one per row, and value_at(raw, wg, t, ctx)
-    returns the objective at t*raw (from the profiles of raw), its
-    float-floor scale and the context for direction, one per row; ctx is
-    the context of the rows' current points, and the optional ctx here
-    that of the starts.  bound, if given, is a lower bound of the objective,
-    passed on as the Armijo ceiling's.  Returns (u, value, ctx, searches),
-    stacked.
+    needs no projection: the trials raw are scaled back onto the sphere by
+    t = pt.sphere_scale(alpha), one per row, for their `_Point` pt, and
+    value_at(pt, t, ctx) returns the objective at t*raw (from pt.ray(t);
+    t is None at the starts), its float-floor scale and the context for
+    direction, one per row; ctx is the context of the rows' current points, and the
+    optional ctx here that of the starts.  mass_exp, if given, maps those
+    contexts to the rows' mass exponents, the q of each `_Point` built
+    here.  bound, if given, is a lower bound of the objective, passed on
+    as the Armijo ceiling's.  Returns (u, value, ctx, searches), stacked.
     """
     grid = pd.grid
 
-    def admit(_, raw, ctx):
-        wg = _grad_profile(raw, pd)
-        t = _profile_scale(wg, pd, alpha)
-        return (_column(t, grid) * raw,) + value_at(raw, wg, t, ctx)
+    def point(u, ctx):
+        return _Point(u, pd, None if mass_exp is None else mass_exp(ctx))
 
-    start = (u,) + value_at(u, _grad_profile(u, pd), np.ones(len(u)), ctx)
+    def admit(_, raw, ctx):
+        pt = point(raw, ctx)
+        t = pt.sphere_scale(alpha)
+        return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
+
+    start = (u,) + value_at(point(u, ctx), None, ctx)  # the starts are on the sphere
 
     def precondition(d, weight):
         return riesz_solve(d, grid, weight)
@@ -958,34 +987,37 @@ PSI_PHI, G_F, PSI_PHI_Q_P = 0, 1, 2
 
 
 def _sphere_quotients(pd: ProblemData):
-    """value_at and direction of the survey's quotients for _sphere_descent, one objective per row.
+    """value_at, direction and mass exponents of the survey's quotients for _sphere_descent.
 
     A row's context ends in its objective tag: PSI_PHI (psi/phi), G_F (G/F)
-    or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p).  The
-    starts carry only that column; later points carry their (G, F, psi,
-    phi) before it, from the trial's profiles.  The quotient is its own
-    float-floor scale.  With grad = grad_term(P) - quotient * mass_term(S)
-    over phi or F, P = S = 1 on G/F rows (exact, so each row rounds as its
-    objective alone would), the direction is the ray gradient
+    or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p), and
+    mass_exp(ctx) gives the rows' mass exponents by tag.  The starts carry
+    only that column; later points carry their (G, F, psi, phi) before it,
+    from the trial's ray profiles.  The quotient is its own float-floor
+    scale.  With grad = grad_term(P) - quotient * mass_term(S) over phi or
+    F, P = S = 1 on G/F rows (exact, so each row rounds as its objective
+    alone would), the direction is the ray gradient
     grad - <grad, u> / <grad G, u> * grad G, and the stop residual is the
     length of the Euclidean tangent part of grad, relative to grad G.
     """
     grid, p, q = pd.grid, pd.p.values, pd.q.values
     ones = np.ones_like(p)
-    mass_exp = np.stack([q, q, p])  # by tag
+    exps = np.stack([q, q, p])  # by tag
     grad_scale, mass_scale = np.stack([p, ones, p]), np.stack([q, ones, p])
 
-    def value_at(raw, wg, t, ctx):
-        tag = ctx[..., -1].astype(int)
-        e = mass_exp[tag]
-        G, F, psi, phi = _profile_energies(wg, _mass_profile(raw, pd, e), t, pd, e)
+    def mass_exp(ctx):
+        return exps[ctx[..., -1].astype(int)]
+
+    def value_at(pt, t, ctx):
+        tag = ctx[..., -1]
+        G, F, psi, phi = pt.ray(t)
         val = np.where(tag == G_F, G / F, psi / phi)
         return val, val, np.stack([G, F, psi, phi, tag], axis=-1)
 
     def direction(u, snap):
         G, F, psi, phi, tag = snap.T
         tag = tag.astype(int)
-        pt = _Point(u, pd, mass_exp[tag])
+        pt = _Point(u, pd, exps[tag])
         gG = pt.grad_term()
         gf_rows = tag == G_F
         val = _column(np.where(gf_rows, G / F, psi / phi), grid)
@@ -996,7 +1028,7 @@ def _sphere_quotients(pd: ProblemData):
         ray = grad - _column(_dot(grad, u, grid.dim) / _dot(gG, u, grid.dim), grid) * gG
         return ray, pt.metric_weight(), _norm(tangent, grid) / np.sqrt(normal)
 
-    return value_at, direction
+    return value_at, direction, mass_exp
 
 
 def rayleigh_extrema(
@@ -1043,13 +1075,15 @@ def rayleigh_extrema(
         for trial in range(1, trials):
             u[trial] = np.random.default_rng([seed, offset + trial]).standard_normal(grid.shape)
         u[:, grid.boundary_mask] = 0.0
-        return _column(_sphere_scale(u, pd, alpha), grid) * u
+        return _column(_Point(u, pd).sphere_scale(alpha), grid) * u
 
     u = starts(0)
     tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
-    value_at, direction = _sphere_quotients(pd)
+    value_at, direction, mass_exp = _sphere_quotients(pd)
     stack = np.concatenate([u, u, starts(7919)])
-    done, vals = _sphere_descent(stack, pd, alpha, value_at, direction, iters, 1e-10, tags, 0.0)[:2]
+    done, vals = _sphere_descent(
+        stack, pd, alpha, value_at, direction, iters, 1e-10, tags, mass_exp, 0.0
+    )[:2]
     pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
     G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())
 

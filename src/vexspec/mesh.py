@@ -97,10 +97,6 @@ class StructuredGrid:
         return tuple(n - 1 for n in self.extents)
 
     @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.extents))
-
-    @property
     def n_cells(self) -> int:
         return int(np.prod(self.cell_shape))
 
@@ -215,9 +211,6 @@ class StructuredGrid:
             for a in range(self.dim)
         ]
         return tuple(np.meshgrid(*axes, indexing="ij"))
-
-    def zero_function(self) -> np.ndarray:
-        return np.zeros(self.extents)
 
 
 def interval_grid(n_nodes: int, length: float = 1.0) -> StructuredGrid:

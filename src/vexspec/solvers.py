@@ -11,11 +11,14 @@ monotone Sobolev descent with a float-floor terminal phase,
 `_sobolev_descent`: sphere maximization through its form on the sphere
 G = alpha, `_sphere_descent`, the ball and the mountain pass directly.
 Each supplies only its feasible-set map, its objective and its nodal
-descent direction.  Sphere maximization and the mountain pass descend a
-function of the ray through u alone (Szulkin and Weth, The method of
-Nehari manifold, 2010): -F where the ray meets G = alpha, and the ray
-maximum of I_lambda; their direction is the gradient of that ray
-function, orthogonal to u, so a step needs no projection.
+descent direction, and reads every energy, nodal gradient and ray map
+(the sphere scale, the ridge crossing, the energies along a ray) from
+one `_Point` per stack of functions.  Sphere maximization and the
+mountain pass descend a function of the ray through u alone (Szulkin and
+Weth, The method of Nehari manifold, 2010): -F where the ray meets
+G = alpha, and the ray maximum of I_lambda; their direction is the
+gradient of that ray function, orthogonal to u, so a step needs no
+projection.
 
 Every descent, like the embedding-constant ascent of `make_problem`,
 takes one step rule: the Riesz column riesz_solve(d, grid, W) of its
@@ -49,21 +52,14 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
-    _cell_sum,
     _column,
     _first_mode,
-    _grad_profile,
-    _h10_profile,
-    _mass_profile,
     _norm,
     _Point,
-    _profile_scale,
     _residual_at,
     _restricted,
-    _rows_pow,
     _sobolev_descent,
     _sphere_descent,
-    _sphere_scale,
     alpha_independent_threshold,
     energies,
     is_superlinear,
@@ -72,7 +68,7 @@ from .functionals import (
     window_alpha,
 )
 from .mesh import gradient, gradient_magnitude, require_dirichlet, riesz_solve
-from .spaces import _power_sum_root, luxemburg_norm
+from .spaces import luxemburg_norm
 
 __all__ = [
     "SolverConfig",
@@ -283,8 +279,7 @@ def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
     """
     if mechanism in (BALL_MIN, MOUNTAIN_PASS):
         try:
-            wg, wm = _grad_profile(u[None], pd), _mass_profile(u[None], pd)
-            u = _ray_crossing(wg, wm, pd, lam)[0] * u
+            u = _Point(u[None], pd).crossing(lam)[0] * u
         except ValueError:
             pass
     pt = _Point(u, pd)
@@ -309,14 +304,14 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
     thousands of iterations and could drift into a neighbouring well.
     """
     w = _seed(pd, v0)
-    wg = _grad_profile(w[None], pd)
+    pt = _Point(w[None], pd)
     try:
-        t = _ray_crossing(wg, _mass_profile(w[None], pd), pd, lam)[0]
+        t = pt.crossing(lam)[0]
     except ValueError:
-        t = _sphere_scale(w[None], pd, 0.5 * alpha)[0]
-    t = min(t, _profile_scale(wg, pd, alpha)[0])
+        t = pt.sphere_scale(0.5 * alpha)[0]
+    t = min(t, pt.sphere_scale(alpha)[0])
     for _ in range(200):
-        if energies(t * w, pd, lam).I_lambda < 0.0:
+        if _Point(t * w, pd).energies(lam).I_lambda < 0.0:
             return t * w
         t *= 0.5
     raise ValueError("no negative-energy seed found; regime looks non-sublinear")
@@ -361,14 +356,13 @@ def solve_sublinear(
         rejected = np.count_nonzero(far)
         if rejected:
             raw = np.where(_column(far, grid), u, raw)
-        wg = _grad_profile(raw, qpd)
-        wm = _mass_profile(raw, qpd)
-        G, F = _cell_sum(wg, grid), _cell_sum(wm, grid)
+        pt = _Point(raw, qpd)
+        G, F = pt.ray()[:2]
         over = G > level
         if np.count_nonzero(over):  # onto the sphere G = level; t = 1 keeps the rest exactly
-            t = _column(np.where(over, _profile_scale(wg, qpd, level), 1.0), grid)
-            raw = t * raw
-            G, F = _cell_sum(wg * t**qpd.p.values, grid), _cell_sum(wm * t**qpd.q.values, grid)
+            t = np.where(over, pt.sphere_scale(level), 1.0)
+            raw = _column(t, grid) * raw
+            G, F = pt.ray(t)[:2]
         lam_F = lam * F
         value = G - lam_F
         if rejected:
@@ -384,7 +378,7 @@ def solve_sublinear(
     def precondition(g, weight):
         return riesz_solve(g, grid, weight)
 
-    snap = energies(u, qpd, lam)
+    snap = _Point(u, qpd).energies(lam)
     start = (u[None], np.array([snap.I_lambda]), np.array([max(snap.G, lam * snap.F)]), None)
     u, _, _, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
@@ -424,8 +418,8 @@ def solve_sphere_max(
     u = _seed(pd, v0)
 
     # the callbacks take stacks of rows and return one value per row
-    def value_at(raw, wg, t, _):
-        F = _cell_sum(_mass_profile(raw, pd) * _column(t, grid) ** pd.q.values, grid)
+    def value_at(pt, t, _):
+        F = pt.ray(t)[1]
         return -F, F, None
 
     # the ray gradient of -F at w on the sphere, -gF + (phi/psi) gG, is the certificate's
@@ -439,37 +433,12 @@ def solve_sphere_max(
         return _column(phi / psi, grid) * defect, pt.metric_weight(), res
 
     u = u[None]
-    u = _column(_sphere_scale(u, pd, alpha), grid) * u
+    u = _column(_Point(u, pd).sphere_scale(alpha), grid) * u
     u, _, _, iterations = _sphere_descent(
         u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    snap = energies(u[0], pd)
+    snap = _Point(u[0], pd).energies()
     return _pair(u[0], pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
-
-
-def _ray_crossing(wg: np.ndarray, wm: np.ndarray, pd: ProblemData, lam: float, s0=0.0):
-    """Positive tau where the ray derivative of I_lambda changes sign.
-
-    Works on the per-cell scale profiles: tau * dI/dtau vanishes where
-    sum(p*wg*tau^p) = lam*sum(q*wm*tau^q).  With the exponents ordered on
-    every cell the log of the ratio of the two sums is strictly monotone in
-    log tau, so the crossing is unique (the ray maximum in the superlinear
-    regime, the ray minimum in the sublinear one) and the Newton power-sum
-    kernel finds it, starting from log tau = s0.  Constant exponents admit
-    a closed form.  The profiles are stacks, and each row gets its own tau.
-    """
-    grid = pd.grid
-    a = pd.p.values * wg
-    b = lam * pd.q.values * wm
-    psi, lam_phi = _cell_sum(a, grid), _cell_sum(b, grid)
-    if np.any(psi == 0.0) or np.any(lam_phi == 0.0):
-        raise ValueError("ray crossing undefined: an energy term vanished")
-    if pd.p.is_constant and pd.q.is_constant:
-        return _rows_pow(psi / lam_phi, 1.0 / (pd.q.lo - pd.p.lo))
-    if not (pd.q.lo >= pd.p.hi or pd.q.hi <= pd.p.lo):
-        raise ValueError("ray crossing needs exponents ordered on every cell")
-    p, q = pd.p.values.ravel(), pd.q.values.ravel()
-    return _power_sum_root(a.reshape(len(a), -1), p, b.reshape(len(b), -1), q, s0=s0)[0]
 
 
 def solve_mountain_pass(
@@ -490,14 +459,14 @@ def solve_mountain_pass(
     descent runs on the H^1_0 sphere through the seed.  The seed is scaled
     onto G = alpha, which fixes the radius: r^2 = sum |grad w|^2.  A trial
     is put back on the sphere by the closed form t = r / |grad raw|, from
-    the gradient its profile takes anyway; its ray crossing is found by
-    Newton started at the current point's crossing.  The direction
-    tau (grad_G - lam grad_F) at the crossing tau*w is the gradient of the
-    ray maximum, and the step is its one Riesz column
-    riesz_solve(d, grid, W), with W the metric weight at tau*w: in 1D the
-    metric of G's Hessian there, in 2D (W None) H^1_0.  The ray maximum
-    never rises beyond rounding, and the pair is certified at the ridge
-    crossing of the final direction.
+    `_Point.h10` of the gradient its ray profiles take anyway; its ray
+    crossing (`_Point.crossing`) is found by Newton started at the current
+    point's crossing.  The direction tau (grad_G - lam grad_F) at the
+    crossing tau*w is the gradient of the ray maximum, and the step is its
+    one Riesz column riesz_solve(d, grid, W), with W the metric weight at
+    tau*w: in 1D the metric of G's Hessian there, in 2D (W None) H^1_0.
+    The ray maximum never rises beyond rounding, and the pair is certified
+    at the ridge crossing of the final direction.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")
@@ -507,23 +476,21 @@ def solve_mountain_pass(
 
     # on a fold the descent runs on the folded grid, where G is 2**-f times the full one
     qpd, w0, folds = _fold(pd, _seed(pd, v0))
-    grid, p, q = qpd.grid, qpd.p.values, qpd.q.values
+    grid = qpd.grid
 
     # the callbacks take stacks of rows and return one value per row; a point's
     # context is its crossing tau, the scale that puts tau*w on the ridge
-    def at_crossing(raw, wg, s0):
-        wm = _mass_profile(raw, qpd)
-        tau = _ray_crossing(wg, wm, qpd, lam, s0)
-        tc = _column(tau, grid)
-        G, F = _cell_sum(wg * tc**p, grid), _cell_sum(wm * tc**q, grid)
+    def at_crossing(pt, s0):
+        tau = pt.crossing(lam, s0)
+        G, F = pt.ray(tau)[:2]
         return G - lam * F, np.maximum(G, lam * F), tau
 
     def admit(_, raw, tau):
-        wg, norm2 = _h10_profile(raw, qpd)
-        t = np.sqrt(r2 / norm2)  # correctly rounded, as math.sqrt
+        pt = _Point(raw, qpd)
+        t = np.sqrt(r2 / pt.h10())  # correctly rounded, as math.sqrt
         # Newton starts at each row's current crossing; math.log, as np.log need not round as libm
         s0 = [math.log(x) for x in (t * tau).tolist()]
-        value, scale, tau_raw = at_crossing(raw, wg, s0)
+        value, scale, tau_raw = at_crossing(pt, s0)
         return _column(t, grid) * raw, value, scale, tau_raw / t
 
     def direction(w, tau):  # the residual lives at tau*w
@@ -539,9 +506,10 @@ def solve_mountain_pass(
         return riesz_solve(d, grid, weight)
 
     w0 = w0[None]
-    w = _column(_sphere_scale(w0, qpd, alpha * 0.5 ** len(folds)), grid) * w0
-    wg, r2 = _h10_profile(w, qpd)
-    start = (w,) + at_crossing(w, wg, 0.0)
+    w = _column(_Point(w0, qpd).sphere_scale(alpha * 0.5 ** len(folds)), grid) * w0
+    pt = _Point(w, qpd)
+    r2 = pt.h10()
+    start = (w,) + at_crossing(pt, 0.0)
     w, _, tau, iterations = _sobolev_descent(
         start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
     )

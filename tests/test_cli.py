@@ -97,7 +97,7 @@ def test_nodal_dump_round_trip(tmp_path, rng):
     write_nodal(str(path), u, pd.grid)
     lines = path.read_text().splitlines()
     assert lines[0] == "65"
-    assert len(lines) == 2 + pd.grid.n_nodes
+    assert len(lines) == 2 + int(np.prod(pd.grid.shape))
     back, spacing = read_nodal(str(path))
     assert np.array_equal(back, u)
     assert spacing == pd.grid.spacing

@@ -36,7 +36,7 @@ def test_grid_basic_geometry():
     assert g.dim == 2
     assert g.shape == (5, 9)
     assert g.cell_shape == (4, 8)
-    assert g.n_nodes == 45 and g.n_cells == 32
+    assert int(np.prod(g.shape)) == 45 and g.n_cells == 32
     assert g.cell_volume == pytest.approx(0.5 * 0.5)
     assert g.lengths == (2.0, 4.0)
     assert g.boundary_mask.sum() == 45 - 3 * 7
@@ -270,9 +270,10 @@ def test_planar_gradient_is_bitwise_the_written_out_formula(case):
 
 def dense_laplacian(grid):
     """gradient_adjoint o gradient assembled column by column on all nodes."""
+    n = int(np.prod(grid.shape))
     cols = []
-    for k in range(grid.n_nodes):
-        e = np.zeros(grid.n_nodes)
+    for k in range(n):
+        e = np.zeros(n)
         e[k] = 1.0
         cols.append(gradient_adjoint(gradient(e.reshape(grid.shape), grid), grid).ravel())
     return np.stack(cols, axis=1)
@@ -284,7 +285,7 @@ def test_riesz_solve_matches_dense_solve(case):
     grid, g = case
     inner = ~grid.boundary_mask.ravel()
     a = dense_laplacian(grid)[np.ix_(inner, inner)]
-    ref = np.zeros(grid.n_nodes)
+    ref = np.zeros(int(np.prod(grid.shape)))
     ref[inner] = np.linalg.solve(a, g.ravel()[inner])
     d = riesz_solve(g, grid)
     assert np.all(d[grid.boundary_mask] == 0.0)
@@ -308,7 +309,7 @@ def test_mirror_riesz_solve_matches_dense_solve(case):
     free = ~grid.boundary_mask.ravel()
     assert free.sum() == np.prod([n - 1 if m else n - 2 for n, m in zip(grid.extents, grid.mirror)])
     a = dense_laplacian(grid)[np.ix_(free, free)]
-    ref = np.zeros(grid.n_nodes)
+    ref = np.zeros(int(np.prod(grid.shape)))
     ref[free] = np.linalg.solve(a, g.ravel()[free])
     d = riesz_solve(g, grid)
     assert np.all(d[grid.boundary_mask] == 0.0)
@@ -478,7 +479,7 @@ def mixed_weighted_solve(g, w, grid):
     round: where neighbouring weights differ by 1e6 its dense solve is off
     by up to 2e-9 relative (against an exact rational solve).
     """
-    n = grid.n_nodes
+    n = int(np.prod(grid.shape))
     grad = np.stack([gradient(e, grid)[:, 0] for e in np.eye(n)[1:-1]], axis=1)
     k = np.block([[np.diag(1.0 / w), -grad], [grad.T, np.zeros((n - 2, n - 2))]])
     x = np.linalg.solve(k, np.concatenate([np.zeros(n - 1), g[1:-1]]))

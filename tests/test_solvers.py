@@ -28,14 +28,13 @@ from vexspec import (
     spectrum_sweep,
     window_alpha,
 )
-from vexspec.functionals import _grad_profile, _mass_profile
+from vexspec.functionals import _Point
 from vexspec.solvers import (
     BALL_MIN,
     MOUNTAIN_PASS,
     SPHERE_MAX,
     _mode_tuples,
     _pair,
-    _ray_crossing,
     _sweep_row,
 )
 
@@ -83,18 +82,17 @@ def test_solver_config_rejects_values_that_void_the_certificate(kwargs):
 
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 def test_ray_crossing_rows_equal_single_crossings(variable, rng):
-    """Stacked profiles give one crossing per row, each bit for bit the row's own."""
+    """A stack gives one crossing per row, each bit for bit the row's own."""
     grid = interval_grid(33)
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.0 + 0.3 * x if variable else 2.0, 3.0 + x if variable else 4.0,
                  C_embed=1.0)
     u = rng.standard_normal((4,) + grid.shape)
     u[:, grid.boundary_mask] = 0.0
-    wg, wm = _grad_profile(u, pd), _mass_profile(u, pd)
-    taus = _ray_crossing(wg, wm, pd, 0.7)
+    taus = _Point(u, pd).crossing(0.7)
     assert taus.shape == (4,)
     for k in range(4):
-        (tau,) = _ray_crossing(wg[k : k + 1], wm[k : k + 1], pd, 0.7)
+        (tau,) = _Point(u[k : k + 1], pd).crossing(0.7)
         assert taus[k] == tau
         # the crossing closes the level identity psi = lam * phi on the ray
         snap = energies(tau * u[k], pd)
@@ -107,17 +105,17 @@ def test_project_to_sphere(rng):
     pd = make_pd(grid, 2.0 + x, 2.0, C_embed=1.0)
     u = rng.standard_normal(grid.shape)
     u[grid.boundary_mask] = 0.0
-    (t,) = fn._sphere_scale(u[None], pd, 0.7)
+    (t,) = _Point(u[None], pd).sphere_scale(0.7)
     assert energies(t * u, pd).G == pytest.approx(0.7, abs=1e-9)
 
     pdc = make_pd(grid, 3.0, 2.0, C_embed=1.0)
-    (t,) = fn._sphere_scale(u[None], pdc, 1.3)
+    (t,) = _Point(u[None], pdc).sphere_scale(1.3)
     closed = (1.3 / energies(u, pdc).G) ** (1.0 / 3.0)
     assert t == pytest.approx(closed, rel=1e-12)
     with pytest.raises(ValueError, match="zero function"):
-        fn._sphere_scale(grid.zero_function()[None], pd, 1.0)
+        _Point(np.zeros((1,) + grid.shape), pd).sphere_scale(1.0)
     with pytest.raises(ValueError, match="positive"):
-        fn._sphere_scale(u[None], pd, -1.0)
+        _Point(u[None], pd).sphere_scale(-1.0)
 
 
 def test_project_to_sphere_is_relative_at_every_level(rng):
@@ -129,7 +127,7 @@ def test_project_to_sphere_is_relative_at_every_level(rng):
         for alpha in np.logspace(-13.0, 3.0, 17):
             u = rng.standard_normal(grid.shape)
             u[grid.boundary_mask] = 0.0
-            (t,) = fn._sphere_scale(u[None], pd, alpha)
+            (t,) = _Point(u[None], pd).sphere_scale(alpha)
             assert abs(energies(t * u, pd).G / alpha - 1.0) <= 1e-12
 
 
@@ -380,7 +378,7 @@ def test_entry_points_validate_outside_input(rng):
     cfg = SolverConfig(max_iters=10)
     with pytest.raises(ValueError, match="does not match grid"):
         solve_sublinear(pd_sub, 1.0, 0.1, cfg, v0=np.ones(5))
-    not_finite = grid.zero_function()
+    not_finite = np.zeros(grid.shape)
     not_finite[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         solve_mountain_pass(pd_super, 0.1, 0.1, cfg, v0=not_finite)
@@ -394,7 +392,7 @@ def test_entry_points_validate_outside_input(rng):
         with pytest.raises(ValueError, match="vanish"):
             solve(rng.standard_normal(grid.shape))
         with pytest.raises(ValueError, match="identically zero"):
-            solve(grid.zero_function())
+            solve(np.zeros(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
     """One Riesz column per search, in the point's metric, and no root-find per trial.
 
     The 1D steps take the cell weight of the point's metric.  Only the
-    seed is scaled onto G = alpha (one `_profile_scale`); the trials are
+    seed is scaled onto G = alpha (one `_Point.sphere_scale`); the trials are
     rescaled onto the H^1_0 sphere through it in closed form.
     """
     pd, mu = family_pass_problem_1d()
@@ -488,11 +486,11 @@ def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
 
     def scale(*args):
         scales.append(args)
-        return profile_scale(*args)
+        return sphere_scale(*args)
 
-    riesz_solve, profile_scale = solvers.riesz_solve, fn._profile_scale
+    riesz_solve, sphere_scale = solvers.riesz_solve, _Point.sphere_scale
     monkeypatch.setattr(solvers, "riesz_solve", riesz)
-    monkeypatch.setattr(fn, "_profile_scale", scale)
+    monkeypatch.setattr(_Point, "sphere_scale", scale)
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     pair = solve_mountain_pass(pd, 0.05, mu, cfg, v0=mode_seed(pd, 2))
     assert pair.converged
