@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,7 @@ from .mesh import (
 from .spaces import (
     _EPS,
     ExponentField,
+    _luxemburg_norm,
     _power_sum_root,
     conjugate,
     exponent_field,
@@ -154,6 +156,11 @@ def _check_field(grid: StructuredGrid, e: ExponentField, name: str) -> None:
         raise ValueError(f"{name} exponent shape {e.values.shape} != cells {grid.cell_shape}")
 
 
+def _check_seed(seed, name: str) -> None:
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"{name} must be a non-negative integer (got {seed!r})")
+
+
 def make_problem(
     grid: StructuredGrid,
     p: ExponentField,
@@ -174,10 +181,8 @@ def make_problem(
     C_H defaults to `holder_constant(s)` and V_norm to the Luxemburg norm
     of V with exponent s.  C_embed defaults to safety_factor times
     `embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)`,
-    the best of embed_trials ascents of the embedding ratio, each in the
-    metric of its iterate and stopped once an accepted step gains at most
-    1e-12 of the ratio or after embed_iters line searches (a cap).  That
-    ascent value is realized by an explicit function, so it is a certified
+    the best of embed_trials ascents of the embedding ratio, run as one
+    stack on the line search of every descent.  That value is a certified
     lower bound on the discrete embedding constant; the safety factor
     makes it an upper bound in practice, not a certified one.  All three
     constants must come out positive and finite.
@@ -194,6 +199,7 @@ def make_problem(
     for value, name in ((embed_trials, "embed_trials"), (embed_iters, "embed_iters")):
         if value < 1:
             raise ValueError(f"{name} must be positive (got {value})")
+    _check_seed(embed_seed, "embed_seed")
     V = np.asarray(V, dtype=float)
     if V.shape != grid.cell_shape:
         raise ValueError(f"weight shape {V.shape} != cells {grid.cell_shape}")
@@ -588,12 +594,11 @@ def window_alpha(pd: ProblemData, lam: float, margin: float = 2.0) -> float:
 
 def _luxemburg_grad(v: np.ndarray, e: ExponentField, vol: float):
     """Norm N(v) and dN/dv by implicit differentiation of modular(v/N) = 1."""
-    res = luxemburg_norm(v, e, vol)
-    n = res.norm
+    n = _luxemburg_norm(v, e, vol).norm
     if n == 0.0:
         return 0.0, np.zeros_like(v)
     scaled = np.abs(v) / n
-    d = float(np.sum(e.values * scaled**e.values) * vol)
+    d = float((e.values * scaled**e.values).sum() * vol)
     dn = e.values * scaled ** (e.values - 1.0) * np.sign(v) * vol / d
     return n, dn
 
@@ -625,66 +630,63 @@ def embedding_constant(
 ) -> float:
     """Ascent estimate of sup ||u||_{s'(x)q(x)} / ||grad u||_{p(x)}.
 
-    Trial 0 starts from the first sine mode, trials 1.. from Gaussian
-    noise drawn from `seed`; by default only trial 0 runs (random starts
-    gained under 1e-11 relative where tried, at several times the cost).
-    Each trial steps by the rule of every descent: the direction is
-    d = riesz_solve(g, grid, W) for the nodal gradient g of the ratio and
-    the metric weight W = `_Point.metric_weight` of the iterate (the
-    metric of G's Hessian there in 1D, H^1_0 in 2D, where W is None), with
-    Barzilai-Borwein lengths in the metric of d over the shared
-    `_trial_lengths`.  The ratio is 0-homogeneous, so an accepted
-    candidate is rescaled to max|u| = 1 with its ratio and gradient
-    carried over.  A trial stops once an accepted step gains at most 1e-12
-    of the ratio, when the line search misses, or after `iters` searches.
-
-    Every evaluated ratio is realized by an explicit candidate, so the
-    returned maximum is a certified lower bound on the discrete supremum;
-    callers scale it by a safety factor before trusting it as an upper
-    bound.  Each trial's ascent is monotone: only strict increases of the
-    ratio are accepted.
+    Trial 0 starts from the first sine mode, trials 1.. from the H^1_0
+    Riesz map of Gaussian noise drawn from `seed` (raw noise spends a long
+    search on its first concave stretch); by default only trial 0 runs.
+    The trials are the rows of one `_sobolev_descent` stack on -ratio, so
+    each takes the line search of every descent and ends where it would
+    alone.  The step is riesz_solve(g, grid, W) for the gradient g of
+    -ratio and W = `_Point.metric_weight` (None in 2D); a row's first
+    search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
+    max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
+    the ratio passes.  A row stops once a step gains at most 1e-12 of the
+    ratio, when a search misses, or after `iters` searches.  Each ratio is
+    realized by an explicit function, so the maximum is a certified lower
+    bound on the discrete supremum; callers scale it by a safety factor
+    before trusting it as an upper bound.
     """
     if trials < 1 or iters < 1:
         raise ValueError("trials and iters must be positive")
-    grid = pd.grid
-    num_exp = pd.target_exponent
+    _check_seed(seed, "seed")
+    grid, num_exp = pd.grid, pd.target_exponent
 
-    def metric(u):  # the iterate's metric weight; a 2D one is None, with no stencil to take
-        return _Point(u, pd).metric_weight() if grid.dim == 1 else None
+    # a row's context: its ratio, the kernel's own gradient array at the trial (kept until the
+    # next trial, rejected or not: freed, it would let the heap shrink and refault on every 2D
+    # call), the max|u| its point is divided by and the relative gain of the step to it
+    def admit(_, raw, ctx):
+        point, value, new = np.empty_like(raw), np.full(len(raw), np.nan), np.empty_like(ctx)
+        for i, (cand, (prev, *_)) in enumerate(zip(raw, ctx)):
+            ratio, grad = _embedding_ratio_and_grad(cand, pd, num_exp)
+            new[i] = (ratio, grad, 1.0, math.inf)
+            if ratio > prev:  # only a strict increase passes; a vanishing norm gives ratio 0
+                size = float(np.abs(cand).max())
+                np.divide(cand, size, out=point[i])
+                value[i], new[i] = -ratio, (ratio, grad, size, (ratio - prev) / ratio)
+        return point, value, -value, new
 
-    best = 0.0
-    for trial in range(trials):
-        if trial == 0:
-            u = _first_mode(grid)
-        else:
-            u = np.random.default_rng([seed, trial]).standard_normal(grid.shape)
-            u[grid.boundary_mask] = 0.0
-        ratio, grad = _embedding_ratio_and_grad(u, pd, num_exp)
-        if grad is None:  # a vanishing norm: the start carries no ratio
-            continue
-        d = riesz_solve(grad, grid, metric(u))
-        step = 0.5 * float(np.max(np.abs(u)) / np.max(np.abs(d)))
-        prev_u = None
-        for _ in range(iters):
-            if prev_u is not None:  # ascent: BB on the gradient of -ratio, one row
-                du, dg, dd = (u - prev_u)[None], (prev_g - grad)[None], (prev_d - d)[None]
-                step = _bb_step(*_secants(du, dg, dd, grid.dim), [step])[0]
-            for step in _trial_lengths(step):  # the first strict increase is taken
-                cand = u + step * d
-                cand_ratio, cand_grad = _embedding_ratio_and_grad(cand, pd, num_exp)
-                if cand_ratio > ratio:
-                    break
-            else:
-                break
-            gain = cand_ratio - ratio
-            scale = float(np.max(np.abs(cand)))
-            prev_u, prev_g, prev_d = u, grad, d
-            u, ratio, grad = cand / scale, cand_ratio, cand_grad * scale
-            d = riesz_solve(grad, grid, metric(u))
-            if gain <= 1e-12 * ratio:
-                break
-        best = max(best, ratio)
-    return float(best)
+    def direction(u, ctx):  # the gradient of -ratio at the point, grad * size
+        d = np.empty_like(u)
+        for row, (_, grad, size, _) in zip(d, ctx):
+            np.multiply(grad, -size, out=row)
+        weight = _Point(u, pd).metric_weight() if grid.dim == 1 else None
+        return d, weight, np.array([c[3] for c in ctx])
+
+    def precondition(d, weight):
+        return riesz_solve(d, grid, weight)
+
+    u = _starts(grid, trials, seed)
+    if trials > 1:  # smoothed: a noise row would spend a long search on its first concave stretch
+        u[1:] = riesz_solve(u[1:], grid)
+    # every start has a positive ratio (a grid has interior nodes), and no step reached it
+    ctx = np.empty(trials, dtype=object)
+    for i, row in enumerate(u):
+        ctx[i] = _embedding_ratio_and_grad(row, pd, num_exp) + (1.0, math.inf)
+    ratio = np.array([c[0] for c in ctx])
+    pdir = precondition(*direction(u, ctx)[:2])
+    first = 0.5 * (np.abs(u).reshape(trials, -1).max(1) / np.abs(pdir).reshape(trials, -1).max(1))
+    start = (u, -ratio, ratio, ctx, first.tolist())
+    value = _sobolev_descent(start, admit, direction, precondition, iters, 1e-12)[1]
+    return float(np.max(-value))
 
 
 def _first_mode(grid: StructuredGrid) -> np.ndarray:
@@ -696,25 +698,22 @@ def _first_mode(grid: StructuredGrid) -> np.ndarray:
     return u
 
 
-def _secants(du: np.ndarray, dg: np.ndarray, pdg: np.ndarray, dim: int) -> tuple:
-    """Secants <du, dg> and curvatures <dg, pdg> per row, as two lists of floats.
-
-    du, dg and pdg are stacks of grid arrays of dim axes, one row per step:
-    the step, the change of the gradient and the matching change of the
-    preconditioned direction, so each curvature is measured in the metric
-    its descent steps in: P = gradient_adjoint o gradient, or the point's
-    metric gradient_adjoint o W o gradient of a 1D descent.
-    """
-    return _dot(du, dg, dim).tolist(), _dot(dg, pdg, dim).tolist()
+def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndarray:
+    """First sine mode, then Gaussian rows seeded [seed, offset + row], all zero on the boundary."""
+    u = np.empty((k,) + grid.shape)
+    u[0] = _first_mode(grid)
+    for row in range(1, k):
+        u[row] = np.random.default_rng([seed, offset + row]).standard_normal(grid.shape)
+    u[:, grid.boundary_mask] = 0.0
+    return u
 
 
 def _bb_step(secant: list, curvature: list, fallback: list) -> list:
     """Spectral step secant / curvature per row, clipped to a safe positive range.
 
     A row whose curvature or step is not positive and finite takes its
-    fallback.  Returns a list of floats.  `_sobolev_descent` widens its
-    fallbacks after a concave stretch before the call; the embedding
-    ascent passes its own unchanged.
+    fallback, which `_sobolev_descent`, the one caller, widens after a
+    concave stretch.  Returns a list of floats.
     """
     steps = []
     for num, den, other in zip(secant, curvature, fallback):
@@ -754,9 +753,9 @@ class _Row:
     __slots__ = ("index", "value", "scale", "res", "step", "used", "terminal", "prev", "fresh",
                  "floor", "lengths")
 
-    def __init__(self, index, value, scale, res):
+    def __init__(self, index, value, scale, res, step):
         self.index, self.value, self.scale, self.res = index, value, scale, res
-        self.step, self.used, self.floor, self.lengths = 1.0, 0, 0.0, None
+        self.step, self.used, self.floor, self.lengths = step, 0, 0.0, None
         self.terminal, self.prev, self.fresh = False, False, True
 
 
@@ -806,27 +805,27 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
     """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
-    (k,) + grid.shape, value and scale arrays of k, ctx an array with a
-    leading axis of k, or None.  One row is a stack of one: the callbacks
-    take stacks of the unfinished rows and return per-row arrays, for
-    every k.  direction(u, ctx) gives the nodal gradients d, an aux (an
-    array or None) and the stop residuals; the Sobolev steps
+    (k,) + grid.shape, value and scale arrays of k, ctx an array (of
+    objects, say) with a leading axis of k, or None; a fifth entry may list
+    the rows' first trial lengths (else 1).  One row is a stack of one: the
+    callbacks take stacks of the unfinished rows and return per-row arrays.
+    direction(u, ctx) gives the nodal gradients d, an aux (an array or
+    None) and the stop residuals; the Sobolev steps
     pdir = precondition(d, aux) are built only at accepted points.  Every
-    caller steps by one rule, riesz_solve(d, grid, W) with the metric
-    weight W = `_Point.metric_weight` as aux: the point's own metric in 1D,
-    H^1_0 in 2D (W None).
-    admit(u, raw, ctx) maps trials onto the feasible set as (point, value,
-    scale, ctx), with value NaN where it rejects a trial; the ctx it is
-    handed is that of the rows' current points, so per-row data carried in
-    ctx (the survey's objective) follows each row as others leave the
-    stack.
+    caller steps by riesz_solve(d, grid, W), W = `_Point.metric_weight` as
+    aux (None in 2D, where the metric is H^1_0).  admit(u, raw, ctx) maps
+    trials onto the feasible set as (point, value, scale, ctx), with value
+    NaN where it rejects a trial; the ctx it is handed is that of the rows'
+    current points, so per-row data carried in ctx (the survey's
+    objective) follows each row as others leave the stack.
 
     Each row runs the descent it would run alone.  A search tries
-    raw = u - s*pdir for s from `_trial_lengths(step, cap)`.  step is the
-    Barzilai-Borwein length <du, dd> / <dd, dp> of the last step's changes
-    of u, d and pdir (in the metric of pdir), else 1.5 times the last
-    hit's s; after a concave stretch (<du, dd> < 0 < <dd, dp>) it is at
-    least the secant's length |<du, dd>| / <dd, dp>, so a noise start
+    raw = u - s*pdir for s from `_trial_lengths(step, cap)`.  After the
+    first search, step is the Barzilai-Borwein length <du, dd> / <dd, dp>
+    of the last step's changes of u, d and pdir (in the metric of pdir),
+    else 1.5 times the last hit's s; after a concave stretch
+    (<du, dd> < 0 < <dd, dp>) it is at least the secant's length
+    |<du, dd>| / <dd, dp>, so a noise start
     reaches the scale of the problem in one search, not by 1.5 times a
     search.  A trial is accepted on a strict Armijo decrease on
     <d, raw - u> = -s <d, pdir>.  A caller whose objective is bounded
@@ -847,14 +846,15 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
     row's result does not depend on the rest of its batch.  Returns (u,
     value, ctx, searches), stacked like start.
     """
-    u, value, scale, ctx = start
+    u, value, scale, ctx, *first = start
     k, dim = len(u), u.ndim - 1
-    out_ctx = None if ctx is None else np.empty(np.shape(ctx))
-    out = (np.empty_like(u), np.empty(k), out_ctx, np.zeros(k, dtype=int))
+    out = (np.empty_like(u), np.empty(k), None if ctx is None else np.empty_like(ctx),
+           np.zeros(k, dtype=int))
     d, aux, res = direction(u, ctx)
     # the step and the Barzilai-Borwein reference are placeholders until they are built
     stack = dict(u=u, ctx=ctx, d=d, aux=aux, pdir=d, prev_u=u, prev_d=d, prev_pdir=d)
-    rows = [_Row(i, *r) for i, r in enumerate(zip(value.tolist(), scale.tolist(), res.tolist()))]
+    steps = first[0] if first else [1.0] * k
+    rows = list(map(_Row, range(k), value.tolist(), scale.tolist(), res.tolist(), steps))
     while rows:
         n, stop, fresh = len(rows), [], []
         for i, r in enumerate(rows):
@@ -868,12 +868,10 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
             pdir = precondition(d, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
             bb = [i for i in fresh if rows[i].prev]
-            if bb:
-                du, dd, dp = (
-                    _take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
-                    for key in ("u", "d", "pdir")
-                )
-                secant, curvature = _secants(du, dd, dp, dim)
+            if bb:  # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
+                du, dd, dp = (_take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
+                              for key in ("u", "d", "pdir"))
+                secant, curvature = _dot(du, dd, dim).tolist(), _dot(dd, dp, dim).tolist()
                 # across a concave stretch the fallback grows to the secant's length
                 fallback = [
                     min(max(rows[i].step, -num / den), 1e12) if num < 0.0 < den else rows[i].step
@@ -1063,6 +1061,7 @@ def rayleigh_extrema(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_seed(seed, "seed")
     if iters < 1:
         raise ValueError(f"iters must be at least 1 (got {iters})")
     if not (np.isfinite(alpha) and alpha > 0):
@@ -1070,11 +1069,7 @@ def rayleigh_extrema(
     grid = pd.grid
 
     def starts(offset):
-        u = np.empty((trials,) + grid.shape)
-        u[0] = _first_mode(grid)
-        for trial in range(1, trials):
-            u[trial] = np.random.default_rng([seed, offset + trial]).standard_normal(grid.shape)
-        u[:, grid.boundary_mask] = 0.0
+        u = _starts(grid, trials, seed, offset)
         return _column(_Point(u, pd).sphere_scale(alpha), grid) * u
 
     u = starts(0)

@@ -52,6 +52,7 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
+    _check_seed,
     _column,
     _first_mode,
     _norm,
@@ -108,6 +109,7 @@ class SolverConfig:
         tol = self.grad_tol
         if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
             raise ValueError(f"grad_tol must be a finite positive number (got {tol!r})")
+        _check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)

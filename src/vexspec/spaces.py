@@ -252,18 +252,21 @@ def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> Nor
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("luxemburg_norm: input values must be finite")
-    vol = _check_cells(u, p, cell_volumes)
-    if not np.any(u):
-        return NormResult(0.0, 0)
+    return _luxemburg_norm(u, p, _check_cells(u, p, cell_volumes), tol)
 
-    top = float(np.max(np.abs(u)))
+
+def _luxemburg_norm(u: np.ndarray, p: ExponentField, vol, tol: float = 1e-12) -> NormResult:
+    """`luxemburg_norm` of finite cell values u, with cell volumes vol that fit them."""
+    top = float(np.abs(u).max())  # the methods skip np.max's and np.sum's Python wrappers
+    if top == 0.0:
+        return NormResult(0.0, 0)
     a = (np.abs(u) / top) ** p.values * vol
     r, evals = _power_sum_root(a.reshape(1, -1), -p.values.ravel(), np.ones(1), np.zeros(1), tol)
     r, evals = float(r[0]), int(evals[0])
     # the floor keeps subnormal inputs from a zero norm or a zero raise step
     norm, raise_by = max(top * r * (1.0 + tol), _TINY), 0.0
     evals += 1
-    while modular(u / norm, p, vol) > 1.0:
+    while float((np.abs(u / norm) ** p.values * vol).sum()) > 1.0:  # modular(u / norm, p, vol)
         raise_by = max(2.0 * raise_by, _EPS * norm, _TINY)
         norm += raise_by
         evals += 1

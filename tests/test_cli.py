@@ -360,10 +360,11 @@ def test_solver_section_must_be_an_object(tmp_path, capsys):
         ({"C_embed": -1.0}, "C_embed must be a positive constant (got -1.0)"),
         ({"embed_trials": 0}, "embed_trials must be positive (got 0)"),
         ({"embed_iters": -5}, "embed_iters must be positive (got -5)"),
+        ({"embed_seed": -1, "embed_trials": 2}, "embed_seed must be a non-negative integer (got -1)"),
         ([["C_H", 1.0]], "'constants' must be a JSON object"),
     ],
     ids=["unknown", "iters-str", "trials-float", "C_embed-null", "safety-negative",
-         "C_embed-negative", "trials-zero", "iters-negative", "not-object"],
+         "C_embed-negative", "trials-zero", "iters-negative", "seed-negative", "not-object"],
 )
 def test_invalid_constants_exit_with_diagnostic(tmp_path, capsys, constants, message):
     cfg = sublinear_config(constants=constants, u="x*(1 - x)")

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vexspec.functionals as fn
@@ -274,46 +274,43 @@ def test_embedding_constant_linear_oracle():
     assert est == pytest.approx(1.0 / np.pi, rel=0.02)
     with pytest.raises(ValueError, match="positive"):
         embedding_constant(pd, trials=0)
+    for seed in (-1, 2.0, True):  # numpy's own error would not name the key
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            embedding_constant(pd, trials=2, seed=seed)
+
+
+def spy_stacks(monkeypatch):
+    """Record the (u, value, ctx, searches) of every `_sobolev_descent` run, in order."""
+    stacks, descend = [], fn._sobolev_descent
+
+    def spy(*args):
+        out = descend(*args)
+        stacks.append(out)
+        return out
+
+    monkeypatch.setattr(fn, "_sobolev_descent", spy)
+    return stacks
 
 
 @pytest.mark.parametrize("n", [129, 257, 513, 1025, 2049])
 @pytest.mark.parametrize("instance", ["p3q2", "strong"])
 def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
-    """Every ascent trial, stepping in the metric of its point, stops on its own within
+    """Every ascent row, stepping in the metric of its point, stops on its own within
     30 searches, and all agree to 1e-11.
 
-    A trial opens with the ratio evaluation at its start, the only one made
-    outside a line search; the largest ratio a trial evaluates is the one it
-    ends on, because the search accepts the first strict increase.
+    The rows' searches and final ratios are read from the one `_sobolev_descent`
+    stack the ascent runs; its value is -ratio.
     """
     grid = interval_grid(n, 1.0)
     x = grid.cell_midpoints()[0]
     p, q = (3.0, 2.0) if instance == "p3q2" else (2.6 + 0.8 * x, 1.5 + 0.7 * x * x)
     pd = make_pd(grid, p, q, C_embed=1.0)
-    trials, searching = [], []
-    ratio_and_grad, trial_lengths = fn._embedding_ratio_and_grad, fn._trial_lengths
-
-    def spy_ratio(*args):
-        ratio, grad = ratio_and_grad(*args)
-        if not searching:
-            trials.append({"searches": 0, "ratio": ratio})
-        trials[-1]["ratio"] = max(trials[-1]["ratio"], ratio)
-        return ratio, grad
-
-    def spy_lengths(step):  # one line search per sequence drawn
-        trials[-1]["searches"] += 1
-        searching.append(True)
-        try:
-            yield from trial_lengths(step)
-        finally:
-            searching.pop()
-
-    monkeypatch.setattr(fn, "_embedding_ratio_and_grad", spy_ratio)
-    monkeypatch.setattr(fn, "_trial_lengths", spy_lengths)
+    stacks = spy_stacks(monkeypatch)
     est = embedding_constant(pd, trials=4, iters=250, seed=0)
-    assert len(trials) == 4
-    assert max(t["searches"] for t in trials) <= 30
-    ratios = [t["ratio"] for t in trials]
+    [(_, value, _, searches)] = stacks
+    ratios = -value
+    assert len(ratios) == 4
+    assert max(searches) <= 30
     assert max(ratios) == est
     assert max(ratios) - min(ratios) <= 1e-11 * est
     if instance == "p3q2" and n == 1025:
@@ -322,7 +319,8 @@ def test_embedding_ascent_is_mesh_independent(monkeypatch, instance, n):
 
 @pytest.mark.parametrize("grid", [interval_grid(33), rectangle_grid((9, 11))], ids=["1d", "2d"])
 def test_embedding_ascent_steps_in_the_metric_of_its_point(monkeypatch, grid):
-    """Every Riesz solve of the ascent passes the point's cell weight in 1D and None in 2D."""
+    """Every Riesz solve of the ascent's steps passes the points' cell weights, one positive
+    row per point, in 1D and None in 2D; the solve before them smooths the noise start."""
     pd = make_pd(grid, 3.0, 2.0, C_embed=1.0)
     weights, solve = [], fn.riesz_solve
 
@@ -332,12 +330,28 @@ def test_embedding_ascent_steps_in_the_metric_of_its_point(monkeypatch, grid):
 
     monkeypatch.setattr(fn, "riesz_solve", spy)
     fn.embedding_constant(pd, trials=2, iters=20)
-    assert len(weights) > 2
-    for w in weights:
+    assert len(weights) > 3 and weights[0] is None
+    for w in weights[1:]:
         if grid.dim == 2:
             assert w is None
         else:
-            assert w.shape == grid.cell_shape and np.all(w > 0.0)
+            assert w.shape[1:] == grid.cell_shape and 1 <= len(w) <= 2
+            assert all(np.all(row > 0.0) for row in w)
+
+
+@pytest.mark.parametrize("grid", [interval_grid(65), rectangle_grid((9, 11))], ids=["1d", "2d"])
+def test_embedding_ascent_first_mode_row_is_the_one_trial_ascent(monkeypatch, grid):
+    """Row 0 of a k-trial ascent, the first-mode start, ends bit for bit where the 1-trial
+    ascent ends, after as many searches: each row runs as it would alone."""
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    stacks = spy_stacks(monkeypatch)
+    one = embedding_constant(pd, trials=1, iters=250)
+    embedding_constant(pd, trials=3, iters=250, seed=2)
+    (u1, value1, _, searches1), (u3, value3, _, searches3) = stacks
+    assert one == -value1[0]
+    assert u3[0].tobytes() == u1[0].tobytes()
+    assert value3[0] == value1[0] and searches3[0] == searches1[0]
 
 
 def test_rayleigh_survey_structure():
@@ -367,8 +381,11 @@ def test_rayleigh_survey_structure():
         ({"alpha": float("nan")}, "alpha must be a finite positive level"),
         ({"alpha": float("inf")}, "alpha must be a finite positive level"),
         ({"alpha": 0.0}, "alpha must be a finite positive level"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
     ],
-    ids=["iters-zero", "iters-negative", "alpha-nan", "alpha-inf", "alpha-zero"],
+    ids=["iters-zero", "iters-negative", "alpha-nan", "alpha-inf", "alpha-zero", "seed-negative",
+         "seed-float"],
 )
 def test_rayleigh_survey_rejects_degenerate_settings(kwargs, message):
     """iters <= 0 once returned the undescended starts; bad levels failed far from the cause."""
@@ -851,7 +868,18 @@ def test_point_evaluation_matches_the_term_formulas(case):
         assert value[0] == pytest.approx(getattr(direct, name), rel=1e-12)
 
 
+def one_free_node_case():
+    """A 3-node grid: its one free node leaves the sphere no tangent direction, and on the
+    q = p row the reference gradient is exactly 0."""
+    grid = StructuredGrid((3,), (1.1030609219690861,))
+    q = [3.1877039019186846, 3.4001756057793573]
+    pd = make_pd(grid, 2.0, np.array(q), V=np.array([1.4116633824900164, 0.9295684689299148]),
+                 C_embed=1.0)
+    return pd, np.array([0.0, 0.3233172799043169, 0.0]), 1.0
+
+
 @given(point_cases())
+@example(one_free_node_case())
 @settings(max_examples=60, deadline=None)
 def test_survey_directions_match_the_term_formulas(case):
     """Each survey objective's quotient, ray direction and residual, against `reference_point`.
@@ -884,7 +912,7 @@ def test_survey_directions_match_the_term_formulas(case):
         first = np.linalg.norm(nodal["grad_" + num]) / energy[den]
         assert np.linalg.norm(ray[i] - ref_ray) <= 1e-11 * first
         scale = np.linalg.norm(gG)
-        assert abs(res[i] - np.linalg.norm(ref) / scale) <= 1e-11 * np.linalg.norm(grad) / scale
+        assert abs(res[i] - np.linalg.norm(ref) / scale) <= 1e-11 * first / scale
 
 
 def test_survey_validates_no_point_it_builds(monkeypatch):

@@ -58,6 +58,10 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
+    for seed in (-3, 1.5, True):  # numpy's own error would not name the key
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.int64(7)).seed == 7
 
 
 @pytest.mark.parametrize(
