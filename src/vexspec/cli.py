@@ -57,9 +57,7 @@ CONSTANT_KEYS = {
     "C_H": float,
     "C_embed": float,
     "V_norm": float,
-    "safety_factor": float,
     "embed_trials": int,
-    "embed_iters": int,
     "embed_seed": int,
 }
 

@@ -67,6 +67,13 @@ GRAD_EPS = 1e-12
 # The 1D descent metric's cell weight is floored at this fraction of its row's largest.
 METRIC_FLOOR = 0.1
 
+# make_problem's C_embed is this factor times the ascent estimate of `embedding_constant`.
+EMBED_SAFETY = 2.0
+# Line searches of an embedding ascent (none tried takes over 31) and of a survey descent.
+EMBED_ITERS, SURVEY_ITERS = 250, 1000
+# `window_alpha` picks a level whose window clears this multiple of lam.
+WINDOW_MARGIN = 2.0
+
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -171,21 +178,20 @@ def make_problem(
     C_H: float | None = None,
     C_embed: float | None = None,
     V_norm: float | None = None,
-    safety_factor: float = 2.0,
     embed_trials: int = 1,
-    embed_iters: int = 250,
     embed_seed: int = 0,
 ) -> ProblemData:
     """Validate the fields and fill in any constant not supplied explicitly.
 
     C_H defaults to `holder_constant(s)` and V_norm to the Luxemburg norm
-    of V with exponent s.  C_embed defaults to safety_factor times
-    `embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)`,
-    the best of embed_trials ascents of the embedding ratio, run as one
-    stack on the line search of every descent.  That value is a certified
-    lower bound on the discrete embedding constant; the safety factor
-    makes it an upper bound in practice, not a certified one.  All three
-    constants must come out positive and finite.
+    of V with exponent s.  C_embed defaults to EMBED_SAFETY (2) times
+    `embedding_constant(pd, embed_trials, seed=embed_seed)`, the best of
+    embed_trials ascents of the embedding ratio, run as one stack on the
+    line search of every descent.  That value is a certified lower bound
+    on the discrete embedding constant; the safety factor makes it an
+    upper bound in practice, not a certified one (another factor k is
+    C_embed=k * embedding_constant(pd)).  All three constants must come
+    out positive and finite.
     """
     for e, name in ((p, "p"), (q, "q"), (s, "s")):
         if not isinstance(e, ExponentField):
@@ -194,11 +200,8 @@ def make_problem(
                 f"constant_exponent), got {type(e).__name__}"
             )
         _check_field(grid, e, name)
-    if not safety_factor > 0.0:
-        raise ValueError(f"safety_factor must be positive (got {safety_factor})")
-    for value, name in ((embed_trials, "embed_trials"), (embed_iters, "embed_iters")):
-        if value < 1:
-            raise ValueError(f"{name} must be positive (got {value})")
+    if embed_trials < 1:
+        raise ValueError(f"embed_trials must be positive (got {embed_trials})")
     _check_seed(embed_seed, "embed_seed")
     V = np.asarray(V, dtype=float)
     if V.shape != grid.cell_shape:
@@ -215,8 +218,7 @@ def make_problem(
         V_norm = luxemburg_norm(V, s, grid.cell_volume).norm
     pd = ProblemData(grid, p, q, s, V, float(C_H), np.nan, float(V_norm))
     if C_embed is None:
-        estimate = embedding_constant(pd, embed_trials, embed_iters, seed=embed_seed)
-        C_embed = safety_factor * estimate
+        C_embed = EMBED_SAFETY * embedding_constant(pd, embed_trials, seed=embed_seed)
     pd = dataclasses.replace(pd, C_embed=float(C_embed))
     _require_constants(pd)
     return pd
@@ -553,8 +555,8 @@ def alpha_independent_threshold(pd: ProblemData) -> float:
     return pd.q.lo / (2.0 * pd.p.hi * pd.C_H * c_star * pd.V_norm)
 
 
-def window_alpha(pd: ProblemData, lam: float, margin: float = 2.0) -> float:
-    """Smallest convenient sphere level whose window clears margin*lam.
+def window_alpha(pd: ProblemData, lam: float) -> float:
+    """Smallest convenient sphere level whose window clears WINDOW_MARGIN * lam.
 
     Inverts the active branch of lambda_alpha in closed form: the threshold
     grows with alpha when sup q < inf p (pick alpha large) and grows as
@@ -566,7 +568,7 @@ def window_alpha(pd: ProblemData, lam: float, margin: float = 2.0) -> float:
     p, q = pd.p, pd.q
     c_star = max(pd.C_embed**q.lo, pd.C_embed**q.hi)
     den = 2.0 * pd.C_H * c_star * pd.V_norm
-    target = margin * lam
+    target = WINDOW_MARGIN * lam
 
     if q.hi < p.lo:
         expo = 1.0 - q.hi / p.lo
@@ -624,15 +626,15 @@ def _embedding_ratio_and_grad(u: np.ndarray, pd: ProblemData, num_exp: ExponentF
 def embedding_constant(
     pd: ProblemData,
     trials: int = 1,
-    iters: int = 250,
     *,
     seed: int = 0,
 ) -> float:
     """Ascent estimate of sup ||u||_{s'(x)q(x)} / ||grad u||_{p(x)}.
 
-    Trial 0 starts from the first sine mode, trials 1.. from the H^1_0
-    Riesz map of Gaussian noise drawn from `seed` (raw noise spends a long
-    search on its first concave stretch); by default only trial 0 runs.
+    Trial 0 starts from the first sine mode, bitwise even on every axis
+    (`_starts`), trials 1.. from the H^1_0 Riesz map of Gaussian noise
+    drawn from `seed` (raw noise spends a long search on its first concave
+    stretch); by default only trial 0 runs.
     The trials are the rows of one `_sobolev_descent` stack on -ratio, so
     each takes the line search of every descent and ends where it would
     alone.  The step is riesz_solve(g, grid, W) for the gradient g of
@@ -640,13 +642,14 @@ def embedding_constant(
     search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
     max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
     the ratio passes.  A row stops once a step gains at most 1e-12 of the
-    ratio, when a search misses, or after `iters` searches.  Each ratio is
-    realized by an explicit function, so the maximum is a certified lower
-    bound on the discrete supremum; callers scale it by a safety factor
-    before trusting it as an upper bound.
+    ratio, when a search misses, or after EMBED_ITERS (250) searches.  Each
+    ratio is realized by an explicit function, so the maximum is a
+    certified lower bound on the discrete supremum; callers scale it by a
+    safety factor (`make_problem`: EMBED_SAFETY) before trusting it as an
+    upper bound.
     """
-    if trials < 1 or iters < 1:
-        raise ValueError("trials and iters must be positive")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     _check_seed(seed, "seed")
     grid, num_exp = pd.grid, pd.target_exponent
 
@@ -685,23 +688,30 @@ def embedding_constant(
     pdir = precondition(*direction(u, ctx)[:2])
     first = 0.5 * (np.abs(u).reshape(trials, -1).max(1) / np.abs(pdir).reshape(trials, -1).max(1))
     start = (u, -ratio, ratio, ctx, first.tolist())
-    value = _sobolev_descent(start, admit, direction, precondition, iters, 1e-12)[1]
+    value = _sobolev_descent(start, admit, direction, precondition, EMBED_ITERS, 1e-12)[1]
     return float(np.max(-value))
 
 
-def _first_mode(grid: StructuredGrid) -> np.ndarray:
-    coords = grid.node_coordinates()
+def _sine_mode(grid: StructuredGrid, freqs: tuple) -> np.ndarray:
+    """Separable sine mode of frequency freqs[a] along each axis a, zero on the Dirichlet nodes.
+
+    Each axis factor is (anti)symmetrized, so reflecting axis a maps the
+    mode to exactly (-1)^(freqs[a]+1) times itself: the parity that pins a
+    descent to its symmetry class and lets a 2D solve fold (`solvers._fold`).
+    """
     u = np.ones(grid.shape)
-    for axis in range(grid.dim):
-        u = u * np.sin(np.pi * coords[axis] / grid.lengths[axis])
+    for axis, m in enumerate(freqs):
+        f = np.sin(m * np.pi * np.linspace(0.0, 1.0, grid.extents[axis]))
+        f = 0.5 * (f + f[::-1]) if m % 2 else 0.5 * (f - f[::-1])
+        u = u * f.reshape([f.size if a == axis else 1 for a in range(grid.dim)])
     u[grid.boundary_mask] = 0.0
     return u
 
 
 def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndarray:
-    """First sine mode, then Gaussian rows seeded [seed, offset + row], all zero on the boundary."""
+    """Sine mode 1, then Gaussian rows seeded [seed, offset + row], zero on the boundary."""
     u = np.empty((k,) + grid.shape)
-    u[0] = _first_mode(grid)
+    u[0] = _sine_mode(grid, (1,) * grid.dim)
     for row in range(1, k):
         u[row] = np.random.default_rng([seed, offset + row]).standard_normal(grid.shape)
     u[:, grid.boundary_mask] = 0.0
@@ -1034,7 +1044,6 @@ def rayleigh_extrema(
     alpha: float,
     trials: int = 6,
     *,
-    iters: int = 1000,
     seed: int = 0,
 ) -> RayleighReport:
     """Survey the four quotient infima with a shared witness pool.
@@ -1047,8 +1056,8 @@ def rayleigh_extrema(
     sup q, which is exactly why that infimum degenerates to zero.  Pool
     members come from descents on the sphere G = alpha (`_sphere_descent`,
     stepping in the point's metric W in 1D and in H^1_0 in 2D) to a tangent
-    residual of 1e-10, at most `iters` searches each; each value is its
-    witness's quotient, an upper bound.  All 3*trials descents run as the
+    residual of 1e-10, at most SURVEY_ITERS (1000) searches each; each value
+    is its witness's quotient, an upper bound.  All 3*trials descents run as the
     rows of one lockstep stack, each with its own objective carried in its
     context (psi/phi and G/F from the pool starts, psi/phi with q = p from
     the mu starts; see `_sphere_quotients`); each row ends where it would
@@ -1062,8 +1071,6 @@ def rayleigh_extrema(
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_seed(seed, "seed")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1 (got {iters})")
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     grid = pd.grid
@@ -1077,7 +1084,7 @@ def rayleigh_extrema(
     value_at, direction, mass_exp = _sphere_quotients(pd)
     stack = np.concatenate([u, u, starts(7919)])
     done, vals = _sphere_descent(
-        stack, pd, alpha, value_at, direction, iters, 1e-10, tags, mass_exp, 0.0
+        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp, 0.0
     )[:2]
     pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
     G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())

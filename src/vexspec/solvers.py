@@ -31,8 +31,9 @@ keeps the mesh independence of the H^1_0 step and cuts the searches.  In
 gradient, since the 2D solve diagonalizes only constant coefficients.
 
 A 2D ball or mountain-pass solve whose seed is bitwise even or odd along
-an axis with an odd node count, on data p, q and V bitwise symmetric
-along it, descends on the half of the grid its parity class fixes (a
+an axis with an odd node count (the default seed, the first sine mode,
+is even along both), on data p, q and V bitwise symmetric along it,
+descends on the half of the grid its parity class fixes (a
 quarter when both axes fold; `_fold`), at a fraction of the array work,
 and is unfolded by reflection before `_pair` certifies it on the full
 grid.  1D solves do not fold: their half-line would end on a free node,
@@ -54,11 +55,11 @@ from .functionals import (
     ProblemData,
     _check_seed,
     _column,
-    _first_mode,
     _norm,
     _Point,
     _residual_at,
     _restricted,
+    _sine_mode,
     _sobolev_descent,
     _sphere_descent,
     alpha_independent_threshold,
@@ -147,29 +148,19 @@ class SweepReport:
 
 
 def mode_seed(pd: ProblemData, k=1) -> np.ndarray:
-    """Separable sine mode; k is the first-axis frequency or one per axis.
+    """Separable sine mode (`_sine_mode`); k is the first-axis frequency or one per axis.
 
-    Each axis factor is explicitly (anti)symmetrized, so grid reflections
-    map the seed to exactly plus or minus itself in floating point.
-    Elementwise descent updates preserve that parity bit for bit, which
-    pins a family run to its own symmetry class on symmetric problem data.
+    Grid reflections map it to exactly plus or minus itself, and descent
+    updates keep that parity bit for bit, which pins a run to its own
+    symmetry class on symmetric data.  mode_seed(pd, 1) is the default
+    seed of the ball and pass solves and the first start of the embedding
+    ascent and the survey.
     """
     grid = pd.grid
-    if np.isscalar(k):
-        freqs = (int(k),) + (1,) * (grid.dim - 1)
-    else:
-        freqs = tuple(int(m) for m in k)
+    freqs = (int(k),) + (1,) * (grid.dim - 1) if np.isscalar(k) else tuple(map(int, k))
     if len(freqs) != grid.dim or any(m < 1 for m in freqs):
         raise ValueError("mode frequencies must be positive, one per axis")
-    u = np.ones(grid.shape)
-    for axis, m in enumerate(freqs):
-        f = np.sin(m * np.pi * np.linspace(0.0, 1.0, grid.extents[axis]))
-        f = 0.5 * (f + f[::-1]) if m % 2 else 0.5 * (f - f[::-1])
-        shape = [1] * grid.dim
-        shape[axis] = f.size
-        u = u * f.reshape(shape)
-    u[grid.boundary_mask] = 0.0
-    return u
+    return _sine_mode(grid, freqs)
 
 
 def _mode_tuples(dim: int, count: int) -> list:
@@ -208,8 +199,8 @@ def _check_level(pd: ProblemData, alpha: float, lam: float) -> None:
 
 
 def _seed(pd: ProblemData, v0) -> np.ndarray:
-    """The first sine mode, or v0 checked for Dirichlet data; a zero seed raises."""
-    w = _first_mode(pd.grid) if v0 is None else require_dirichlet(v0, pd.grid)
+    """mode_seed(pd, 1), or the caller's v0 checked for Dirichlet data; a zero seed raises."""
+    w = mode_seed(pd) if v0 is None else require_dirichlet(v0, pd.grid)
     if not np.any(w):
         raise ValueError("seed function is identically zero")
     return w
@@ -230,17 +221,17 @@ def _fold(pd: ProblemData, w: np.ndarray) -> tuple:
 
     An axis folds when its node count is odd (at least 5), so the mirror
     line is a node line, when p, q and V are bitwise mirror-symmetric along
-    it and when w is bitwise even or odd along it.  The descent keeps that
-    parity bit for bit, so it stays in the fixed-point subspace of the
-    reflection (principle of symmetric criticality, Palais, Comm. Math.
-    Phys. 69, 1979), whose functions are their values on the half next to
-    node 0: an even class ends on a mirror-flagged axis with a free mirror
-    node, an odd class on a Dirichlet node.  No cell straddles the mirror
-    line, so every energy there is 2**-f times the full grid's for f folded
-    axes, and its nodal gradients and Riesz solves are the full grid's
-    restricted (gradients halved on the mirror lines).  Returns (pd, w,
-    folds) on the folded grid, folds the (axis, class sign) pairs, or
-    (pd, w, ()) when no axis folds.
+    it and when w is bitwise even or odd along it, as every sine mode is,
+    the default seed included.  The descent keeps that parity bit for bit, so
+    it stays in the fixed-point subspace of the reflection (principle of
+    symmetric criticality, Palais, Comm. Math. Phys. 69, 1979), whose
+    functions are their values on the half next to node 0: an even class
+    ends on a mirror-flagged axis with a free mirror node, an odd class on a
+    Dirichlet node.  No cell straddles the mirror line, so every energy there
+    is 2**-f times the full grid's for f folded axes, and its nodal
+    gradients and Riesz solves are the full grid's restricted (gradients
+    halved on the mirror lines).  Returns (pd, w, folds) on the folded grid,
+    folds the (axis, class sign) pairs, or (pd, w, ()) when no axis folds.
     """
     grid, folds = pd.grid, []
     if grid.dim == 2:
@@ -340,7 +331,8 @@ def solve_sublinear(
     I_lambda is flat to a few ulps of max(G, lam*F), and from then on a
     trial must lower the certificate residual.  The accepted minimizer is
     an interior critical point whenever lam sits inside the certified
-    window.
+    window.  The seed is v0, else mode_seed(pd, 1), scaled to the ray
+    minimum; on bitwise-symmetric 2D data the default folds (`_fold`).
     """
     if not pd.q.lo < pd.p.lo:
         raise ValueError("ball minimization needs inf q < inf p")
@@ -415,9 +407,10 @@ def solve_sphere_max(
         raise ValueError("alpha must be positive")
     grid = pd.grid
     if v0 is None:
-        v0 = np.random.default_rng(cfg.seed).standard_normal(grid.shape)
-        v0[grid.boundary_mask] = 0.0
-    u = _seed(pd, v0)
+        u = np.random.default_rng(cfg.seed).standard_normal(grid.shape)
+        u[grid.boundary_mask] = 0.0
+    else:
+        u = _seed(pd, v0)
 
     # the callbacks take stacks of rows and return one value per row
     def value_at(pt, t, _):
@@ -468,7 +461,8 @@ def solve_mountain_pass(
     one Riesz column riesz_solve(d, grid, W), with W the metric weight at
     tau*w: in 1D the metric of G's Hessian there, in 2D (W None) H^1_0.
     The ray maximum never rises beyond rounding, and the pair is certified
-    at the ridge crossing of the final direction.
+    at the ridge crossing of the final direction.  The seed is v0, else
+    mode_seed(pd, 1); on bitwise-symmetric 2D data the default folds.
     """
     if not is_superlinear(pd):
         raise ValueError("mountain pass needs p(x) < q(x) on every cell")

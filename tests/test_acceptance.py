@@ -147,7 +147,7 @@ def test_criterion_03_linear_oracle(capsys):
         M[:, col] = grad_F(e, pd)[1:-1]
     lam_ref = eigh(K, M, eigvals_only=True)[0]
 
-    est = embedding_constant(pd, trials=2, iters=300)
+    est = embedding_constant(pd, trials=2)
     elapsed = time.perf_counter() - t0
     checks = {
         "pi^2 1%": abs(pair.lam - np.pi**2) <= 0.01 * np.pi**2,

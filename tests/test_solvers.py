@@ -39,6 +39,7 @@ from vexspec.solvers import (
 )
 
 from conftest import (
+    family_ball_problem,
     family_ball_problem_1d,
     family_pass_problem,
     family_pass_problem_1d,
@@ -151,6 +152,12 @@ def test_mode_seed_parity_is_exact():
     u = mode_seed(pd2, (2, 3))
     assert np.array_equal(u, -u[::-1, :])
     assert np.array_equal(u, u[:, ::-1])
+    # the default seed of the solves and the first start of the ascent and the survey
+    for p in (pd, pd2):
+        first = mode_seed(p, 1)
+        for u in (solvers._seed(p, None), fn._starts(p.grid, 3, 0)[0]):
+            assert u.tobytes() == first.tobytes()
+            assert all(np.array_equal(u, np.flip(u, axis)) for axis in range(p.grid.dim))
     with pytest.raises(ValueError, match="one per axis"):
         mode_seed(pd2, (1, 2, 3))
     with pytest.raises(ValueError, match="positive"):
@@ -360,7 +367,7 @@ def test_sphere_max_dominates_quotient_survey():
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.5 + 0.3 * x, 1.8 + 0.2 * x)
     pair = solve_sphere_max(pd, 1.0, SolverConfig(max_iters=30000, grad_tol=1e-5, seed=0))
-    rep = rayleigh_extrema(pd, 1.0, trials=4, iters=600, seed=0)
+    rep = rayleigh_extrema(pd, 1.0, trials=4, seed=0)
     assert pair.lam >= rep.nu_star - 1e-8
 
 
@@ -397,6 +404,25 @@ def test_entry_points_validate_outside_input(rng):
             solve(rng.standard_normal(grid.shape))
         with pytest.raises(ValueError, match="identically zero"):
             solve(np.zeros(grid.shape))
+
+
+def test_sphere_max_validates_only_the_callers_seed(monkeypatch):
+    """The Gaussian draw of a default solve_sphere_max is the solver's own and goes
+    unchecked; a caller's v0 is checked for Dirichlet data once."""
+    pd = make_pd(interval_grid(33), 2.0, 2.0, C_embed=1.0)
+    calls, check = [], solvers.require_dirichlet
+
+    def spy(u, grid):
+        calls.append(u)
+        return check(u, grid)
+
+    monkeypatch.setattr(solvers, "require_dirichlet", spy)
+    monkeypatch.setattr(fn, "require_dirichlet", spy)
+    cfg = SolverConfig(max_iters=2000, grad_tol=1e-6, seed=0)
+    assert solve_sphere_max(pd, 1.0, cfg).converged
+    assert len(calls) == 0
+    assert solve_sphere_max(pd, 1.0, cfg, v0=mode_seed(pd, 1)).converged
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +776,33 @@ def test_pass_family_folds_onto_the_quarter_grid(monkeypatch):
         assert a.snapshot.I_lambda == pytest.approx(b.snapshot.I_lambda, rel=1e-10)
         assert np.linalg.norm(a.u - b.u) <= 1e-8 * np.linalg.norm(b.u)
         assert abs(a.iterations - b.iterations) <= 2
+
+
+@pytest.mark.parametrize("mechanism", ["ball", "pass"])
+def test_default_seed_is_mode_one_and_folds(monkeypatch, mechanism):
+    """A default-seeded 2D ball or pass solve on bitwise-symmetric data folds both axes
+    and returns the pair of v0 = mode_seed(pd, 1) bit for bit: that mode is its seed."""
+    build, solve, alpha = {
+        "ball": (family_ball_problem, solve_sublinear, 1.0),
+        "pass": (family_pass_problem, solve_mountain_pass, 0.05),
+    }[mechanism]
+    pd, mu = build((41, 49))
+    folds, fold = [], solvers._fold
+
+    def spy(pd, w):
+        out = fold(pd, w)
+        folds.append([axis for axis, _ in out[2]])
+        return out
+
+    monkeypatch.setattr(solvers, "_fold", spy)
+    cfg = SolverConfig(max_iters=200000, grad_tol=1e-6, seed=0)
+    default = solve(pd, alpha, mu, cfg)
+    seeded = solve(pd, alpha, mu, cfg, v0=mode_seed(pd, 1))
+    assert folds == [[0, 1], [0, 1]]
+    assert default.converged
+    assert default.u.tobytes() == seeded.u.tobytes()
+    assert default.iterations == seeded.iterations and default.residual == seeded.residual
+    assert default.snapshot == seeded.snapshot
 
 
 def test_family_rejects_strict_regimes(sublinear_pd):
