@@ -34,7 +34,6 @@ from .spaces import (
     _luxemburg_norm,
     _power_sum_root,
     conjugate,
-    exponent_field,
     holder_constant,
     luxemburg_norm,
     product_exponent,
@@ -163,9 +162,12 @@ def _check_field(grid: StructuredGrid, e: ExponentField, name: str) -> None:
         raise ValueError(f"{name} exponent shape {e.values.shape} != cells {grid.cell_shape}")
 
 
-def _check_seed(seed, name: str) -> None:
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"{name} must be a non-negative integer (got {seed!r})")
+def _check_int(value, name: str, least: int) -> None:
+    """Reject by name anything but an integer (not a bool) of at least `least`, 0 or 1."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        if least == 0:
+            raise ValueError(f"{name} must be a non-negative integer (got {value!r})")
+        raise ValueError(f"{name} must be positive (got {value!r}) and an integer")
 
 
 def make_problem(
@@ -200,9 +202,8 @@ def make_problem(
                 f"constant_exponent), got {type(e).__name__}"
             )
         _check_field(grid, e, name)
-    if embed_trials < 1:
-        raise ValueError(f"embed_trials must be positive (got {embed_trials})")
-    _check_seed(embed_seed, "embed_seed")
+    _check_int(embed_trials, "embed_trials", 1)
+    _check_int(embed_seed, "embed_seed", 0)
     V = np.asarray(V, dtype=float)
     if V.shape != grid.cell_shape:
         raise ValueError(f"weight shape {V.shape} != cells {grid.cell_shape}")
@@ -403,24 +404,22 @@ class _Point:
         """sum |grad u|^2 per row: the squared H^1_0 norm in the metric of `riesz_solve`."""
         return _cell_sum(self.sq, self.pd.grid)
 
-    def ray(self, t=None):
-        """Rows G, F, psi, phi of t u, one scale t per row (of u itself for t None).
+    def ray(self, t=None, P=None, S=None):
+        """Rows sum(P wg t^p) and sum(S wm t^q), one scale t per row (t None: u itself).
 
-        G = sum(wg t^p), psi = sum(p wg t^p), and F, phi likewise from wm and
-        q, summed in one pass, each row as it would be alone.
+        Without the cell scales P and S these are G(t u) and F(t u); P = p
+        and S = q give psi and phi.  Each row is summed as it would be alone.
         """
         pd, (wg, wm) = self.pd, self.profiles
-        p, q = pd.p.values, pd.q.values if self.q is None else self.q
-        terms = np.empty((4,) + wg.shape)
-        if t is None:  # the profiles themselves, as wg * 1**p would give them
-            terms[0], terms[1] = wg, wm
-        else:
+        if t is not None:  # t None leaves the profiles themselves, as wg * 1**p would give them
             tc = _column(t, pd.grid)
-            np.multiply(wg, tc**p, out=terms[0])
-            np.multiply(wm, tc**q, out=terms[1])
-        np.multiply(p, terms[0], out=terms[2])
-        np.multiply(q, terms[1], out=terms[3])
-        return _cell_sum(terms, pd.grid)
+            wg = wg * tc**pd.p.values
+            wm = wm * tc ** (pd.q.values if self.q is None else self.q)
+        if P is not None:
+            wg = P * wg
+        if S is not None:
+            wm = S * wm
+        return _cell_sum(wg, pd.grid), _cell_sum(wm, pd.grid)
 
     def sphere_scale(self, alpha: float):
         """Scale t per row with G(t u) = alpha, by the Newton power-sum kernel on wg.
@@ -531,8 +530,8 @@ def lambda_alpha_detail(pd: ProblemData, alpha: float) -> LambdaAlphaInfo:
     boundary regimes (sup q = inf p with alpha*sup(p) >= 1, or inf q = sup p
     with alpha*sup(p) < 1).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     _require_constants(pd)
     p, q = pd.p, pd.q
     base = alpha * p.hi
@@ -562,8 +561,8 @@ def window_alpha(pd: ProblemData, lam: float) -> float:
     grows with alpha when sup q < inf p (pick alpha large) and grows as
     alpha shrinks when inf q > sup p (pick alpha small).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive (got {lam})")
     _require_constants(pd)
     p, q = pd.p, pd.q
     c_star = max(pd.C_embed**q.lo, pd.C_embed**q.hi)
@@ -648,9 +647,8 @@ def embedding_constant(
     safety factor (`make_problem`: EMBED_SAFETY) before trusting it as an
     upper bound.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_seed(seed, "seed")
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0)
     grid, num_exp = pd.grid, pd.target_exponent
 
     # a row's context: its ratio, the kernel's own gradient array at the trial (kept until the
@@ -674,9 +672,6 @@ def embedding_constant(
         weight = _Point(u, pd).metric_weight() if grid.dim == 1 else None
         return d, weight, np.array([c[3] for c in ctx])
 
-    def precondition(d, weight):
-        return riesz_solve(d, grid, weight)
-
     u = _starts(grid, trials, seed)
     if trials > 1:  # smoothed: a noise row would spend a long search on its first concave stretch
         u[1:] = riesz_solve(u[1:], grid)
@@ -685,10 +680,11 @@ def embedding_constant(
     for i, row in enumerate(u):
         ctx[i] = _embedding_ratio_and_grad(row, pd, num_exp) + (1.0, math.inf)
     ratio = np.array([c[0] for c in ctx])
-    pdir = precondition(*direction(u, ctx)[:2])
+    d, weight, _ = direction(u, ctx)
+    pdir = riesz_solve(d, grid, weight)
     first = 0.5 * (np.abs(u).reshape(trials, -1).max(1) / np.abs(pdir).reshape(trials, -1).max(1))
     start = (u, -ratio, ratio, ctx, first.tolist())
-    value = _sobolev_descent(start, admit, direction, precondition, EMBED_ITERS, 1e-12)[1]
+    value = _sobolev_descent(start, admit, direction, grid, EMBED_ITERS, 1e-12)[1]
     return float(np.max(-value))
 
 
@@ -716,20 +712,6 @@ def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndar
         u[row] = np.random.default_rng([seed, offset + row]).standard_normal(grid.shape)
     u[:, grid.boundary_mask] = 0.0
     return u
-
-
-def _bb_step(secant: list, curvature: list, fallback: list) -> list:
-    """Spectral step secant / curvature per row, clipped to a safe positive range.
-
-    A row whose curvature or step is not positive and finite takes its
-    fallback, which `_sobolev_descent`, the one caller, widens after a
-    concave stretch.  Returns a list of floats.
-    """
-    steps = []
-    for num, den, other in zip(secant, curvature, fallback):
-        step = num / den if den > 0.0 else math.nan
-        steps.append(min(max(step, 1e-16), 1e12) if math.isfinite(step) and step > 0.0 else other)
-    return steps
 
 
 # sufficient-decrease fraction of the Armijo test in every descent
@@ -811,7 +793,7 @@ def _retire(rows, stack, gone, out):
     return [rows[i] for i in keep], {key: _take(x, keep, n) for key, x in stack.items()}
 
 
-def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=None):
+def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
     """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
@@ -819,11 +801,11 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
     objects, say) with a leading axis of k, or None; a fifth entry may list
     the rows' first trial lengths (else 1).  One row is a stack of one: the
     callbacks take stacks of the unfinished rows and return per-row arrays.
-    direction(u, ctx) gives the nodal gradients d, an aux (an array or
-    None) and the stop residuals; the Sobolev steps
-    pdir = precondition(d, aux) are built only at accepted points.  Every
-    caller steps by riesz_solve(d, grid, W), W = `_Point.metric_weight` as
-    aux (None in 2D, where the metric is H^1_0).  admit(u, raw, ctx) maps
+    direction(u, ctx) gives the nodal gradients d, the metric weights W
+    (`_Point.metric_weight`, None in 2D) and the stop residuals.  The step
+    rule is the skeleton's: the Sobolev steps pdir = riesz_solve(d, grid, W),
+    in the metric of G's Hessian at the point in 1D and in H^1_0 in 2D, are
+    built only at accepted points.  admit(u, raw, ctx) maps
     trials onto the feasible set as (point, value, scale, ctx), with value
     NaN where it rejects a trial; the ctx it is handed is that of the rows'
     current points, so per-row data carried in ctx (the survey's
@@ -852,7 +834,7 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
     iters searches, and leaves the stack.  One tick gives every unfinished row its next trial:
     all trials go through one admit call, those that pass the value test
     through one direction call, and the rows that start a search through
-    one precondition call.  Every kernel under them works row by row, so a
+    one riesz_solve call.  Every kernel under them works row by row, so a
     row's result does not depend on the rest of its batch.  Returns (u,
     value, ctx, searches), stacked like start.
     """
@@ -875,20 +857,20 @@ def _sobolev_descent(start, admit, direction, precondition, iters, tol, bound=No
             continue
         if fresh:  # these rows start a search: their steps, lengths and float floors
             d = _take(stack["d"], fresh, n)
-            pdir = precondition(d, _take(stack["aux"], fresh, n))
+            pdir = riesz_solve(d, grid, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
             bb = [i for i in fresh if rows[i].prev]
             if bb:  # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
                 du, dd, dp = (_take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
                               for key in ("u", "d", "pdir"))
                 secant, curvature = _dot(du, dd, dim).tolist(), _dot(dd, dp, dim).tolist()
-                # across a concave stretch the fallback grows to the secant's length
-                fallback = [
-                    min(max(rows[i].step, -num / den), 1e12) if num < 0.0 < den else rows[i].step
-                    for i, num, den in zip(bb, secant, curvature)
-                ]
-                for i, step in zip(bb, _bb_step(secant, curvature, fallback)):
-                    rows[i].step = step
+                for i, num, den in zip(bb, secant, curvature):
+                    if den > 0.0:  # else the fallback, 1.5 times the last hit's s, stands
+                        r, step = rows[i], num / den
+                        if 0.0 < step < math.inf:
+                            r.step = min(max(step, 1e-16), 1e12)
+                        elif num < 0.0:  # a concave stretch: at least the secant's length
+                            r.step = min(max(r.step, -step), 1e12)
             # the Armijo ceiling: a longer trial would need a value below the bound to pass
             slopes = [0.0] * len(fresh) if bound is None else _dot(d, pdir, dim).tolist()
             for i, slope in zip(fresh, slopes):
@@ -958,10 +940,10 @@ def _sphere_descent(
     sphere its gradient is grad Q(v) - <grad Q(v), v> / <grad G(v), v> *
     grad G(v), orthogonal to v.  direction(u, ctx) returns that gradient d,
     the metric weights W = `_Point.metric_weight` (None in 2D) and the
-    stop residuals at the stacked points u, from one `_Point`; the steps
-    riesz_solve(d, grid, W), one column a row, are built only at accepted
-    points, in 1D in the metric of G's Hessian at the point they leave, in
-    2D in H^1_0.  A step's radial part leaves the value as it is, so it
+    stop residuals at the stacked points u, from one `_Point`; the skeleton
+    takes the steps riesz_solve(d, grid, W) itself, one column a row, in 1D
+    in the metric of G's Hessian at the point they leave, in 2D in H^1_0.
+    A step's radial part leaves the value as it is, so it
     needs no projection: the trials raw are scaled back onto the sphere by
     t = pt.sphere_scale(alpha), one per row, for their `_Point` pt, and
     value_at(pt, t, ctx) returns the objective at t*raw (from pt.ray(t);
@@ -983,11 +965,7 @@ def _sphere_descent(
         return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
 
     start = (u,) + value_at(point(u, ctx), None, ctx)  # the starts are on the sphere
-
-    def precondition(d, weight):
-        return riesz_solve(d, grid, weight)
-
-    return _sobolev_descent(start, admit, direction, precondition, iters, tol, bound)
+    return _sobolev_descent(start, admit, direction, grid, iters, tol, bound)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -1000,13 +978,14 @@ def _sphere_quotients(pd: ProblemData):
     A row's context ends in its objective tag: PSI_PHI (psi/phi), G_F (G/F)
     or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p), and
     mass_exp(ctx) gives the rows' mass exponents by tag.  The starts carry
-    only that column; later points carry their (G, F, psi, phi) before it,
-    from the trial's ray profiles.  The quotient is its own float-floor
-    scale.  With grad = grad_term(P) - quotient * mass_term(S) over phi or
-    F, P = S = 1 on G/F rows (exact, so each row rounds as its objective
-    alone would), the direction is the ray gradient
-    grad - <grad, u> / <grad G, u> * grad G, and the stop residual is the
-    length of the Euclidean tangent part of grad, relative to grad G.
+    only that column; later points carry their quotient and its
+    denominator (phi or F) before it, from the trial's ray profiles scaled
+    by tag: P = p and S = q (or p) on psi/phi rows, P = S = 1 on G/F rows
+    (exact, so each row rounds as its objective alone would).  The
+    quotient is its own float-floor scale.  With grad = grad_term(P) -
+    quotient * mass_term(S) over the denominator, the direction is the ray
+    gradient grad - <grad, u> / <grad G, u> * grad G, and the stop residual
+    is the length of the Euclidean tangent part of grad, relative to grad G.
     """
     grid, p, q = pd.grid, pd.p.values, pd.q.values
     ones = np.ones_like(p)
@@ -1017,20 +996,18 @@ def _sphere_quotients(pd: ProblemData):
         return exps[ctx[..., -1].astype(int)]
 
     def value_at(pt, t, ctx):
-        tag = ctx[..., -1]
-        G, F, psi, phi = pt.ray(t)
-        val = np.where(tag == G_F, G / F, psi / phi)
-        return val, val, np.stack([G, F, psi, phi, tag], axis=-1)
+        tag = ctx[..., -1].astype(int)
+        num, den = pt.ray(t, grad_scale[tag], mass_scale[tag])
+        val = num / den
+        return val, val, np.stack([val, den, tag], axis=-1)
 
-    def direction(u, snap):
-        G, F, psi, phi, tag = snap.T
+    def direction(u, ctx):
+        val, den, tag = ctx.T
         tag = tag.astype(int)
         pt = _Point(u, pd, exps[tag])
         gG = pt.grad_term()
-        gf_rows = tag == G_F
-        val = _column(np.where(gf_rows, G / F, psi / phi), grid)
-        grad = pt.grad_term(grad_scale[tag]) - val * pt.mass_term(mass_scale[tag])
-        grad = grad / _column(np.where(gf_rows, F, phi), grid)
+        grad = pt.grad_term(grad_scale[tag]) - _column(val, grid) * pt.mass_term(mass_scale[tag])
+        grad = grad / _column(den, grid)
         normal = _dot(gG, gG, grid.dim)
         tangent = grad - _column(_dot(grad, gG, grid.dim) / normal, grid) * gG
         ray = grad - _column(_dot(grad, u, grid.dim) / _dot(gG, u, grid.dim), grid) * gG
@@ -1068,9 +1045,8 @@ def rayleigh_extrema(
     the 60 amplitude probes, each half the last, as another; each row
     rounds as it would alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_seed(seed, "seed")
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     grid = pd.grid

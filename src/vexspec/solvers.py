@@ -21,8 +21,9 @@ gradient of that ray function, orthogonal to u, so a step needs no
 projection.
 
 Every descent, like the embedding-constant ascent of `make_problem`,
-takes one step rule: the Riesz column riesz_solve(d, grid, W) of its
-direction d, with W from `_Point.metric_weight`.  On 1D grids that is the
+takes one step rule, which `_sobolev_descent` applies itself: the Riesz
+column riesz_solve(d, grid, W) of its direction d, with W from
+`_Point.metric_weight`.  On 1D grids that is the
 metric of G's Hessian at the point the step leaves, gradient_adjoint o W
 o gradient, which `riesz_solve` inverts exactly in O(n); this variable
 preconditioning (Karatson and Farago, SIAM J. Numer. Anal. 41, 2003)
@@ -53,7 +54,7 @@ import numpy as np
 from .functionals import (
     EnergySnapshot,
     ProblemData,
-    _check_seed,
+    _check_int,
     _column,
     _norm,
     _Point,
@@ -69,7 +70,7 @@ from .functionals import (
     residual,
     window_alpha,
 )
-from .mesh import gradient, gradient_magnitude, require_dirichlet, riesz_solve
+from .mesh import gradient, gradient_magnitude, require_dirichlet
 from .spaces import luxemburg_norm
 
 __all__ = [
@@ -104,13 +105,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        iters = self.max_iters
-        if not (isinstance(iters, numbers.Integral) and not isinstance(iters, bool) and iters >= 1):
-            raise ValueError(f"max_iters must be an integer of at least 1 (got {iters!r})")
+        _check_int(self.max_iters, "max_iters", 1)
         tol = self.grad_tol
         if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
             raise ValueError(f"grad_tol must be a finite positive number (got {tol!r})")
-        _check_seed(self.seed, "seed")
+        _check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,9 @@ def _sweep_row(pair: EigenPair, pd: ProblemData) -> SweepRow:
 
 
 def _check_level(pd: ProblemData, alpha: float, lam: float) -> None:
-    """Reject a non-positive alpha or lam; warn when lam is outside the certified window."""
-    if alpha <= 0 or lam <= 0:
-        raise ValueError("alpha and lam must be positive")
+    """Reject alpha or lam unless finite and positive; warn when lam is outside the window."""
+    if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(lam) and lam > 0):
+        raise ValueError(f"alpha and lam must be finite and positive (got {alpha}, {lam})")
     if lam >= lambda_alpha(pd, alpha):
         warnings.warn(
             "lam sits at or above the certified window; attempting anyway",
@@ -351,12 +350,12 @@ def solve_sublinear(
         if rejected:
             raw = np.where(_column(far, grid), u, raw)
         pt = _Point(raw, qpd)
-        G, F = pt.ray()[:2]
+        G, F = pt.ray()
         over = G > level
         if np.count_nonzero(over):  # onto the sphere G = level; t = 1 keeps the rest exactly
             t = np.where(over, pt.sphere_scale(level), 1.0)
             raw = _column(t, grid) * raw
-            G, F = pt.ray(t)[:2]
+            G, F = pt.ray(t)
         lam_F = lam * F
         value = G - lam_F
         if rejected:
@@ -369,13 +368,10 @@ def solve_sublinear(
         g = gG - lam * pt.mass_term()
         return g, pt.metric_weight(), _norm(g, grid) / _norm(gG, grid)
 
-    def precondition(g, weight):
-        return riesz_solve(g, grid, weight)
-
     snap = _Point(u, qpd).energies(lam)
     start = (u[None], np.array([snap.I_lambda]), np.array([max(snap.G, lam * snap.F)]), None)
     u, _, _, iterations = _sobolev_descent(
-        start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
+        start, admit, direction, grid, cfg.max_iters, cfg.grad_tol
     )
     return _pair(_unfold(u[0], folds), pd, lam, BALL_MIN, iterations[0], alpha, cfg.grad_tol)
 
@@ -403,8 +399,8 @@ def solve_sphere_max(
     """
     if not pd.q.hi <= pd.p.lo:
         raise ValueError("sphere maximization needs sup q <= inf p")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     grid = pd.grid
     if v0 is None:
         u = np.random.default_rng(cfg.seed).standard_normal(grid.shape)
@@ -478,7 +474,7 @@ def solve_mountain_pass(
     # context is its crossing tau, the scale that puts tau*w on the ridge
     def at_crossing(pt, s0):
         tau = pt.crossing(lam, s0)
-        G, F = pt.ray(tau)[:2]
+        G, F = pt.ray(tau)
         return G - lam * F, np.maximum(G, lam * F), tau
 
     def admit(_, raw, tau):
@@ -496,18 +492,13 @@ def solve_mountain_pass(
         g = tc * (gG - lam * x.mass_term())
         return g, x.metric_weight(), _norm(g, grid) / (tau * _norm(gG, grid))
 
-    # the ray maximum is constant along rays, so a step's radial part leaves it as it
-    # is, and admit puts every trial back on the sphere
-    def precondition(d, weight):
-        return riesz_solve(d, grid, weight)
-
     w0 = w0[None]
     w = _column(_Point(w0, qpd).sphere_scale(alpha * 0.5 ** len(folds)), grid) * w0
     pt = _Point(w, qpd)
     r2 = pt.h10()
     start = (w,) + at_crossing(pt, 0.0)
     w, _, tau, iterations = _sobolev_descent(
-        start, admit, direction, precondition, cfg.max_iters, cfg.grad_tol
+        start, admit, direction, grid, cfg.max_iters, cfg.grad_tol
     )
     u = _unfold(tau[0] * w[0], folds)
     return _pair(u, pd, lam, MOUNTAIN_PASS, iterations[0], alpha, cfg.grad_tol)
@@ -567,11 +558,11 @@ def eigenfamily(
     (`_family_gaps`) exceeds FAMILY_GAP_FLOOR; a warning is issued for any
     pair that is not.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive (got {mu})")
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(np.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"radii must be finite and positive (got {radii})")
 
     tol = 1e-9
     ball_regime = abs(pd.q.hi - pd.p.lo) <= tol * pd.p.lo and pd.q.lo < pd.p.lo - tol

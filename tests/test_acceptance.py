@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from vexspec import (
     SolverConfig,
@@ -25,7 +24,6 @@ from vexspec import (
     interval_grid,
     lambda_alpha,
     luxemburg_norm,
-    make_problem,
     modular,
     rayleigh_extrema,
     rescale_constant_exponent,

@@ -33,7 +33,7 @@ from vexspec.mesh import (
     gradient_adjoint,
     riesz_solve,
 )
-from vexspec.spaces import constant_exponent, exponent_field
+from vexspec.spaces import constant_exponent
 
 from conftest import family_ball_problem_1d, make_pd
 
@@ -212,6 +212,11 @@ def test_make_problem_validation(rng):
         make_problem(grid, p, q, s, np.zeros(m))
     with pytest.raises(ValueError, match="shape"):
         make_problem(grid, constant_exponent(3.0, (4,)), q, s, np.ones(m))
+    for trials in (2.0, True, 0):  # numpy's own error would not name the key
+        with pytest.raises(ValueError, match="embed_trials must be positive"):
+            make_problem(grid, p, q, s, np.ones(m), embed_trials=trials)
+    with pytest.raises(ValueError, match="embed_seed must be a non-negative integer"):
+        make_problem(grid, p, q, s, np.ones(m), embed_trials=2, embed_seed=1.5)
     pd = make_pd(grid, 3.0, 2.0)
     # for constant s the two conjugate reciprocals sum to one exactly
     assert pd.C_H == pytest.approx(1.0, rel=1e-12)
@@ -230,8 +235,11 @@ def test_threshold_closed_form_with_unit_constants():
     info = lambda_alpha_detail(pd, 1.0)
     assert info.branch == "alpha_p_sup >= 1"
     assert lambda_alpha_detail(pd, 0.01).branch == "alpha_p_sup < 1"
-    with pytest.raises(ValueError, match="positive"):
-        lambda_alpha(pd, 0.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            lambda_alpha(pd, alpha)
+        with pytest.raises(ValueError, match="positive"):
+            lambda_alpha_detail(pd, alpha)
 
 
 def test_threshold_level_independence_on_boundary_regime():
@@ -259,8 +267,9 @@ def test_window_alpha_clears_requested_margin():
     for pd, lam in ((sub, 0.3), (sub, 50.0), (sup, 0.2), (sup, 3.0)):
         a = window_alpha(pd, lam)
         assert lambda_alpha(pd, a) >= 1.9 * lam
-    with pytest.raises(ValueError, match="positive"):
-        window_alpha(sub, 0.0)
+    for lam in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            window_alpha(sub, lam)
     boundary, _ = family_ball_problem_1d(33)
     with pytest.raises(ValueError, match="regime gap"):
         window_alpha(boundary, 0.1)
@@ -272,8 +281,9 @@ def test_embedding_constant_linear_oracle():
     pd = make_pd(grid, 2.0, 2.0, C_embed=1.0)
     est = embedding_constant(pd, trials=2)
     assert est == pytest.approx(1.0 / np.pi, rel=0.02)
-    with pytest.raises(ValueError, match="positive"):
-        embedding_constant(pd, trials=0)
+    for trials in (0, 2.5, True):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            embedding_constant(pd, trials)
     for seed in (-1, 2.0, True):  # numpy's own error would not name the key
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             embedding_constant(pd, trials=2, seed=seed)
@@ -381,8 +391,12 @@ def test_rayleigh_survey_structure():
         ({"alpha": 0.0}, "alpha must be a finite positive level"),
         ({"seed": -1}, "seed must be a non-negative integer"),
         ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"trials": 0}, "trials must be positive"),
+        ({"trials": 2.0}, "trials must be positive"),
+        ({"trials": True}, "trials must be positive"),
     ],
-    ids=["alpha-nan", "alpha-inf", "alpha-zero", "seed-negative", "seed-float"],
+    ids=["alpha-nan", "alpha-inf", "alpha-zero", "seed-negative", "seed-float", "trials-zero",
+         "trials-float", "trials-bool"],
 )
 def test_rayleigh_survey_rejects_degenerate_settings(kwargs, message):
     """Bad levels and seeds raise at the call, naming the setting, not far from the cause."""
@@ -560,7 +574,7 @@ def test_line_search_trial_order_and_hits():
     assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
 
 
-def test_terminal_phase_accepts_only_residual_decrease():
+def test_terminal_phase_accepts_only_residual_decrease(monkeypatch):
     """On an objective flat to rounding the residual decides, and Armijo stays off after."""
     eps = np.finfo(float).eps
     # (value, residual) of each admitted trial, in trial order; the start has 1.0 and 1.0
@@ -587,12 +601,13 @@ def test_terminal_phase_accepts_only_residual_decrease():
         evaluated.append(k)
         return np.ones_like(u), np.ones_like(u), np.array([1.0 if k is None else script[k][1]])
 
-    def precondition(d, pdir):
+    def step(d, grid, pdir):
         stepped.append(len(evaluated))
         return pdir
 
+    monkeypatch.setattr(fn, "riesz_solve", step)
     start = (np.full((1, 3), 10.0), np.ones(1), np.ones(1), np.array([-1]))
-    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
+    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, interval_grid(3), 2, 1e-3)
     assert used[0] == 2 and ctx[0] == 4 and val[0] == 1.0 - eps
     assert evaluated == [None, 0, 1, 3, 4]
     assert admitted_at == [-1, -1, 1, 1, 1]
@@ -605,7 +620,7 @@ def test_terminal_phase_accepts_only_residual_decrease():
 @pytest.mark.parametrize(
     "shrink, ticks, stand_ins", [((1.0,), 2, 0), ((1.0, 1.0), 2, 0), ((1.0, 0.5), 4, 3)]
 )
-def test_zero_trials_are_misses_that_admit_never_sees(shrink, ticks, stand_ins):
+def test_zero_trials_are_misses_that_admit_never_sees(monkeypatch, shrink, ticks, stand_ins):
     """A zero trial is a miss: u stands in for it, and a tick of zero trials admits nothing.
 
     The objective is |u|^2 / 2 with gradient u, and row i steps along
@@ -626,11 +641,12 @@ def test_zero_trials_are_misses_that_admit_never_sees(shrink, ticks, stand_ins):
     def direction(u, ctx):
         return u, ctx, np.ones(len(u))
 
-    def precondition(d, shrink):
+    def step(d, grid, shrink):
         return shrink * d
 
+    monkeypatch.setattr(fn, "riesz_solve", step)
     start = (u0, value(u0), value(u0), np.array(shrink)[:, None])
-    u, val, _, used = fn._sobolev_descent(start, admit, direction, precondition, 2, 1e-3)
+    u, val, _, used = fn._sobolev_descent(start, admit, direction, interval_grid(4), 2, 1e-3)
     assert len(seen) == ticks  # for k = 2 alike, the two all-zero ticks make no admit call
     assert all(raw.reshape(len(raw), -1).any(axis=1).all() for _, raw in seen)
     # with shrink 1/2 the rows fall out of step, and a row's own point stands in for its zero trial
@@ -858,8 +874,12 @@ def test_point_evaluation_matches_the_term_formulas(case):
     # the sphere point t*u from the profiles of u, as the survey's descents take it
     stacked = fn._Point(u[None], pd)
     t = stacked.sphere_scale(alpha)
-    from_profiles = stacked.ray(t)
-    assert stacked.ray().tobytes() == stacked.ray(np.ones(1)).tobytes()  # t None is t = 1
+    from_profiles = stacked.ray(t) + stacked.ray(t, pd.p.values, pd.q.values)
+    for at_none, at_one in zip(stacked.ray(), stacked.ray(np.ones(1))):  # t None is t = 1
+        assert at_none.tobytes() == at_one.tobytes()
+    ones = np.ones_like(pd.p.values)
+    for unit, plain in zip(stacked.ray(t, ones, ones), stacked.ray(t)):  # a 1.0 scale is exact
+        assert unit.tobytes() == plain.tobytes()
     direct = energies(t[0] * u, pd)
     for name, value in zip(("G", "F", "psi", "phi"), from_profiles):
         assert value[0] == pytest.approx(getattr(direct, name), rel=1e-12)

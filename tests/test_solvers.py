@@ -232,6 +232,9 @@ def test_sublinear_argument_validation(sublinear_pd):
         solve_sublinear(sublinear_pd, -1.0, 0.2, cfg)
     with pytest.raises(ValueError, match="positive"):
         solve_sublinear(sublinear_pd, 1.0, 0.0, cfg)
+    for alpha, lam in ((float("nan"), 0.2), (1.0, float("nan")), (float("inf"), 0.2)):
+        with pytest.raises(ValueError, match="positive"):
+            solve_sublinear(sublinear_pd, alpha, lam, cfg)
     grid = interval_grid(17)
     pd_super = make_pd(grid, 2.0, 4.0, C_embed=1.0)
     with pytest.raises(ValueError, match="inf q < inf p"):
@@ -378,8 +381,9 @@ def test_sphere_max_regime_and_arguments():
     with pytest.raises(ValueError, match="sup q <= inf p"):
         solve_sphere_max(pd_super, 1.0, cfg)
     pd = make_pd(grid, 3.0, 2.0, C_embed=1.0)
-    with pytest.raises(ValueError, match="positive"):
-        solve_sphere_max(pd, 0.0, cfg)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            solve_sphere_max(pd, alpha, cfg)
 
 
 def test_entry_points_validate_outside_input(rng):
@@ -476,8 +480,9 @@ def test_mountain_pass_regime_errors(superlinear_pd):
     pd_overlap = make_pd(grid, 2.0 + 0.5 * x, 2.2 + 0.5 * x, C_embed=1.0)
     with pytest.raises(ValueError, match="inf q >= sup p"):
         solve_mountain_pass(pd_overlap, 0.1, 1.0, cfg)
-    with pytest.raises(ValueError, match="positive"):
-        solve_mountain_pass(superlinear_pd, -0.1, 1.0, cfg)
+    for alpha, lam in ((-0.1, 1.0), (float("nan"), 1.0), (0.1, float("nan"))):
+        with pytest.raises(ValueError, match="positive"):
+            solve_mountain_pass(superlinear_pd, alpha, lam, cfg)
 
 
 def test_mountain_pass_certifies_a_tight_tolerance():
@@ -518,8 +523,8 @@ def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
         scales.append(args)
         return sphere_scale(*args)
 
-    riesz_solve, sphere_scale = solvers.riesz_solve, _Point.sphere_scale
-    monkeypatch.setattr(solvers, "riesz_solve", riesz)
+    riesz_solve, sphere_scale = fn.riesz_solve, _Point.sphere_scale
+    monkeypatch.setattr(fn, "riesz_solve", riesz)
     monkeypatch.setattr(_Point, "sphere_scale", scale)
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8, seed=0)
     pair = solve_mountain_pass(pd, 0.05, mu, cfg, v0=mode_seed(pd, 2))
@@ -817,12 +822,12 @@ def test_family_rejects_strict_regimes(sublinear_pd):
 def test_family_input_validation_and_window_warning():
     pd, mu = family_ball_problem_1d(49)
     cfg = SolverConfig(max_iters=3000, grad_tol=1e-4)
-    with pytest.raises(ValueError, match="positive"):
-        eigenfamily(pd, -mu, [1.0], cfg)
-    with pytest.raises(ValueError, match="radii"):
-        eigenfamily(pd, mu, [], cfg)
-    with pytest.raises(ValueError, match="radii"):
-        eigenfamily(pd, mu, [1.0, -2.0], cfg)
+    for bad_mu in (-mu, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            eigenfamily(pd, bad_mu, [1.0], cfg)
+    for radii in ([], [1.0, -2.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="radii"):
+            eigenfamily(pd, mu, radii, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         eigenfamily(pd, 10.0 * mu, [1.0], cfg)
