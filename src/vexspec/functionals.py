@@ -189,7 +189,8 @@ def make_problem(
     of V with exponent s.  C_embed defaults to EMBED_SAFETY (2) times
     `embedding_constant(pd, embed_trials, seed=embed_seed)`, the best of
     embed_trials ascents of the embedding ratio, run as one stack on the
-    line search of every descent.  That value is a certified lower bound
+    line search of every descent (one ascent by default, which folds on
+    bitwise-symmetric 2D data).  That value is a certified lower bound
     on the discrete embedding constant; the safety factor makes it an
     upper bound in practice, not a certified one (another factor k is
     C_embed=k * embedding_constant(pd)).  All three constants must come
@@ -228,7 +229,7 @@ def make_problem(
 def _restricted(pd: ProblemData, extents: tuple, mirror: tuple) -> ProblemData:
     """pd on the corner of its grid at node 0 with these extents and mirror flags.
 
-    A folded solve runs there.  The cell fields are cut to the corner's
+    A folded descent runs there.  The cell fields are cut to the corner's
     cells; the constants and the exponent bounds stay pd's, which
     mirror-symmetric data share with the corner that generates them.
     """
@@ -240,6 +241,63 @@ def _restricted(pd: ProblemData, extents: tuple, mirror: tuple) -> ProblemData:
 
     V = np.ascontiguousarray(pd.V[cells])
     return dataclasses.replace(pd, grid=grid, p=cut(pd.p), q=cut(pd.q), s=cut(pd.s), V=V)
+
+
+def _symmetric_axes(pd: ProblemData, *more) -> list:
+    """The axes without a mirror flag along which p, q, V and `more` are bitwise symmetric."""
+    fields, grid = (pd.p.values, pd.q.values, pd.V) + more, pd.grid
+    return [
+        a
+        for a in range(grid.dim)
+        if not grid.mirror[a] and all(np.array_equal(f, np.flip(f, a)) for f in fields)
+    ]
+
+
+def _fold(pd: ProblemData, w: np.ndarray, *more) -> tuple:
+    """Fold a 2D descent from seed w onto the corner of the grid its parity class fixes.
+
+    An axis folds when its node count is odd (at least 5), so the mirror
+    line is a node line, when p, q, V and the cell arrays `more` (s, for
+    the embedding ascent) are bitwise mirror-symmetric along it and when w
+    is bitwise even or odd along it, as every sine mode is, the default
+    seed included.  The descent keeps that parity bit for bit, so
+    it stays in the fixed-point subspace of the reflection (principle of
+    symmetric criticality, Palais, Comm. Math. Phys. 69, 1979), whose
+    functions are their values on the half next to node 0: an even class
+    ends on a mirror-flagged axis with a free mirror node, an odd class on a
+    Dirichlet node.  No cell straddles the mirror line, so every energy there
+    is 2**-f times the full grid's for f folded axes, and its nodal
+    gradients and Riesz solves are the full grid's restricted (gradients
+    halved on the mirror lines).  Returns (pd, w, folds) on the folded grid,
+    folds the (axis, class sign) pairs, or (pd, w, ()) when no axis folds.
+    """
+    grid, folds = pd.grid, []
+    if grid.dim == 2:
+        for axis in _symmetric_axes(pd, *more):
+            if grid.extents[axis] % 2 == 0 or grid.extents[axis] < 5:
+                continue
+            flip = np.flip(w, axis)
+            if np.array_equal(w, flip):
+                folds.append((axis, 1.0))
+            elif np.array_equal(w, -flip):
+                folds.append((axis, -1.0))
+    if not folds:
+        return pd, w, ()
+    extents, mirror = list(grid.extents), list(grid.mirror)
+    for axis, sign in folds:
+        extents[axis] = (extents[axis] + 1) // 2
+        mirror[axis] = sign > 0.0
+    nodes = tuple(slice(0, n) for n in extents)
+    qpd = _restricted(pd, tuple(extents), tuple(mirror))
+    return qpd, np.ascontiguousarray(w[nodes]), tuple(folds)
+
+
+def _unfold(u: np.ndarray, folds: tuple) -> np.ndarray:
+    """The full-grid function of a folded solve's u: each folded axis reflected with its sign."""
+    for axis, sign in folds:
+        u = np.moveaxis(u, axis, 0)
+        u = np.moveaxis(np.concatenate([u, sign * u[-2::-1]]), 0, axis)
+    return np.ascontiguousarray(u)
 
 
 def is_superlinear(pd: ProblemData) -> bool:
@@ -604,9 +662,9 @@ def _luxemburg_grad(v: np.ndarray, e: ExponentField, vol: float):
     return n, dn
 
 
-def _embedding_ratio_and_grad(u: np.ndarray, pd: ProblemData, num_exp: ExponentField):
+def _embedding_ratio_and_grad(u: np.ndarray, pd: ProblemData, num_exp: ExponentField, vol):
+    """The embedding ratio at u and its nodal gradient, each cell of pd's grid of volume vol."""
     grid = pd.grid
-    vol = grid.cell_volume
     g = gradient(u, grid)
     gm = gradient_magnitude(g)
     n_den, dn_den_cells = _luxemburg_grad(gm, pd.p, vol)
@@ -641,15 +699,24 @@ def embedding_constant(
     search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
     max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
     the ratio passes.  A row stops once a step gains at most 1e-12 of the
-    ratio, when a search misses, or after EMBED_ITERS (250) searches.  Each
-    ratio is realized by an explicit function, so the maximum is a
+    ratio, when a search misses, or after EMBED_ITERS (250) searches.  In
+    2D a 1-trial ascent folds like a solve (`_fold`), where s (read by s'q)
+    is bitwise symmetric too; each folded cell counts 2**f times for f
+    folded axes, so the norms, the ratio and the unfolded end point are the
+    full grid's up to summation order.  Each ratio is realized by an
+    explicit function, so the maximum is a
     certified lower bound on the discrete supremum; callers scale it by a
     safety factor (`make_problem`: EMBED_SAFETY) before trusting it as an
     upper bound.
     """
     _check_int(trials, "trials", 1)
     _check_int(seed, "seed", 0)
-    grid, num_exp = pd.grid, pd.target_exponent
+    u, folds = _starts(pd.grid, trials, seed), ()
+    if trials == 1:  # only the first mode has a parity on every axis, and s'q reads s
+        pd, w, folds = _fold(pd, u[0], pd.s.values)
+        u = w[None]
+    # Luxemburg norms do not scale by 2**-f: each folded cell counts for its 2**f images
+    grid, num_exp, vol = pd.grid, pd.target_exponent, pd.grid.cell_volume * 2.0 ** len(folds)
 
     # a row's context: its ratio, the kernel's own gradient array at the trial (kept until the
     # next trial, rejected or not: freed, it would let the heap shrink and refault on every 2D
@@ -657,7 +724,7 @@ def embedding_constant(
     def admit(_, raw, ctx):
         point, value, new = np.empty_like(raw), np.full(len(raw), np.nan), np.empty_like(ctx)
         for i, (cand, (prev, *_)) in enumerate(zip(raw, ctx)):
-            ratio, grad = _embedding_ratio_and_grad(cand, pd, num_exp)
+            ratio, grad = _embedding_ratio_and_grad(cand, pd, num_exp, vol)
             new[i] = (ratio, grad, 1.0, math.inf)
             if ratio > prev:  # only a strict increase passes; a vanishing norm gives ratio 0
                 size = float(np.abs(cand).max())
@@ -672,13 +739,12 @@ def embedding_constant(
         weight = _Point(u, pd).metric_weight() if grid.dim == 1 else None
         return d, weight, np.array([c[3] for c in ctx])
 
-    u = _starts(grid, trials, seed)
     if trials > 1:  # smoothed: a noise row would spend a long search on its first concave stretch
         u[1:] = riesz_solve(u[1:], grid)
     # every start has a positive ratio (a grid has interior nodes), and no step reached it
     ctx = np.empty(trials, dtype=object)
     for i, row in enumerate(u):
-        ctx[i] = _embedding_ratio_and_grad(row, pd, num_exp) + (1.0, math.inf)
+        ctx[i] = _embedding_ratio_and_grad(row, pd, num_exp, vol) + (1.0, math.inf)
     ratio = np.array([c[0] for c in ctx])
     d, weight, _ = direction(u, ctx)
     pdir = riesz_solve(d, grid, weight)
@@ -693,7 +759,7 @@ def _sine_mode(grid: StructuredGrid, freqs: tuple) -> np.ndarray:
 
     Each axis factor is (anti)symmetrized, so reflecting axis a maps the
     mode to exactly (-1)^(freqs[a]+1) times itself: the parity that pins a
-    descent to its symmetry class and lets a 2D solve fold (`solvers._fold`).
+    descent to its symmetry class and lets a 2D solve or ascent fold (`_fold`).
     """
     u = np.ones(grid.shape)
     for axis, m in enumerate(freqs):

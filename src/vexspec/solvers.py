@@ -56,13 +56,15 @@ from .functionals import (
     ProblemData,
     _check_int,
     _column,
+    _fold,
     _norm,
     _Point,
     _residual_at,
-    _restricted,
     _sine_mode,
     _sobolev_descent,
     _sphere_descent,
+    _symmetric_axes,
+    _unfold,
     alpha_independent_threshold,
     energies,
     is_superlinear,
@@ -203,62 +205,6 @@ def _seed(pd: ProblemData, v0) -> np.ndarray:
     if not np.any(w):
         raise ValueError("seed function is identically zero")
     return w
-
-
-def _symmetric_axes(pd: ProblemData) -> list:
-    """The axes without a mirror flag along which p, q and V are bitwise mirror-symmetric."""
-    fields, grid = (pd.p.values, pd.q.values, pd.V), pd.grid
-    return [
-        a
-        for a in range(grid.dim)
-        if not grid.mirror[a] and all(np.array_equal(f, np.flip(f, a)) for f in fields)
-    ]
-
-
-def _fold(pd: ProblemData, w: np.ndarray) -> tuple:
-    """Fold a 2D solve from seed w onto the corner of the grid its parity class fixes.
-
-    An axis folds when its node count is odd (at least 5), so the mirror
-    line is a node line, when p, q and V are bitwise mirror-symmetric along
-    it and when w is bitwise even or odd along it, as every sine mode is,
-    the default seed included.  The descent keeps that parity bit for bit, so
-    it stays in the fixed-point subspace of the reflection (principle of
-    symmetric criticality, Palais, Comm. Math. Phys. 69, 1979), whose
-    functions are their values on the half next to node 0: an even class
-    ends on a mirror-flagged axis with a free mirror node, an odd class on a
-    Dirichlet node.  No cell straddles the mirror line, so every energy there
-    is 2**-f times the full grid's for f folded axes, and its nodal
-    gradients and Riesz solves are the full grid's restricted (gradients
-    halved on the mirror lines).  Returns (pd, w, folds) on the folded grid,
-    folds the (axis, class sign) pairs, or (pd, w, ()) when no axis folds.
-    """
-    grid, folds = pd.grid, []
-    if grid.dim == 2:
-        for axis in _symmetric_axes(pd):
-            if grid.extents[axis] % 2 == 0 or grid.extents[axis] < 5:
-                continue
-            flip = np.flip(w, axis)
-            if np.array_equal(w, flip):
-                folds.append((axis, 1.0))
-            elif np.array_equal(w, -flip):
-                folds.append((axis, -1.0))
-    if not folds:
-        return pd, w, ()
-    extents, mirror = list(grid.extents), list(grid.mirror)
-    for axis, sign in folds:
-        extents[axis] = (extents[axis] + 1) // 2
-        mirror[axis] = sign > 0.0
-    nodes = tuple(slice(0, n) for n in extents)
-    qpd = _restricted(pd, tuple(extents), tuple(mirror))
-    return qpd, np.ascontiguousarray(w[nodes]), tuple(folds)
-
-
-def _unfold(u: np.ndarray, folds: tuple) -> np.ndarray:
-    """The full-grid function of a folded solve's u: each folded axis reflected with its sign."""
-    for axis, sign in folds:
-        u = np.moveaxis(u, axis, 0)
-        u = np.moveaxis(np.concatenate([u, sign * u[-2::-1]]), 0, axis)
-    return np.ascontiguousarray(u)
 
 
 def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
@@ -649,8 +595,8 @@ def rescale_constant_exponent(
     """
     if not (pd.p.is_constant and pd.q.is_constant):
         raise ValueError("rescaling requires constant exponents")
-    if lam_new <= 0:
-        raise ValueError("lam_new must be positive")
+    if not (np.isfinite(lam_new) and lam_new > 0):
+        raise ValueError(f"lam_new must be finite and positive (got {lam_new})")
     p_val, q_val = pd.p.lo, pd.q.lo
     t = (pair.lam / lam_new) ** (1.0 / (q_val - p_val))
     u = t * pair.u

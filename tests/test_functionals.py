@@ -35,7 +35,7 @@ from vexspec.mesh import (
 )
 from vexspec.spaces import constant_exponent
 
-from conftest import family_ball_problem_1d, make_pd
+from conftest import family_ball_problem_1d, family_pass_problem, make_pd
 
 
 def loop_energies(u, pd, lam):
@@ -352,9 +352,13 @@ def test_embedding_ascent_steps_in_the_metric_of_its_point(monkeypatch, grid):
 @pytest.mark.parametrize("grid", [interval_grid(65), rectangle_grid((9, 11))], ids=["1d", "2d"])
 def test_embedding_ascent_first_mode_row_is_the_one_trial_ascent(monkeypatch, grid):
     """Row 0 of a k-trial ascent, the first-mode start, ends bit for bit where the 1-trial
-    ascent ends, after as many searches: each row runs as it would alone."""
-    x = grid.cell_midpoints()[0]
-    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+    ascent ends, after as many searches: each row runs as it would alone.
+
+    The 2D q varies along both axes, so neither ascent folds.  On data that vary in x
+    alone the 1-trial ascent folds y and the 3-trial stack cannot: row 0 then ends where
+    the folded ascent ends up to summation order (2.7e-16 relative in the ratio)."""
+    x, y = grid.cell_midpoints()[0], grid.cell_midpoints()[-1]  # y is x in 1D
+    pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * y, C_embed=1.0)
     stacks = spy_stacks(monkeypatch)
     one = embedding_constant(pd, trials=1)
     embedding_constant(pd, trials=3, seed=2)
@@ -362,6 +366,50 @@ def test_embedding_ascent_first_mode_row_is_the_one_trial_ascent(monkeypatch, gr
     assert one == -value1[0]
     assert u3[0].tobytes() == u1[0].tobytes()
     assert value3[0] == value1[0] and searches3[0] == searches1[0]
+    if grid.dim == 2:
+        pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
+        stacks.clear()
+        one = embedding_constant(pd, trials=1)
+        embedding_constant(pd, trials=3, seed=2)
+        (u1, _, _, searches1), (u3, value3, _, searches3) = stacks
+        assert u1.shape == (1, 9, 6) and u3.shape == (3, 9, 11)
+        assert one == pytest.approx(-value3[0], rel=1e-14) and searches1[0] == searches3[0]
+        assert np.allclose(fn._unfold(u1[0], ((1, 1.0),)), u3[0], rtol=0.0, atol=1e-14)
+
+
+def test_embedding_ascent_folds_on_bitwise_symmetric_2d_data(monkeypatch):
+    """On the 81x97 mirror-symmetric pass data the 1-trial ascent descends on the 41x49
+    quarter, takes the searches of the full-grid ascent, and its ratio is the full-grid
+    ratio of its unfolded end point to 1e-14: the estimate is realized on the full grid."""
+    pd, _ = family_pass_problem()
+    stacks = spy_stacks(monkeypatch)
+    folded = embedding_constant(pd)
+    monkeypatch.setattr(fn, "_fold", lambda pd, w, *more: (pd, w, ()))
+    whole = embedding_constant(pd)
+    (u, _, _, searches), (u_whole, _, _, searches_whole) = stacks
+    assert u.shape == (1, 41, 49) and u_whole.shape == (1, 81, 97)
+    assert searches[0] == searches_whole[0]
+    end = fn._unfold(u[0], ((0, 1.0), (1, 1.0)))
+    ratio = fn._embedding_ratio_and_grad(end, pd, pd.target_exponent, pd.grid.cell_volume)[0]
+    assert folded == pytest.approx(ratio, rel=1e-14)
+    assert folded == pytest.approx(whole, rel=1e-14)
+
+
+def test_embedding_ascent_folds_only_where_s_is_symmetric_and_only_one_trial(monkeypatch):
+    """The numerator exponent s'q reads s, so the ascent keeps whole an axis along which s
+    alone is asymmetric, which a solve, blind to s, would fold; a 2-trial stack, whose noise
+    row has no parity, folds no axis."""
+    grid = rectangle_grid((9, 11))
+    y = grid.cell_midpoints()[1]
+    pd = make_pd(grid, 2.5, 2.0, s=400.0 + y, C_embed=1.0)
+    mode = fn._sine_mode(grid, (1, 1))
+    assert [axis for axis, _ in fn._fold(pd, mode)[2]] == [0, 1]
+    assert [axis for axis, _ in fn._fold(pd, mode, pd.s.values)[2]] == [0]
+    stacks = spy_stacks(monkeypatch)
+    embedding_constant(pd)
+    embedding_constant(pd, trials=2)
+    embedding_constant(make_pd(grid, 2.5, 2.0, C_embed=1.0), trials=2)
+    assert [u.shape for u, *_ in stacks] == [(1, 5, 11), (2, 9, 11), (2, 9, 11)]
 
 
 def test_rayleigh_survey_structure():
@@ -983,7 +1031,7 @@ def test_weighted_gradient_fields_reach_the_adjoint_planar(monkeypatch, rng):
 
     monkeypatch.setattr(fn, "gradient_adjoint", spy_adjoint)
     gG, gpsi = grad_G(u, pd), grad_psi(u, pd)
-    ratio, grad = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent)
+    ratio, grad = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent, pd.grid.cell_volume)
     assert seen == [True, True, True]
 
     def interleaved(u_, grid_):
@@ -993,6 +1041,6 @@ def test_weighted_gradient_fields_reach_the_adjoint_planar(monkeypatch, rng):
     seen.clear()
     assert np.array_equal(grad_G(u, pd), gG)
     assert np.array_equal(grad_psi(u, pd), gpsi)
-    ratio_i, grad_i = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent)
+    ratio_i, grad_i = fn._embedding_ratio_and_grad(u, pd, pd.target_exponent, pd.grid.cell_volume)
     assert ratio_i == ratio and np.array_equal(grad_i, grad)
     assert seen == [False, False, False]

@@ -204,8 +204,9 @@ def test_sublinear_scaling_map(sublinear_pd):
     assert mapped.converged
     # q - p = -1, so the amplitude doubles when lam does
     assert np.allclose(mapped.u, 2.0 * pair.u, rtol=1e-12)
-    with pytest.raises(ValueError, match="positive"):
-        rescale_constant_exponent(pair, -0.4, pd)
+    for bad in (-0.4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam_new must be finite and positive"):
+            rescale_constant_exponent(pair, bad, pd)
 
 
 def test_rescale_needs_constant_exponents(rng):
