@@ -688,10 +688,9 @@ def embedding_constant(
 ) -> float:
     """Ascent estimate of sup ||u||_{s'(x)q(x)} / ||grad u||_{p(x)}.
 
-    Trial 0 starts from the first sine mode, bitwise even on every axis
-    (`_starts`), trials 1.. from the H^1_0 Riesz map of Gaussian noise
-    drawn from `seed` (raw noise spends a long search on its first concave
-    stretch); by default only trial 0 runs.
+    Trial 0 starts from the first sine mode, bitwise even on every axis,
+    trials 1.. from the H^1_0 Riesz map of Gaussian noise drawn from `seed`
+    (`_starts`); by default only trial 0 runs.
     The trials are the rows of one `_sobolev_descent` stack on -ratio, so
     each takes the line search of every descent and ends where it would
     alone.  The step is riesz_solve(g, grid, W) for the gradient g of
@@ -739,8 +738,6 @@ def embedding_constant(
         weight = _Point(u, pd).metric_weight() if grid.dim == 1 else None
         return d, weight, np.array([c[3] for c in ctx])
 
-    if trials > 1:  # smoothed: a noise row would spend a long search on its first concave stretch
-        u[1:] = riesz_solve(u[1:], grid)
     # every start has a positive ratio (a grid has interior nodes), and no step reached it
     ctx = np.empty(trials, dtype=object)
     for i, row in enumerate(u):
@@ -771,12 +768,18 @@ def _sine_mode(grid: StructuredGrid, freqs: tuple) -> np.ndarray:
 
 
 def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndarray:
-    """Sine mode 1, then Gaussian rows seeded [seed, offset + row], zero on the boundary."""
+    """Sine mode 1, then the H^1_0 Riesz maps of Gaussian rows seeded [seed, offset + row].
+
+    Every descent and ascent starts from smooth rows: a raw noise row
+    spends a long search on its first concave stretch, and at large p a
+    descent from it can stall far above its group's minimum.
+    """
     u = np.empty((k,) + grid.shape)
     u[0] = _sine_mode(grid, (1,) * grid.dim)
     for row in range(1, k):
         u[row] = np.random.default_rng([seed, offset + row]).standard_normal(grid.shape)
-    u[:, grid.boundary_mask] = 0.0
+    if k > 1:  # riesz_solve ignores the boundary values of the draws
+        u[1:] = riesz_solve(u[1:], grid)
     return u
 
 
@@ -784,8 +787,8 @@ def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndar
 ARMIJO = 1e-4
 
 
-def _trial_lengths(step, cap=math.inf):
-    """The 120 trial lengths of one line search, step/2^k then step*2^(k+1), less those above cap.
+def _trial_lengths(step):
+    """The 120 trial lengths of one line search, step/2^k then step*2^(k+1).
 
     Sixty halvings come first; sixty upward probes follow, because a
     spectral step can land far below the useful range, where every halving
@@ -793,16 +796,12 @@ def _trial_lengths(step, cap=math.inf):
     """
     for s, factor in ((step, 0.5), (2.0 * step, 2.0)):
         for _ in range(60):
-            if s <= cap:
-                yield s
+            yield s
             s = factor * s
 
 
 # objective changes within this many ulps of the point's scale are rounding noise
 _FLOAT_FLOOR_ULPS = 8.0
-
-# relative margin of the Armijo ceiling over the rounding of the Armijo test's slope
-_CEILING_SLACK = 1e-6
 
 
 class _Row:
@@ -859,7 +858,7 @@ def _retire(rows, stack, gone, out):
     return [rows[i] for i in keep], {key: _take(x, keep, n) for key, x in stack.items()}
 
 
-def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
+def _sobolev_descent(start, admit, direction, grid, iters, tol):
     """Monotone Sobolev descents of k starts in lockstep, each with a float-floor terminal phase.
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
@@ -878,23 +877,18 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
     objective) follows each row as others leave the stack.
 
     Each row runs the descent it would run alone.  A search tries
-    raw = u - s*pdir for s from `_trial_lengths(step, cap)`.  After the
+    raw = u - s*pdir for s from `_trial_lengths(step)`.  After the
     first search, step is the Barzilai-Borwein length <du, dd> / <dd, dp>
     of the last step's changes of u, d and pdir (in the metric of pdir),
     else 1.5 times the last hit's s; after a concave stretch
     (<du, dd> < 0 < <dd, dp>) it is at least the secant's length
-    |<du, dd>| / <dd, dp>, so a noise start
+    |<du, dd>| / <dd, dp>, so a row
     reaches the scale of the problem in one search, not by 1.5 times a
     search.  A trial is accepted on a strict Armijo decrease on
-    <d, raw - u> = -s <d, pdir>.  A caller whose objective is bounded
-    below passes that bound: past the Armijo ceiling
-    (value - bound) / (ARMIJO <d, pdir>), widened by _CEILING_SLACK for the
-    rounding of the slope, a trial would need a value below the bound to
-    pass, so the search skips those lengths, halving and upward.  A value
+    <d, raw - u> = -s <d, pdir>.  A value
     within _FLOAT_FLOOR_ULPS ulps of scale is rounding noise: such a trial
-    is accepted only if its residual is lower (outside the terminal phase
-    the ceiling skips such trials too), and after the first such
-    acceptance no other trial of the row is, and the ceiling is off.  A
+    is accepted only if its residual is lower, and after the first such
+    acceptance no other trial of the row is.  A
     zero trial has no image on the feasible set and is a miss.  A row
     stops at residual <= tol, when all trials of a search miss, or after
     iters searches, and leaves the stack.  One tick gives every unfinished row its next trial:
@@ -922,8 +916,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
             rows, stack = _retire(rows, stack, stop, out)
             continue
         if fresh:  # these rows start a search: their steps, lengths and float floors
-            d = _take(stack["d"], fresh, n)
-            pdir = riesz_solve(d, grid, _take(stack["aux"], fresh, n))
+            pdir = riesz_solve(_take(stack["d"], fresh, n), grid, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
             bb = [i for i in fresh if rows[i].prev]
             if bb:  # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
@@ -937,14 +930,9 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
                             r.step = min(max(step, 1e-16), 1e12)
                         elif num < 0.0:  # a concave stretch: at least the secant's length
                             r.step = min(max(r.step, -step), 1e12)
-            # the Armijo ceiling: a longer trial would need a value below the bound to pass
-            slopes = [0.0] * len(fresh) if bound is None else _dot(d, pdir, dim).tolist()
-            for i, slope in zip(fresh, slopes):
+            for i in fresh:
                 r = rows[i]
-                cap = math.inf
-                if slope > 0.0 and not r.terminal and r.value > bound:
-                    cap = (1.0 + _CEILING_SLACK) * (r.value - bound) / (ARMIJO * slope)
-                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step, cap)
+                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step)
                 r.floor = _FLOAT_FLOOR_ULPS * _EPS * r.scale
         lengths = [next(r.lengths, None) for r in rows]
         if None in lengths:  # every trial of these rows' searches missed
@@ -995,9 +983,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol, bound=None):
     return out
 
 
-def _sphere_descent(
-    u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None, bound=None
-):
+def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None):
     """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u on it.
 
     It descends the ray function u -> Q(t(u) u), with t(u) the scale that
@@ -1017,8 +1003,7 @@ def _sphere_descent(
     direction, one per row; ctx is the context of the rows' current points, and the
     optional ctx here that of the starts.  mass_exp, if given, maps those
     contexts to the rows' mass exponents, the q of each `_Point` built
-    here.  bound, if given, is a lower bound of the objective, passed on
-    as the Armijo ceiling's.  Returns (u, value, ctx, searches), stacked.
+    here.  Returns (u, value, ctx, searches), stacked.
     """
     grid = pd.grid
 
@@ -1031,7 +1016,7 @@ def _sphere_descent(
         return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
 
     start = (u,) + value_at(point(u, ctx), None, ctx)  # the starts are on the sphere
-    return _sobolev_descent(start, admit, direction, grid, iters, tol, bound)
+    return _sobolev_descent(start, admit, direction, grid, iters, tol)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -1104,10 +1089,9 @@ def rayleigh_extrema(
     rows of one lockstep stack, each with its own objective carried in its
     context (psi/phi and G/F from the pool starts, psi/phi with q = p from
     the mu starts; see `_sphere_quotients`); each row ends where it would
-    end alone.  Each search starts where a hit is possible: after a concave
-    stretch at no less than the secant's length, and never above the
-    Armijo ceiling of the lower bound 0 that every quotient has (see
-    `_sobolev_descent`).  The pool members are evaluated as one stack, and
+    end alone.  Both start sets are `_starts`: the first sine mode, then the
+    H^1_0 Riesz maps of Gaussian noise drawn from `seed` (the pool and the
+    mu rows from different streams).  The pool members are evaluated as one stack, and
     the 60 amplitude probes, each half the last, as another; each row
     rounds as it would alone.
     """
@@ -1126,7 +1110,7 @@ def rayleigh_extrema(
     value_at, direction, mass_exp = _sphere_quotients(pd)
     stack = np.concatenate([u, u, starts(7919)])
     done, vals = _sphere_descent(
-        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp, 0.0
+        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp
     )[:2]
     pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
     G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())

@@ -31,7 +31,7 @@ keeps the mesh independence of the H^1_0 step and cuts the searches.  In
 2D W is None and the step is the H^1_0 step of P = gradient_adjoint o
 gradient, since the 2D solve diagonalizes only constant coefficients.
 
-A 2D ball or mountain-pass solve whose seed is bitwise even or odd along
+A 2D solve whose seed is bitwise even or odd along
 an axis with an odd node count (the default seed, the first sine mode,
 is even along both), on data p, q and V bitwise symmetric along it,
 descends on the half of the grid its parity class fixes (a
@@ -154,8 +154,8 @@ def mode_seed(pd: ProblemData, k=1) -> np.ndarray:
     Grid reflections map it to exactly plus or minus itself, and descent
     updates keep that parity bit for bit, which pins a run to its own
     symmetry class on symmetric data.  mode_seed(pd, 1) is the default
-    seed of the ball and pass solves and the first start of the embedding
-    ascent and the survey.
+    seed of every solve and the first start of the embedding ascent and
+    the survey.
     """
     grid = pd.grid
     freqs = (int(k),) + (1,) * (grid.dim - 1) if np.isscalar(k) else tuple(map(int, k))
@@ -339,20 +339,18 @@ def solve_sphere_max(
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
     lam = psi/phi, the reciprocal of the first constrained level ratio;
-    snapshot.F is that level.  A seed v0 must vanish on the Dirichlet
-    nodes, as for the other two solvers; without it the seed is a standard
-    normal draw.
+    snapshot.F is that level.  The seed is v0, else mode_seed(pd, 1); on
+    bitwise-symmetric 2D data the default folds (`_fold`) and the pair is
+    certified on the full grid.
     """
     if not pd.q.hi <= pd.p.lo:
         raise ValueError("sphere maximization needs sup q <= inf p")
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite positive level (got {alpha})")
-    grid = pd.grid
-    if v0 is None:
-        u = np.random.default_rng(cfg.seed).standard_normal(grid.shape)
-        u[grid.boundary_mask] = 0.0
-    else:
-        u = _seed(pd, v0)
+
+    # on a fold the descent runs on the folded grid, where G is 2**-f times the full one
+    qpd, u, folds = _fold(pd, _seed(pd, v0))
+    grid, level = qpd.grid, alpha * 0.5 ** len(folds)
 
     # the callbacks take stacks of rows and return one value per row
     def value_at(pt, t, _):
@@ -362,7 +360,7 @@ def solve_sphere_max(
     # the ray gradient of -F at w on the sphere, -gF + (phi/psi) gG, is the certificate's
     # defect scaled by phi/psi
     def direction(w, _):
-        pt = _Point(w, pd)
+        pt = _Point(w, qpd)
         _, _, phi, psi = pt.energy_rows()
         gG = pt.grad_term()
         defect = gG - _column(psi / phi, grid) * pt.mass_term()
@@ -370,12 +368,13 @@ def solve_sphere_max(
         return _column(phi / psi, grid) * defect, pt.metric_weight(), res
 
     u = u[None]
-    u = _column(_Point(u, pd).sphere_scale(alpha), grid) * u
+    u = _column(_Point(u, qpd).sphere_scale(level), grid) * u
     u, _, _, iterations = _sphere_descent(
-        u, pd, alpha, value_at, direction, cfg.max_iters, cfg.grad_tol
+        u, qpd, level, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    snap = _Point(u[0], pd).energies()
-    return _pair(u[0], pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
+    u = _unfold(u[0], folds)
+    snap = _Point(u, pd).energies()
+    return _pair(u, pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
 
 
 def solve_mountain_pass(

@@ -324,7 +324,8 @@ def test_sphere_max_quadratic_oracle():
 def test_sphere_max_is_mesh_independent(n):
     """The sphere descent needs a bounded number of steps on the strong instance.
 
-    Seed 0 takes 17, 23, 26 and 27 searches from 129 to 1025 nodes.
+    From the first mode it takes 10, 11, 24 and 18 searches from 129 to 1025
+    nodes (17, 23, 26 and 27 from a Gaussian draw).
     """
     grid = interval_grid(n, 1.0)
     x = grid.cell_midpoints()[0]
@@ -338,10 +339,8 @@ def test_one_dimensional_descents_step_in_the_point_metric():
     """Search counts of the benchmark's 1D sphere and ball operations.
 
     Stepping in the metric of G's Hessian at the point, sphere maximization
-    on the strong instance takes 17 searches (31 when a search after a
-    concave stretch starts at the fallback 1.5 times the last hit alone, 60
-    in the H^1_0 metric) and each row of the 513-node p = 3, q = 2 sweep 11
-    (41-45).
+    on the strong instance takes 10 searches (30 in the H^1_0 metric) and
+    each row of the 513-node p = 3, q = 2 sweep 11 (41-45).
     """
     grid = interval_grid(129, 1.0)
     x = grid.cell_midpoints()[0]
@@ -355,14 +354,12 @@ def test_one_dimensional_descents_step_in_the_point_metric():
 
 
 def test_sphere_max_multistart_agreement():
+    """The first mode and nine smoothed noise starts (`_starts`) reach one lam."""
     grid = interval_grid(49, 1.0)
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.3 + 0.2 * np.cos(2 * np.pi * x), 2.0 - 0.3 * x * (1 - x))
-    lams = []
-    for seed in range(10):
-        cfg = SolverConfig(max_iters=30000, grad_tol=1e-5, seed=seed)
-        lams.append(solve_sphere_max(pd, 1.0, cfg).lam)
-    lams = np.array(lams)
+    cfg = SolverConfig(max_iters=30000, grad_tol=1e-5)
+    lams = np.array([solve_sphere_max(pd, 1.0, cfg, v0=v0).lam for v0 in fn._starts(grid, 10, 0)])
     assert np.max(lams) - np.min(lams) <= 1e-4 * np.median(lams)
 
 
@@ -412,7 +409,7 @@ def test_entry_points_validate_outside_input(rng):
 
 
 def test_sphere_max_validates_only_the_callers_seed(monkeypatch):
-    """The Gaussian draw of a default solve_sphere_max is the solver's own and goes
+    """The default seed of solve_sphere_max, the first mode, is the solver's own and goes
     unchecked; a caller's v0 is checked for Dirichlet data once."""
     pd = make_pd(interval_grid(33), 2.0, 2.0, C_embed=1.0)
     calls, check = [], solvers.require_dirichlet
@@ -428,6 +425,40 @@ def test_sphere_max_validates_only_the_callers_seed(monkeypatch):
     assert len(calls) == 0
     assert solve_sphere_max(pd, 1.0, cfg, v0=mode_seed(pd, 1)).converged
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [129, 257, 513, 1025, 2049])
+def test_sphere_max_certifies_at_large_p(n):
+    """At p = 8, q = 6 the default solve certifies at 1e-8 in a bounded number of searches.
+
+    From the first mode it takes 23, 28, 39, 52 and 74 searches from 129 to
+    2049 nodes, and lam falls from 721.96 to 721.59.  A Gaussian draw
+    certified at 129 nodes only: at 257 it stopped after 2 searches at
+    lam = 4.3e16, and from 513 nodes on it spent 3000 searches at residual
+    1.1-1.2.
+    """
+    pd = make_pd(interval_grid(n, 1.0), 8.0, 6.0, C_embed=1.0)
+    pair = solve_sphere_max(pd, 1.0, SolverConfig(max_iters=3000, grad_tol=1e-8))
+    assert pair.converged and pair.residual <= 1e-8
+    assert pair.iterations <= 100
+    assert pair.lam == pytest.approx(721.8, rel=1e-3)
+
+
+def test_sphere_max_fold_matches_the_unfolded_solve(monkeypatch):
+    """A folded 2D sphere solve (see `test_default_seed_is_mode_one_and_folds`) matches
+    its run on the full grid.
+
+    Both take the same 17 searches on 41x49 nodes; their sums run in another
+    order, so they agree to rounding.
+    """
+    pd, _ = family_ball_problem((41, 49))
+    cfg = SolverConfig(max_iters=60000, grad_tol=1e-8)
+    folded = solve_sphere_max(pd, 1.0, cfg)
+    monkeypatch.setattr(solvers, "_fold", lambda pd, w: (pd, w, ()))
+    plain = solve_sphere_max(pd, 1.0, cfg)
+    assert folded.converged and plain.converged and plain.iterations == folded.iterations
+    assert folded.lam == pytest.approx(plain.lam, rel=1e-13)
+    assert np.linalg.norm(folded.u - plain.u) <= 1e-13 * np.linalg.norm(plain.u)
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +815,17 @@ def test_pass_family_folds_onto_the_quarter_grid(monkeypatch):
         assert abs(a.iterations - b.iterations) <= 2
 
 
-@pytest.mark.parametrize("mechanism", ["ball", "pass"])
+def sphere_solve(pd, alpha, _, cfg, **kwargs):
+    return solve_sphere_max(pd, alpha, cfg, **kwargs)
+
+
+@pytest.mark.parametrize("mechanism", ["ball", "sphere", "pass"])
 def test_default_seed_is_mode_one_and_folds(monkeypatch, mechanism):
-    """A default-seeded 2D ball or pass solve on bitwise-symmetric data folds both axes
-    and returns the pair of v0 = mode_seed(pd, 1) bit for bit: that mode is its seed."""
+    """A default-seeded 2D ball, sphere or pass solve on bitwise-symmetric data folds both
+    axes and returns the pair of v0 = mode_seed(pd, 1) bit for bit: that mode is its seed."""
     build, solve, alpha = {
         "ball": (family_ball_problem, solve_sublinear, 1.0),
+        "sphere": (family_ball_problem, sphere_solve, 1.0),
         "pass": (family_pass_problem, solve_mountain_pass, 0.05),
     }[mechanism]
     pd, mu = build((41, 49))
