@@ -787,19 +787,6 @@ def _starts(grid: StructuredGrid, k: int, seed: int, offset: int = 0) -> np.ndar
 ARMIJO = 1e-4
 
 
-def _trial_lengths(step):
-    """The 120 trial lengths of one line search, step/2^k then step*2^(k+1).
-
-    Sixty halvings come first; sixty upward probes follow, because a
-    spectral step can land far below the useful range, where every halving
-    is a float no-op on the objective.
-    """
-    for s, factor in ((step, 0.5), (2.0 * step, 2.0)):
-        for _ in range(60):
-            yield s
-            s = factor * s
-
-
 # objective changes within this many ulps of the point's scale are rounding noise
 _FLOAT_FLOOR_ULPS = 8.0
 
@@ -808,11 +795,11 @@ class _Row:
     """Control state of one row of a lockstep descent: its point's scalars and its search."""
 
     __slots__ = ("index", "value", "scale", "res", "step", "used", "terminal", "prev", "fresh",
-                 "floor", "lengths")
+                 "floor", "length", "left")
 
     def __init__(self, index, value, scale, res, step):
         self.index, self.value, self.scale, self.res = index, value, scale, res
-        self.step, self.used, self.floor, self.lengths = step, 0, 0.0, None
+        self.step, self.used, self.floor, self.length, self.left = step, 0, 0.0, 0.0, 0
         self.terminal, self.prev, self.fresh = False, False, True
 
 
@@ -877,7 +864,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     objective) follows each row as others leave the stack.
 
     Each row runs the descent it would run alone.  A search tries
-    raw = u - s*pdir for s from `_trial_lengths(step)`.  After the
+    raw = u - s*pdir for the 60 lengths s = step/2^k, k = 0...59.  After the
     first search, step is the Barzilai-Borwein length <du, dd> / <dd, dp>
     of the last step's changes of u, d and pdir (in the metric of pdir),
     else 1.5 times the last hit's s; after a concave stretch
@@ -890,7 +877,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     is accepted only if its residual is lower, and after the first such
     acceptance no other trial of the row is.  A
     zero trial has no image on the feasible set and is a miss.  A row
-    stops at residual <= tol, when all trials of a search miss, or after
+    stops at residual <= tol, when all 60 trials of a search miss, or after
     iters searches, and leaves the stack.  One tick gives every unfinished row its next trial:
     all trials go through one admit call, those that pass the value test
     through one direction call, and the rows that start a search through
@@ -912,10 +899,12 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
         for i, r in enumerate(rows):
             if r.fresh:
                 (stop if r.used >= iters or not r.res > tol else fresh).append(i)
+            elif not r.left:  # every trial of its search missed
+                stop.append(i)
         if stop:
             rows, stack = _retire(rows, stack, stop, out)
             continue
-        if fresh:  # these rows start a search: their steps, lengths and float floors
+        if fresh:  # these rows start a search: their steps, trial counts and float floors
             pdir = riesz_solve(_take(stack["d"], fresh, n), grid, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
             bb = [i for i in fresh if rows[i].prev]
@@ -932,14 +921,11 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
                             r.step = min(max(r.step, -step), 1e12)
             for i in fresh:
                 r = rows[i]
-                r.used, r.fresh, r.lengths = r.used + 1, False, _trial_lengths(r.step)
+                r.used, r.fresh, r.length, r.left = r.used + 1, False, r.step, 60
                 r.floor = _FLOAT_FLOOR_ULPS * _EPS * r.scale
-        lengths = [next(r.lengths, None) for r in rows]
-        if None in lengths:  # every trial of these rows' searches missed
-            rows, stack = _retire(rows, stack, [i for i, s in enumerate(lengths) if s is None], out)
-            if not rows:
-                break
-            lengths, n = [s for s in lengths if s is not None], len(rows)
+        lengths = [r.length for r in rows]
+        for r in rows:
+            r.length, r.left = 0.5 * r.length, r.left - 1
         # a zero trial has no image on the feasible set: u stands in for it and its
         # value is no number, and a tick of zero trials admits nothing
         u, column = stack["u"], (n,) + (1,) * dim

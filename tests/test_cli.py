@@ -438,21 +438,26 @@ def superlinear_config():
     }
 
 
-@pytest.mark.parametrize("command", ["solve-superlinear", "sphere-max"])
+@pytest.mark.parametrize("command", ["solve-superlinear", "sphere-max", "family"])
 def test_single_solves_exit_3_when_unconverged(tmp_path, command):
-    """Three searches leave each solve unconverged.  The sphere solve takes the variable
-    exponents: at p = q = 2 its first-mode seed is the exact discrete eigenfunction,
-    certified after 0 searches; here it ends at residual 0.10 and certifies after 8."""
+    """Three searches leave each solve, and each level of a family, unconverged.  The
+    sphere solve takes the variable exponents: at p = q = 2 its first-mode seed is the
+    exact discrete eigenfunction, certified after 0 searches; here it ends at residual
+    0.10 and certifies after 8."""
     if command == "solve-superlinear":
         cfg = superlinear_config()
-    else:
+    elif command == "sphere-max":
         cfg = sphere_config()
         cfg["problem"].update(p="2.6 + 0.8*x", q="1.5 + 0.7*x*x")
+    else:
+        cfg = json.loads((CONFIGS / "family_rectangle.json").read_text())
     cfg["solver"]["max_iters"] = 3
     out = tmp_path / "report.json"
     assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     res = json.loads(out.read_text())["results"]
-    assert res["converged"] is False and res["iterations"] == 3
+    pairs = res.get("pairs", [res])  # a family reports one pair per radius
+    assert len(pairs) == len(cfg.get("radii", [None]))
+    assert all(pair["converged"] is False and pair["iterations"] == 3 for pair in pairs)
 
 
 def test_unreadable_or_malformed_config(tmp_path, capsys):

@@ -92,6 +92,12 @@ def test_arity_errors():
 def test_unbalanced_parentheses():
     with pytest.raises(ExpressionError, match="expected '\\)'"):
         ev("(1 + 2", [1.0])
+    with pytest.raises(ExpressionError, match="column 5: expected '\\('"):
+        ev("sin x", [1.0])
+    with pytest.raises(ExpressionError, match="column 6: expected '\\)'"):
+        ev("sin(x", [1.0])
+    with pytest.raises(ExpressionError, match="column 9: expected '\\)'"):
+        ev("min(x, 1", [1.0])
     with pytest.raises(ExpressionError, match="unexpected token"):
         ev("1 + 2)", [1.0])
     with pytest.raises(ExpressionError, match="unexpected token"):

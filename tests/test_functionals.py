@@ -212,6 +212,8 @@ def test_make_problem_validation(rng):
         make_problem(grid, p, q, s, np.zeros(m))
     with pytest.raises(ValueError, match="shape"):
         make_problem(grid, constant_exponent(3.0, (4,)), q, s, np.ones(m))
+    with pytest.raises(ValueError, match=r"weight shape \(4,\) != cells \(8,\)"):
+        make_problem(grid, p, q, s, np.ones(4))
     for trials in (2.0, True, 0):  # numpy's own error would not name the key
         with pytest.raises(ValueError, match="embed_trials must be positive"):
             make_problem(grid, p, q, s, np.ones(m), embed_trials=trials)
@@ -572,11 +574,38 @@ def test_problem_data_is_frozen():
         pd.C_H = 2.0
 
 
-def test_line_search_trial_order_and_hits():
-    tried = list(fn._trial_lengths(1.0))
-    assert len(tried) == 120
-    assert tried[:60] == [0.5**k for k in range(60)]
-    assert tried[60:] == [2.0 ** (k + 1) for k in range(60)]
+def test_line_search_trial_order_and_hits(monkeypatch):
+    """A search tries step/2^k for k = 0...59, and ends at its first hit or after 60 misses.
+
+    Both rows start at u = 0 with value 1 and step along pdir = 1, so a
+    trial of length s from u is u - s.  Row 0 (first length 1) never lowers
+    its value.  Row 1 (first length 4) hits 0 at its tenth trial,
+    s = hit = 4/2^9; its second search starts at the fallback 1.5 * hit and
+    cannot go lower.
+    """
+    hit, tried, ticks = 4.0 / 2**9, {0: [], 1: []}, []
+
+    def admit(u, raw, ctx):
+        ticks.append(len(raw))
+        for row, trial in zip(ctx.tolist(), raw[:, 1].tolist()):
+            tried[row].append(trial)
+        value = np.where((ctx == 1) & (raw[:, 1] >= -hit), 0.0, 2.0)
+        return raw, value, np.ones(len(raw)), ctx
+
+    def direction(u, ctx):
+        return np.ones_like(u), None, np.ones(len(u))
+
+    monkeypatch.setattr(fn, "riesz_solve", lambda d, grid, weight: d)
+    start = (np.zeros((2, 3)), np.ones(2), np.ones(2), np.array([0, 1]), [1.0, 4.0])
+    u, val, ctx, used = fn._sobolev_descent(start, admit, direction, interval_grid(3), 5, 1e-3)
+    assert tried[0] == [0.0 - 0.5**k for k in range(60)]
+    assert tried[1] == [0.0 - 4.0 * 0.5**k for k in range(10)] + [
+        -hit - 1.5 * hit * 0.5**k for k in range(60)
+    ]
+    # row 0 leaves after its 60 misses with its start; row 1 after 10 + 60 trials
+    assert ticks == [2] * 60 + [1] * 10
+    assert used.tolist() == [1, 2] and ctx.tolist() == [0, 1]
+    assert np.array_equal(u, [np.zeros(3), np.full(3, -hit)]) and val.tolist() == [1.0, 0.0]
 
 
 def test_terminal_phase_accepts_only_residual_decrease(monkeypatch):
@@ -794,18 +823,24 @@ def test_survey_rows_reach_their_minima_at_large_p(monkeypatch):
 STRONG_129 = (12.301338001515322, 6.96746984491418, 27.2344193451219)
 
 
-@pytest.mark.parametrize("n", [129, 257, 513, 1025])
-def test_survey_mesh_ladder(monkeypatch, n):
-    """Every survey descent stays under its search budget, and the values agree across meshes.
+# the survey's lockstep ticks per rung: 23, 32, 146, 124 and 192 (23, 32, 187, 184 and
+# 252 while a search tried 60 doublings after its 60 halvings)
+LADDER_TICKS = {129: 25, 257: 35, 513: 155, 1025: 130, 2049: 200}
 
-    nu*, nu_sup and mu* move by at most 1.8e-4 relative from 129 to 1025
+
+@pytest.mark.parametrize("n", [129, 257, 513, 1025, 2049])
+def test_survey_mesh_ladder(monkeypatch, n):
+    """Every survey descent stays under its search and tick budgets, and the values agree
+    across meshes.
+
+    nu*, nu_sup and mu* move by at most 1.8e-4 relative from 129 to 2049
     nodes (nu* by 6.5e-5 from 129 to 257), a fifth of the 1e-3 bound.
     """
-    rep, searches, *_ = strong_survey(monkeypatch, n)
+    rep, searches, _, ticks = strong_survey(monkeypatch, n)
     assert len(searches) == 18
     for got, ref in zip((rep.nu_star, rep.nu_sup, rep.mu_star), STRONG_129):
         assert got == pytest.approx(ref, rel=1e-3)
-    assert max(searches) < 1000
+    assert max(searches) < 1000 and ticks <= LADDER_TICKS[n]
 
 
 def reference_power_weight(gm2, p):

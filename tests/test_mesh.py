@@ -54,6 +54,8 @@ def test_grid_validation():
         StructuredGrid((5,), (0.0,))
     with pytest.raises(ValueError, match="matching length"):
         StructuredGrid((5, 5), (0.1,))
+    with pytest.raises(ValueError, match="mirror flags and extents must have matching length"):
+        StructuredGrid((9, 9), (0.1, 0.1), (True,))
     with pytest.raises(ValueError, match="needs a 2D grid"):
         StructuredGrid((9,), (0.1,), (True,))
 

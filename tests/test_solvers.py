@@ -227,6 +227,43 @@ def test_sublinear_window_warning(sublinear_pd):
         solve_sublinear(pd, 1.0, lam_bad, cfg)
 
 
+def test_sublinear_trials_that_leave_the_ball_are_rescaled_onto_it(monkeypatch):
+    """Above the window the descent pushes out of the ball, and admit scales those trials
+    back onto the sphere G = alpha (`_Point.sphere_scale`).
+
+    lam = 50 sits far above lambda_alpha = 0.54: 137 trials are rescaled,
+    and after 8 searches every trial of a search misses at residual 0.84.
+    """
+    grid = interval_grid(129, 1.0)
+    x = grid.cell_midpoints()[0]
+    pd = make_pd(grid, 3.0, 2.0 + 2.0 * x)
+    inside, levels = [False], []
+    scale, descend = _Point.sphere_scale, solvers._sobolev_descent
+
+    def spy_scale(self, level):
+        if inside[0]:
+            levels.append(level)
+        return scale(self, level)
+
+    def spy_descent(start, admit, *rest):
+        def spy_admit(*args):
+            inside[0] = True
+            try:
+                return admit(*args)
+            finally:
+                inside[0] = False
+
+        return descend(start, spy_admit, *rest)
+
+    monkeypatch.setattr(_Point, "sphere_scale", spy_scale)
+    monkeypatch.setattr(solvers, "_sobolev_descent", spy_descent)
+    with pytest.warns(RuntimeWarning, match="lam sits at or above the certified window"):
+        pair = solve_sublinear(pd, 1.0, 50.0, SolverConfig(max_iters=3000, grad_tol=1e-8))
+    assert levels and set(levels) == {1.0}
+    assert pair.converged is False and pair.residual > 1e-8
+    assert pair.snapshot.G <= 1.0 + 1e-12
+
+
 def test_sublinear_argument_validation(sublinear_pd):
     cfg = SolverConfig()
     with pytest.raises(ValueError, match="positive"):
