@@ -442,21 +442,21 @@ class _Point:
         return out
 
     def metric_weight(self):
-        """Cell weight W of the metric a 1D descent or ascent steps in from this point; None in 2D.
+        """Cell weight W of the metric a descent steps in from this point.
 
         W = (p - 1)|grad u|^(p-2) is the weight of the Hessian of G at u,
         vol * gradient_adjoint o W o gradient (the power weight, smoothed
         where p < 2), floored per row at METRIC_FLOOR of its largest value
         so the metric stays uniformly equivalent to
         P = gradient_adjoint o gradient (Karatson and Farago, SIAM J.
-        Numer. Anal. 41, 2003).  `riesz_solve` inverts it exactly in 1D
-        only; 2D descents keep P.
+        Numer. Anal. 41, 2003): max W / min W <= 1 / METRIC_FLOOR.
+        `riesz_solve` inverts it exactly in 1D and by a fixed Chebyshev
+        iteration preconditioned by P in 2D, whose rate that ratio bounds.
         """
-        pd = self.pd
-        if pd.grid.dim != 1:
-            return None
-        w = pd._p_minus_1 * self.power_weight
-        return np.maximum(w, METRIC_FLOOR * w.max(axis=-1, keepdims=True))
+        grid = self.pd.grid
+        w = self.pd._p_minus_1 * self.power_weight
+        top = w.max(axis=tuple(range(-grid.dim, 0)), keepdims=True)
+        return np.maximum(w, METRIC_FLOOR * top)
 
     def h10(self):
         """sum |grad u|^2 per row: the squared H^1_0 norm in the metric of `riesz_solve`."""
@@ -694,7 +694,9 @@ def embedding_constant(
     The trials are the rows of one `_sobolev_descent` stack on -ratio, so
     each takes the line search of every descent and ends where it would
     alone.  The step is riesz_solve(g, grid, W) for the gradient g of
-    -ratio and W = `_Point.metric_weight` (None in 2D); a row's first
+    -ratio and W = `_Point.metric_weight` in 1D; in 2D W is None and the
+    step the exact H^1_0 one, since the weighted 2D step saved searches
+    but no set-up time here (see `direction` below); a row's first
     search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
     max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
     the ratio passes.  A row stops once a step gains at most 1e-12 of the
@@ -735,6 +737,8 @@ def embedding_constant(
         d = np.empty_like(u)
         for row, (_, grad, size, _) in zip(d, ctx):
             np.multiply(grad, -size, out=row)
+        # a 2D ascent keeps the H^1_0 step: in the metric its 15 searches on the benchmark's
+        # 81x97 rectangle fall to 10, but its set-up time does not, and its estimate would move
         weight = _Point(u, pd).metric_weight() if grid.dim == 1 else None
         return d, weight, np.array([c[3] for c in ctx])
 
@@ -854,10 +858,11 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     the rows' first trial lengths (else 1).  One row is a stack of one: the
     callbacks take stacks of the unfinished rows and return per-row arrays.
     direction(u, ctx) gives the nodal gradients d, the metric weights W
-    (`_Point.metric_weight`, None in 2D) and the stop residuals.  The step
-    rule is the skeleton's: the Sobolev steps pdir = riesz_solve(d, grid, W),
-    in the metric of G's Hessian at the point in 1D and in H^1_0 in 2D, are
-    built only at accepted points.  admit(u, raw, ctx) maps
+    (`_Point.metric_weight`, or None for H^1_0) and the stop residuals.
+    The step rule is the skeleton's: the Sobolev steps pdir =
+    riesz_solve(d, grid, W), in the metric of G's Hessian at the point
+    (exact in 1D, a fixed Chebyshev step in 2D), are built only at
+    accepted points.  admit(u, raw, ctx) maps
     trials onto the feasible set as (point, value, scale, ctx), with value
     NaN where it rejects a trial; the ctx it is handed is that of the rows'
     current points, so per-row data carried in ctx (the survey's
@@ -977,10 +982,10 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mas
     2010).  That function is constant along rays, and at a point v on the
     sphere its gradient is grad Q(v) - <grad Q(v), v> / <grad G(v), v> *
     grad G(v), orthogonal to v.  direction(u, ctx) returns that gradient d,
-    the metric weights W = `_Point.metric_weight` (None in 2D) and the
-    stop residuals at the stacked points u, from one `_Point`; the skeleton
-    takes the steps riesz_solve(d, grid, W) itself, one column a row, in 1D
-    in the metric of G's Hessian at the point they leave, in 2D in H^1_0.
+    the metric weights W = `_Point.metric_weight` and the stop residuals
+    at the stacked points u, from one `_Point`; the skeleton takes the
+    steps riesz_solve(d, grid, W) itself, one column a row, in the metric
+    of G's Hessian at the point they leave.
     A step's radial part leaves the value as it is, so it
     needs no projection: the trials raw are scaled back onto the sphere by
     t = pt.sphere_scale(alpha), one per row, for their `_Point` pt, and
@@ -1069,7 +1074,7 @@ def rayleigh_extrema(
     toward zero drives psi/phi below any positive level whenever inf p >
     sup q, which is exactly why that infimum degenerates to zero.  Pool
     members come from descents on the sphere G = alpha (`_sphere_descent`,
-    stepping in the point's metric W in 1D and in H^1_0 in 2D) to a tangent
+    stepping in the point's metric W, in 1D and 2D) to a tangent
     residual of 1e-10, at most SURVEY_ITERS (1000) searches each; each value
     is its witness's quotient, an upper bound.  All 3*trials descents run as the
     rows of one lockstep stack, each with its own objective carried in its

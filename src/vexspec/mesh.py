@@ -18,8 +18,9 @@ k cell fields) maps to the stack of the k results, each row bit for bit
 what the row alone gives.  The lockstep descents of the solvers run their
 rows through one call this way.
 
-`riesz_solve` inverts gradient_adjoint o W o gradient: in 1D for any
-positive cell weight W by one flux recurrence, in 2D for W = 1 only.
+`riesz_solve` inverts gradient_adjoint o W o gradient for a positive cell
+weight W: in 1D exactly, by one flux recurrence; in 2D exactly for W = 1
+and by a fixed Chebyshev iteration on those exact solves otherwise.
 Mirror flags (the half grids of folded solves) exist on 2D grids only.
 """
 
@@ -45,6 +46,11 @@ __all__ = [
     "cell_values_adjoint",
     "riesz_solve",
 ]
+
+# P solves per weighted 2D `riesz_solve`, the steps of its fixed Chebyshev iteration (A_W is
+# applied once fewer).  On the 81x97 pass family of the benchmark 2, 3, 4 and 6 solves take
+# 39, 27, 29 and 26 searches (52 with the H^1_0 step): 3 is the knee.
+CHEBYSHEV_SOLVES = 3
 
 
 @dataclass(frozen=True)
@@ -391,18 +397,20 @@ def cell_values_adjoint(b, grid: StructuredGrid) -> np.ndarray:
 
 
 def _halves(r: np.ndarray) -> tuple:
-    """Mirror-even and mirror-odd parts of r along axis 0, on the half next to row 0.
+    """Mirror-even and mirror-odd parts of r along axis -2, on the half next to its row 0.
 
     The sums commute, so a reflected r gives the same even half and the
     negated odd half bit for bit.  The even half keeps the centre row of an
     odd-length axis; the odd part vanishes there and its half stops short.
+    Leading axes are a batch.
     """
-    m, f = r.shape[0], r[::-1]
-    return 0.5 * (r[: (m + 1) // 2] + f[: (m + 1) // 2]), 0.5 * (r[: m // 2] - f[: m // 2])
+    m, f = r.shape[-2], r[..., ::-1, :]
+    even, odd = slice((m + 1) // 2), slice(m // 2)
+    return 0.5 * (r[..., even, :] + f[..., even, :]), 0.5 * (r[..., odd, :] - f[..., odd, :])
 
 
 def _classes(r: np.ndarray, mirror: bool) -> tuple:
-    """The parity-class halves along axis 0 of interior data r that a solve keeps.
+    """The parity-class halves along axis -2 of interior data r that a solve keeps.
 
     On an axis with both ends Dirichlet these are `_halves`, with the centre
     row of an odd-length axis halved in the even class: it is its own
@@ -414,13 +422,13 @@ def _classes(r: np.ndarray, mirror: bool) -> tuple:
     if mirror:
         return (np.copy(r),)
     even, odd = _halves(r)
-    if r.shape[0] % 2:
-        even[-1] *= 0.5
+    if r.shape[-2] % 2:
+        even[..., -1, :] *= 0.5
     return even, odd
 
 
 def _unclasses(parts: tuple, out: np.ndarray) -> np.ndarray:
-    """Write the class solutions of `_classes` back into out along axis 0."""
+    """Write the class solutions of `_classes` back into out along axis -2."""
     if len(parts) == 1:
         out[...] = parts[0]
         return out
@@ -428,12 +436,12 @@ def _unclasses(parts: tuple, out: np.ndarray) -> np.ndarray:
 
 
 def _mirror(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write even + odd extended by their parities along axis 0 into out."""
-    k = odd.shape[0]
-    np.add(even[:k], odd, out=out[:k])
-    np.subtract(even[:k], odd, out=out[::-1][:k])
-    if even.shape[0] > k:
-        out[k] = even[k]  # the odd part is exactly 0 on the centre row
+    """Write even + odd extended by their parities along axis -2 into out."""
+    k = odd.shape[-2]
+    np.add(even[..., :k, :], odd, out=out[..., :k, :])
+    np.subtract(even[..., :k, :], odd, out=out[..., ::-1, :][..., :k, :])
+    if even.shape[-2] > k:
+        out[..., k, :] = even[..., k, :]  # the odd part is exactly 0 on the centre row
     return out
 
 
@@ -460,19 +468,57 @@ def _flux_solve_1d(r: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
 
 
 def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.ndarray:
-    """One half-size dense solve per pair of axis parities that `_classes` keeps."""
+    """One half-size dense solve per pair of axis parities that `_classes` keeps.
+
+    r and out are stacks of interior data; each product is one stacked
+    matmul over the rows, which runs the row's own 2D product for each, so
+    every row comes out bit for bit as if it were alone.
+    """
     (bx, by), spectra = grid.riesz_blocks
     mx, my = grid.mirror
     rows = []
     for a, ra in enumerate(_classes(r, mx)):
         fa, ba = bx[a]
         cols = []
-        for b, rab in enumerate(_classes(ra.T, my)):
+        for b, rab in enumerate(_classes(ra.swapaxes(-1, -2), my)):
             fb, bb = by[b]
-            coef = (fa.T @ rab.T @ fb) / spectra[a, b]
-            cols.append((ba @ coef @ bb.T).T)
-        rows.append(_unclasses(cols, np.empty((r.shape[1], ra.shape[0]))).T)
+            coef = (fa.T @ rab.swapaxes(-1, -2) @ fb) / spectra[a, b]
+            cols.append((ba @ coef @ bb.T).swapaxes(-1, -2))
+        half = np.empty(r.shape[:-2] + (r.shape[-1], ra.shape[-2]))
+        rows.append(_unclasses(cols, half).swapaxes(-1, -2))
     return _unclasses(rows, out)
+
+
+def _chebyshev_solve_2d(g: np.ndarray, grid: StructuredGrid, w: np.ndarray) -> np.ndarray:
+    """CHEBYSHEV_SOLVES steps of Chebyshev for (gradient_adjoint o W o gradient) d = g.
+
+    The preconditioner is the exact solve of P = gradient_adjoint o
+    gradient, and the spectrum of P^-1 A_W lies in [min W, max W] of each
+    row (Rayleigh quotients of the cell sums), centre theta and half-width
+    delta (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003,
+    Alg. 12.1).  The recurrence rho_0 = delta / theta, rho_k+1 = delta /
+    (2 theta - delta rho_k), with correction weight 2 / (2 theta - delta
+    rho_k), never divides by delta, so a constant W (delta = 0) gives the
+    exact P solve over W.  d starts at 0; the A_W-norm error then shrinks
+    by 1 / T_k(theta / delta) = 2 r^k / (1 + r^2k) at least, for k solves
+    and r = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), kappa = max W / min W.
+    Every term is a stencil, a P solve or a per-row scalar, so the map is
+    linear, fixed and commutes with grid reflections and a sign change bit
+    for bit; rows are solved alone.
+    """
+    lo, hi = (f(w, axis=(-2, -1), keepdims=True) for f in (np.min, np.max))
+    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    step = riesz_solve(g, grid) / theta
+    d, res, rho = step, g, delta / theta
+    for _ in range(CHEBYSHEV_SOLVES - 1):
+        flux = gradient(step, grid)
+        flux *= w[..., None]
+        res = res - gradient_adjoint(flux, grid)
+        den = 2.0 * theta - delta * rho
+        rho_next = delta / den
+        step = (rho_next * rho) * step + (2.0 / den) * riesz_solve(res, grid)
+        d, rho = d + step, rho_next
+    return d
 
 
 def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
@@ -484,40 +530,41 @@ def riesz_solve(g, grid: StructuredGrid, weight=None) -> np.ndarray:
     shaped like the cells of g (one row per right-hand side), or W = 1
     when none is given: the H^1_0 metric of P = gradient_adjoint o
     gradient.  A leading axis of g holds k right-hand sides, each solved
-    bit for bit as if it were alone.  The solve is exact and commutes with
-    grid reflections (of g and W) and with a sign change in exact
-    floating point.
+    bit for bit as if it were alone.  Every solve commutes with grid
+    reflections (of g and W) and with a sign change in exact floating
+    point.
 
-    In 1D it runs in O(n) by the flux recurrence of `_flux_solve_1d`, from
-    each end, and averages the two.  In 2D only W = 1 is taken, since the
-    DST blocks of `StructuredGrid.riesz_blocks` diagonalize only constant
-    coefficients: the interior data are split into their mirror-even and
-    mirror-odd halves along each axis, each parity class is solved on its
-    half alone by four small dense products and the result is mirrored
-    back; every class sees the same half for a reflected right-hand side
-    (the odd ones negated).  On a mirror-flagged axis the data are already
-    the even half, with the free mirror node, and only the even class is
-    solved: the solve of the flagged grid's own gradient_adjoint o
-    gradient, which is the restriction of the full grid's solve to its
-    mirror-even data.
+    In 1D it is exact and runs in O(n) by the flux recurrence of
+    `_flux_solve_1d`, from each end, and averages the two.  In 2D the P
+    solve is exact: the DST blocks of `StructuredGrid.riesz_blocks`
+    diagonalize only constant coefficients, so the interior data are split
+    into their mirror-even and mirror-odd halves along each axis, each
+    parity class is solved on its half alone by four small dense products
+    (stacked over the rows) and the result is mirrored back; every class
+    sees the same half for a reflected right-hand side (the odd ones
+    negated).  On a mirror-flagged axis the data are already the even
+    half, with the free mirror node, and only the even class is solved:
+    the solve of the flagged grid's own gradient_adjoint o gradient, which
+    is the restriction of the full grid's solve to its mirror-even data.
+    A 2D weight is not inverted exactly: `_chebyshev_solve_2d` applies a
+    fixed Chebyshev polynomial of P^-1 A_W, within its bound of the exact
+    solve for W of a bounded ratio max W / min W.
     """
     g = _as_nodal(g, grid)
-    cols = g.reshape((-1,) + grid.shape)
+    cols, w = g.reshape((-1,) + grid.shape), None
+    if weight is not None:
+        w = np.asarray(weight, dtype=float)
+        if w.shape != g.shape[: g.ndim - grid.dim] + grid.cell_shape:
+            raise ValueError(f"weight shape {w.shape} does not match the cells of {g.shape}")
+        w = w.reshape((len(cols),) + grid.cell_shape)
+        if grid.dim == 2:
+            return _chebyshev_solve_2d(cols, grid, w).reshape(g.shape)
     d = np.zeros(cols.shape)
     r, out = cols[grid._interior], d[grid._interior]
     if grid.dim == 2:
-        if weight is not None:
-            raise ValueError("a weighted Riesz solve needs a 1D grid")
-        for r_k, out_k in zip(r, out):
-            _riesz_solve_2d(r_k, grid, out_k)
+        _riesz_solve_2d(r, grid, out)
         return d.reshape(g.shape)
-    if weight is None:
-        w = np.ones((len(r), grid.n_cells))
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != g.shape[:-1] + grid.cell_shape:
-            raise ValueError(f"weight shape {w.shape} does not match the cells of {g.shape}")
-        w = w.reshape(len(r), -1)
+    w = np.ones((len(r), grid.n_cells)) if w is None else w.reshape(len(r), -1)
     h = grid.spacing[0]
     ahead, back = _flux_solve_1d(r, w, h), _flux_solve_1d(r[:, ::-1], w[:, ::-1], h)
     np.multiply(ahead + back[:, ::-1], 0.5, out=out)

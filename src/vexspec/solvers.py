@@ -23,13 +23,15 @@ projection.
 Every descent, like the embedding-constant ascent of `make_problem`,
 takes one step rule, which `_sobolev_descent` applies itself: the Riesz
 column riesz_solve(d, grid, W) of its direction d, with W from
-`_Point.metric_weight`.  On 1D grids that is the
-metric of G's Hessian at the point the step leaves, gradient_adjoint o W
-o gradient, which `riesz_solve` inverts exactly in O(n); this variable
-preconditioning (Karatson and Farago, SIAM J. Numer. Anal. 41, 2003)
-keeps the mesh independence of the H^1_0 step and cuts the searches.  In
-2D W is None and the step is the H^1_0 step of P = gradient_adjoint o
-gradient, since the 2D solve diagonalizes only constant coefficients.
+`_Point.metric_weight`: the metric of G's Hessian at the point the step
+leaves, gradient_adjoint o W o gradient.  This variable preconditioning
+(Karatson and Farago, SIAM J. Numer. Anal. 41, 2003) keeps the mesh
+independence of the H^1_0 step of P = gradient_adjoint o gradient and
+cuts the searches.  On 1D grids `riesz_solve` inverts it exactly in O(n);
+in 2D, where the exact solve diagonalizes only constant coefficients, it
+takes a fixed Chebyshev step of three exact P solves, and the 2D searches
+about halve (the 81x97 pass family of the benchmark: 27 instead of 52).
+The embedding ascent alone keeps the H^1_0 step in 2D.
 
 A 2D solve whose seed is bitwise even or odd along
 an axis with an odd node count (the default seed, the first sine mode,
@@ -267,10 +269,11 @@ def solve_sublinear(
 
     `_sobolev_descent` steps along the Sobolev gradient riesz_solve(g) of
     I_lambda, so the iteration count stays bounded as the mesh is refined.
-    In 1D the step is taken in the metric of G's Hessian at the point,
+    The step is taken in the metric of G's Hessian at the point,
     riesz_solve(g, grid, W) with W = `_Point.metric_weight` (11 searches
     per row of the 513-node p = 3, q = 2 sweep instead of 41-45 in the
-    H^1_0 metric); in 2D it is the H^1_0 step riesz_solve(g).  Trials that
+    H^1_0 metric; 97 instead of 428 for p = 1.4, q = 1.2 on a 41x49
+    square).  Trials that
     leave the ball are rescaled onto the sphere G = alpha.
     I_lambda never rises beyond rounding: steps pass an Armijo test until
     I_lambda is flat to a few ulps of max(G, lam*F), and from then on a
@@ -334,8 +337,8 @@ def solve_sphere_max(
     `_sphere_descent` descends u -> -F(t(u) u), with t(u) u on the sphere;
     its gradient at u on the sphere, (phi/psi) (grad_G - (psi/phi) grad_F),
     is the certificate's defect scaled, and the step is its Riesz column in
-    the metric of G's Hessian at the point in 1D, in H^1_0 in 2D, so the
-    step count stays bounded under mesh refinement.  F never falls beyond
+    the metric of G's Hessian at the point, so the step count stays
+    bounded under mesh refinement.  F never falls beyond
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
     lam = psi/phi, the reciprocal of the first constrained level ratio;
@@ -400,7 +403,7 @@ def solve_mountain_pass(
     point's crossing.  The direction tau (grad_G - lam grad_F) at the
     crossing tau*w is the gradient of the ray maximum, and the step is its
     one Riesz column riesz_solve(d, grid, W), with W the metric weight at
-    tau*w: in 1D the metric of G's Hessian there, in 2D (W None) H^1_0.
+    tau*w: the metric of G's Hessian there.
     The ray maximum never rises beyond rounding, and the pair is certified
     at the ridge crossing of the final direction.  The seed is v0, else
     mode_seed(pd, 1); on bitwise-symmetric 2D data the default folds.

@@ -756,7 +756,8 @@ def test_sphere_directions_are_ray_gradients(case):
         )
         slope = np.vdot(d, h)
         assert abs((up - down) / (2.0 * eps) - slope) <= 1e-5 * np.linalg.norm(d) * np.linalg.norm(h)
-        assert (weight is None) == (grid.dim == 2)
+        # in 1D and 2D the step's metric is the floored Hessian weight of G at u
+        assert np.allclose(weight[0], reference_metric_weight(u, pd), rtol=1e-14, atol=0.0)
         assert np.vdot(d, riesz_solve(d[None], grid, weight)[0]) > 0.0
 
 
@@ -853,7 +854,7 @@ def reference_power_weight(gm2, p):
 
 
 def reference_metric_weight(u, pd):
-    """(p - 1)|grad u|^(p-2) of a 1D point, floored at a tenth of its largest value."""
+    """(p - 1)|grad u|^(p-2) of a point, floored at a tenth of its largest value."""
     g = gradient(u, pd.grid)
     w = (pd.p.values - 1.0) * reference_power_weight(np.sum(g * g, axis=-1), pd.p.values)
     return np.maximum(w, 0.1 * np.max(w))
@@ -965,11 +966,8 @@ def test_survey_directions_match_the_term_formulas(case):
     tags = np.array([[tag] for tag in SURVEY_OBJECTIVES])
     val, _, snap = value_at(fn._Point(stack, pd, mass_exp(tags)), np.ones(3), tags)
     ray, weight, res = direction(stack, snap)
-    if pd.grid.dim == 1:  # the metric weight depends on p and u only: one for all three rows
-        for row in weight:
-            assert np.allclose(row, reference_metric_weight(u, pd), rtol=1e-14, atol=0.0)
-    else:
-        assert weight is None
+    for row in weight:  # the metric weight depends on p and u only: one for all three rows
+        assert np.allclose(row, reference_metric_weight(u, pd), rtol=1e-14, atol=0.0)
     pd_p = dataclasses.replace(pd, q=pd.p)
     objectives = ((pd, "psi", "phi"), (pd, "G", "F"), (pd_p, "psi", "phi"))
     for i, (ref_pd, num, den) in enumerate(objectives):

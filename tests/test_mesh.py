@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from vexspec import StructuredGrid, cell_values, gradient, interval_grid, rectangle_grid
 from vexspec.mesh import (
+    CHEBYSHEV_SOLVES,
     apply_dirichlet,
     cell_values_adjoint,
     gradient_adjoint,
@@ -321,7 +322,8 @@ def test_mirror_riesz_solve_matches_dense_solve(case):
 @pytest.mark.parametrize("extents", [(81, 97), (21, 25)], ids=lambda e: "x".join(map(str, e)))
 def test_mirror_riesz_solve_is_the_restricted_full_solve(extents):
     """Folding mirror-even data onto a flagged grid, whose mirror-line entries of the
-    right-hand side count half, gives the full solve's values on that grid bit for bit."""
+    right-hand side count half, gives the full solve's values on that grid bit for bit,
+    with W = 1 and with a mirror-symmetric weight."""
     rng = np.random.default_rng(sum(extents))
     spacing = tuple(rng.uniform(0.05, 3.0) / n for n in extents)
     full = StructuredGrid(extents, spacing)
@@ -339,6 +341,15 @@ def test_mirror_riesz_solve_is_the_restricted_full_solve(extents):
                 corner[(slice(None),) * axis + (-1,)] *= 0.5
         folded = riesz_solve(corner, StructuredGrid(half, spacing, mirror))
         assert np.array_equal(folded, riesz_solve(g, full)[tuple(slice(0, n) for n in half)])
+        # the weighted solve too, on a mirror-symmetric W cut to the half's cells
+        w = rng.uniform(1.0, 10.0, full.cell_shape)
+        for axis, m in enumerate(mirror):
+            if m:
+                w = 0.5 * (w + np.flip(w, axis))
+        cut = np.ascontiguousarray(w[tuple(slice(0, n - 1) for n in half)])
+        folded = riesz_solve(corner, StructuredGrid(half, spacing, mirror), cut)
+        restricted = riesz_solve(g, full, w)[tuple(slice(0, n) for n in half)]
+        assert np.array_equal(folded, restricted)
 
 
 @given(st.integers(3, 42), st.integers(3, 42), st.integers(0, 2**32 - 1))
@@ -516,12 +527,85 @@ def test_weighted_riesz_solve_is_bitwise_equivariant_row_by_row(case):
         assert d_k.tobytes() == riesz_solve(g_k, grid, w_k).tobytes()
 
 
-def test_weighted_riesz_solve_needs_1d_and_one_weight_row_per_solve():
+def test_weighted_riesz_solve_needs_one_weight_row_per_solve():
     grid = interval_grid(9)
     with pytest.raises(ValueError, match="does not match"):
         riesz_solve(np.ones((2, 9)), grid, np.ones(8))
-    with pytest.raises(ValueError, match="1D grid"):
-        riesz_solve(np.ones((5, 6)), rectangle_grid((5, 6)), np.ones((4, 5)))
+    with pytest.raises(ValueError, match="does not match"):
+        riesz_solve(np.ones((2, 5, 6)), rectangle_grid((5, 6)), np.ones((4, 5)))
+
+
+def dense_weighted_operator(grid, w):
+    """gradient_adjoint o W o gradient assembled column by column on the free nodes."""
+    free = np.flatnonzero(~grid.boundary_mask)
+    cols = []
+    for k in free:
+        e = np.zeros(int(np.prod(grid.shape)))
+        e[k] = 1.0
+        flux = w[..., None] * gradient(e.reshape(grid.shape), grid)
+        cols.append(gradient_adjoint(flux, grid).ravel()[free])
+    return free, np.stack(cols, axis=1)
+
+
+@st.composite
+def weighted_2d_cases(draw):
+    """A 2D grid of 3-16 nodes per axis, mirror flags, 1-3 right-hand sides and cell weights.
+
+    Each row's weights fill [1, kappa] for a kappa up to 1e2 (log-uniform
+    per cell), or are one constant, the degenerate spectrum of p = 2.
+    """
+    extents = tuple(draw(st.integers(3, 16)) for _ in range(2))
+    spacing = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    mirror = tuple(draw(st.booleans()) for _ in range(2))
+    grid = StructuredGrid(extents, spacing, mirror)
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1, 1))
+    if draw(st.booleans()):
+        kappa = 10.0 ** rng.uniform(0.0, 2.0, (k, 1, 1))
+        w = scale * kappa ** rng.random((k,) + grid.cell_shape)
+    else:
+        w = scale * np.ones((k,) + grid.cell_shape)
+    return grid, rng.standard_normal((k,) + extents), w
+
+
+@given(weighted_2d_cases())
+@settings(max_examples=60, deadline=None)
+def test_weighted_2d_riesz_solve_is_within_the_chebyshev_bound(case):
+    """The weighted 2D solve misses the dense solve by at most the Chebyshev bound, in A_W's norm.
+
+    With kappa = max W / min W of the row and r = (sqrt(kappa) - 1) /
+    (sqrt(kappa) + 1), k = CHEBYSHEV_SOLVES steps from d = 0 shrink the
+    A_W-norm error by 1 / T_k(theta / delta) = 2 r^k / (1 + r^2k) at least;
+    a constant W is solved exactly.
+    """
+    grid, g, w = case
+    d = riesz_solve(g, grid, w)
+    assert d.shape == g.shape and np.all(d[:, grid.boundary_mask] == 0.0)
+    for d_k, g_k, w_k in zip(d, g, w):
+        free, a = dense_weighted_operator(grid, w_k)
+        ref = np.linalg.solve(a, g_k.ravel()[free])
+        err = d_k.ravel()[free] - ref
+        kappa = w_k.max() / w_k.min()
+        r = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+        bound = 2.0 * r**CHEBYSHEV_SOLVES / (1.0 + r ** (2 * CHEBYSHEV_SOLVES))
+        assert np.sqrt(err @ a @ err) <= (bound + 1e-10) * np.sqrt(ref @ a @ ref)
+
+
+@given(weighted_2d_cases())
+@settings(max_examples=100, deadline=None)
+def test_weighted_2d_riesz_solve_is_bitwise_equivariant_row_by_row(case):
+    """Reflecting g and W reflects d, negating g negates d, and each row is its one-row solve."""
+    grid, g, w = case
+    d = riesz_solve(g, grid, w)
+    assert np.array_equal(riesz_solve(-g, grid, w), -d)
+    for d_k, g_k, w_k in zip(d, g, w):
+        assert d_k.tobytes() == riesz_solve(g_k, grid, w_k).tobytes()
+    plain = StructuredGrid(grid.extents, grid.spacing)  # a mirror flag breaks the reflection
+    d = riesz_solve(g, plain, w)
+    for axis in (1, 2):
+        assert np.array_equal(riesz_solve(np.flip(g, axis), plain, np.flip(w, axis)),
+                              np.flip(d, axis))
 
 
 def padded_gradient_adjoint(a, grid):

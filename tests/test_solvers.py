@@ -20,6 +20,7 @@ from vexspec import (
     lambda_alpha,
     mode_seed,
     rayleigh_extrema,
+    rectangle_grid,
     rescale_constant_exponent,
     residual,
     solve_mountain_pass,
@@ -29,6 +30,7 @@ from vexspec import (
     window_alpha,
 )
 from vexspec.functionals import _Point
+from vexspec.mesh import riesz_solve
 from vexspec.solvers import (
     BALL_MIN,
     MOUNTAIN_PASS,
@@ -485,8 +487,8 @@ def test_sphere_max_fold_matches_the_unfolded_solve(monkeypatch):
     """A folded 2D sphere solve (see `test_default_seed_is_mode_one_and_folds`) matches
     its run on the full grid.
 
-    Both take the same 17 searches on 41x49 nodes; their sums run in another
-    order, so they agree to rounding.
+    Both take the same 10 searches on 41x49 nodes (17 in the H^1_0 metric);
+    their sums run in another order, so they agree to rounding.
     """
     pd, _ = family_ball_problem((41, 49))
     cfg = SolverConfig(max_iters=60000, grad_tol=1e-8)
@@ -797,7 +799,8 @@ def test_pass_family_mesh_ladder(extents, rel):
     From 41x49 to 81x97 the crest values move by up to 3.4% relative
     (4.2e-3, 2.4e-2, 3.4e-2 by level), and from 81x97 to 161x193 by up to
     1.7e-3 (1.4e-3, 1.7e-3, 6.6e-4); each bound is about 1.5 to 2 times that.
-    Every level takes 13-20 searches.
+    Stepping in the metric of the point, every level takes 7-11 searches
+    (13-20 in the H^1_0 metric).
     """
     pd, mu = family_pass_problem(extents)
     cfg = SolverConfig(max_iters=200000, grad_tol=1e-5, seed=0)
@@ -806,8 +809,70 @@ def test_pass_family_mesh_ladder(extents, rel):
         fam = eigenfamily(pd, mu, [0.05, 0.1, 0.2], cfg)
     for pair, ref in zip(fam, PASS_FAMILY_81):
         assert pair.converged and pair.residual <= 1e-5
-        assert pair.iterations <= 30
+        assert pair.iterations <= 16
         assert pair.snapshot.I_lambda == pytest.approx(ref, rel=rel)
+
+
+@pytest.mark.parametrize("extents", [(41, 49), (81, 97), (161, 193)],
+                         ids=lambda e: "x".join(map(str, e)))
+def test_ball_family_mesh_ladder(extents):
+    """The criterion-09 ball family takes a number of searches that does not grow with the mesh.
+
+    Stepping in the metric of the point its levels take 20/49/54, 21/49/58
+    and 23/58/66 searches at 41x49, 81x97 and 161x193 (51/114/142,
+    56/138/145 and 62/156/199 in the H^1_0 metric).
+    """
+    pd, mu = family_ball_problem(extents)
+    cfg = SolverConfig(max_iters=200000, grad_tol=1e-6, seed=0)
+    fam = eigenfamily(pd, mu, [1.0, 2.0, 4.0], cfg)
+    for pair in fam:
+        assert pair.mechanism == BALL_MIN and pair.lam == mu
+        assert pair.converged and pair.residual <= 1e-6
+        assert pair.iterations <= 80
+
+
+@pytest.mark.parametrize(
+    "mechanism, p, q, extents, searches",
+    [
+        ("ball", 1.4, 1.2, (21, 25), 65),
+        ("ball", 1.4, 1.2, (41, 49), 97),
+        ("ball", 1.4, 1.2, (81, 97), 196),
+        ("pass", 1.3, 1.6, (21, 25), 131),
+        ("pass", 1.3, 1.6, (41, 49), 487),
+    ],
+    ids=["ball-21x25", "ball-41x49", "ball-81x97", "pass-21x25", "pass-41x49"],
+)
+def test_2d_solves_certify_where_p_is_below_2(mechanism, p, q, extents, searches):
+    """2D ball and pass solves with p < 2 certify at grad_tol 1e-6 within 2,000 searches.
+
+    The level is `window_alpha` at lam = 1 on the unit square.  Stepping
+    in the floored metric of the point they take `searches` (the pass at
+    81x97 still runs out of budget); in the H^1_0 metric the ball took
+    168/428/1207 and the pass 406 at 21x25 and ran out at 41x49.
+    """
+    pd = make_pd(rectangle_grid(extents), p, q)
+    solve = solve_sublinear if mechanism == "ball" else solve_mountain_pass
+    cfg = SolverConfig(max_iters=2000, grad_tol=1e-6, seed=0)
+    pair = solve(pd, window_alpha(pd, 1.0), 1.0, cfg)
+    assert pair.converged and pair.residual <= 1e-6
+    assert pair.iterations <= 1.5 * searches
+
+
+@pytest.mark.parametrize("extents", [(21, 25), (41, 49)], ids=lambda e: "x".join(map(str, e)))
+def test_2d_pass_with_p_2_steps_in_a_constant_metric(extents):
+    """At p = 2 the metric weight is one constant, the Chebyshev step is the H^1_0 step over it,
+    and a q = 4 pass certifies at grad_tol 1e-8 in 10 searches, as in the H^1_0 metric."""
+    pd = make_pd(rectangle_grid(extents), 2.0, 4.0)
+    pt = _Point(mode_seed(pd, 1)[None], pd)
+    weight, d = pt.metric_weight(), pt.grad_term()
+    assert np.all(weight == weight.flat[0])
+    step = riesz_solve(d, pd.grid, weight)
+    plain = riesz_solve(d, pd.grid) / weight.flat[0]
+    assert np.linalg.norm(step - plain) <= 1e-13 * np.linalg.norm(plain)
+    cfg = SolverConfig(max_iters=2000, grad_tol=1e-8, seed=0)
+    pair = solve_mountain_pass(pd, window_alpha(pd, 1.0), 1.0, cfg)
+    assert pair.converged and pair.residual <= 1e-8
+    assert pair.iterations <= 12
 
 
 def test_pass_family_folds_onto_the_quarter_grid(monkeypatch):
