@@ -695,8 +695,8 @@ def embedding_constant(
     each takes the line search of every descent and ends where it would
     alone.  The step is riesz_solve(g, grid, W) for the gradient g of
     -ratio and W = `_Point.metric_weight` in 1D; in 2D W is None and the
-    step the exact H^1_0 one, since the weighted 2D step saved searches
-    but no set-up time here (see `direction` below); a row's first
+    step the exact H^1_0 one, since in the metric a 2D ascent saves
+    searches but no set-up time (see `direction` below); a row's first
     search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
     max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
     the ratio passes.  A row stops once a step gains at most 1e-12 of the
