@@ -67,7 +67,7 @@ CSV_COLUMNS = ("lambda", "residual", "u_norm", "I_value", "iterations", "mechani
 def _load_exponent(grid, expr: str, name: str):
     values = evaluate_on_cells(expr, grid)
     if np.any(values <= 1.0):
-        idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(values)), values.shape)))
         coords = tuple(float(c[idx]) for c in grid.cell_midpoints())
         raise ValueError(
             f"exponent {name} = {expr!r} must exceed 1 everywhere; "
@@ -85,7 +85,7 @@ def build_problem(config: dict) -> ProblemData:
     s = _load_exponent(grid, prob["s"], "s")
     V = evaluate_on_cells(prob.get("V", "1"), grid)
     if np.any(V <= 0.0):
-        idx = np.unravel_index(int(np.argmin(V)), V.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(V)), V.shape)))
         coords = tuple(float(c[idx]) for c in grid.cell_midpoints())
         raise ValueError(
             f"weight V must be positive everywhere; value {V[idx]} at cell {idx} "

@@ -152,7 +152,7 @@ def parse(text: str):
 
 
 def _locate(bad_mask: np.ndarray, coords: dict):
-    idx = np.unravel_index(int(np.argmax(bad_mask)), bad_mask.shape)
+    idx = tuple(map(int, np.unravel_index(int(np.argmax(bad_mask)), bad_mask.shape)))
     where = tuple(float(np.asarray(coords[name])[idx]) for name in sorted(coords))
     return idx, where
 

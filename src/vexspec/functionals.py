@@ -60,7 +60,7 @@ __all__ = [
     "rayleigh_extrema",
 ]
 
-# Smoothing floor for the degenerate gradient weight; active only where p < 2.
+# Floor on |grad u| in the gradient weight where p < 2, which keeps it finite at grad u = 0.
 GRAD_EPS = 1e-12
 
 # The 1D descent metric's cell weight is floored at this fraction of its row's largest.
@@ -103,15 +103,13 @@ class ProblemData:
         return self.p.values - 1.0
 
     @cached_property
-    def _p_minus_2(self) -> np.ndarray:
-        return self.p.values - 2.0
+    def _half_p_minus_2(self) -> np.ndarray:
+        return 0.5 * (self.p.values - 2.0)
 
     @cached_property
-    def _weight_split(self) -> tuple:
-        """Flat indices and weight exponents of the cells with p < 2 (smoothed) and the rest."""
-        p = self.p.values.ravel()
-        soft, hard = np.flatnonzero(p < 2.0), np.flatnonzero(p >= 2.0)
-        return soft, 0.5 * (p[soft] - 2.0), hard, p[hard] - 2.0
+    def _grad_floor(self) -> np.ndarray:
+        """GRAD_EPS^2 on the cells with p < 2, where it keeps the gradient weight finite; else 0."""
+        return np.where(self.p.values < 2.0, GRAD_EPS**2, 0.0)
 
     @cached_property
     def _q_minus_1(self) -> np.ndarray:
@@ -208,9 +206,10 @@ def make_problem(
     V = np.asarray(V, dtype=float)
     if V.shape != grid.cell_shape:
         raise ValueError(f"weight shape {V.shape} != cells {grid.cell_shape}")
-    if not np.all(np.isfinite(V)) or np.any(V <= 0.0):
-        bad = np.unravel_index(int(np.argmin(V)), V.shape)
-        raise ValueError(f"weight must be positive everywhere, offending cell {bad}")
+    bad = ~(np.isfinite(V) & (V > 0.0))
+    if np.any(bad):
+        cell = tuple(map(int, np.unravel_index(int(np.argmax(bad)), V.shape)))
+        raise ValueError(f"weight must be positive and finite everywhere, offending cell {cell}")
     if s.lo <= max(p.hi, q.hi):
         raise ValueError("inf s must exceed both sup p and sup q")
 
@@ -306,7 +305,7 @@ def is_superlinear(pd: ProblemData) -> bool:
 
 def _finite(term: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(term)):
-        bad = np.unravel_index(int(np.argmax(~np.isfinite(term))), term.shape)
+        bad = tuple(map(int, np.unravel_index(int(np.argmax(~np.isfinite(term))), term.shape)))
         raise OverflowError(f"non-finite {name} integrand at cell {bad}")
     return term
 
@@ -363,19 +362,20 @@ class _Point:
     u: the public functions below validate outside input, and the descents
     evaluate only functions they built.
 
-    - `energy_rows` and `energies`: G, F, phi and psi of u, from |g| and ub.
-    - `grad_term`, `mass_term` and `metric_weight`: the nodal gradients and
-      the 1D step metric, from the power weight |g|^(p-2) (smoothed where
-      p < 2) and the mass weight V |ub|^(q-1) sign ub.
     - `ray`, `sphere_scale` and `crossing`, on stacks: the fibering maps
       t -> G(t u), F(t u) (Szulkin and Weth, The method of Nehari manifold,
       2010), from the profiles wg = vol |g|^p / p and wm = vol V |ub|^q / q,
       with G(t u) = sum(wg t^p) and F(t u) = sum(wm t^q) for every t > 0;
-      `h10` gives the squared H^1_0 norm.
+      `h10` gives the squared H^1_0 norm.  They are the one place where the
+      energies of u, and of any rescaling t u, are computed.
+    - `energy_rows` and `energies`: G, F, phi and psi of u, the ray at t = 1.
+    - `grad_term`, `mass_term` and `metric_weight`: the nodal gradients and
+      the step metric, from the power weight |g|^(p-2) (smoothed where
+      p < 2) and the mass weight V |ub|^(q-1) sign ub.
 
     The weights and the profiles are each built on first use: a descent
-    direction reads only the weights, a line-search trial only the
-    profiles and an energy evaluation neither.
+    direction reads only the weights, a line-search trial and an energy
+    evaluation only the profiles.
     """
 
     def __init__(self, u, pd: ProblemData, q=None):
@@ -389,15 +389,7 @@ class _Point:
     @cached_property
     def power_weight(self):
         """|g|^(p-2) per cell, smoothed to (|g|^2 + GRAD_EPS^2)^((p-2)/2) where p < 2."""
-        pd, gm = self.pd, self.gm
-        if pd.p.lo >= 2.0:
-            return gm**pd._p_minus_2
-        soft, soft_exp, hard, hard_exp = pd._weight_split
-        flat = gm.shape[: gm.ndim - pd.grid.dim] + (-1,)
-        w = np.empty(gm.shape).reshape(flat)  # smoothed where p < 2 to keep the weight finite
-        w[..., soft] = (self.sq.reshape(flat).take(soft, axis=-1) + GRAD_EPS**2) ** soft_exp
-        w[..., hard] = gm.reshape(flat).take(hard, axis=-1) ** hard_exp
-        return w.reshape(gm.shape)
+        return (self.sq + self.pd._grad_floor) ** self.pd._half_p_minus_2
 
     @cached_property
     def mass_weight(self):
@@ -419,13 +411,9 @@ class _Point:
         return EnergySnapshot(G, F, phi, psi, G - lam * F, float(lam))
 
     def energy_rows(self):
-        """(G, F, phi, psi) of `energies`, one of each per row of a stack."""
-        p, grid = self.pd.p.values, self.pd.grid
-        q, vol = self.pd.q.values if self.q is None else self.q, grid.cell_volume
-        grad_pow = _finite(self.gm**p, "gradient")
-        mass_pow = _finite(self.pd.V * np.abs(self.ub) ** q, "mass")
-        psi, phi = _cell_sum(grad_pow, grid) * vol, _cell_sum(mass_pow, grid) * vol
-        return _cell_sum(grad_pow / p, grid) * vol, _cell_sum(mass_pow / q, grid) * vol, phi, psi
+        """(G, F, phi, psi) of `energies`, one of each per row of a stack: the ray at t = 1."""
+        psi, phi = self.ray(None, self.pd.p.values, self.pd.q.values if self.q is None else self.q)
+        return self.ray() + (phi, psi)
 
     def grad_term(self, scale=1.0) -> np.ndarray:
         """Nodal gradient of G, or of psi with scale = p."""
@@ -975,7 +963,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
 
 
 def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None):
-    """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u on it.
+    """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u of starts.
 
     It descends the ray function u -> Q(t(u) u), with t(u) the scale that
     puts u on the sphere (Szulkin and Weth, The method of Nehari manifold,
@@ -987,10 +975,10 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mas
     steps riesz_solve(d, grid, W) itself, one column a row, in the metric
     of G's Hessian at the point they leave.
     A step's radial part leaves the value as it is, so it
-    needs no projection: the trials raw are scaled back onto the sphere by
-    t = pt.sphere_scale(alpha), one per row, for their `_Point` pt, and
-    value_at(pt, t, ctx) returns the objective at t*raw (from pt.ray(t);
-    t is None at the starts), its float-floor scale and the context for
+    needs no projection: the trials raw, and the starts u with them, are
+    scaled onto the sphere by t = pt.sphere_scale(alpha), one per row, for
+    their `_Point` pt, and value_at(pt, t, ctx) returns the objective at
+    t*raw (from pt.ray(t)), its float-floor scale and the context for
     direction, one per row; ctx is the context of the rows' current points, and the
     optional ctx here that of the starts.  mass_exp, if given, maps those
     contexts to the rows' mass exponents, the q of each `_Point` built
@@ -998,16 +986,12 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mas
     """
     grid = pd.grid
 
-    def point(u, ctx):
-        return _Point(u, pd, None if mass_exp is None else mass_exp(ctx))
-
     def admit(_, raw, ctx):
-        pt = point(raw, ctx)
+        pt = _Point(raw, pd, None if mass_exp is None else mass_exp(ctx))
         t = pt.sphere_scale(alpha)
         return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
 
-    start = (u,) + value_at(point(u, ctx), None, ctx)  # the starts are on the sphere
-    return _sobolev_descent(start, admit, direction, grid, iters, tol)
+    return _sobolev_descent(admit(None, u, ctx), admit, direction, grid, iters, tol)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -1019,9 +1003,9 @@ def _sphere_quotients(pd: ProblemData):
 
     A row's context ends in its objective tag: PSI_PHI (psi/phi), G_F (G/F)
     or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p), and
-    mass_exp(ctx) gives the rows' mass exponents by tag.  The starts carry
-    only that column; later points carry their quotient and its
-    denominator (phi or F) before it, from the trial's ray profiles scaled
+    mass_exp(ctx) gives the rows' mass exponents by tag.  The starts come
+    with only that column; a point on the sphere carries its quotient and
+    its denominator (phi or F) before it, from the trial's ray profiles scaled
     by tag: P = p and S = q (or p) on psi/phi rows, P = S = 1 on G/F rows
     (exact, so each row rounds as its objective alone would).  The
     quotient is its own float-floor scale.  With grad = grad_term(P) -
@@ -1082,9 +1066,11 @@ def rayleigh_extrema(
     the mu starts; see `_sphere_quotients`); each row ends where it would
     end alone.  Both start sets are `_starts`: the first sine mode, then the
     H^1_0 Riesz maps of Gaussian noise drawn from `seed` (the pool and the
-    mu rows from different streams).  The pool members are evaluated as one stack, and
-    the 60 amplitude probes, each half the last, as another; each row
-    rounds as it would alone.
+    mu rows from different streams).  The pool members are evaluated as one stack,
+    each row rounding as it would alone, and the 60 amplitude probes
+    2^-k w, k = 1...60, of the psi/phi witness w as its ray; the kept
+    probe's quotient is then taken at that probe itself, so every value
+    is its witness's quotient bit for bit.
     """
     _check_int(trials, "trials", 1)
     _check_int(seed, "seed", 0)
@@ -1092,14 +1078,10 @@ def rayleigh_extrema(
         raise ValueError(f"alpha must be a finite positive level (got {alpha})")
     grid = pd.grid
 
-    def starts(offset):
-        u = _starts(grid, trials, seed, offset)
-        return _column(_Point(u, pd).sphere_scale(alpha), grid) * u
-
-    u = starts(0)
+    u = _starts(grid, trials, seed)
     tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
     value_at, direction, mass_exp = _sphere_quotients(pd)
-    stack = np.concatenate([u, u, starts(7919)])
+    stack = np.concatenate([u, u, _starts(grid, trials, seed, 7919)])
     done, vals = _sphere_descent(
         stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp
     )[:2]
@@ -1113,18 +1095,18 @@ def rayleigh_extrema(
     nu_star, w_nu = over_pool([a / b for a, b in zip(psi, phi)])
     nu_sup, w_sup = over_pool([a / b for a, b in zip(G, F)])
 
-    # Ball infimum: amplitude decay below the sphere witness, halved 60 times in one stack.
+    # Ball infimum: amplitude decay below the sphere witness, halved 60 times on its ray.
     lambda_star, w_ball = nu_star, w_nu
     if pd.q.hi < pd.p.lo:
-        probes = np.empty((60,) + grid.shape)
-        probes[0] = 0.5 * w_nu
-        for k in range(1, 60):
-            probes[k] = 0.5 * probes[k - 1]
-        _, _, phi, psi = (x.tolist() for x in _Point(probes, pd).energy_rows())
-        for u, a, b in zip(probes, psi, phi):
+        ts = 0.5 ** np.arange(1.0, 61.0)
+        psi, phi = (x.tolist() for x in _Point(w_nu[None], pd).ray(ts, pd.p.values, pd.q.values))
+        for t, a, b in zip(ts.tolist(), psi, phi):
             if b <= 0.0 or not math.isfinite(a / b) or a / b >= lambda_star:
                 break
-            lambda_star, w_ball = a / b, u
+            lambda_star, w_ball = a / b, t * w_nu
+        if w_ball is not w_nu:  # the value its witness realizes, as every survey value
+            _, _, phi, psi = _Point(w_ball, pd).energy_rows()
+            lambda_star = psi / phi
 
     # Free quotient with the mass exponent tied to p.
     mu_star, w_mu = np.inf, None

@@ -214,8 +214,9 @@ def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
 
     Ball and mountain-pass iterates are first moved onto the ray crossing,
     where the imposed lam closes the level identity psi = lam * phi, so the
-    residual (and with it the flag) belongs to the function returned.  The
-    residual and the snapshot come from the stencils of one `_Point`.
+    residual (and with it the flag) belongs to the function returned.  A
+    sphere maximizer takes lam = psi/phi of its own (lam is not read).  lam,
+    the residual and the snapshot come from the stencils of one `_Point`.
     """
     if mechanism in (BALL_MIN, MOUNTAIN_PASS):
         try:
@@ -223,6 +224,9 @@ def _pair(u, pd, lam, mechanism, iterations, alpha, grad_tol) -> EigenPair:
         except ValueError:
             pass
     pt = _Point(u, pd)
+    if mechanism == SPHERE_MAX:
+        _, _, phi, psi = pt.energy_rows()
+        lam = psi / phi
     res = _residual_at(pt, lam)
     return EigenPair(
         float(lam),
@@ -251,7 +255,8 @@ def _negative_seed(pd: ProblemData, alpha: float, lam: float, v0=None) -> np.nda
         t = pt.sphere_scale(0.5 * alpha)[0]
     t = min(t, pt.sphere_scale(alpha)[0])
     for _ in range(200):
-        if _Point(t * w, pd).energies(lam).I_lambda < 0.0:
+        G, F = pt.ray(np.array([t]))
+        if G[0] - lam * F[0] < 0.0:
             return t * w
         t *= 0.5
     raise ValueError("no negative-energy seed found; regime looks non-sublinear")
@@ -280,7 +285,8 @@ def solve_sublinear(
     trial must lower the certificate residual.  The accepted minimizer is
     an interior critical point whenever lam sits inside the certified
     window.  The seed is v0, else mode_seed(pd, 1), scaled to the ray
-    minimum; on bitwise-symmetric 2D data the default folds (`_fold`).
+    minimum (halved, on its own ray, until I_lambda < 0) and evaluated as
+    a trial is; on bitwise-symmetric 2D data the default folds (`_fold`).
     """
     if not pd.q.lo < pd.p.lo:
         raise ValueError("ball minimization needs inf q < inf p")
@@ -317,10 +323,9 @@ def solve_sublinear(
         g = gG - lam * pt.mass_term()
         return g, pt.metric_weight(), _norm(g, grid) / _norm(gG, grid)
 
-    snap = _Point(u, qpd).energies(lam)
-    start = (u[None], np.array([snap.I_lambda]), np.array([max(snap.G, lam * snap.F)]), None)
+    u = u[None]
     u, _, _, iterations = _sobolev_descent(
-        start, admit, direction, grid, cfg.max_iters, cfg.grad_tol
+        admit(u, u, None), admit, direction, grid, cfg.max_iters, cfg.grad_tol
     )
     return _pair(_unfold(u[0], folds), pd, lam, BALL_MIN, iterations[0], alpha, cfg.grad_tol)
 
@@ -370,14 +375,10 @@ def solve_sphere_max(
         res = _norm(defect, grid) / _norm(gG, grid)
         return _column(phi / psi, grid) * defect, pt.metric_weight(), res
 
-    u = u[None]
-    u = _column(_Point(u, qpd).sphere_scale(level), grid) * u
     u, _, _, iterations = _sphere_descent(
-        u, qpd, level, value_at, direction, cfg.max_iters, cfg.grad_tol
+        u[None], qpd, level, value_at, direction, cfg.max_iters, cfg.grad_tol
     )
-    u = _unfold(u[0], folds)
-    snap = _Point(u, pd).energies()
-    return _pair(u, pd, snap.psi / snap.phi, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
+    return _pair(_unfold(u[0], folds), pd, None, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
 
 
 def solve_mountain_pass(

@@ -49,7 +49,7 @@ def exponent_field(values) -> ExponentField:
     if not np.all(np.isfinite(arr)):
         raise ValueError("exponent field contains non-finite values")
     if np.any(arr <= 1.0):
-        bad = np.unravel_index(int(np.argmin(arr)), arr.shape)
+        bad = tuple(map(int, np.unravel_index(int(np.argmin(arr)), arr.shape)))
         raise ValueError(f"exponent must exceed 1 everywhere, offending cell {bad}")
     return ExponentField(arr, float(arr.min()), float(arr.max()))
 

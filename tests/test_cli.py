@@ -292,7 +292,7 @@ def test_invalid_exponent_exits_with_diagnostic(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     assert main(["solve-sublinear", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "must exceed 1" in err and "cell" in err
+    assert "must exceed 1" in err and "at cell (0,) (midpoint (0.0078125,))" in err
 
     bad["problem"]["p"] = "2 +"
     path = write_config(tmp_path, bad, "bad2.json")
@@ -305,7 +305,13 @@ def test_negative_weight_rejected(tmp_path, capsys):
     bad["problem"]["V"] = "x - 0.5"
     path = write_config(tmp_path, bad)
     assert main(["solve-sublinear", "--config", str(path)]) == 2
-    assert "positive" in capsys.readouterr().err
+    assert "positive everywhere; value -0.4921875 at cell (0,)" in capsys.readouterr().err
+    # exp overflows to inf from the cell with midpoint 45.5/64 on: make_problem names it
+    bad["problem"]["V"] = "exp(1000*x)"
+    path = write_config(tmp_path, bad, "inf.json")
+    with np.errstate(over="ignore"):
+        assert main(["solve-sublinear", "--config", str(path)]) == 2
+    assert "positive and finite everywhere, offending cell (45,)" in capsys.readouterr().err
 
 
 def test_missing_config_sections(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_energies_overflow_reporting():
     pd = make_pd(grid, 3.0, 2.0)
     u = np.zeros(grid.shape)
     u[4] = 1e300
-    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="non-finite"):
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match=r"at cell \(3,\)$"):
         energies(u, pd)
 
 
@@ -210,6 +210,12 @@ def test_make_problem_validation(rng):
         make_problem(grid, p, q, constant_exponent(2.5, m), np.ones(m))
     with pytest.raises(ValueError, match="positive"):
         make_problem(grid, p, q, s, np.zeros(m))
+    # the first cell that is not positive and finite is named, as plain ints
+    for cell, bad in ((5, np.inf), (2, np.nan), (6, -1.0)):
+        V = np.ones(m)
+        V[cell], V[7] = bad, 0.0
+        with pytest.raises(ValueError, match=rf"positive and finite everywhere, offending cell \({cell},\)$"):
+            make_problem(grid, p, q, s, V)
     with pytest.raises(ValueError, match="shape"):
         make_problem(grid, constant_exponent(3.0, (4,)), q, s, np.ones(m))
     with pytest.raises(ValueError, match=r"weight shape \(4,\) != cells \(8,\)"):
@@ -907,7 +913,19 @@ def point_cases(draw):
     return pd, u, 10.0 ** draw(st.floats(-2.0, 2.0))
 
 
+def planar_point_case():
+    """A 7x6 grid with p < 2, p = 2 and p > 2 cells: the 2D case of every run."""
+    grid = StructuredGrid((7, 6), (0.3, 0.5))
+    rng = np.random.default_rng(5)
+    cells = grid.cell_shape
+    p = rng.uniform(1.3, 3.5, cells)
+    p[0] = 2.0
+    pd = make_pd(grid, p, rng.uniform(1.2, 3.5, cells), V=rng.uniform(0.5, 2.0, cells), C_embed=1.0)
+    return pd, interior_noise(grid, rng), 0.7
+
+
 @given(point_cases())
+@example(planar_point_case())
 @settings(max_examples=80, deadline=None)
 def test_point_evaluation_matches_the_term_formulas(case):
     pd, u, alpha = case
@@ -939,6 +957,15 @@ def test_point_evaluation_matches_the_term_formulas(case):
     direct = energies(t[0] * u, pd)
     for name, value in zip(("G", "F", "psi", "phi"), from_profiles):
         assert value[0] == pytest.approx(getattr(direct, name), rel=1e-12)
+    # the energies of u are its ray at t = 1, bit for bit
+    p, q = pd.p.values, pd.q.values
+    at_one = stacked.ray(np.ones(1)) + stacked.ray(np.ones(1), p, q)[::-1]
+    assert [x[0] for x in at_one] == [snap.G, snap.F, snap.phi, snap.psi]
+    # the survey's ball probes 2^-k u, k = 1...60, as one ray of u
+    ts = 0.5 ** np.arange(1.0, 61.0)
+    probes = fn._Point(fn._column(ts, pd.grid) * u, pd).energy_rows()
+    for ray, probe in zip(stacked.ray(ts) + stacked.ray(ts, p, q)[::-1], probes):
+        np.testing.assert_allclose(ray, probe, rtol=1e-12, atol=0.0)
 
 
 def one_free_node_case():

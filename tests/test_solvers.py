@@ -470,7 +470,7 @@ def test_sphere_max_validates_only_the_callers_seed(monkeypatch):
 def test_sphere_max_certifies_at_large_p(n):
     """At p = 8, q = 6 the default solve certifies at 1e-8 in a bounded number of searches.
 
-    From the first mode it takes 23, 28, 39, 52 and 74 searches from 129 to
+    From the first mode it takes 23, 28, 39, 53 and 74 searches from 129 to
     2049 nodes, and lam falls from 721.96 to 721.59.  A Gaussian draw
     certified at 129 nodes only: at 257 it stopped after 2 searches at
     lam = 4.3e16, and from 513 nodes on it spent 3000 searches at residual

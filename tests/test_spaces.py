@@ -370,8 +370,10 @@ def test_holder_constant_range(rng):
 
 
 def test_exponent_field_validation():
-    with pytest.raises(ValueError, match="exceed 1"):
+    with pytest.raises(ValueError, match=r"exceed 1 everywhere, offending cell \(1,\)$"):
         exponent_field([2.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match=r"offending cell \(1, 0\)$"):
+        exponent_field([[2.0, 2.5], [0.5, 2.2]])
     with pytest.raises(ValueError, match="at least one cell"):
         exponent_field([])
     with pytest.raises(ValueError, match="finite"):
