@@ -169,7 +169,14 @@ def _eval(node, coords: dict):
     if kind == "neg":
         return -_eval(node[1], coords)
     if kind == "call1":
-        return _UNARY[node[1]](_eval(node[2], coords))
+        name, arg, col = node[1], _eval(node[2], coords), node[3]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = _UNARY[name](arg)
+        bad = ~np.isfinite(out)
+        if np.any(bad):  # exp overflows; sin and cos of an inf argument are NaN
+            idx, where = _locate(bad, coords)
+            raise ExpressionError(f"non-finite {name} at cell {idx} (coords {where})", col)
+        return out
     if kind == "call2":
         return _BINARY[node[1]](_eval(node[2], coords), _eval(node[3], coords))
     if kind == "binop":

@@ -467,26 +467,33 @@ class _Point:
             wm = S * wm
         return _cell_sum(wg, pd.grid), _cell_sum(wm, pd.grid)
 
-    def sphere_scale(self, alpha: float):
+    def sphere_scale(self, alpha: float, same=None):
         """Scale t per row with G(t u) = alpha, by the Newton power-sum kernel on wg.
 
         It solves to float resolution, relative to alpha at every scale of
         alpha; constant p collapses it to the closed form (alpha / G(u))^(1/p),
         in Python floats (the libm rounding of the scalar form).  The solve
         itself fails unless alpha > 0 and no row is the zero function.
+        same, if given, names per row a row of the same function whose
+        scale it takes, so a repeated row is solved once.
         """
         p, grid, wg = self.pd.p, self.pd.grid, self.profiles[0]
+        if same is not None:
+            own = sorted(set(same))
+            wg, same = wg[own], [own.index(i) for i in same]
         undefined = "no sphere scale: alpha must be positive and no row the zero function"
         if p.is_constant:
             total = _cell_sum(wg, grid)
             if not (alpha > 0.0 and np.all(total)):
                 raise ValueError(undefined)
-            return np.array([x ** (1.0 / p.lo) for x in (alpha / total).tolist()])
-        rows = wg.reshape(len(wg), -1)
-        try:
-            return _power_sum_root(rows, p.values.ravel(), np.array([float(alpha)]), np.zeros(1))[0]
-        except ValueError as exc:  # the kernel needs a positive term on each side
-            raise ValueError(undefined) from exc
+            t = np.array([x ** (1.0 / p.lo) for x in (alpha / total).tolist()])
+        else:
+            rows, level = wg.reshape(len(wg), -1), np.array([float(alpha)])
+            try:
+                t = _power_sum_root(rows, p.values.ravel(), level, np.zeros(1))[0]
+            except ValueError as exc:  # the kernel needs a positive term on each side
+                raise ValueError(undefined) from exc
+        return t if same is None else t[same]
 
     def crossing(self, lam: float, s0=0.0):
         """Positive tau per row where the ray derivative of I_lambda changes sign.
@@ -650,6 +657,11 @@ def _luxemburg_grad(v: np.ndarray, e: ExponentField, vol: float):
     return n, dn
 
 
+def _sup_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max|u| / max|v| per row of two stacks: the length along v that moves u by max|u|."""
+    return np.abs(u).reshape(len(u), -1).max(1) / np.abs(v).reshape(len(v), -1).max(1)
+
+
 def _embedding_ratio_and_grad(u: np.ndarray, pd: ProblemData, num_exp: ExponentField, vol):
     """The embedding ratio at u and its nodal gradient, each cell of pd's grid of volume vol."""
     grid = pd.grid
@@ -684,8 +696,11 @@ def embedding_constant(
     alone.  The step is riesz_solve(g, grid, W) for the gradient g of
     -ratio and W = `_Point.metric_weight` in 1D; in 2D W is None and the
     step the exact H^1_0 one, since in the metric a 2D ascent saves
-    searches but no set-up time (see `direction` below); a row's first
-    search starts at 0.5 max|u| / max|step|.  A trial is rescaled to
+    searches but no set-up time (see `direction` below).  A row's first
+    search starts at 0.5 max|u| / max|step| (the first hook of
+    `_sobolev_descent`), a move of half the row's size, with no cap at 1,
+    unlike the mountain pass's: capped, the p=3, q=2 ascent at 513 nodes
+    took 10 searches, not 8.  A trial is rescaled to
     max|u| = 1 (the ratio is 0-homogeneous), and only a strict increase of
     the ratio passes.  A row stops once a step gains at most 1e-12 of the
     ratio, when a search misses, or after EMBED_ITERS (250) searches.  In
@@ -735,10 +750,7 @@ def embedding_constant(
     for i, row in enumerate(u):
         ctx[i] = _embedding_ratio_and_grad(row, pd, num_exp, vol) + (1.0, math.inf)
     ratio = np.array([c[0] for c in ctx])
-    d, weight, _ = direction(u, ctx)
-    pdir = riesz_solve(d, grid, weight)
-    first = 0.5 * (np.abs(u).reshape(trials, -1).max(1) / np.abs(pdir).reshape(trials, -1).max(1))
-    start = (u, -ratio, ratio, ctx, first.tolist())
+    start = (u, -ratio, ratio, ctx, lambda u, pdir: 0.5 * _sup_ratio(u, pdir))
     value = _sobolev_descent(start, admit, direction, grid, EMBED_ITERS, 1e-12)[1]
     return float(np.max(-value))
 
@@ -789,9 +801,9 @@ class _Row:
     __slots__ = ("index", "value", "scale", "res", "step", "used", "terminal", "prev", "fresh",
                  "floor", "length", "left")
 
-    def __init__(self, index, value, scale, res, step):
+    def __init__(self, index, value, scale, res):
         self.index, self.value, self.scale, self.res = index, value, scale, res
-        self.step, self.used, self.floor, self.length, self.left = step, 0, 0.0, 0.0, 0
+        self.step, self.used, self.floor, self.length, self.left = 1.0, 0, 0.0, 0.0, 0
         self.terminal, self.prev, self.fresh = False, False, True
 
 
@@ -842,9 +854,12 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
 
     start = (u, value, scale, ctx) holds the k first points: u of shape
     (k,) + grid.shape, value and scale arrays of k, ctx an array (of
-    objects, say) with a leading axis of k, or None; a fifth entry may list
-    the rows' first trial lengths (else 1).  One row is a stack of one: the
-    callbacks take stacks of the unfinished rows and return per-row arrays.
+    objects, say) with a leading axis of k, or None.  A fifth entry, if
+    given, is the hook first(u, pdir): called once, on the tick where the
+    rows that did not stop at their start build their first steps pdir,
+    it returns one first trial length per row of that stack (else each
+    is 1).  One row is a stack of one: the callbacks take stacks of the
+    unfinished rows and return per-row arrays.
     direction(u, ctx) gives the nodal gradients d, the metric weights W
     (`_Point.metric_weight`, or None for H^1_0) and the stop residuals.
     The step rule is the skeleton's: the Sobolev steps pdir =
@@ -858,7 +873,8 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
 
     Each row runs the descent it would run alone.  A search tries
     raw = u - s*pdir for the 60 lengths s = step/2^k, k = 0...59.  After the
-    first search, step is the Barzilai-Borwein length <du, dd> / <dd, dp>
+    first search (which starts at the hook's length), step is the
+    Barzilai-Borwein length <du, dd> / <dd, dp>
     of the last step's changes of u, d and pdir (in the metric of pdir),
     else 1.5 times the last hit's s; after a concave stretch
     (<du, dd> < 0 < <dd, dp>) it is at least the secant's length
@@ -885,8 +901,7 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     d, aux, res = direction(u, ctx)
     # the step and the Barzilai-Borwein reference are placeholders until they are built
     stack = dict(u=u, ctx=ctx, d=d, aux=aux, pdir=d, prev_u=u, prev_d=d, prev_pdir=d)
-    steps = first[0] if first else [1.0] * k
-    rows = list(map(_Row, range(k), value.tolist(), scale.tolist(), res.tolist(), steps))
+    rows = list(map(_Row, range(k), value.tolist(), scale.tolist(), res.tolist()))
     while rows:
         n, stop, fresh = len(rows), [], []
         for i, r in enumerate(rows):
@@ -900,6 +915,9 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
         if fresh:  # these rows start a search: their steps, trial counts and float floors
             pdir = riesz_solve(_take(stack["d"], fresh, n), grid, _take(stack["aux"], fresh, n))
             stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
+            if first:  # the first searches: no row has stepped, so every row left is fresh
+                for r, step in zip(rows, first.pop()(stack["u"], pdir), strict=True):
+                    r.step = float(step)
             bb = [i for i in fresh if rows[i].prev]
             if bb:  # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
                 du, dd, dp = (_take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
@@ -962,7 +980,9 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     return out
 
 
-def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None):
+def _sphere_descent(
+    u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None, same=None
+):
     """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u of starts.
 
     It descends the ray function u -> Q(t(u) u), with t(u) the scale that
@@ -982,16 +1002,19 @@ def _sphere_descent(u, pd, alpha, value_at, direction, iters, tol, ctx=None, mas
     direction, one per row; ctx is the context of the rows' current points, and the
     optional ctx here that of the starts.  mass_exp, if given, maps those
     contexts to the rows' mass exponents, the q of each `_Point` built
-    here.  Returns (u, value, ctx, searches), stacked.
+    here.  same, if given, names per start a start of the same function
+    whose sphere scale it takes (`_Point.sphere_scale`), so a start that
+    several rows share is scaled once.  Returns (u, value, ctx, searches),
+    stacked.
     """
     grid = pd.grid
 
-    def admit(_, raw, ctx):
+    def admit(_, raw, ctx, same=None):
         pt = _Point(raw, pd, None if mass_exp is None else mass_exp(ctx))
-        t = pt.sphere_scale(alpha)
+        t = pt.sphere_scale(alpha, same)
         return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
 
-    return _sobolev_descent(admit(None, u, ctx), admit, direction, grid, iters, tol)
+    return _sobolev_descent(admit(None, u, ctx, same), admit, direction, grid, iters, tol)
 
 
 # the survey's sphere objectives, by the tag that ends each row's context
@@ -1064,7 +1087,9 @@ def rayleigh_extrema(
     rows of one lockstep stack, each with its own objective carried in its
     context (psi/phi and G/F from the pool starts, psi/phi with q = p from
     the mu starts; see `_sphere_quotients`); each row ends where it would
-    end alone.  Both start sets are `_starts`: the first sine mode, then the
+    end alone.  The G/F rows take the sphere scales of the psi/phi rows'
+    starts, their own functions, so each distinct start is scaled once.
+    Both start sets are `_starts`: the first sine mode, then the
     H^1_0 Riesz maps of Gaussian noise drawn from `seed` (the pool and the
     mu rows from different streams).  The pool members are evaluated as one stack,
     each row rounding as it would alone, and the 60 amplitude probes
@@ -1082,8 +1107,10 @@ def rayleigh_extrema(
     tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
     value_at, direction, mass_exp = _sphere_quotients(pd)
     stack = np.concatenate([u, u, _starts(grid, trials, seed, 7919)])
+    # the G/F rows start from the psi/phi rows' functions and take their sphere scales
+    same = [*range(trials), *range(trials), *range(2 * trials, 3 * trials)]
     done, vals = _sphere_descent(
-        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp
+        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp, same
     )[:2]
     pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
     G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())

@@ -30,7 +30,8 @@ independence of the H^1_0 step of P = gradient_adjoint o gradient and
 cuts the searches.  On 1D grids `riesz_solve` inverts it exactly in O(n);
 in 2D, where the exact solve diagonalizes only constant coefficients, it
 takes a fixed Chebyshev step of three exact P solves, and the 2D searches
-about halve (the 81x97 pass family of the benchmark: 27 instead of 52).
+about halve (the 81x97 pass family of the benchmark, its first searches
+at length 1: 27 instead of 52).
 The embedding ascent alone keeps the H^1_0 step in 2D.
 
 A 2D solve whose seed is bitwise even or odd along
@@ -65,6 +66,7 @@ from .functionals import (
     _sine_mode,
     _sobolev_descent,
     _sphere_descent,
+    _sup_ratio,
     _symmetric_axes,
     _unfold,
     alpha_independent_threshold,
@@ -100,6 +102,11 @@ MOUNTAIN_PASS = "mountain_pass"
 
 # two levels of a family are distinct when their relative gap (`_family_gaps`) exceeds this
 FAMILY_GAP_FLOOR = 1e-3
+
+# the mountain pass's first trial moves w by at most this fraction of max|w| (and its length
+# is at most 1): on the 2D boundary-regime passes length 1 moves w far further, and each
+# halving back costs a ray crossing; at 0.5 the 81x97 pass family took 28 searches, not 26
+PASS_FIRST_MOVE = 0.25
 
 
 @dataclass(frozen=True)
@@ -404,7 +411,13 @@ def solve_mountain_pass(
     point's crossing.  The direction tau (grad_G - lam grad_F) at the
     crossing tau*w is the gradient of the ray maximum, and the step is its
     one Riesz column riesz_solve(d, grid, W), with W the metric weight at
-    tau*w: the metric of G's Hessian there.
+    tau*w: the metric of G's Hessian there.  The first search starts at
+    min(1, PASS_FIRST_MOVE max|w| / max|pdir|) for the first step pdir
+    (the first hook of `_sobolev_descent`): length 1, cut back so that the
+    first trial moves w by at most a quarter of max|w|.  On the 81x97 pass
+    family that is 0.059, 2.3e-4 and 1.9e-4 by level, and the family takes
+    26 trials instead of 51.  On the 1D passes tried the cap picks length
+    1; without it the p=2, q=4 pass at 129 nodes took 9 searches, not 7.
     The ray maximum never rises beyond rounding, and the pair is certified
     at the ridge crossing of the final direction.  The seed is v0, else
     mode_seed(pd, 1); on bitwise-symmetric 2D data the default folds.
@@ -441,11 +454,14 @@ def solve_mountain_pass(
         g = tc * (gG - lam * x.mass_term())
         return g, x.metric_weight(), _norm(g, grid) / (tau * _norm(gG, grid))
 
+    def first(w, pdir):  # length 1, or the length that moves w by PASS_FIRST_MOVE max|w|
+        return np.minimum(1.0, PASS_FIRST_MOVE * _sup_ratio(w, pdir))
+
     w0 = w0[None]
     w = _column(_Point(w0, qpd).sphere_scale(alpha * 0.5 ** len(folds)), grid) * w0
     pt = _Point(w, qpd)
     r2 = pt.h10()
-    start = (w,) + at_crossing(pt, 0.0)
+    start = (w,) + at_crossing(pt, 0.0) + (first,)
     w, _, tau, iterations = _sobolev_descent(
         start, admit, direction, grid, cfg.max_iters, cfg.grad_tol
     )

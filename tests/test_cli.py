@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,12 +307,15 @@ def test_negative_weight_rejected(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     assert main(["solve-sublinear", "--config", str(path)]) == 2
     assert "positive everywhere; value -0.4921875 at cell (0,)" in capsys.readouterr().err
-    # exp overflows to inf from the cell with midpoint 45.5/64 on: make_problem names it
+    # exp overflows to inf from the cell with midpoint 45.5/64 on: the expression names it,
+    # with no numpy overflow warning
     bad["problem"]["V"] = "exp(1000*x)"
     path = write_config(tmp_path, bad, "inf.json")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["solve-sublinear", "--config", str(path)]) == 2
-    assert "positive and finite everywhere, offending cell (45,)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "column 1: non-finite exp at cell (45,) (coords (0.7109375,))" in err
 
 
 def test_missing_config_sections(tmp_path, capsys):

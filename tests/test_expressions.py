@@ -116,6 +116,13 @@ def test_non_finite_power_rejected():
         ev("(0 - 1) ^ 0.5", [1.0])
 
 
+def test_non_finite_function_value_rejected():
+    with pytest.raises(ExpressionError, match=r"column 3: non-finite exp at cell \(1,\) "):
+        ev("1+exp(1000*x)", [0.5, 1.0])
+    with pytest.raises(ExpressionError, match=r"column 1: non-finite sin at cell \(0,\) "):
+        ev("sin(1e400)", [1.0])
+
+
 def test_expression_error_is_value_error():
     assert issubclass(ExpressionError, ValueError)
 

@@ -584,8 +584,9 @@ def test_line_search_trial_order_and_hits(monkeypatch):
     """A search tries step/2^k for k = 0...59, and ends at its first hit or after 60 misses.
 
     Both rows start at u = 0 with value 1 and step along pdir = 1, so a
-    trial of length s from u is u - s.  Row 0 (first length 1) never lowers
-    its value.  Row 1 (first length 4) hits 0 at its tenth trial,
+    trial of length s from u is u - s.  The start's first hook gives the
+    first lengths.  Row 0 (first length 1) never lowers its value.  Row 1
+    (first length 4) hits 0 at its tenth trial,
     s = hit = 4/2^9; its second search starts at the fallback 1.5 * hit and
     cannot go lower.
     """
@@ -602,7 +603,9 @@ def test_line_search_trial_order_and_hits(monkeypatch):
         return np.ones_like(u), None, np.ones(len(u))
 
     monkeypatch.setattr(fn, "riesz_solve", lambda d, grid, weight: d)
-    start = (np.zeros((2, 3)), np.ones(2), np.ones(2), np.array([0, 1]), [1.0, 4.0])
+    start = (
+        np.zeros((2, 3)), np.ones(2), np.ones(2), np.array([0, 1]), lambda u, pdir: [1.0, 4.0]
+    )
     u, val, ctx, used = fn._sobolev_descent(start, admit, direction, interval_grid(3), 5, 1e-3)
     assert tried[0] == [0.0 - 0.5**k for k in range(60)]
     assert tried[1] == [0.0 - 4.0 * 0.5**k for k in range(10)] + [
@@ -612,6 +615,29 @@ def test_line_search_trial_order_and_hits(monkeypatch):
     assert ticks == [2] * 60 + [1] * 10
     assert used.tolist() == [1, 2] and ctx.tolist() == [0, 1]
     assert np.array_equal(u, [np.zeros(3), np.full(3, -hit)]) and val.tolist() == [1.0, 0.0]
+
+
+def test_first_hook_sees_the_rows_that_search(monkeypatch):
+    """Row 0 starts at its stop residual and leaves before any search: the first hook is
+    called once, on the one row left, and its length is that row's first trial."""
+    hooked, tried = [], []
+
+    def first(u, pdir):
+        hooked.append(u.shape)
+        return np.full(len(u), 4.0)
+
+    def admit(u, raw, ctx):
+        tried.append(raw[:, 1].tolist())
+        return raw, np.zeros(len(raw)), np.ones(len(raw)), ctx
+
+    def direction(u, ctx):
+        return np.ones_like(u), None, np.where(ctx == 0, 0.0, 1.0)
+
+    monkeypatch.setattr(fn, "riesz_solve", lambda d, grid, weight: d)
+    start = (np.zeros((2, 3)), np.ones(2), np.ones(2), np.array([0, 1]), first)
+    _, val, _, used = fn._sobolev_descent(start, admit, direction, interval_grid(3), 1, 1e-3)
+    assert hooked == [(1, 3)] and tried == [[-4.0]]
+    assert used.tolist() == [0, 1] and val.tolist() == [1.0, 0.0]
 
 
 def test_terminal_phase_accepts_only_residual_decrease(monkeypatch):

@@ -5,7 +5,9 @@ constant exponents admit an exact scaling map between eigenvalues, and every
 accepted pair must satisfy the level identity psi = lam * phi to 1e-8.
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from vexspec import (
     spectrum_sweep,
     window_alpha,
 )
+from vexspec.cli import build_problem
 from vexspec.functionals import _Point
 from vexspec.mesh import riesz_solve
 from vexspec.solvers import (
@@ -47,6 +50,9 @@ from conftest import (
     family_pass_problem_1d,
     make_pd,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def level_identity_defect(pair):
@@ -605,6 +611,55 @@ def test_mountain_pass_steps_on_the_h10_sphere(monkeypatch):
     assert len(scales) == 1
 
 
+def first_search(monkeypatch, name):
+    """Start w, first step pdir, first trial raw and admit calls to the first hit of a pass.
+
+    The pass is the one `vexspec solve-superlinear` runs on scripts/configs/<name>.json; the
+    hit is the first trial taken in direction (one per tick, a trial of the only row).
+    """
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    pd, cfg = build_problem(config), SolverConfig(**config["solver"])
+    columns, trials, hits = [], [], []
+    descend, riesz = solvers._sobolev_descent, fn.riesz_solve
+
+    def spy_descent(start, admit, direction, *rest):
+        def spy_admit(u, raw, ctx):
+            trials.append((u, raw))
+            return admit(u, raw, ctx)
+
+        def spy_direction(u, ctx):
+            hits.append(len(trials))
+            return direction(u, ctx)
+
+        return descend(start, spy_admit, spy_direction, *rest)
+
+    def spy_riesz(d, grid, weight=None):
+        columns.append(riesz(d, grid, weight))
+        return columns[-1]
+
+    monkeypatch.setattr(solvers, "_sobolev_descent", spy_descent)
+    monkeypatch.setattr(fn, "riesz_solve", spy_riesz)
+    assert solve_mountain_pass(pd, config["alpha"], config["lambda"], cfg).converged
+    (w, raw), pdir = trials[0], columns[0]
+    return w, pdir, raw, hits[1]
+
+
+def test_mountain_pass_first_search_moves_a_quarter_at_most(monkeypatch):
+    """The pass's first trial is w - s pdir, s = min(1, PASS_FIRST_MOVE max|w| / max|pdir|).
+
+    On the 41x49 boundary-regime rectangle length 1 moves w many times its
+    size, and its first search missed 7 times before it hit; the scaled first
+    trial hits within 2.  On the p=2, q=4 line the cap picks length 1, the
+    length of a descent with no first hook.
+    """
+    w, pdir, raw, hit = first_search(monkeypatch, "pass_rectangle")
+    assert hit <= 2
+    s = solvers.PASS_FIRST_MOVE * np.abs(w).max() / np.abs(pdir).max()
+    assert s < 1.0 and np.array_equal(raw, w - s * pdir)
+    w, pdir, raw, _ = first_search(monkeypatch, "pass_tight")
+    assert np.array_equal(raw, w - pdir)
+
+
 # lam * I_lambda of the p=2, q=4 crest at 2049 nodes (the same for every lam),
 # the 1D ladder's reference
 PASS_CREST_2049 = 15.7560741725884
@@ -799,7 +854,7 @@ def test_pass_family_mesh_ladder(extents, rel):
     From 41x49 to 81x97 the crest values move by up to 3.4% relative
     (4.2e-3, 2.4e-2, 3.4e-2 by level), and from 81x97 to 161x193 by up to
     1.7e-3 (1.4e-3, 1.7e-3, 6.6e-4); each bound is about 1.5 to 2 times that.
-    Stepping in the metric of the point, every level takes 7-11 searches
+    Stepping in the metric of the point, every level takes 7-10 searches
     (13-20 in the H^1_0 metric).
     """
     pd, mu = family_pass_problem(extents)
