@@ -980,58 +980,28 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     return out
 
 
-def _sphere_descent(
-    u, pd, alpha, value_at, direction, iters, tol, ctx=None, mass_exp=None, same=None
-):
-    """`_sobolev_descent` of an objective Q over the sphere G = alpha, from a stack u of starts.
-
-    It descends the ray function u -> Q(t(u) u), with t(u) the scale that
-    puts u on the sphere (Szulkin and Weth, The method of Nehari manifold,
-    2010).  That function is constant along rays, and at a point v on the
-    sphere its gradient is grad Q(v) - <grad Q(v), v> / <grad G(v), v> *
-    grad G(v), orthogonal to v.  direction(u, ctx) returns that gradient d,
-    the metric weights W = `_Point.metric_weight` and the stop residuals
-    at the stacked points u, from one `_Point`; the skeleton takes the
-    steps riesz_solve(d, grid, W) itself, one column a row, in the metric
-    of G's Hessian at the point they leave.
-    A step's radial part leaves the value as it is, so it
-    needs no projection: the trials raw, and the starts u with them, are
-    scaled onto the sphere by t = pt.sphere_scale(alpha), one per row, for
-    their `_Point` pt, and value_at(pt, t, ctx) returns the objective at
-    t*raw (from pt.ray(t)), its float-floor scale and the context for
-    direction, one per row; ctx is the context of the rows' current points, and the
-    optional ctx here that of the starts.  mass_exp, if given, maps those
-    contexts to the rows' mass exponents, the q of each `_Point` built
-    here.  same, if given, names per start a start of the same function
-    whose sphere scale it takes (`_Point.sphere_scale`), so a start that
-    several rows share is scaled once.  Returns (u, value, ctx, searches),
-    stacked.
-    """
-    grid = pd.grid
-
-    def admit(_, raw, ctx, same=None):
-        pt = _Point(raw, pd, None if mass_exp is None else mass_exp(ctx))
-        t = pt.sphere_scale(alpha, same)
-        return (_column(t, grid) * raw,) + value_at(pt, t, ctx)
-
-    return _sobolev_descent(admit(None, u, ctx, same), admit, direction, grid, iters, tol)
-
-
 # the survey's sphere objectives, by the tag that ends each row's context
 PSI_PHI, G_F, PSI_PHI_Q_P = 0, 1, 2
 
 
-def _sphere_quotients(pd: ProblemData):
-    """value_at, direction and mass exponents of the survey's quotients for _sphere_descent.
+def _sphere_quotients(pd: ProblemData, alpha: float):
+    """admit and direction of the survey's quotients Q on the sphere G = alpha (_sobolev_descent).
 
+    Each row descends the ray function u -> Q(t(u) u), t(u) u on the sphere
+    (Szulkin and Weth, The method of Nehari manifold, 2010); at v on the
+    sphere its gradient, grad Q(v) - <grad Q(v), v> / <grad G(v), v> *
+    grad G(v), is orthogonal to v, so a step needs no projection.
     A row's context ends in its objective tag: PSI_PHI (psi/phi), G_F (G/F)
-    or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p), and
-    mass_exp(ctx) gives the rows' mass exponents by tag.  The starts come
-    with only that column; a point on the sphere carries its quotient and
-    its denominator (phi or F) before it, from the trial's ray profiles scaled
-    by tag: P = p and S = q (or p) on psi/phi rows, P = S = 1 on G/F rows
-    (exact, so each row rounds as its objective alone would).  The
-    quotient is its own float-floor scale.  With grad = grad_term(P) -
+    or PSI_PHI_Q_P (psi/phi with the mass exponent q replaced by p), which
+    picks its `_Point`'s mass exponent; the starts come with only that
+    column.  admit(_, raw, ctx, same=None) scales each trial onto the sphere
+    by t = pt.sphere_scale(alpha, same) (same, if given, names per start a
+    start of the same function, so a shared start is scaled once), and the
+    point carries its quotient and its denominator (phi or F) before the
+    tag, from pt.ray(t) with the ray profiles scaled by tag: P = p and S =
+    q (or p) on psi/phi rows, P = S = 1 on G/F rows (exact, so each row
+    rounds as its objective alone would).  The quotient is its own
+    float-floor scale.  With grad = grad_term(P) -
     quotient * mass_term(S) over the denominator, the direction is the ray
     gradient grad - <grad, u> / <grad G, u> * grad G, and the stop residual
     is the length of the Euclidean tangent part of grad, relative to grad G.
@@ -1041,14 +1011,13 @@ def _sphere_quotients(pd: ProblemData):
     exps = np.stack([q, q, p])  # by tag
     grad_scale, mass_scale = np.stack([p, ones, p]), np.stack([q, ones, p])
 
-    def mass_exp(ctx):
-        return exps[ctx[..., -1].astype(int)]
-
-    def value_at(pt, t, ctx):
+    def admit(_, raw, ctx, same=None):
         tag = ctx[..., -1].astype(int)
+        pt = _Point(raw, pd, exps[tag])
+        t = pt.sphere_scale(alpha, same)
         num, den = pt.ray(t, grad_scale[tag], mass_scale[tag])
         val = num / den
-        return val, val, np.stack([val, den, tag], axis=-1)
+        return _column(t, grid) * raw, val, val, np.stack([val, den, tag], axis=-1)
 
     def direction(u, ctx):
         val, den, tag = ctx.T
@@ -1062,7 +1031,7 @@ def _sphere_quotients(pd: ProblemData):
         ray = grad - _column(_dot(grad, u, grid.dim) / _dot(gG, u, grid.dim), grid) * gG
         return ray, pt.metric_weight(), _norm(tangent, grid) / np.sqrt(normal)
 
-    return value_at, direction, mass_exp
+    return admit, direction
 
 
 def rayleigh_extrema(
@@ -1080,14 +1049,14 @@ def rayleigh_extrema(
     additionally exploits downward amplitude probes: scaling any candidate
     toward zero drives psi/phi below any positive level whenever inf p >
     sup q, which is exactly why that infimum degenerates to zero.  Pool
-    members come from descents on the sphere G = alpha (`_sphere_descent`,
-    stepping in the point's metric W, in 1D and 2D) to a tangent
-    residual of 1e-10, at most SURVEY_ITERS (1000) searches each; each value
-    is its witness's quotient, an upper bound.  All 3*trials descents run as the
-    rows of one lockstep stack, each with its own objective carried in its
-    context (psi/phi and G/F from the pool starts, psi/phi with q = p from
-    the mu starts; see `_sphere_quotients`); each row ends where it would
-    end alone.  The G/F rows take the sphere scales of the psi/phi rows'
+    members come from `_sobolev_descent` of each quotient along the rays of
+    the sphere G = alpha (`_sphere_quotients`, in the point's metric W, in
+    1D and 2D) to a tangent residual of 1e-10, at most SURVEY_ITERS (1000)
+    searches each; each value is its witness's quotient, an upper bound.
+    All 3*trials descents run as the rows of one lockstep stack, each with
+    its own objective carried in its context (psi/phi and G/F from the pool
+    starts, psi/phi with q = p from the mu starts); each row ends where it
+    would end alone.  The G/F rows take the sphere scales of the psi/phi rows'
     starts, their own functions, so each distinct start is scaled once.
     Both start sets are `_starts`: the first sine mode, then the
     H^1_0 Riesz maps of Gaussian noise drawn from `seed` (the pool and the
@@ -1105,13 +1074,12 @@ def rayleigh_extrema(
 
     u = _starts(grid, trials, seed)
     tags = np.repeat([PSI_PHI, G_F, PSI_PHI_Q_P], trials)[:, None]
-    value_at, direction, mass_exp = _sphere_quotients(pd)
+    admit, direction = _sphere_quotients(pd, alpha)
     stack = np.concatenate([u, u, _starts(grid, trials, seed, 7919)])
     # the G/F rows start from the psi/phi rows' functions and take their sphere scales
     same = [*range(trials), *range(trials), *range(2 * trials, 3 * trials)]
-    done, vals = _sphere_descent(
-        stack, pd, alpha, value_at, direction, SURVEY_ITERS, 1e-10, tags, mass_exp, same
-    )[:2]
+    start = admit(None, stack, tags, same)
+    done, vals = _sobolev_descent(start, admit, direction, grid, SURVEY_ITERS, 1e-10)[:2]
     pool = done[np.arange(2 * trials).reshape(2, trials).T.ravel()]  # psi/phi and G/F, paired
     G, F, phi, psi = (x.tolist() for x in _Point(pool, pd).energy_rows())
 

@@ -26,6 +26,8 @@ Mirror flags (the half grids of folded solves) exist on 2D grids only.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,12 +85,13 @@ class StructuredGrid:
         if len(mirror) == 1 and mirror[0]:
             raise ValueError("a mirror flag needs a 2D grid")
         object.__setattr__(self, "mirror", mirror)
-        if any(int(n) < 3 for n in self.extents):
-            raise ValueError("each axis needs at least 3 nodes")
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("spacing must be positive")
+        if not all(map(_is_extent, self.extents)):
+            raise ValueError(f"extents must be integers of at least 3 nodes, got {self.extents!r}")
+        spacing = tuple(float(h) for h in self.spacing)
+        if not all(h > 0 and math.isfinite(h) for h in spacing):
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
         object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
-        object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
+        object.__setattr__(self, "spacing", spacing)
 
     @cached_property
     def dim(self) -> int:
@@ -173,16 +176,17 @@ class StructuredGrid:
         A mirror-flagged axis of n nodes is the half of an axis of 2n - 1
         nodes, whose blocks it takes.
 
-        Returns (blocks, spectra).  blocks[axis][c] = (forward, backward)
-        acts on the half of the interior next to node 0 that class c keeps
+        Returns (blocks, spectra).  blocks[axis][c] = backward acts on the
+        half of the interior next to node 0 that class c keeps
         (ceil((n-2)/2) nodes for class 0, floor((n-2)/2) for class 1):
-        forward.T @ half gives the class entries of the unnormalized DST-I
-        (scipy.fft.dst type 1) of the mirrored vector, with the centre node
-        of an odd-length interior, which is its own mirror partner, counted
-        at half its value in half; backward @ coef gives that half of the
-        DST-I of a spectrum supported on the class.  spectra[a, b] holds the
-        eigenvalues of class (a, b), times the 2*(n-1) per axis by which two
-        DST-Is exceed the identity.  The 1D solve needs none of this.
+        2 * backward.T @ half gives the class entries of the unnormalized
+        DST-I (scipy.fft.dst type 1) of the mirrored vector, with the centre
+        node of an odd-length interior, which is its own mirror partner,
+        counted at half its value in half; backward @ coef gives that half of
+        the DST-I of a spectrum supported on the class.  spectra[a, b] holds
+        the eigenvalues of class (a, b), times n-1 per axis: the 2*(n-1) by
+        which two DST-Is exceed the identity, over the 2 that backward.T
+        leaves out.  The 1D solve needs none of this.
         """
         ends = [2 * n - 1 if mirror else n for n, mirror in zip(self.extents, self.mirror)]
         blocks = []
@@ -193,14 +197,13 @@ class StructuredGrid:
             for c in (0, 1):
                 modes = np.arange(c + 1, m + 1, 2)
                 phase = (rows[: modes.size] * modes) % (2 * (m + 1))
-                backward = 2.0 * np.sin(np.pi * phase / (m + 1))
-                pair.append((2.0 * backward, backward))
+                pair.append(2.0 * np.sin(np.pi * phase / (m + 1)))
             blocks.append(tuple(pair))
         half = [0.5 * np.pi * np.arange(1, n - 1) / (n - 1) for n in ends]
         stiff = [4.0 * np.sin(t) ** 2 / h**2 for t, h in zip(half, self.spacing)]
         mass = [np.cos(t) ** 2 for t in half]
         spectrum = np.outer(stiff[0], mass[1]) + np.outer(mass[0], stiff[1])
-        spectrum *= 4.0 * (ends[0] - 1) * (ends[1] - 1)
+        spectrum *= (ends[0] - 1) * (ends[1] - 1)
         spectra = {(a, b): spectrum[a::2, b::2].copy() for a in (0, 1) for b in (0, 1)}
         return tuple(blocks), spectra
 
@@ -229,9 +232,24 @@ def rectangle_grid(extents, lengths=(1.0, 1.0)) -> StructuredGrid:
     return StructuredGrid((nx, ny), (lx / (nx - 1), ly / (ny - 1)))
 
 
+def _is_extent(n) -> bool:
+    """Whether n is an integer of at least 3 (nodes); booleans are none."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 3
+
+
+def _is_length(x) -> bool:
+    """Whether x is a finite positive number; booleans are none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+
+
 def grid_from_config(cfg: dict) -> StructuredGrid:
-    extents = [int(n) for n in cfg["extents"]]
-    lengths = [float(l) for l in cfg.get("lengths", [1.0] * len(extents))]
+    """The grid of a config's problem section, its values checked before they are divided."""
+    extents = cfg["extents"]
+    if not (isinstance(extents, list) and extents and all(map(_is_extent, extents))):
+        raise ValueError(f"config extents must be a list of integers >= 3, got {extents!r}")
+    lengths = cfg.get("lengths", [1.0] * len(extents))
+    if not (isinstance(lengths, list) and all(map(_is_length, lengths))):
+        raise ValueError(f"config lengths must be a list of finite numbers > 0, got {lengths!r}")
     if len(lengths) != len(extents):
         raise ValueError("config lengths and extents disagree in dimension")
     spacing = tuple(l / (n - 1) for l, n in zip(lengths, extents))
@@ -478,11 +496,10 @@ def _riesz_solve_2d(r: np.ndarray, grid: StructuredGrid, out: np.ndarray) -> np.
     mx, my = grid.mirror
     rows = []
     for a, ra in enumerate(_classes(r, mx)):
-        fa, ba = bx[a]
-        cols = []
+        ba, cols = bx[a], []
         for b, rab in enumerate(_classes(ra.swapaxes(-1, -2), my)):
-            fb, bb = by[b]
-            coef = (fa.T @ rab.swapaxes(-1, -2) @ fb) / spectra[a, b]
+            bb = by[b]
+            coef = (ba.T @ rab.swapaxes(-1, -2) @ bb) / spectra[a, b]
             cols.append((ba @ coef @ bb.T).swapaxes(-1, -2))
         half = np.empty(r.shape[:-2] + (r.shape[-1], ra.shape[-2]))
         rows.append(_unclasses(cols, half).swapaxes(-1, -2))

@@ -6,10 +6,9 @@ of F over a sphere (its first-eigenvalue dual), and the mountain pass as the
 lowest ridge crossing (super-homogeneous regime): the infimum over rays of
 the along-ray maximum of I_lambda, certified at the crossing.  Each accepted
 pair carries the relative residual of the weak eigenpair identity as its
-certificate.  All three, like the Rayleigh survey in functionals, run one
+certificate.  All three, like the Rayleigh survey in functionals, call one
 monotone Sobolev descent with a float-floor terminal phase,
-`_sobolev_descent`: sphere maximization through its form on the sphere
-G = alpha, `_sphere_descent`, the ball and the mountain pass directly.
+`_sobolev_descent`, directly.
 Each supplies only its feasible-set map, its objective and its nodal
 descent direction, and reads every energy, nodal gradient and ray map
 (the sphere scale, the ridge crossing, the energies along a ray) from
@@ -30,8 +29,9 @@ independence of the H^1_0 step of P = gradient_adjoint o gradient and
 cuts the searches.  On 1D grids `riesz_solve` inverts it exactly in O(n);
 in 2D, where the exact solve diagonalizes only constant coefficients, it
 takes a fixed Chebyshev step of three exact P solves, and the 2D searches
-about halve (the 81x97 pass family of the benchmark, its first searches
-at length 1: 27 instead of 52).
+about halve (the 81x97 pass family of the benchmark, with first searches
+at length 1: 27 instead of 52; with the pass's capped first search,
+`solve_mountain_pass`, the count gate reads 26 searches and 26 trials).
 The embedding ascent alone keeps the H^1_0 step in 2D.
 
 A 2D solve whose seed is bitwise even or odd along
@@ -65,7 +65,6 @@ from .functionals import (
     _residual_at,
     _sine_mode,
     _sobolev_descent,
-    _sphere_descent,
     _sup_ratio,
     _symmetric_axes,
     _unfold,
@@ -346,11 +345,12 @@ def solve_sphere_max(
 ) -> EigenPair:
     """Maximize F on the sphere G = alpha by Sobolev descent of -F along rays.
 
-    `_sphere_descent` descends u -> -F(t(u) u), with t(u) u on the sphere;
-    its gradient at u on the sphere, (phi/psi) (grad_G - (psi/phi) grad_F),
-    is the certificate's defect scaled, and the step is its Riesz column in
-    the metric of G's Hessian at the point, so the step count stays
-    bounded under mesh refinement.  F never falls beyond
+    `_sobolev_descent` descends the ray function u -> -F(t(u) u), with t(u)
+    u on the sphere (`_Point.sphere_scale`); its gradient at u on the sphere,
+    (phi/psi) (grad_G - (psi/phi) grad_F), is orthogonal to u, so a step
+    needs no projection, and is the certificate's defect scaled; the step
+    is its Riesz column in the metric of G's Hessian at the point, so the
+    step count stays bounded under mesh refinement.  F never falls beyond
     rounding: steps must raise it (Armijo) until it is flat to a few ulps,
     and then must lower the residual.  The accepted pair reports
     lam = psi/phi, the reciprocal of the first constrained level ratio;
@@ -368,9 +368,11 @@ def solve_sphere_max(
     grid, level = qpd.grid, alpha * 0.5 ** len(folds)
 
     # the callbacks take stacks of rows and return one value per row
-    def value_at(pt, t, _):
+    def admit(_, raw, ctx):
+        pt = _Point(raw, qpd)
+        t = pt.sphere_scale(level)
         F = pt.ray(t)[1]
-        return -F, F, None
+        return _column(t, grid) * raw, -F, F, None
 
     # the ray gradient of -F at w on the sphere, -gF + (phi/psi) gG, is the certificate's
     # defect scaled by phi/psi
@@ -382,8 +384,8 @@ def solve_sphere_max(
         res = _norm(defect, grid) / _norm(gG, grid)
         return _column(phi / psi, grid) * defect, pt.metric_weight(), res
 
-    u, _, _, iterations = _sphere_descent(
-        u[None], qpd, level, value_at, direction, cfg.max_iters, cfg.grad_tol
+    u, _, _, iterations = _sobolev_descent(
+        admit(None, u[None], None), admit, direction, grid, cfg.max_iters, cfg.grad_tol
     )
     return _pair(_unfold(u[0], folds), pd, None, SPHERE_MAX, iterations[0], alpha, cfg.grad_tol)
 

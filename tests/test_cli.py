@@ -414,6 +414,28 @@ def test_mistyped_command_value_exits_with_diagnostic(tmp_path, capsys, command,
     assert f"config key {key!r} must be {kind}, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("extents", [1]),
+        ("extents", [True, 5]),
+        ("extents", 65),
+        ("extents", [65.7]),
+        ("extents", ["65"]),
+        ("lengths", [float("nan")]),
+        ("lengths", [float("inf")]),
+    ],
+    ids=["extents-one", "extents-bool", "extents-scalar", "extents-float", "extents-str",
+         "lengths-nan", "lengths-inf"],
+)
+def test_invalid_grid_exits_with_diagnostic(tmp_path, capsys, key, value):
+    """Grid values are checked where they enter, before a spacing is divided out."""
+    cfg = sublinear_config(constants={"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0})
+    cfg["problem"][key] = value
+    assert main(["lambda-alpha", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config {key} must be a list of" in capsys.readouterr().err
+
+
 def sphere_config(n=33):
     problem = dict(BASE_PROBLEM, extents=[n], p="2", q="2")
     return {

@@ -561,14 +561,16 @@ def lockstep_cases(draw):
 @given(lockstep_cases())
 @settings(max_examples=30, deadline=None)
 def test_lockstep_rows_equal_their_single_descents_bitwise(case):
-    """Each row of a mixed k-row `_sphere_descent` is bit for bit its objective's descent alone."""
+    """Each row of a mixed k-row survey descent is bit for bit its objective's descent alone."""
     pd, alpha, u, tags, iters = case
-    value_at, direction, mass_exp = fn._sphere_quotients(pd)
-    stacked = fn._sphere_descent(u, pd, alpha, value_at, direction, iters, 1e-10, tags, mass_exp)
+    admit, direction = fn._sphere_quotients(pd, alpha)
+
+    def descend(u, tags):
+        return fn._sobolev_descent(admit(None, u, tags), admit, direction, pd.grid, iters, 1e-10)
+
+    stacked = descend(u, tags)
     for i in range(len(u)):
-        alone = fn._sphere_descent(
-            u[i : i + 1], pd, alpha, value_at, direction, iters, 1e-10, tags[i : i + 1], mass_exp
-        )
+        alone = descend(u[i : i + 1], tags[i : i + 1])
         for got, ref in zip(stacked, alone):
             assert got[i].tobytes() == ref[0].tobytes()
 
@@ -738,21 +740,18 @@ def ray_cases(draw):
     return pd, alpha, u, h * (np.linalg.norm(u) / np.linalg.norm(h))
 
 
-def sphere_max_callbacks(pd):
-    """value_at, direction and mass exponents of `solve_sphere_max`, caught from a one-search solve.
-
-    Sphere maximization keeps the problem's q, so its mass exponents are None.
-    """
+def sphere_max_callbacks(pd, alpha):
+    """admit and direction of `solve_sphere_max` at level alpha, caught from a one-search solve."""
     caught = []
 
-    def spy(u, pd_, alpha, value_at, direction, *rest):
-        caught.append((value_at, direction, None))
-        return descend(u, pd_, alpha, value_at, direction, *rest)
+    def spy(start, admit, direction, *rest):
+        caught.append((admit, direction))
+        return descend(start, admit, direction, *rest)
 
-    descend = solvers._sphere_descent
+    descend = solvers._sobolev_descent
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_sphere_descent", spy)
-        solvers.solve_sphere_max(pd, 1.0, solvers.SolverConfig(max_iters=1))
+        mp.setattr(solvers, "_sobolev_descent", spy)
+        solvers.solve_sphere_max(pd, alpha, solvers.SolverConfig(max_iters=1))
     return caught[0]
 
 
@@ -768,24 +767,18 @@ def test_sphere_directions_are_ray_gradients(case):
     """
     pd, alpha, u, h = case
     grid = pd.grid
-    survey = fn._sphere_quotients(pd)
-    objectives = [(sphere_max_callbacks(pd), None)]
+    survey = fn._sphere_quotients(pd, alpha)
+    objectives = [(sphere_max_callbacks(pd, alpha), None)]
     objectives += [(survey, np.array([[tag]])) for tag in SURVEY_OBJECTIVES]
     eps = 1e-5
 
-    def ray_value(value_at, mass_exp, v, tags):
-        pt = fn._Point(v[None], pd, None if mass_exp is None else mass_exp(tags))
-        return value_at(pt, pt.sphere_scale(alpha), tags)
-
-    for (value_at, direction, mass_exp), tags in objectives:
-        ctx = ray_value(value_at, mass_exp, u, tags)[2]
+    for (admit, direction), tags in objectives:
+        ctx = admit(None, u[None], tags)[3]
         d, weight, _ = direction(u[None], ctx)
         d = d[0]
         assert np.all(d[grid.boundary_mask] == 0.0)
         assert abs(np.vdot(d, u)) <= 1e-10 * np.linalg.norm(d) * np.linalg.norm(u)
-        up, down = (
-            ray_value(value_at, mass_exp, u + s * eps * h, tags)[0][0] for s in (1.0, -1.0)
-        )
+        up, down = (admit(None, (u + s * eps * h)[None], tags)[1][0] for s in (1.0, -1.0))
         slope = np.vdot(d, h)
         assert abs((up - down) / (2.0 * eps) - slope) <= 1e-5 * np.linalg.norm(d) * np.linalg.norm(h)
         # in 1D and 2D the step's metric is the floored Hessian weight of G at u
@@ -803,23 +796,19 @@ def strong_survey(monkeypatch, n):
     x = grid.cell_midpoints()[0]
     pd = make_pd(grid, 2.6 + 0.8 * x, 1.5 + 0.7 * x * x, C_embed=1.0)
     searches, residuals, ticks = [], [], []
-    descend, sobolev = fn._sphere_descent, fn._sobolev_descent
+    descend = fn._sobolev_descent
 
-    def counting(u, pd_, alpha, value_at, direction, *rest):
-        out = descend(u, pd_, alpha, value_at, direction, *rest)
-        searches.extend(out[3].tolist())  # one count per row of the lockstep stack
-        residuals.extend(direction(out[0], out[2])[2].tolist())  # rows are batch-independent
-        return out
-
-    def ticking(start, admit, *rest):
+    def counting(start, admit, direction, *rest):
         def admit_counted(*args):
             ticks.append(1)
             return admit(*args)
 
-        return sobolev(start, admit_counted, *rest)
+        out = descend(start, admit_counted, direction, *rest)
+        searches.extend(out[3].tolist())  # one count per row of the lockstep stack
+        residuals.extend(direction(out[0], out[2])[2].tolist())  # rows are batch-independent
+        return out
 
-    monkeypatch.setattr(fn, "_sphere_descent", counting)
-    monkeypatch.setattr(fn, "_sobolev_descent", ticking)
+    monkeypatch.setattr(fn, "_sobolev_descent", counting)
     return rayleigh_extrema(pd, 1.0), searches, residuals, len(ticks)
 
 
@@ -1013,11 +1002,12 @@ def test_survey_directions_match_the_term_formulas(case):
     One stack carries the three objectives as rows at the same point:
     psi/phi and G/F with the problem's exponents, and psi/phi with q = p.
     """
-    pd, u, _ = case
-    value_at, direction, mass_exp = fn._sphere_quotients(pd)
-    stack = np.stack([u, u, u])
+    pd, u, alpha = case
+    admit, direction = fn._sphere_quotients(pd, alpha)
     tags = np.array([[tag] for tag in SURVEY_OBJECTIVES])
-    val, _, snap = value_at(fn._Point(stack, pd, mass_exp(tags)), np.ones(3), tags)
+    # the three rows share u's sphere scale, so they stand at one point, u scaled onto G = alpha
+    stack, val, _, snap = admit(None, np.stack([u, u, u]), tags, [0, 0, 0])
+    u = stack[0]
     ray, weight, res = direction(stack, snap)
     for row in weight:  # the metric weight depends on p and u only: one for all three rows
         assert np.allclose(row, reference_metric_weight(u, pd), rtol=1e-14, atol=0.0)
@@ -1058,9 +1048,9 @@ def test_survey_validates_no_point_it_builds(monkeypatch):
 
     quotients = fn._sphere_quotients
 
-    def counting_quotients(pd_):
-        value_at, direction, mass_exp = quotients(pd_)
-        return value_at, counted(direction, "direction"), mass_exp
+    def counting_quotients(pd_, alpha):
+        admit, direction = quotients(pd_, alpha)
+        return admit, counted(direction, "direction")
 
     monkeypatch.setattr(fn, "require_dirichlet", counted(fn.require_dirichlet, "validate"))
     monkeypatch.setattr(fn, "_sphere_quotients", counting_quotients)

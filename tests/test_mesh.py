@@ -59,6 +59,17 @@ def test_grid_validation():
         StructuredGrid((9, 9), (0.1, 0.1), (True,))
     with pytest.raises(ValueError, match="needs a 2D grid"):
         StructuredGrid((9,), (0.1,), (True,))
+    for extents in ((65.7,), (True, 5), ("65",)):
+        with pytest.raises(ValueError, match="extents must be integers"):
+            StructuredGrid(extents, (0.1,) * len(extents))
+    for h in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StructuredGrid((5,), (h,))
+    for cfg, key in (({"extents": [1]}, "extents"), ({"extents": 65}, "extents"),
+                     ({"extents": [5], "lengths": [float("nan")]}, "lengths"),
+                     ({"extents": [5], "lengths": [True]}, "lengths")):
+        with pytest.raises(ValueError, match=f"config {key} must be"):
+            grid_from_config(cfg)
 
 
 def test_grid_config_round_trip():
@@ -359,7 +370,7 @@ def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
 
     Applied to the half of a mirror-even (class 0) or mirror-odd (class 1)
     vector, with the centre node of an odd-length interior at half its
-    value, forward.T gives the DST-I entries of that class (the others
+    value, 2 * backward.T gives the DST-I entries of that class (the others
     vanish); applied to the class entries of a spectrum, backward gives the
     first half of its DST-I.
     """
@@ -367,9 +378,9 @@ def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
     blocks, _ = rectangle_grid((nx, ny)).riesz_blocks
     for n, pair in zip((nx, ny), blocks):
         m = n - 2
-        for c, (forward, backward) in enumerate(pair):
+        for c, backward in enumerate(pair):
             k = (m + 1 - c) // 2
-            assert forward.shape == backward.shape == (k, k)
+            assert backward.shape == (k, k)
             if k == 0:  # one interior node: the odd class is empty
                 continue
             half = rng.standard_normal(k)
@@ -380,7 +391,7 @@ def test_riesz_blocks_match_scipy_dst(nx, ny, seed):
             assert np.all(np.abs(ref[1 - c :: 2]) <= 1e-13 * np.max(np.abs(ref)))
             if m % 2 and c == 0:
                 half[-1] *= 0.5  # the centre node is its own mirror partner
-            assert np.max(np.abs(forward.T @ half - ref[c::2])) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(2.0 * backward.T @ half - ref[c::2])) <= 1e-13 * np.max(np.abs(ref))
             coef = np.zeros(m)
             coef[c::2] = rng.standard_normal(k)
             ref = scipy.fft.dst(coef, type=1)[:k]
