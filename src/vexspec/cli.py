@@ -1,5 +1,11 @@
 """Command line front end: JSON config in, JSON report (plus CSV/dumps) out.
 
+Only this module knows the config format.  One schema table gives each key
+of the top level and of every section its JSON kind, and each command its
+top-level keys with a default or required.  `run` checks a config against
+it before any work starts; an unknown, ill-typed or missing key raises a
+ValueError that names it, and `main` exits 2 with that message.
+
 Reports are deterministic: identical config and seed reproduce the JSON
 byte for byte, so wall-clock timing goes to stderr rather than the report.
 """
@@ -11,7 +17,6 @@ import json
 import math
 import sys
 import time
-import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -25,7 +30,7 @@ from .functionals import (
     make_problem,
     rayleigh_extrema,
 )
-from .mesh import apply_dirichlet, grid_from_config, gradient, gradient_magnitude
+from .mesh import StructuredGrid, apply_dirichlet, gradient, gradient_magnitude
 from .solvers import (
     SolverConfig,
     _family_gaps,
@@ -40,28 +45,97 @@ from .spaces import exponent_field, luxemburg_norm, modular
 
 __all__ = ["run", "main", "build_problem", "write_nodal", "read_nodal"]
 
-COMMANDS = (
-    "norms",
-    "energies",
-    "solve-sublinear",
-    "solve-superlinear",
-    "sphere-max",
-    "sweep",
-    "family",
-    "rayleigh",
-    "lambda-alpha",
-)
+_REQUIRED = "required"
 
-# keywords of make_problem that the `constants` section may set
-CONSTANT_KEYS = {
-    "C_H": float,
-    "C_embed": float,
-    "V_norm": float,
-    "embed_trials": int,
-    "embed_seed": int,
+# The config schema.  _SCHEMA gives each key of the top level ("config") and of every section
+# the JSON kind of its value.  _DEFAULTS gives the CLI's default, or _REQUIRED, of the top
+# level for every command, of the problem section, and of each command's top-level keys, the
+# only ones it reads.  Any other key is optional; the code that reads it holds its default.
+_SCHEMA = {
+    "config": {
+        "problem": "object", "constants": "object", "solver": "object",
+        "alpha": "number", "lambda": "number", "lambdas": "numbers", "mu": "number",
+        "radii": "numbers", "tol": "number", "trials": "integer", "u": "expression",
+    },
+    "problem": {
+        "extents": "extents", "lengths": "lengths",
+        "p": "expression", "q": "expression", "s": "expression", "V": "expression",
+    },
+    "constants": {
+        "C_H": "number", "C_embed": "number", "V_norm": "number",
+        "embed_trials": "integer", "embed_seed": "integer",
+    },
+    "solver": {"max_iters": "integer", "grad_tol": "number", "seed": "integer"},
 }
+_DEFAULTS = {
+    "config": {"problem": _REQUIRED},
+    "problem": {"extents": _REQUIRED, "p": _REQUIRED, "q": _REQUIRED, "s": _REQUIRED, "V": "1"},
+    "norms": {"u": _REQUIRED, "tol": 1e-12},
+    "energies": {"u": _REQUIRED, "lambda": 0.0},
+    "solve-sublinear": {"alpha": _REQUIRED, "lambda": _REQUIRED},
+    "solve-superlinear": {"alpha": _REQUIRED, "lambda": _REQUIRED},
+    "sphere-max": {"alpha": _REQUIRED},
+    "sweep": {"lambdas": _REQUIRED, "alpha": 1.0},
+    "family": {"mu": _REQUIRED, "radii": _REQUIRED},
+    "rayleigh": {"alpha": 1.0, "trials": 6},
+    "lambda-alpha": {"alpha": _REQUIRED},
+}
+COMMANDS = tuple(name for name in _DEFAULTS if name not in _SCHEMA)
 
 CSV_COLUMNS = ("lambda", "residual", "u_norm", "I_value", "iterations", "mechanism", "converged")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_list(test, longest=math.inf):
+    return lambda v: isinstance(v, list) and 0 < len(v) <= longest and all(map(test, v))
+
+
+# what a value of each JSON kind must be, and its test; booleans are no numbers
+_KINDS = {
+    "integer": ("an integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "numbers": ("a non-empty list of finite numbers", _is_list(_is_number)),
+    "expression": ("an expression string", lambda v: isinstance(v, str)),
+    "extents": ("a list of 1 or 2 integers >= 3", _is_list(lambda n: _is_int(n) and n >= 3, 2)),
+    "lengths": ("a list of finite numbers > 0", _is_list(lambda x: _is_number(x) and x > 0)),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+
+
+def _checked(value, kind: str, where: str) -> None:
+    """A ValueError naming `where` unless value is of the JSON kind."""
+    name, ok = _KINDS[kind]
+    if not ok(value):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+
+
+def _section(config: dict, name: str, command: str | None = None) -> dict:
+    """The config section `name`, or the top level for name "config", checked against the
+    schema: an unknown key, a value not of its key's kind or a missing required key raises
+    a ValueError that names the key.  The copy returned has the CLI's defaults filled in,
+    at the top level those of `command`."""
+    values = config if name == "config" else config.get(name, {})
+    _checked(values, "object", f"config key {name!r}")
+    kinds = _SCHEMA[name]
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    for key, value in values.items():
+        _checked(value, kinds[key], f"{name} key {key!r}")
+    checked = dict(values)
+    for key, default in {**_DEFAULTS.get(name, {}), **_DEFAULTS.get(command, {})}.items():
+        if key not in checked:
+            if default is _REQUIRED:
+                raise ValueError(f"missing {name} key {key!r}")
+            checked[key] = default
+    return checked
 
 
 def _load_exponent(grid, expr: str, name: str):
@@ -78,12 +152,18 @@ def _load_exponent(grid, expr: str, name: str):
 
 def build_problem(config: dict) -> ProblemData:
     """Assemble ProblemData from the `problem` (and `constants`) sections."""
-    prob = config["problem"]
-    grid = grid_from_config(prob)
+    prob = _section(config, "problem")
+    constants = _section(config, "constants")
+    extents = prob["extents"]
+    lengths = prob.get("lengths", [1.0] * len(extents))
+    if len(lengths) != len(extents):
+        raise ValueError(f"problem key 'lengths' must be {_KINDS['lengths'][0]}, one per axis "
+                         f"of 'extents' {extents}, got {lengths!r}")
+    grid = StructuredGrid(tuple(extents), tuple(l / (n - 1) for l, n in zip(lengths, extents)))
     p = _load_exponent(grid, prob["p"], "p")
     q = _load_exponent(grid, prob["q"], "q")
     s = _load_exponent(grid, prob["s"], "s")
-    V = evaluate_on_cells(prob.get("V", "1"), grid)
+    V = evaluate_on_cells(prob["V"], grid)
     if np.any(V <= 0.0):
         idx = tuple(map(int, np.unravel_index(int(np.argmin(V)), V.shape)))
         coords = tuple(float(c[idx]) for c in grid.cell_midpoints())
@@ -91,68 +171,14 @@ def build_problem(config: dict) -> ProblemData:
             f"weight V must be positive everywhere; value {V[idx]} at cell {idx} "
             f"(midpoint {coords})"
         )
-    constants = _section(config, "constants", CONSTANT_KEYS)
     return make_problem(grid, p, q, s, V, **constants)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# what each JSON kind of a config value must be, and its test; booleans are no numbers
-_KINDS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", _is_number),
-    list: ("a non-empty list of finite numbers",
-           lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v))),
-}
-
-
-def _checked(value, kind, where: str):
-    """value if it is of the JSON kind (int, float or list), else a ValueError naming `where`."""
-    name, ok = _KINDS[kind]
-    if not ok(value):
-        raise ValueError(f"{where} must be {name}, got {value!r}")
-    return value
-
-
-def _option(config: dict, key: str, kind, *default):
-    """The command-level config value `key`, checked for its kind; a missing key
-    takes the default, or raises KeyError when there is none."""
-    if key not in config and default:
-        return default[0]
-    return _checked(config[key], kind, f"config key {key!r}")
-
-
-def _section(config: dict, name: str, kinds: dict) -> dict:
-    """Copy of the optional config section `name`, typed by kinds[key].
-
-    A value of kind float must be a finite number, one of kind int an
-    integer; booleans are neither.  Unknown keys are rejected.
-    """
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a JSON object")
-    unknown = sorted(set(section) - set(kinds))
-    if unknown:
-        raise ValueError(f"unknown {name} keys {unknown}")
-    for key, value in section.items():
-        _checked(value, kinds[key], f"{name} key {key!r}")
-    return dict(section)
-
-
 def _solver_config(config: dict, seed_override) -> SolverConfig:
-    solver = _section(config, "solver", typing.get_type_hints(SolverConfig))
+    solver = _section(config, "solver")
     if seed_override is not None:
         solver["seed"] = int(seed_override)
     return SolverConfig(**solver)
-
-
-def _nodal_from_expr(config: dict, pd: ProblemData) -> np.ndarray:
-    if "u" not in config:
-        raise ValueError("this command needs a nodal expression under key 'u'")
-    u = evaluate_on_nodes(config["u"], pd.grid)
-    return apply_dirichlet(u, pd.grid)
 
 
 def _pair_payload(pair, row) -> dict:
@@ -204,17 +230,16 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
     """Execute one command; returns (report dict, exit code)."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
-    if "problem" not in config:
-        raise ValueError("config needs a 'problem' section")
-    pd = build_problem(config)
+    opts = _section(config, "config", command)
     cfg = _solver_config(config, seed)
+    pd = build_problem(config)
     results: dict = {}
     exit_code = 0
     dumps = {}
 
     if command == "norms":
-        u = _nodal_from_expr(config, pd)
-        tol = _option(config, "tol", float, 1e-12)
+        u = apply_dirichlet(evaluate_on_nodes(opts["u"], pd.grid), pd.grid)
+        tol = opts["tol"]
         vol = pd.grid.cell_volume
         from .mesh import cell_values
 
@@ -228,17 +253,15 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             "weight_norm_s": pd.V_norm,
         }
     elif command == "energies":
-        u = _nodal_from_expr(config, pd)
-        lam = _option(config, "lambda", float, 0.0)
-        results = asdict(energies(u, pd, lam))
+        u = apply_dirichlet(evaluate_on_nodes(opts["u"], pd.grid), pd.grid)
+        results = asdict(energies(u, pd, opts["lambda"]))
     elif command in ("solve-sublinear", "solve-superlinear", "sphere-max"):
-        alpha = _option(config, "alpha", float)
         if command == "solve-sublinear":
-            pair = solve_sublinear(pd, alpha, _option(config, "lambda", float), cfg)
+            pair = solve_sublinear(pd, opts["alpha"], opts["lambda"], cfg)
         elif command == "solve-superlinear":
-            pair = solve_mountain_pass(pd, alpha, _option(config, "lambda", float), cfg)
+            pair = solve_mountain_pass(pd, opts["alpha"], opts["lambda"], cfg)
         else:
-            pair = solve_sphere_max(pd, alpha, cfg)
+            pair = solve_sphere_max(pd, opts["alpha"], cfg)
         results = _pair_payload(pair, _sweep_row(pair, pd))
         if command == "sphere-max":
             results["first_level"] = pair.snapshot.F
@@ -247,15 +270,14 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
         if out:
             dumps[_sibling(out, ".u.txt")] = pair.u
     elif command == "sweep":
-        lambdas = _option(config, "lambdas", list)
-        report = spectrum_sweep(pd, lambdas, _option(config, "alpha", float, 1.0), cfg)
+        report = spectrum_sweep(pd, opts["lambdas"], opts["alpha"], cfg)
         results = {"rows": [asdict(r) for r in report.rows]}
         if not report.all_converged:
             exit_code = 3
         if out:
             _write_csv(_sibling(out, ".csv"), report.rows)
     elif command == "family":
-        pairs = eigenfamily(pd, _option(config, "mu", float), _option(config, "radii", list), cfg)
+        pairs = eigenfamily(pd, opts["mu"], opts["radii"], cfg)
         rows = [_sweep_row(p, pd) for p in pairs]
         results = {"pairs": [_pair_payload(p, row) for p, row in zip(pairs, rows)]}
         gaps = _family_gaps(pairs, pd)
@@ -269,12 +291,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             for k, p in enumerate(pairs):
                 dumps[_sibling(out, f".u{k}.txt")] = p.u
     elif command == "rayleigh":
-        report = rayleigh_extrema(
-            pd,
-            _option(config, "alpha", float, 1.0),
-            _option(config, "trials", int, 6),
-            seed=cfg.seed,
-        )
+        report = rayleigh_extrema(pd, opts["alpha"], opts["trials"], seed=cfg.seed)
         results = {
             "nu_star": report.nu_star,
             "nu_sup": report.nu_sup,
@@ -283,7 +300,7 @@ def run(command: str, config: dict, *, out: str | None = None, seed: int | None 
             "trials": report.trials,
         }
     elif command == "lambda-alpha":
-        info = lambda_alpha_detail(pd, _option(config, "alpha", float))
+        info = lambda_alpha_detail(pd, opts["alpha"])
         results = {"value": info.value, "branch": info.branch, "alpha": info.alpha}
 
     report = {
@@ -336,9 +353,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, exit_code = run(args.command, config, out=args.out, seed=args.seed)
-    except KeyError as exc:
-        print(f"vexspec: error: missing config key {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError) as exc:
         print(f"vexspec: error: {exc}", file=sys.stderr)
         return 2

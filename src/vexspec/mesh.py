@@ -37,7 +37,6 @@ __all__ = [
     "StructuredGrid",
     "interval_grid",
     "rectangle_grid",
-    "grid_from_config",
     "check_grid_function",
     "apply_dirichlet",
     "require_dirichlet",
@@ -235,25 +234,6 @@ def rectangle_grid(extents, lengths=(1.0, 1.0)) -> StructuredGrid:
 def _is_extent(n) -> bool:
     """Whether n is an integer of at least 3 (nodes); booleans are none."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 3
-
-
-def _is_length(x) -> bool:
-    """Whether x is a finite positive number; booleans are none."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
-
-
-def grid_from_config(cfg: dict) -> StructuredGrid:
-    """The grid of a config's problem section, its values checked before they are divided."""
-    extents = cfg["extents"]
-    if not (isinstance(extents, list) and extents and all(map(_is_extent, extents))):
-        raise ValueError(f"config extents must be a list of integers >= 3, got {extents!r}")
-    lengths = cfg.get("lengths", [1.0] * len(extents))
-    if not (isinstance(lengths, list) and all(map(_is_length, lengths))):
-        raise ValueError(f"config lengths must be a list of finite numbers > 0, got {lengths!r}")
-    if len(lengths) != len(extents):
-        raise ValueError("config lengths and extents disagree in dimension")
-    spacing = tuple(l / (n - 1) for l, n in zip(lengths, extents))
-    return StructuredGrid(tuple(extents), spacing)
 
 
 def _stacked(x: np.ndarray, trailing: tuple) -> bool:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vexspec import energies, residual
+from vexspec import SolverConfig, energies, make_problem, rectangle_grid, residual
+from vexspec import cli
 from vexspec.cli import build_problem, main, read_nodal, run, write_nodal
 from vexspec.expressions import evaluate_on_nodes
 from vexspec.mesh import apply_dirichlet
@@ -325,6 +326,13 @@ def test_missing_config_sections(tmp_path, capsys):
     path = write_config(tmp_path, {"problem": dict(BASE_PROBLEM)}, "nolam.json")
     assert main(["solve-sublinear", "--config", str(path)]) == 2
     assert "missing config key" in capsys.readouterr().err
+    # run and build_problem name a missing key in a ValueError, not a bare KeyError
+    cfg = sublinear_config()
+    del cfg["lambda"], cfg["problem"]["p"]
+    with pytest.raises(ValueError, match="missing config key 'lambda'"):
+        run("solve-sublinear", cfg)
+    with pytest.raises(ValueError, match="missing problem key 'p'"):
+        build_problem(cfg)
 
 
 def test_unknown_solver_key_exits_with_diagnostic(tmp_path, capsys):
@@ -418,22 +426,85 @@ def test_mistyped_command_value_exits_with_diagnostic(tmp_path, capsys, command,
     "key, value",
     [
         ("extents", [1]),
+        ("extents", [5, 5, 5]),
         ("extents", [True, 5]),
         ("extents", 65),
         ("extents", [65.7]),
         ("extents", ["65"]),
         ("lengths", [float("nan")]),
         ("lengths", [float("inf")]),
+        ("lengths", [True]),
+        ("lengths", [1.0, 1.0]),
     ],
-    ids=["extents-one", "extents-bool", "extents-scalar", "extents-float", "extents-str",
-         "lengths-nan", "lengths-inf"],
+    ids=["extents-one", "extents-3d", "extents-bool", "extents-scalar", "extents-float",
+         "extents-str", "lengths-nan", "lengths-inf", "lengths-bool", "lengths-dim"],
 )
 def test_invalid_grid_exits_with_diagnostic(tmp_path, capsys, key, value):
     """Grid values are checked where they enter, before a spacing is divided out."""
     cfg = sublinear_config(constants={"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0})
     cfg["problem"][key] = value
     assert main(["lambda-alpha", "--config", str(write_config(tmp_path, cfg))]) == 2
-    assert f"config {key} must be a list of" in capsys.readouterr().err
+    kind = {"extents": "a list of 1 or 2 integers >= 3",
+            "lengths": "a list of finite numbers > 0"}[key]
+    assert f"problem key {key!r} must be {kind}" in capsys.readouterr().err
+
+
+def test_build_problem_grid_from_extents_and_lengths():
+    """The grid has the configured extents and side lengths, unit lengths when none are set."""
+    cfg = sublinear_config(constants={"C_H": 1.0, "C_embed": 1.0, "V_norm": 1.0})
+    cfg["problem"].update(extents=[7, 5], lengths=[1.5, 2.0])
+    assert build_problem(cfg).grid == rectangle_grid((7, 5), (1.5, 2.0))
+    del cfg["problem"]["lengths"]
+    assert build_problem(cfg).grid == rectangle_grid((7, 5))
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("lambda-alpha", "problem", "p", 3, "problem key 'p' must be an expression string, got 3"),
+        ("lambda-alpha", "problem", "p", None, "problem key 'p' must be an expression string"),
+        ("lambda-alpha", "problem", "p", ["3"], "problem key 'p' must be an expression string"),
+        ("lambda-alpha", "problem", "V", 1, "problem key 'V' must be an expression string, got 1"),
+        ("energies", None, "u", 0, "config key 'u' must be an expression string, got 0"),
+        ("lambda-alpha", None, "problem", [1], "config key 'problem' must be a JSON object"),
+        ("lambda-alpha", "problem", "bogus", 1, "unknown problem keys ['bogus']"),
+        ("lambda-alpha", None, "lamdas", [1.0], "unknown config keys ['lamdas']"),
+    ],
+    ids=["p-int", "p-null", "p-list", "V-int", "u-int", "problem-list", "problem-unknown",
+         "top-level-unknown"],
+)
+def test_bad_config_key_exits_before_any_work(tmp_path, capsys, monkeypatch, command, section,
+                                              key, value, message):
+    """The top level and every section are checked against the schema before make_problem
+    runs: an ill-typed or unknown key exits 2 with a message that names it."""
+    cfg = json.loads((CONFIGS / "sweep_sublinear.json").read_text())
+    (cfg[section] if section else cfg)[key] = value
+    monkeypatch.setattr(cli, "make_problem", None)
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config_passes_the_schema(path):
+    """Each shipped config has only known keys of the right kinds, at the top level and in
+    every section."""
+    cfg = json.loads(path.read_text())
+    for name in cli._SCHEMA:
+        cli._section(cfg, name)
+
+
+def test_schema_sections_match_the_code_they_configure():
+    """The constants are make_problem's keywords, the solver keys SolverConfig's fields, and
+    every top-level key but the sections is read by some command."""
+    import dataclasses
+    import inspect
+
+    keywords = [p.name for p in inspect.signature(make_problem).parameters.values()
+                if p.kind is p.KEYWORD_ONLY]
+    assert list(cli._SCHEMA["constants"]) == keywords
+    assert list(cli._SCHEMA["solver"]) == [f.name for f in dataclasses.fields(SolverConfig)]
+    read = set().union(*(cli._DEFAULTS[command] for command in cli.COMMANDS))
+    assert read == set(cli._SCHEMA["config"]) - {"problem", "constants", "solver"}
 
 
 def sphere_config(n=33):

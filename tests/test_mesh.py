@@ -26,7 +26,6 @@ from vexspec.mesh import (
     cell_values_adjoint,
     gradient_adjoint,
     gradient_magnitude,
-    grid_from_config,
     require_dirichlet,
     riesz_solve,
 )
@@ -65,18 +64,6 @@ def test_grid_validation():
     for h in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             StructuredGrid((5,), (h,))
-    for cfg, key in (({"extents": [1]}, "extents"), ({"extents": 65}, "extents"),
-                     ({"extents": [5], "lengths": [float("nan")]}, "lengths"),
-                     ({"extents": [5], "lengths": [True]}, "lengths")):
-        with pytest.raises(ValueError, match=f"config {key} must be"):
-            grid_from_config(cfg)
-
-
-def test_grid_config_round_trip():
-    g = rectangle_grid((7, 5), (1.5, 2.0))
-    assert grid_from_config({"extents": [7, 5], "lengths": [1.5, 2.0]}) == g
-    with pytest.raises(ValueError, match="disagree"):
-        grid_from_config({"extents": [5, 5], "lengths": [1.0]})
 
 
 def test_node_and_cell_coordinates():
