@@ -798,13 +798,15 @@ _FLOAT_FLOOR_ULPS = 8.0
 class _Row:
     """Control state of one row of a lockstep descent: its point's scalars and its search."""
 
-    __slots__ = ("index", "value", "scale", "res", "step", "used", "terminal", "prev", "fresh",
-                 "floor", "length", "left")
+    __slots__ = ("index", "value", "scale", "res", "used", "terminal", "length", "left")
 
     def __init__(self, index, value, scale, res):
         self.index, self.value, self.scale, self.res = index, value, scale, res
-        self.step, self.used, self.floor, self.length, self.left = 1.0, 0, 0.0, 0.0, 0
-        self.terminal, self.prev, self.fresh = False, False, True
+        self.used, self.terminal, self.length, self.left = 0, False, 0.0, 0
+
+    def search(self, step):
+        """Start the row's next search of 60 trials at length step."""
+        self.used, self.length, self.left = self.used + 1, step, 60
 
 
 def _take(x, idx, n):
@@ -821,20 +823,6 @@ def _put(x, idx, y, n):
     x = x.copy()
     x[idx] = y
     return x
-
-
-def _move(stack: dict, acc: list, n: int, **new) -> None:
-    """Move the accepted rows acc of the stack to their new point and direction.
-
-    Their old point, direction and step become the Barzilai-Borwein reference.
-    """
-    if len(acc) == n:
-        stack.update(prev_u=stack["u"], prev_d=stack["d"], prev_pdir=stack["pdir"], **new)
-        return
-    for key in ("u", "d", "pdir"):
-        stack["prev_" + key] = _put(stack["prev_" + key], acc, stack[key][acc], n)
-    for key, rows in new.items():
-        stack[key] = _put(stack[key], acc, rows, n)
 
 
 def _retire(rows, stack, gone, out):
@@ -855,17 +843,15 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     start = (u, value, scale, ctx) holds the k first points: u of shape
     (k,) + grid.shape, value and scale arrays of k, ctx an array (of
     objects, say) with a leading axis of k, or None.  A fifth entry, if
-    given, is the hook first(u, pdir): called once, on the tick where the
-    rows that did not stop at their start build their first steps pdir,
-    it returns one first trial length per row of that stack (else each
-    is 1).  One row is a stack of one: the callbacks take stacks of the
-    unfinished rows and return per-row arrays.
+    given, is the hook first(u, pdir): called once, on the start rows that
+    do not stop there and their first steps pdir, it returns one first
+    trial length per row (else each is 1).  One row is a stack of one: the
+    callbacks take stacks of the unfinished rows and return per-row arrays.
     direction(u, ctx) gives the nodal gradients d, the metric weights W
     (`_Point.metric_weight`, or None for H^1_0) and the stop residuals.
-    The step rule is the skeleton's: the Sobolev steps pdir =
-    riesz_solve(d, grid, W), in the metric of G's Hessian at the point
-    (exact in 1D, a fixed Chebyshev step in 2D), are built only at
-    accepted points.  admit(u, raw, ctx) maps
+    The steps are the Sobolev steps pdir = riesz_solve(d, grid, W), in the
+    metric of G's Hessian at the point (exact in 1D, a fixed Chebyshev step
+    in 2D).  admit(u, raw, ctx) maps
     trials onto the feasible set as (point, value, scale, ctx), with value
     NaN where it rejects a trial; the ctx it is handed is that of the rows'
     current points, so per-row data carried in ctx (the survey's
@@ -887,53 +873,38 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
     acceptance no other trial of the row is.  A
     zero trial has no image on the feasible set and is a miss.  A row
     stops at residual <= tol, when all 60 trials of a search miss, or after
-    iters searches, and leaves the stack.  One tick gives every unfinished row its next trial:
-    all trials go through one admit call, those that pass the value test
-    through one direction call, and the rows that start a search through
-    one riesz_solve call.  Every kernel under them works row by row, so a
-    row's result does not depend on the rest of its batch.  Returns (u,
-    value, ctx, searches), stacked like start.
+    iters searches, and leaves the stack.  A row that accepts a point and
+    goes on builds its step there and the first length of its next search,
+    while both ends of the step are at hand, so the stack holds only each
+    row's u, ctx, d and pdir, and a row its point's scalars and its search.
+    One tick retires the rows with no trial left and gives every other row
+    its next trial: all trials go through one admit call, those that pass
+    the value test through one direction call, and the accepted rows that
+    go on through one riesz_solve call.  Every kernel under them works row
+    by row, so a row's result does not depend on the rest of its batch.
+    Returns (u, value, ctx, searches), stacked like start.
     """
     u, value, scale, ctx, *first = start
     k, dim = len(u), u.ndim - 1
     out = (np.empty_like(u), np.empty(k), None if ctx is None else np.empty_like(ctx),
            np.zeros(k, dtype=int))
-    d, aux, res = direction(u, ctx)
-    # the step and the Barzilai-Borwein reference are placeholders until they are built
-    stack = dict(u=u, ctx=ctx, d=d, aux=aux, pdir=d, prev_u=u, prev_d=d, prev_pdir=d)
+    d, weight, res = direction(u, ctx)
     rows = list(map(_Row, range(k), value.tolist(), scale.tolist(), res.tolist()))
+    go = [i for i, r in enumerate(rows) if r.used < iters and r.res > tol]
+    pdir = d  # the rows that stop at their start take no step
+    if go:
+        steps = riesz_solve(_take(d, go, k), grid, _take(weight, go, k))
+        pdir = _put(d, go, steps, k)
+        lengths = first[0](_take(u, go, k), steps) if first else [1.0] * len(go)
+        for i, length in zip(go, lengths, strict=True):
+            rows[i].search(float(length))
+    stack = dict(u=u, ctx=ctx, d=d, pdir=pdir)
     while rows:
-        n, stop, fresh = len(rows), [], []
-        for i, r in enumerate(rows):
-            if r.fresh:
-                (stop if r.used >= iters or not r.res > tol else fresh).append(i)
-            elif not r.left:  # every trial of its search missed
-                stop.append(i)
-        if stop:
-            rows, stack = _retire(rows, stack, stop, out)
+        n = len(rows)
+        gone = [i for i, r in enumerate(rows) if not r.left]  # stopped, or every trial missed
+        if gone:
+            rows, stack = _retire(rows, stack, gone, out)
             continue
-        if fresh:  # these rows start a search: their steps, trial counts and float floors
-            pdir = riesz_solve(_take(stack["d"], fresh, n), grid, _take(stack["aux"], fresh, n))
-            stack["pdir"] = _put(stack["pdir"], fresh, pdir, n)
-            if first:  # the first searches: no row has stepped, so every row left is fresh
-                for r, step in zip(rows, first.pop()(stack["u"], pdir), strict=True):
-                    r.step = float(step)
-            bb = [i for i in fresh if rows[i].prev]
-            if bb:  # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
-                du, dd, dp = (_take(stack[key], bb, n) - _take(stack["prev_" + key], bb, n)
-                              for key in ("u", "d", "pdir"))
-                secant, curvature = _dot(du, dd, dim).tolist(), _dot(dd, dp, dim).tolist()
-                for i, num, den in zip(bb, secant, curvature):
-                    if den > 0.0:  # else the fallback, 1.5 times the last hit's s, stands
-                        r, step = rows[i], num / den
-                        if 0.0 < step < math.inf:
-                            r.step = min(max(step, 1e-16), 1e12)
-                        elif num < 0.0:  # a concave stretch: at least the secant's length
-                            r.step = min(max(r.step, -step), 1e12)
-            for i in fresh:
-                r = rows[i]
-                r.used, r.fresh, r.length, r.left = r.used + 1, False, r.step, 60
-                r.floor = _FLOAT_FLOOR_ULPS * _EPS * r.scale
         lengths = [r.length for r in rows]
         for r in rows:
             r.length, r.left = 0.5 * r.length, r.left - 1
@@ -958,25 +929,48 @@ def _sobolev_descent(start, admit, direction, grid, iters, tol):
                 slopes = slopes or _dot(stack["d"], raw - u, dim).tolist()
                 ok = cand[i] <= r.value + ARMIJO * slopes[i]
             armijo.append(ok)
-            if ok or abs(cand[i] - r.value) <= r.floor:
+            if ok or abs(cand[i] - r.value) <= _FLOAT_FLOOR_ULPS * _EPS * r.scale:
                 tested.append(i)
         if not tested:
             continue
-        nd, naux, nres = direction(_take(point, tested, n), _take(cand_ctx, tested, n))
-        # at the float floor the energy test is noise: the residual decides
-        acc, acc_t = [], []
+        m = len(tested)
+        nd, weight, nres = direction(_take(point, tested, n), _take(cand_ctx, tested, n))
+        # at the float floor the energy test is noise: the residual decides; an accepted
+        # row is left no trial, unless it goes on (go: its place in acc) to a search below
+        acc, acc_t, go, go_t = [], [], [], []
         for j, (i, res) in enumerate(zip(tested, nres.tolist())):
-            if armijo[i] or res < rows[i].res:
+            r = rows[i]
+            if armijo[i] or res < r.res:
+                r.value, r.scale, r.res, r.left = cand[i], cand_scale[i], res, 0
+                r.terminal = r.terminal or not armijo[i]
+                if r.used < iters and res > tol:
+                    go.append(len(acc))
+                    go_t.append(j)
                 acc.append(i)
                 acc_t.append(j)
-                r = rows[i]
-                r.value, r.scale, r.res = cand[i], cand_scale[i], res
-                r.terminal = r.terminal or not armijo[i]
-                r.step, r.prev, r.fresh = min(1.5 * lengths[i], 1e12), True, True
-        if acc:
-            m = len(tested)
-            _move(stack, acc, n, u=_take(point, acc, n), ctx=_take(cand_ctx, acc, n),
-                  d=_take(nd, acc_t, m), aux=_take(naux, acc_t, m))
+        if not acc:
+            continue
+        new = dict(u=_take(point, acc, n), ctx=_take(cand_ctx, acc, n), d=_take(nd, acc_t, m))
+        new["pdir"] = new["d"]  # the rows that stop take no step
+        if go:
+            steps = riesz_solve(_take(nd, go_t, m), grid, _take(weight, go_t, m))
+            new["pdir"] = _put(new["d"], go, steps, len(acc))
+            # secants <du, dd> and curvatures <dd, dp>, in the metric the rows step in
+            old = [acc[a] for a in go]
+            du, dd, dp = (_take(new[key], go, len(acc)) - _take(stack[key], old, n)
+                          for key in ("u", "d", "pdir"))
+            secant, curvature = _dot(du, dd, dim).tolist(), _dot(dd, dp, dim).tolist()
+            for i, num, den in zip(old, secant, curvature):
+                step = min(1.5 * lengths[i], 1e12)  # the fallback, 1.5 times the hit
+                if den > 0.0:
+                    bb = num / den
+                    if 0.0 < bb < math.inf:
+                        step = min(max(bb, 1e-16), 1e12)
+                    elif num < 0.0:  # a concave stretch: at least the secant's length
+                        step = min(max(step, -bb), 1e12)
+                rows[i].search(step)
+        for key, rows_new in new.items():
+            stack[key] = _put(stack[key], acc, rows_new, n)
     return out
 
 

@@ -166,10 +166,12 @@ def mode_seed(pd: ProblemData, k=1) -> np.ndarray:
     the survey.
     """
     grid = pd.grid
-    freqs = (int(k),) + (1,) * (grid.dim - 1) if np.isscalar(k) else tuple(map(int, k))
-    if len(freqs) != grid.dim or any(m < 1 for m in freqs):
-        raise ValueError("mode frequencies must be positive, one per axis")
-    return _sine_mode(grid, freqs)
+    freqs = (k,) + (1,) * (grid.dim - 1) if np.isscalar(k) else tuple(k)
+    if len(freqs) != grid.dim or not all(
+        isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1 for m in freqs
+    ):
+        raise ValueError("mode frequencies must be positive integers, one per axis")
+    return _sine_mode(grid, tuple(map(int, freqs)))
 
 
 def _mode_tuples(dim: int, count: int) -> list:

@@ -247,8 +247,8 @@ def luxemburg_norm(u, p: ExponentField, cell_volumes, tol: float = 1e-12) -> Nor
     until modular(u/norm) <= 1 holds as `modular` evaluates it: the norm
     always lies on the upper side, about tol above the root.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive (got {tol})")
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("luxemburg_norm: input values must be finite")

@@ -619,6 +619,45 @@ def test_line_search_trial_order_and_hits(monkeypatch):
     assert np.array_equal(u, [np.zeros(3), np.full(3, -hit)]) and val.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "hit, a, w, first",
+    [
+        (1.0, 0.5, 1.0, 2.0),  # Barzilai-Borwein: <du, dd> / <dd, dp> = 0.5 / 0.25
+        (1.0, 1.25, 1.0, 4.0),  # concave stretch: the secant's 0.25 / 0.0625 beats 1.5 * hit
+        (1.0, 2.0, 1.0, 1.5),  # concave stretch: the secant's 1 / 1 falls below 1.5 * hit
+        (1.0, 2.0, 0.25, 1.5),  # negative curvature <dd, dp> = -0.5: the fallback 1.5 * hit
+        (1.0, 0.5, 2.0 - 2e-13, 1e12),  # Barzilai-Borwein of about 1e13, capped
+        (1e-20, 0.5, 1.0, 1e-16),  # Barzilai-Borwein of 2e-20, floored
+    ],
+)
+def test_second_search_starts_at_the_step_rule(monkeypatch, hit, a, w, first):
+    """The first length of a search after a hit: Barzilai-Borwein, the secant or 1.5 * hit.
+
+    One row starts at u = 0 with d = (0, 1, 0) and unit weights, and the
+    hook's first trial, s = hit, is accepted; there d = (0, a, 0) and W =
+    (1, w, 1), so with riesz_solve(d, grid, W) = W * d the step's changes
+    are du = (0, -hit, 0), dd = (0, a - 1, 0) and dp = (0, w a - 1, 0).
+    Every trial of the second search is rejected.
+    """
+    trials = []
+
+    def admit(u, raw, ctx):
+        trials.append(raw[0, 1])
+        return raw, np.array([0.0 if len(trials) == 1 else 2.0]), np.ones(1), ctx + 1
+
+    def direction(u, ctx):
+        if ctx[0]:
+            return np.array([[0.0, a, 0.0]]), np.array([[1.0, w, 1.0]]), np.ones(1)
+        return np.array([[0.0, 1.0, 0.0]]), np.ones((1, 3)), np.ones(1)
+
+    monkeypatch.setattr(fn, "riesz_solve", lambda d, grid, weight: weight * d)
+    start = (np.zeros((1, 3)), np.ones(1), np.ones(1), np.zeros(1, dtype=int), lambda u, p: [hit])
+    _, val, ctx, used = fn._sobolev_descent(start, admit, direction, interval_grid(3), 5, 1e-3)
+    assert trials[0] == -hit and val[0] == 0.0 and ctx[0] == 1
+    assert len(trials) == 61 and used[0] == 2
+    assert (-hit - trials[1]) / (w * a) == pytest.approx(first, rel=1e-12, abs=0.0)
+
+
 def test_first_hook_sees_the_rows_that_search(monkeypatch):
     """Row 0 starts at its stop residual and leaves before any search: the first hook is
     called once, on the one row left, and its length is that row's first trial."""

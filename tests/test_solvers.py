@@ -6,6 +6,7 @@ accepted pair must satisfy the level identity psi = lam * phi to 1e-8.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -168,8 +169,10 @@ def test_mode_seed_parity_is_exact():
             assert all(np.array_equal(u, np.flip(u, axis)) for axis in range(p.grid.dim))
     with pytest.raises(ValueError, match="one per axis"):
         mode_seed(pd2, (1, 2, 3))
-    with pytest.raises(ValueError, match="positive"):
-        mode_seed(pd, 0)
+    # a frequency is a positive integer: no zero, fraction, bool or NaN is truncated to one
+    for bad, grid_pd in ((0, pd), (2.5, pd), (True, pd), (math.nan, pd), ((1, 1.5), pd2)):
+        with pytest.raises(ValueError, match="positive integers, one per axis"):
+            mode_seed(grid_pd, bad)
 
 
 def test_mode_tuple_ordering():

@@ -8,6 +8,7 @@ relative slack unless the construction makes it exact.  The kernel itself
 is checked against scipy's brentq on the same equation.
 """
 
+import math
 import signal
 
 import numpy as np
@@ -391,5 +392,6 @@ def test_norm_input_validation():
         modular(np.ones(5), p, np.ones(4))
     with pytest.raises(ValueError, match="finite"):
         luxemburg_norm(np.array([1.0, np.nan, 0.0, 0.0, 0.0]), p, 0.1)
-    with pytest.raises(ValueError, match="tol"):
-        luxemburg_norm(np.ones(5), p, 0.1, tol=0.0)
+    for tol in (0.0, math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            luxemburg_norm(np.ones(5), p, 0.1, tol=tol)
