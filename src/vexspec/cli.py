@@ -138,16 +138,15 @@ def _section(config: dict, name: str, command: str | None = None) -> dict:
     return checked
 
 
-def _load_exponent(grid, expr: str, name: str):
+def _cell_field(grid, expr: str, floor: float, rule: str) -> np.ndarray:
+    """expr at the cell midpoints; a ValueError stating rule at the least cell unless every
+    value exceeds floor."""
     values = evaluate_on_cells(expr, grid)
-    if np.any(values <= 1.0):
+    if np.any(values <= floor):
         idx = tuple(map(int, np.unravel_index(int(np.argmin(values)), values.shape)))
         coords = tuple(float(c[idx]) for c in grid.cell_midpoints())
-        raise ValueError(
-            f"exponent {name} = {expr!r} must exceed 1 everywhere; "
-            f"value {values[idx]} at cell {idx} (midpoint {coords})"
-        )
-    return exponent_field(values)
+        raise ValueError(f"{rule}; value {values[idx]} at cell {idx} (midpoint {coords})")
+    return values
 
 
 def build_problem(config: dict) -> ProblemData:
@@ -160,17 +159,9 @@ def build_problem(config: dict) -> ProblemData:
         raise ValueError(f"problem key 'lengths' must be {_KINDS['lengths'][0]}, one per axis "
                          f"of 'extents' {extents}, got {lengths!r}")
     grid = StructuredGrid(tuple(extents), tuple(l / (n - 1) for l, n in zip(lengths, extents)))
-    p = _load_exponent(grid, prob["p"], "p")
-    q = _load_exponent(grid, prob["q"], "q")
-    s = _load_exponent(grid, prob["s"], "s")
-    V = evaluate_on_cells(prob["V"], grid)
-    if np.any(V <= 0.0):
-        idx = tuple(map(int, np.unravel_index(int(np.argmin(V)), V.shape)))
-        coords = tuple(float(c[idx]) for c in grid.cell_midpoints())
-        raise ValueError(
-            f"weight V must be positive everywhere; value {V[idx]} at cell {idx} "
-            f"(midpoint {coords})"
-        )
+    p, q, s = (exponent_field(_cell_field(grid, prob[k], 1.0, f"exponent {k} = {prob[k]!r} must "
+                                          "exceed 1 everywhere")) for k in "pqs")
+    V = _cell_field(grid, prob["V"], 0.0, "weight V must be positive everywhere")
     return make_problem(grid, p, q, s, V, **constants)
 
 

@@ -1,9 +1,13 @@
 """Tiny arithmetic expression grammar for exponent and weight fields.
 
-Supports numbers, the coordinates x and y, + - * / ^, sin, cos, exp, abs,
-min, max and parentheses.  Expressions are parsed once into a small AST and
-evaluated vectorized over coordinate arrays; all errors carry the 1-based
-column at which they were detected.
+An expression is built from numbers, the coordinates x and y, the binary operators
++ - * / ^, unary minus, parentheses, and the functions sin, cos, exp and abs (one argument)
+and min and max (two).  ^ binds tightest and groups to the right, and its exponent may
+carry a sign (2^-x); unary minus comes next (-x^2 is -(x^2)), then * and /, then + and -,
+each pair grouping to the left.  Expressions are parsed once into a small AST and evaluated
+vectorized over coordinate arrays.  Every error carries the 1-based column at which it was
+detected; an error in a value (a division by zero, or a number, operator result or function
+value that is not finite) also names the first such cell and its coordinates.
 """
 
 from __future__ import annotations
@@ -14,8 +18,21 @@ import numpy as np
 
 __all__ = ["ExpressionError", "parse", "evaluate", "evaluate_on_cells", "evaluate_on_nodes"]
 
-_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
-_BINARY = {"min": np.minimum, "max": np.maximum}
+# The binary operators: symbol -> (ufunc, precedence, what an error calls its value).  "^"
+# binds tighter than unary minus and groups to the right, so _Parser.unary takes it before
+# the precedence climb of _Parser.binary can meet it.
+_OPERATORS = {
+    "+": (np.add, 1, "sum"),
+    "-": (np.subtract, 1, "difference"),
+    "*": (np.multiply, 2, "product"),
+    "/": (np.divide, 2, "quotient"),
+    "^": (np.power, 3, "power"),
+}
+# The functions: name -> (ufunc, number of arguments)
+_FUNCTIONS = {
+    "sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1), "abs": (np.abs, 1),
+    "min": (np.minimum, 2), "max": (np.maximum, 2),
+}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -47,7 +64,7 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over: sum -> product -> unary -> power -> atom."""
+    """Recursive descent over: binary -> unary -> atom."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -66,47 +83,29 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionError(f"expected {op!r}", col)
 
-    def parse(self):
-        node = self.sum()
-        kind, value, col = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected token {value!r}", col)
-        return node
-
-    def sum(self):
-        node = self.product()
-        while True:
-            kind, value, col = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                node = ("binop", value, node, self.product(), col)
-            else:
-                return node
-
-    def product(self):
+    def binary(self, lowest: int = 1):
+        """Operands joined by operators of precedence lowest or more, left to right."""
         node = self.unary()
         while True:
-            kind, value, col = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                node = ("binop", value, node, self.unary(), col)
-            else:
+            _, value, col = self.peek()  # only an op token's value can name an operator
+            level = _OPERATORS[value][1] if value in _OPERATORS else 0
+            if level < lowest:
                 return node
+            self.next()
+            node = ("binop", value, node, self.binary(level + 1), col)
 
     def unary(self):
-        kind, value, col = self.peek()
-        if kind == "op" and value == "-":
+        """- unary, or atom ^ unary, or atom: a signed exponent, and -x^2 is -(x^2)."""
+        _, value, col = self.peek()
+        if value == "-":
             self.next()
             return ("neg", self.unary(), col)
-        return self.power()
-
-    def power(self):
         node = self.atom()
-        kind, value, col = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            return ("binop", "^", node, self.unary(), col)
-        return node
+        _, value, col = self.peek()
+        if value != "^":
+            return node
+        self.next()
+        return ("binop", "^", node, self.unary(), col)
 
     def atom(self):
         kind, value, col = self.next()
@@ -115,92 +114,71 @@ class _Parser:
         if kind == "name":
             if value in ("x", "y"):
                 return ("var", value, col)
-            if value in _UNARY:
-                self.expect_op("(")
-                arg = self.sum()
-                k2, v2, c2 = self.next()
-                if k2 == "op" and v2 == ",":
-                    raise ExpressionError(f"{value} takes exactly one argument", c2)
-                if k2 != "op" or v2 != ")":
+            if value not in _FUNCTIONS:
+                raise ExpressionError(f"unknown token {value!r}", col)
+            self.expect_op("(")
+            arity = _FUNCTIONS[value][1]
+            args = [self.binary()]
+            while True:
+                _, sep, c2 = self.next()
+                if sep == "," and len(args) < arity:
+                    args.append(self.binary())
+                elif sep == ")" and len(args) == arity:
+                    return ("call", value, *args, col)
+                elif sep == "," or len(args) < arity:
+                    count = ("one argument", "two arguments")[arity - 1]
+                    raise ExpressionError(f"{value} takes exactly {count}", c2)
+                else:
                     raise ExpressionError("expected ')'", c2)
-                return ("call1", value, arg, col)
-            if value in _BINARY:
-                self.expect_op("(")
-                a = self.sum()
-                k2, v2, c2 = self.next()
-                if k2 != "op" or v2 != ",":
-                    raise ExpressionError(f"{value} takes exactly two arguments", c2)
-                b = self.sum()
-                k3, v3, c3 = self.next()
-                if k3 == "op" and v3 == ",":
-                    raise ExpressionError(f"{value} takes exactly two arguments", c3)
-                if k3 != "op" or v3 != ")":
-                    raise ExpressionError("expected ')'", c3)
-                return ("call2", value, a, b, col)
-            raise ExpressionError(f"unknown token {value!r}", col)
         if kind == "op" and value == "(":
-            node = self.sum()
-            k2, v2, c2 = self.next()
-            if k2 != "op" or v2 != ")":
-                raise ExpressionError("expected ')'", c2)
+            node = self.binary()
+            self.expect_op(")")
             return node
         raise ExpressionError(f"unexpected token {value!r}", col)
 
 
 def parse(text: str):
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser.binary()
+    kind, value, col = parser.peek()
+    if kind != "end":
+        raise ExpressionError(f"unexpected token {value!r}", col)
+    return node
 
 
-def _locate(bad_mask: np.ndarray, coords: dict):
-    idx = tuple(map(int, np.unravel_index(int(np.argmax(bad_mask)), bad_mask.shape)))
-    where = tuple(float(np.asarray(coords[name])[idx]) for name in sorted(coords))
-    return idx, where
+def _reject(bad: np.ndarray, message: str, coords: dict, col: int) -> None:
+    """An ExpressionError naming the first cell of the mask bad, and its coords, if any."""
+    if bad.any():
+        idx = tuple(map(int, np.unravel_index(int(np.argmax(bad)), bad.shape)))
+        where = tuple(float(np.asarray(coords[name])[idx]) for name in sorted(coords))
+        raise ExpressionError(f"{message} at cell {idx} (coords {where})", col)
 
 
 def _eval(node, coords: dict):
-    kind = node[0]
-    if kind == "num":
-        return np.full(next(iter(coords.values())).shape, node[1])
+    """node's values over coords, all finite: a literal read as inf, or an operator or function
+    value that is not finite, raises at the node's column, so `evaluate` mutes numpy's warnings."""
+    kind, col = node[0], node[-1]
     if kind == "var":
-        name, col = node[1], node[2]
-        if name not in coords:
-            raise ExpressionError(f"variable {name!r} not available on this grid", col)
-        return coords[name]
+        if node[1] not in coords:
+            raise ExpressionError(f"variable {node[1]!r} not available on this grid", col)
+        return coords[node[1]]
     if kind == "neg":
         return -_eval(node[1], coords)
-    if kind == "call1":
-        name, arg, col = node[1], _eval(node[2], coords), node[3]
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = _UNARY[name](arg)
-        bad = ~np.isfinite(out)
-        if np.any(bad):  # exp overflows; sin and cos of an inf argument are NaN
-            idx, where = _locate(bad, coords)
-            raise ExpressionError(f"non-finite {name} at cell {idx} (coords {where})", col)
-        return out
-    if kind == "call2":
-        return _BINARY[node[1]](_eval(node[2], coords), _eval(node[3], coords))
-    if kind == "binop":
-        op, a, b, col = node[1], _eval(node[2], coords), _eval(node[3], coords), node[4]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            zero = b == 0.0
-            if np.any(zero):
-                idx, where = _locate(zero, coords)
-                raise ExpressionError(f"division by zero at cell {idx} (coords {where})", col)
-            return a / b
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = a**b
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            idx, where = _locate(bad, coords)
-            raise ExpressionError(f"non-finite power at cell {idx} (coords {where})", col)
-        return out
-    raise AssertionError(f"unhandled node {kind}")
+    if kind == "num":
+        out, what = np.full(next(iter(coords.values())).shape, node[1]), "number"
+    else:  # a call or a binop: (kind, name or symbol, operand..., column)
+        args = [_eval(arg, coords) for arg in node[2:-1]]
+        if kind == "call":
+            ufunc, what = _FUNCTIONS[node[1]][0], node[1]
+        else:
+            ufunc, _, what = _OPERATORS[node[1]]
+            if node[1] == "/":
+                _reject(args[1] == 0.0, "division by zero", coords, col)
+        out = ufunc(*args)
+    finite = np.isfinite(out)
+    if not finite.all():
+        _reject(~finite, f"non-finite {what}", coords, col)
+    return out
 
 
 def evaluate(text: str, coords: dict) -> np.ndarray:
@@ -211,7 +189,8 @@ def evaluate(text: str, coords: dict) -> np.ndarray:
     if len(shapes) != 1:
         raise ValueError("coordinate arrays must share one shape")
     arrays = {k: np.asarray(v, dtype=float) for k, v in coords.items()}
-    return np.asarray(_eval(parse(text), arrays), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.asarray(_eval(parse(text), arrays), dtype=float)
 
 
 def _coord_dict(grid, points) -> dict:

@@ -117,7 +117,8 @@ class SolverConfig:
     def __post_init__(self):
         _check_int(self.max_iters, "max_iters", 1)
         tol = self.grad_tol
-        if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and np.isfinite(tol) and tol > 0):
             raise ValueError(f"grad_tol must be a finite positive number (got {tol!r})")
         _check_int(self.seed, "seed", 0)
 
@@ -380,7 +381,7 @@ def solve_sphere_max(
     # defect scaled by phi/psi
     def direction(w, _):
         pt = _Point(w, qpd)
-        _, _, phi, psi = pt.energy_rows()
+        psi, phi = pt.ray(None, qpd.p.values, qpd.q.values)
         gG = pt.grad_term()
         defect = gG - _column(psi / phi, grid) * pt.mass_term()
         res = _norm(defect, grid) / _norm(gG, grid)

@@ -226,6 +226,10 @@ def _check_cells(u: np.ndarray, p: ExponentField, cell_volumes) -> np.ndarray:
     vol = np.asarray(cell_volumes, dtype=float)
     if vol.ndim and vol.shape != u.shape:
         raise ValueError(f"cell count mismatch: volumes {vol.shape} vs values {u.shape}")
+    ok = np.isfinite(vol) & (vol > 0.0)
+    if not ok.all():
+        bad = vol.flat[np.argmin(ok)]
+        raise ValueError(f"cell volumes must be finite and positive (got {bad})")
     return vol
 
 

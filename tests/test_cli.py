@@ -301,6 +301,12 @@ def test_invalid_exponent_exits_with_diagnostic(tmp_path, capsys):
     assert main(["solve-sublinear", "--config", str(path)]) == 2
     assert "column" in capsys.readouterr().err
 
+    # an overflowing literal is named at its column, not by exponent_field's finiteness check
+    bad["problem"]["p"] = "2 + 1e400"
+    path = write_config(tmp_path, bad, "bad3.json")
+    assert main(["solve-sublinear", "--config", str(path)]) == 2
+    assert "column 5: non-finite number at cell (0,)" in capsys.readouterr().err
+
 
 def test_negative_weight_rejected(tmp_path, capsys):
     bad = sublinear_config()
@@ -317,6 +323,11 @@ def test_negative_weight_rejected(tmp_path, capsys):
         assert main(["solve-sublinear", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "column 1: non-finite exp at cell (45,) (coords (0.7109375,))" in err
+    # an overflowing product is named at its column, not by make_problem's weight check
+    bad["problem"]["V"] = "1e308*10"
+    path = write_config(tmp_path, bad, "product.json")
+    assert main(["solve-sublinear", "--config", str(path)]) == 2
+    assert "column 6: non-finite product at cell (0,)" in capsys.readouterr().err
 
 
 def test_missing_config_sections(tmp_path, capsys):

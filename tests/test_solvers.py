@@ -81,11 +81,13 @@ def test_solver_config_validation():
         {"grad_tol": float("nan")},
         {"grad_tol": -1e-6},
         {"grad_tol": "1e-6"},
+        {"grad_tol": True},
         {"max_iters": 2.5},
         {"max_iters": True},
         {"max_iters": "100"},
     ],
-    ids=["tol-inf", "tol-nan", "tol-negative", "tol-str", "iters-float", "iters-bool", "iters-str"],
+    ids=["tol-inf", "tol-nan", "tol-negative", "tol-str", "tol-bool", "iters-float", "iters-bool",
+         "iters-str"],
 )
 def test_solver_config_rejects_values_that_void_the_certificate(kwargs):
     """grad_tol = inf certified the undescended seed after 0 iterations; nan returned it too."""

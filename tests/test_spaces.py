@@ -395,3 +395,7 @@ def test_norm_input_validation():
     for tol in (0.0, math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             luxemburg_norm(np.ones(5), p, 0.1, tol=tol)
+    for vol in (-1.0, 0.0, math.nan, math.inf, np.array([0.1, 0.1, -0.1, 0.1, 0.1])):
+        for f in (modular, luxemburg_norm):
+            with pytest.raises(ValueError, match="cell volumes must be finite and positive"):
+                f(np.linspace(0.5, 2.5, 5), p, vol)
